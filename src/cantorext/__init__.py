@@ -8,7 +8,7 @@ from .gamma import (GammaModel, Profile, build_model, classify_ep,
                     condition_diagnostics, profile)
 from .geometry import (BasicInterval, CantorTree, NodeSet, build_tree, eval_P,
                        select_nodes, verify_geometry)
-from .dimension import EtaProfile, LogPower, h_eval, h_inverse
+from .dimension import EtaProfile, LogPower, h_inverse
 from .hausdorff import (ContentResult, DensityTable, FloatAtoms, IslandFamily,
                         TreeAtoms, compare_dimension_functions, content_dp,
                         density_scan_islands, density_scan_tree, ep_root_test,

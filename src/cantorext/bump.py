@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -26,45 +25,28 @@ import numpy as np
 P_MAX = 3
 
 
-@lru_cache(maxsize=None)
-def _step_derivative_funcs():
-    """Analytic formulas for the smooth step and its first three derivatives."""
-    import sympy as sp
-
-    y = sp.Symbol("y", positive=True)
-    g = sp.exp(-1 / y)
-    g1 = sp.exp(-1 / (1 - y))
-    S = g / (g + g1)
-    exprs = [S]
-    for _ in range(P_MAX):
-        exprs.append(sp.diff(exprs[-1], y))
-    simple = [sp.simplify(e) for e in exprs]
-    f_float = [sp.lambdify(y, e, modules="math") for e in simple]
-    f_mpf = [sp.lambdify(y, e, modules="mpmath") for e in simple]
-    return f_float, f_mpf
-
-
 def step_series(y: float, order: int = P_MAX) -> tuple:
     """Taylor coefficients (f, f', f''/2!, f'''/3!) of the step at y (floats).
 
-    Evaluated through mpmath: the analytic formulas hold exp(+1/y)-sized
-    factors that cancel, which overflows plain float evaluation near the
-    edges even though the results are tiny there.
+    S = 1/(1 + E) with E = exp(phi), phi(y) = 1/y - 1/(1-y), whose series is
+    explicit; exp and the reciprocal are then power series in phi - phi(y)
+    and E - E(y).  Evaluated through mpmath: E(y) is exp(+-1/y)-sized near
+    the edges, which overflows plain float evaluation even though the
+    coefficients are tiny there.
     """
     if y <= 1e-9:
         return (0.0,) + (0.0,) * order
     if y >= 1 - 1e-9:
         return (1.0,) + (0.0,) * order
-    funcs = _step_derivative_funcs()[1]
-    out = []
-    fact = 1.0
     with mp.workprec(120):
         ym = mp.mpf(y)
-        for p in range(order + 1):
-            if p:
-                fact *= p
-            out.append(float(funcs[p](ym)) / fact)
-    return tuple(out)
+        phi = tuple((-1) ** n / ym ** (n + 1) - 1 / (1 - ym) ** (n + 1)
+                    for n in range(order + 1))
+        e0 = mp.exp(phi[0])
+        E = _series_compose(phi, [e0 / mp.factorial(j) for j in range(order + 1)])
+        S = _series_compose(E, [(-1) ** j / (1 + e0) ** (j + 1)
+                                for j in range(order + 1)])
+        return tuple(float(c) for c in S)
 
 
 def step_value_mpf(y):
@@ -84,6 +66,18 @@ def _series_mul(a: tuple, b: tuple) -> tuple:
                  for k in range(order + 1))
 
 
+def _series_compose(a: tuple, weights: Sequence) -> tuple:
+    """The series of sum_j weights[j] (a - a[0])^j to the order of ``a``;
+    with weights[j] = g^(j)(a[0]) / j! that is the series of g(a)."""
+    dev = (0,) + tuple(a[1:])
+    out = [weights[0]] + [0] * (len(a) - 1)
+    power = (1,) + (0,) * (len(a) - 1)
+    for w in weights[1:]:
+        power = _series_mul(power, dev)
+        out = [o + w * c for o, c in zip(out, power)]
+    return tuple(out)
+
+
 @dataclass
 class BumpSpec:
     """A built cutoff: merged components plus the scale t.
@@ -97,10 +91,6 @@ class BumpSpec:
     bits: int = 53
     _cp: Optional[tuple] = None
     _edges: Optional[tuple] = None
-
-    @property
-    def margin(self):
-        return self.t / 3
 
     @property
     def _zone_edges(self) -> tuple:

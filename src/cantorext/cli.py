@@ -22,10 +22,10 @@ from . import __version__
 from .dimension import EtaProfile, LogPower
 from .errors import (CancellationError, DegreeError, DepthError,
                      DomainError, HorizonError, InsufficientOrderError,
-                     NodeCollisionError, ParameterError, PrecisionError,
-                     ValidationError)
+                     InvariantError, NodeCollisionError, ParameterError,
+                     PrecisionError, ValidationError)
 from .extension import ExtensionOperator, dn_experiment
-from .gamma import FAMILIES, build_model, classify_ep, profile
+from .gamma import build_model, classify_ep, family_spec, profile
 from .geometry import build_tree, select_nodes, verify_geometry
 from .hausdorff import (IslandFamily, TreeAtoms, compare_dimension_functions,
                         content_dp, density_scan_islands, density_scan_tree,
@@ -36,7 +36,7 @@ from .markov import (markov_bounds, markov_numeric, ratio_table,
 
 VALIDATION_ERRORS = (ValidationError, ParameterError, DegreeError,
                      NodeCollisionError, DomainError, InsufficientOrderError,
-                     ValueError)
+                     InvariantError, ValueError)
 BUDGET_ERRORS = (DepthError, PrecisionError, HorizonError, CancellationError)
 
 
@@ -60,29 +60,26 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     merged.pop("func", None)
     cfg_path = merged.pop("config", None)
     if cfg_path:
-        sub_defaults = vars(parser.parse_args([args.command]))
+        defaults = vars(parser.parse_args([args.command]))
         file_values = _read_config_file(cfg_path)
-        for key, raw in file_values.items():
-            if key not in merged:
-                continue
-            # a flag left at its subcommand default yields to the config file
-            if merged[key] == sub_defaults.get(key):
-                cur = merged[key]
-                if isinstance(cur, bool):
-                    merged[key] = raw.lower() in ("1", "true", "yes")
-                elif isinstance(cur, int) and not isinstance(cur, bool):
-                    merged[key] = int(raw)
-                elif isinstance(cur, float):
-                    merged[key] = float(raw)
-                else:
-                    merged[key] = raw
+        # a flag left at its subcommand default yields to the config file
+        keys = [key for key in file_values if key != "command" and key in merged
+                and merged[key] == defaults[key]]
+        # the file's values are parsed as their flags are, types included
+        typed = vars(parser.parse_args(
+            [args.command] + [f"--{key.replace('_', '-')}={file_values[key]}"
+                              for key in keys]))
+        merged.update((key, typed[key]) for key in keys)
     merged["config_file"] = cfg_path
     return merged
 
 
-def _emit(config: dict, data, out: str | None, fmt: str,
-          csv_rows: list | None = None, csv_header: list | None = None) -> None:
-    """Write the payload; JSON carries data, CSV carries rows + config preamble."""
+def _emit(config: dict, data, csv_rows: list | None = None,
+          csv_header: list | None = None) -> None:
+    """Write the payload to ``--out`` or stdout in ``--format``: JSON carries
+    data, CSV carries rows + config preamble.  Without a CSV table, JSON."""
+    out = config.get("out")
+    fmt = config.get("format", "json") if csv_header else "json"
     clean_cfg = {k: v for k, v in sorted(config.items())
                  if isinstance(v, (str, int, float, bool, type(None), list))}
     if fmt == "json":
@@ -94,9 +91,8 @@ def _emit(config: dict, data, out: str | None, fmt: str,
             buf.write(f"# {k} = {v}\n")
         buf.write(f"# version = {__version__}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header or [])
-        for row in csv_rows or []:
-            writer.writerow(row)
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
         text = buf.getvalue()
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -106,20 +102,12 @@ def _emit(config: dict, data, out: str | None, fmt: str,
 
 
 def _model_from(cfg: dict):
+    """The run's gamma model: its family gets each parameter it declares
+    that the run sets (``build_model`` converts each to its declared type)."""
     family = cfg.get("family") or "example1"
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}")
-    kw = {}
-    for key, name in (("B", "B"), ("a", "a"), ("b", "b"), ("m", "m")):
-        if cfg.get(name) is not None:
-            kw[key] = cfg[name]
-    if family == "example2" and cfg.get("variant"):
-        kw["variant"] = cfg["variant"]
-    if family == "custom":
-        kw["gammas"] = [float(v) for v in str(cfg["gammas"]).split(",")]
-    if cfg.get("m") is not None and family == "example3":
-        kw["m"] = int(cfg["m"])
-    return build_model(family, k_max=int(cfg.get("k_max", 40)), **kw)
+    kw = {name: cfg[name] for name in family_spec(family).params
+          if cfg.get(name) is not None}
+    return build_model(family, k_max=cfg["k_max"], **kw)
 
 
 def _decimal(x, digits: int = 40) -> str:
@@ -145,13 +133,12 @@ def cmd_gamma(cfg: dict) -> None:
     }
     rows = [(k, prof.B[k], prof.beta[k], prof.robin_partial[k])
             for k in range(1, model.k_max + 1)]
-    _emit(cfg, data, cfg.get("out"), cfg.get("format", "json"),
-          csv_rows=rows, csv_header=["k", "B_k", "beta_k", "robin_partial"])
+    _emit(cfg, data, rows, ["k", "B_k", "beta_k", "robin_partial"])
 
 
 def cmd_geometry(cfg: dict) -> None:
     model = _model_from(cfg)
-    tree = build_tree(model, depth=cfg.get("depth"), bits=int(cfg.get("bits", 512)))
+    tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
     rep = verify_geometry(tree)
     with mp.workprec(tree.bits):
         intervals = [{
@@ -166,39 +153,35 @@ def cmd_geometry(cfg: dict) -> None:
     }
     rows = [(d["level"], d["index"], d["left"], d["right"], d["ln_length"])
             for d in intervals]
-    _emit(cfg, data, cfg.get("out"), cfg.get("format", "json"),
-          csv_rows=rows, csv_header=["level", "index", "left", "right", "ln_length"])
+    _emit(cfg, data, rows, ["level", "index", "left", "right", "ln_length"])
 
 
 def cmd_nodes(cfg: dict) -> None:
     model = _model_from(cfg)
-    j, s = (int(v) for v in str(cfg.get("interval", "1,0")).split(","))
-    N = int(cfg.get("N", 8))
-    tree = build_tree(model, depth=cfg.get("depth"), bits=int(cfg.get("bits", 512)))
+    j, s = (int(v) for v in str(cfg["interval"]).split(","))
+    N = cfg["N"]
+    tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
     ns = select_nodes(tree, (j, s), N)
     with mp.workprec(tree.bits):
         data = [{"order": i + 1, "x": _decimal(n.x), "type": n.type}
                 for i, n in enumerate(ns.nodes)]
-    _emit(cfg, {"interval": [j, s], "nodes": data}, cfg.get("out"),
-          cfg.get("format", "json"),
-          csv_rows=[(d["order"], d["x"], d["type"]) for d in data],
-          csv_header=["order", "x", "type"])
+    _emit(cfg, {"interval": [j, s], "nodes": data},
+          [(d["order"], d["x"], d["type"]) for d in data], ["order", "x", "type"])
 
 
 def cmd_extend(cfg: dict) -> None:
     model = _model_from(cfg)
-    bits = int(cfg.get("bits", 1024))
-    tree = build_tree(model, depth=cfg.get("depth"), bits=bits)
-    s_max = int(cfg.get("s_max", 3))
+    tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
+    s_max = cfg["s_max"]
     op = ExtensionOperator(tree, s_max=s_max)
-    q = int(cfg.get("q", 5))
+    q = cfg["q"]
     fns = {"one": lambda x: mp.mpf(1), "identity": lambda x: x,
            "square": lambda x: x * x, "sin": mp.sin}
     norm_q = {"one": 1.0, "identity": 1.0, "square": 2.0, "sin": 2.0}
     rows = []
     with mp.workprec(tree.bits):
         xs = [iv.right for iv in tree.levels[min(tree.depth, s_max + 2)]]
-        xs = xs[:int(cfg.get("N", 16))]
+        xs = xs[:cfg["N"]]
         for name, f in fns.items():
             for x in xs:
                 out = op.evaluate(f, x, norm_q=norm_q[name], q=q)
@@ -209,38 +192,33 @@ def cmd_extend(cfg: dict) -> None:
                              out.certified_bound.ln_mag))
     data = [{"f": r[0], "x": r[1], "W": r[2], "fx": r[3], "ln_err": r[4],
              "ln_bound": r[5]} for r in rows]
-    _emit(cfg, data, cfg.get("out"), cfg.get("format", "json"), csv_rows=rows,
-          csv_header=["f", "x", "W", "f(x)", "ln_err", "ln_bound"])
+    _emit(cfg, data, rows, ["f", "x", "W", "f(x)", "ln_err", "ln_bound"])
 
 
 def cmd_dn(cfg: dict) -> None:
     model = _model_from(cfg)
-    r_list = [int(v) for v in str(cfg.get("r", "32,128")).split(",")]
-    s_list = [int(v) for v in str(cfg.get("s", "4,9")).split(",")]
-    rep = dn_experiment(model, eps=float(cfg.get("epsilon", 0.25)),
-                        m=int(cfg.get("m_window", 0)), r_list=r_list,
-                        s_list=s_list)
+    r_list = [int(v) for v in str(cfg["r"]).split(",")]
+    s_list = [int(v) for v in str(cfg["s"]).split(",")]
+    rep = dn_experiment(model, eps=cfg["epsilon"], m=cfg["m_window"],
+                        r_list=r_list, s_list=s_list)
     rows = [(r.s, r.n, r.r, r.brace, r.threshold, r.fires, r.ln_bound_scaled,
              r.ln_bound_full) for r in rep.rows]
     data = {"diverges": rep.diverges, "rows": [vars(r) for r in rep.rows]}
-    _emit(cfg, data, cfg.get("out"), cfg.get("format", "json"), csv_rows=rows,
-          csv_header=["s", "n", "r", "brace", "threshold", "fires",
-                      "ln_bound_scaled", "ln_bound_full"])
+    _emit(cfg, data, rows, ["s", "n", "r", "brace", "threshold", "fires",
+                            "ln_bound_scaled", "ln_bound_full"])
 
 
 def _dimension_from(cfg: dict):
-    alpha0 = float(cfg.get("alpha0", 0.5))
-    eps_sign = int(cfg.get("eps_sign", 0))
-    return LogPower(alpha0, eps_sign, m=int(cfg.get("m", 3) or 3))
+    return LogPower(cfg["alpha0"], cfg["eps_sign"], m=cfg["m"] or 3)
 
 
 def cmd_hausdorff(cfg: dict) -> None:
     model = _model_from(cfg)
-    tree = build_tree(model, depth=cfg.get("depth"), bits=int(cfg.get("bits", 512)))
+    tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
     h = EtaProfile(model)
     sums = [lambda_level_estimate(tree, h, k) for k in range(1, tree.depth + 1)]
     content = content_dp(TreeAtoms(tree), h)
-    rt = ep_root_test(_dimension_from(cfg), range(5, int(cfg.get("k_max", 40)) + 1, 5))
+    rt = ep_root_test(_dimension_from(cfg), range(5, cfg["k_max"] + 1, 5))
     data = {
         "level_sums": [vars(s) for s in sums],
         "content_deepest": content.value,
@@ -249,8 +227,7 @@ def cmd_hausdorff(cfg: dict) -> None:
                       "analytic_limit": rt.analytic_limit},
     }
     rows = [(s.level, s.value, s.upper) for s in sums]
-    _emit(cfg, data, cfg.get("out"), cfg.get("format", "json"), csv_rows=rows,
-          csv_header=["level", "sum_h", "upper"])
+    _emit(cfg, data, rows, ["level", "sum_h", "upper"])
 
 
 def cmd_density(cfg: dict) -> None:
@@ -258,13 +235,13 @@ def cmd_density(cfg: dict) -> None:
     if cfg.get("family") == "islands":
         Q = cfg.get("Q")
         rule = q_rule_log() if str(Q) == "log" else q_rule_constant(float(Q or 2.0))
-        fam = IslandFamily(rule, k_max=int(cfg.get("k_max", 120)))
-        ks = [int(v) for v in str(cfg.get("k_range", "10,30,60,100")).split(",")]
+        fam = IslandFamily(rule, k_max=cfg["k_max"])
+        ks = [int(v) for v in str(cfg["k_range"]).split(",")]
         table = density_scan_islands(fam, h, ks, keep_rows=True)
     else:
         model = _model_from(cfg)
-        tree = build_tree(model, depth=cfg.get("depth"), bits=int(cfg.get("bits", 512)))
-        ks = [int(v) for v in str(cfg.get("k_range", "2,3,4,5")).split(",")]
+        tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
+        ks = [int(v) for v in str(cfg["k_range"]).split(",")]
         table = density_scan_tree(tree, h, ks, keep_rows=True)
     ratio_at = {p.ln_inv_r: p.ratio for p in table.per_r}
     rows = [(r.ln_inv_r, r.x_label, r.phi, ratio_at.get(r.ln_inv_r))
@@ -275,22 +252,19 @@ def cmd_density(cfg: dict) -> None:
         "liminf_estimate": table.liminf_estimate,
         "analytic_limit": table.analytic_limit,
     }
-    _emit(cfg, data, cfg.get("out"), cfg.get("format", "json"), csv_rows=rows,
-          csv_header=["ln_inv_r", "x", "phi", "ratio_at_r"])
+    _emit(cfg, data, rows, ["ln_inv_r", "x", "phi", "ratio_at_r"])
 
 
 def cmd_markov(cfg: dict) -> None:
     model = _model_from(cfg)
-    tree = build_tree(model, depth=int(cfg.get("depth") or 3),
-                      bits=int(cfg.get("bits", 512)))
+    tree = build_tree(model, depth=cfg["depth"] or 3, bits=cfg["bits"])
     atoms = tree_atom_bounds(tree)
-    ns = [int(v) for v in str(cfg.get("n", "2,4,8")).split(",")]
+    ns = [int(v) for v in str(cfg["n"]).split(",")]
     rows, data = [], []
     for n in ns:
         bounds = markov_bounds(model, n)
-        est = markov_numeric(atoms, n, points_per_atom=int(cfg.get("N", 24)),
-                             seed=int(cfg.get("seed", 0)),
-                             workers=int(cfg.get("workers", 1)))
+        est = markov_numeric(atoms, n, points_per_atom=cfg["N"],
+                             seed=cfg["seed"], workers=cfg["workers"])
         rows.append((n, bounds.lower.ln_mag,
                      bounds.point.ln_mag if bounds.point else "",
                      bounds.upper.ln_mag, est.value))
@@ -298,8 +272,7 @@ def cmd_markov(cfg: dict) -> None:
                      "ln_point": bounds.point.ln_mag if bounds.point else None,
                      "ln_upper": bounds.upper.ln_mag, "numeric": est.value,
                      "stalled": est.stalled})
-    _emit(cfg, data, cfg.get("out"), cfg.get("format", "json"), csv_rows=rows,
-          csv_header=["n", "ln_lower", "ln_point", "ln_upper", "numeric"])
+    _emit(cfg, data, rows, ["n", "ln_lower", "ln_point", "ln_upper", "numeric"])
 
 
 def cmd_examples(cfg: dict) -> None:
@@ -362,7 +335,7 @@ def cmd_examples(cfg: dict) -> None:
         "rows": [(r.k, r.j, r.branch, r.ln_bound) for r in table.rows],
         "decreasing_negative_from": table.decreasing_negative_from,
     }
-    _emit(cfg, out, cfg.get("out"), "json")
+    _emit(cfg, out)
 
 
 # ---------------------------------------------------------------------------

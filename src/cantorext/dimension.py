@@ -289,10 +289,6 @@ class LogPower:
                 "eps_sign": self.eps_sign, "m": self.m}
 
 
-def h_eval(h, t: float) -> float:
-    return h.h(t)
-
-
 def h_inverse(h, tau: float) -> float:
     """Functional inverse of h (bisection at 1e-14 relative for log-power)."""
     if isinstance(h, EtaProfile):

@@ -47,3 +47,8 @@ class InsufficientOrderError(CantorExtError):
 
 class DegreeError(CantorExtError):
     """Polynomial degree outside the supported range of the numeric estimator."""
+
+
+class InvariantError(CantorExtError):
+    """A proven invariant failed at run time: the input lies outside the
+    hypotheses it was proven under, or the working precision is too low."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bump import BumpSpec, bump_for_interval, bump_for_set
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
-                     NodeCollisionError, ParameterError)
+                     InvariantError, NodeCollisionError, ParameterError)
 from .gamma import GammaModel, Profile, profile as make_profile
 from .geometry import CantorTree, select_nodes
 from .logreal import LogReal, log_mul_pow
@@ -78,7 +78,8 @@ def schedule_for(prof: Profile, s_cap: int) -> Schedule:
         while 2 ** (g + 1) <= L:
             g += 1
         # the dyadic sandwich 1/2 ln(1/delta_s) < 2^{n_s} <= ln(1/delta_s)
-        assert Fraction(2) ** g <= L < Fraction(2) ** (g + 1)
+        if not Fraction(2) ** g <= L < Fraction(2) ** (g + 1):
+            raise InvariantError(f"dyadic sandwich fails for n_{s} = {g}")
         if g < n[-1]:
             raise ParameterError(
                 f"degree schedule not monotone at s={s} (model too irregular)")
@@ -232,7 +233,8 @@ class ExtensionOperator:
                     b = self._bump(j, s, t_hi_A)
                     if b.support_hit(x):
                         live.append(j)
-                assert len(live) <= 1, f"accumulation locality broken at s={s}"
+                if len(live) > 1:
+                    raise InvariantError(f"accumulation locality broken at s={s}")
                 nonzero_A.append(live)
                 for j in live:
                     itp = self._interpolant(j, s, sched.N(s) + 1)
@@ -256,7 +258,8 @@ class ExtensionOperator:
                     b = self._bump(k, s + 1, t_T)
                     if b.support_hit(x):
                         live_T.append(k)
-                assert len(live_T) <= 1, f"transition locality broken at s={s}"
+                if len(live_T) > 1:
+                    raise InvariantError(f"transition locality broken at s={s}")
                 nonzero_T.append(live_T)
                 for k in live_T:
                     u = self._bump(k, s + 1, t_T).value(x)

@@ -146,18 +146,21 @@ class CantorTree:
         else:
             fr = self._ln_inv_delta[k]
         with mp.workprec(self.bits):
-            return mp.exp(-mp.mpf(fr.numerator) / fr.denominator)
-
-    def gamma_sum(self) -> float:
-        return self.model.gamma_sum
-
-    def c0(self) -> float:
-        return self.model.c0
+            return _exp_neg(fr)
 
 
-def _gamma_mpf(model: GammaModel, k: int) -> mp.mpf:
-    fr = model.ln_inv_gamma[k - 1]
+def _exp_neg(fr: Fraction) -> mp.mpf:
+    """exp(-fr) at the working precision, for an exact log such as
+    ln(1/gamma_k) or ln(1/delta_k)."""
     return mp.exp(-mp.mpf(fr.numerator) / fr.denominator)
+
+
+def _r_chain(model: GammaModel, s: int) -> list:
+    """[r_0, ..., r_s] at the working precision: r_0 = 1, r_k = gamma_k r_{k-1}^2."""
+    r = [mp.mpf(1)]
+    for k in range(1, s + 1):
+        r.append(_exp_neg(model.ln_inv_gamma[k - 1]) * r[k - 1] ** 2)
+    return r
 
 
 def _point_from_address(addr: Sequence[int], r: list, memo: dict) -> mp.mpf:
@@ -208,9 +211,7 @@ def eval_P(s: int, x, model: GammaModel, bits: int = 256,
         raise ValueError("levels start at P_2 (s = 1)")
     with mp.workprec(bits):
         if r_mpf is None:
-            r_mpf = [mp.mpf(1)]
-            for k in range(1, s):
-                r_mpf.append(_gamma_mpf(model, k) * r_mpf[k - 1] ** 2)
+            r_mpf = _r_chain(model, s - 1)
         x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
         v = x * (x - 1)
         for i in range(1, s):
@@ -240,9 +241,7 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
         raise DepthError(
             f"depth {depth} needs ~{need} mantissa bits, have {bits}")
     with mp.workprec(bits):
-        r = [mp.mpf(1)]
-        for k in range(1, depth + 1):
-            r.append(_gamma_mpf(model, k) * r[k - 1] ** 2)
+        r = _r_chain(model, depth)
         root = BasicInterval(level=0, index=1, left=mp.mpf(0), right=mp.mpf(1),
                              addr=(), left_type=0, right_type=0)
         levels = [[root]]
@@ -359,9 +358,7 @@ def verify_geometry(tree: CantorTree) -> GeometryReport:
             for iv in parents:
                 cl, cr = tree.children(iv)
                 g_m = min(g_m, (cr.left - cl.right) / (iv.right - iv.left))
-            fr = tree.model.ln_inv_gamma[s - 1]
-            gamma_s = mp.exp(-mp.mpf(fr.numerator) / fr.denominator)
-            sharp = 1 - 4 * gamma_s
+            sharp = 1 - 4 * _exp_neg(tree.model.ln_inv_gamma[s - 1])
             out.append(LevelGeometry(
                 level=s,
                 min_ln_l_over_delta=float(lo_m), max_ln_l_over_delta=float(hi_m),

@@ -170,9 +170,6 @@ class LogReal:
             return mp.mpf(0)
         return self.sign * mp.exp(mp.mpf(self.hi) + mp.mpf(self.lo))
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     # -- arithmetic --------------------------------------------------------
 
     def mul(self, other: "LogReal") -> "LogReal":

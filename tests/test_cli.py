@@ -83,6 +83,23 @@ class TestCLI:
                             capsys)
         assert len(json.loads(out)["data"]["B"]) == 4
 
+    def test_config_file_values_take_flag_types(self, capsys, tmp_path):
+        # depth/bits from a file give the same body as the same flags
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text("family = example1\nB = 1\nk_max = 12\ndepth = 3\n"
+                       "bits = 256\n")
+        code, out = run_cli(["geometry", "--config", str(cfg)], capsys)
+        assert code == 0
+        from_file = json.loads(out)
+        code, out = run_cli(["geometry", "--family", "example1", "--B", "1",
+                             "--k-max", "12", "--depth", "3", "--bits", "256"],
+                            capsys)
+        assert code == 0
+        from_flags = json.loads(out)
+        assert from_file["config"].pop("config_file") == str(cfg)
+        assert from_flags["config"].pop("config_file") is None
+        assert from_file == from_flags
+
     def test_dn_subcommand(self, capsys):
         code, out = run_cli(["dn", "--family", "example2", "--k-max", "40",
                              "--epsilon", "0.25", "--r", "128,512",

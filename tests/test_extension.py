@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cantorext.bump import (BumpSpec, bump_for_interval, bump_for_set,
-                            merge_atoms, step_value_mpf)
-from cantorext.errors import NodeCollisionError, ParameterError
+                            merge_atoms, step_series, step_value_mpf)
+from cantorext.errors import InvariantError, NodeCollisionError, ParameterError
 from cantorext.extension import (
     ExtensionOperator, check_chain_product_bound,
     check_cutoff_product_bound, check_distance_product_bound,
@@ -104,6 +104,19 @@ class TestBump:
                 fd = (spec.derivative(x + hstep, p - 1)
                       - spec.derivative(x - hstep, p - 1)) / (2 * hstep)
                 assert spec.derivative(x, p) == pytest.approx(fd, rel=2e-4, abs=1e-6)
+
+    # 1e-8 and 1 - 1e-8 check the degenerate ends (every coefficient 0.0,
+    # or (1, 0, 0, 0)); 2e-3 and 1 - 2e-3 check E(y) huge and tiny while
+    # the coefficients (down to ~1e-217) are still normal doubles.  The
+    # reference is unchopped and at 1024 bits, so that coefficients ~1e-212
+    # beside S ~ 1 near y = 1 survive.
+    @pytest.mark.parametrize("y", [1e-8, 2e-3, 0.01, 0.05, 0.3, 0.5, 0.7,
+                                   0.99, 1 - 2e-3, 1 - 1e-8])
+    def test_step_series_matches_mpmath_taylor(self, y):
+        with mp.workprec(1024):
+            ref = [float(c) for c in
+                   mp.taylor(step_value_mpf, mp.mpf(y), 3, chop=False)]
+        assert list(step_series(y)) == pytest.approx(ref, rel=1e-15, abs=1e-300)
 
     def test_cp_monotone(self):
         spec = BumpSpec(t=0.2, components=[(0.0, 0.4)])
@@ -241,6 +254,18 @@ class TestOperatorIdentities:
             out = op.evaluate(lambda v: mp.mpf(1), mp.mpf(float(x)))
             assert all(len(a) <= 1 for a in out.nonzero_A)
             assert all(len(t) <= 1 for t in out.nonzero_T)
+
+    @pytest.mark.parametrize("k_delta, stage", [(1, "transition"),
+                                                 (2, "accumulation")])
+    def test_broken_locality_raises(self, tree_ex1, monkeypatch, k_delta, stage):
+        # every cutoff of width delta_{k_delta} claims x, so two cutoffs of one
+        # level are live: the transition stage at s=0 uses width delta_1, the
+        # accumulation stage at s=1 width delta_2
+        op = ExtensionOperator(tree_ex1, s_max=3)
+        width = tree_ex1.delta_mpf(k_delta)
+        monkeypatch.setattr(BumpSpec, "support_hit", lambda self, x: self.t == width)
+        with pytest.raises(InvariantError, match=f"{stage} locality broken"):
+            op.evaluate(lambda v: mp.mpf(1), mp.mpf("0.5"))
 
     def test_certified_bound_formula(self, tree_ex1):
         op = ExtensionOperator(tree_ex1, s_max=3)

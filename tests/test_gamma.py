@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorext.dimension import LogPower
 from cantorext.errors import HorizonError, ValidationError
 from cantorext.gamma import (
     CUSTOM, DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2, EXAMPLE3, EXPONENTIAL,
-    NONPOLAR, POLAR, POWER_LAW, UNDETERMINED, build_model, classify_ep,
-    condition_diagnostics, profile,
+    FROM_DIMENSION_FUNCTION, NONPOLAR, POLAR, POWER_LAW, UNDETERMINED,
+    build_model, classify_ep, condition_diagnostics, profile,
 )
 from cantorext.logreal import log_mul_pow
 
@@ -123,6 +124,10 @@ class TestProfile:
             (build_model(EXAMPLE2, variant="B"), NONPOLAR),
             (build_model(DELTA_FORM, b=2.0), POLAR),
             (build_model(DELTA_FORM, b=1.9), NONPOLAR),
+            (build_model(EXAMPLE3), POLAR),
+            (build_model(FROM_DIMENSION_FUNCTION, k_max=12,
+                         h=LogPower(alpha0=0.5)), POLAR),
+            (build_model(CUSTOM, gammas=[1 / 64] * 8), UNDETERMINED),
         ]
         for model, want in cases:
             assert profile(model).polar_verdict == want, model.family
