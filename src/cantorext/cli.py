@@ -80,8 +80,10 @@ def _emit(config: dict, data, csv_rows: list | None = None,
     data, CSV carries rows + config preamble.  Without a CSV table, JSON."""
     out = config.get("out")
     fmt = config.get("format", "json") if csv_header else "json"
-    clean_cfg = {k: v for k, v in sorted(config.items())
-                 if isinstance(v, (str, int, float, bool, type(None), list))}
+    # the worker count changes no result, and its default is the machine's
+    # CPU count, so it stays out of the header
+    clean_cfg = {k: v for k, v in sorted(config.items()) if k != "workers"
+                 and isinstance(v, (str, int, float, bool, type(None), list))}
     if fmt == "json":
         payload = {"version": __version__, "config": clean_cfg, "data": data}
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
@@ -231,17 +233,19 @@ def cmd_hausdorff(cfg: dict) -> None:
 
 
 def cmd_density(cfg: dict) -> None:
+    if cfg["k_range"] is None:
+        raise ParameterError("density needs --k-range: the levels to scan "
+                             "depend on the family")
     h = _dimension_from(cfg)
+    ks = [int(v) for v in str(cfg["k_range"]).split(",")]
     if cfg.get("family") == "islands":
         Q = cfg.get("Q")
         rule = q_rule_log() if str(Q) == "log" else q_rule_constant(float(Q or 2.0))
         fam = IslandFamily(rule, k_max=cfg["k_max"])
-        ks = [int(v) for v in str(cfg["k_range"]).split(",")]
         table = density_scan_islands(fam, h, ks, keep_rows=True)
     else:
         model = _model_from(cfg)
         tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
-        ks = [int(v) for v in str(cfg["k_range"]).split(",")]
         table = density_scan_tree(tree, h, ks, keep_rows=True)
     ratio_at = {p.ln_inv_r: p.ratio for p in table.per_r}
     rows = [(r.ln_inv_r, r.x_label, r.phi, ratio_at.get(r.ln_inv_r))
@@ -398,6 +402,7 @@ def main(argv=None) -> int:
         return 2
     # defaults that depend on the subcommand
     defaults = {"gamma": {}, "nodes": {"N": 8}, "extend": {"N": 16},
+                "dn": {"r": "32,128", "s": "4,9"},
                 "markov": {"N": 24, "n": "2,4,8"}}
     cfg = resolve_config(args, parser)
     for key, val in defaults.get(args.command, {}).items():

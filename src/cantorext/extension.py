@@ -24,6 +24,7 @@ argument.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -152,8 +153,11 @@ class WValue:
 class ExtensionOperator:
     """Evaluator of the truncated operator on a fixed tree and schedule.
 
-    Bump specs and interpolants are cached per basic interval; function values
-    are cached per node, so repeated evaluations share all the heavy work.
+    Bump specs are cached per basic interval and width.  Interpolants (per
+    basic interval) and function values (per node) are cached per function
+    for the operator's lifetime, so switching between functions keeps each
+    one's work: Newton coefficient k depends only on nodes 0..k, and node
+    sets are prefix-stable, so a cached interpolant equals a rebuilt one.
     """
 
     def __init__(self, tree: CantorTree, s_max: int,
@@ -169,10 +173,13 @@ class ExtensionOperator:
             raise DepthError(
                 f"truncation at {s_max} needs node types to {depth_needed}, "
                 f"tree depth is {tree.depth}")
-        self._interp: dict = {}
         self._bumps: dict = {}
-        self._f_cache: dict = {}
+        self._hulls: dict = {}
+        # id(f) -> (f, f_cache, interp); holding f keeps its id from reuse
+        self._per_f: dict = {}
         self._f: Optional[Callable] = None
+        self._f_cache: dict = {}
+        self._interp: dict = {}
         with mp.workprec(tree.bits):
             self._root_bump = bump_for_set(tree, mp.mpf(1))
 
@@ -198,9 +205,33 @@ class ExtensionOperator:
 
     def _set_function(self, f: Callable):
         if self._f is not f:
-            self._f = f
-            self._f_cache = {}
-            self._interp = {}
+            self._f, self._f_cache, self._interp = \
+                self._per_f.setdefault(id(f), (f, {}, {}))
+
+    def _live(self, level: int, k_delta: int, x, stage: str, s: int) -> list:
+        """The j whose width-delta_{k_delta} cutoff around I_{j,level} is
+        alive at x; the locality audit of ``stage`` s allows at most one.
+
+        Every component of cutoff j lies in I_{j,level}, whose endpoints its
+        first and last deepest atoms share, so its support lies in
+        (left - t, right + t), rounded alike.  Those hulls are sorted in j,
+        and only the run of them that holds x is tested.
+        """
+        hull = self._hulls.get((level, k_delta))
+        if hull is None:
+            t = self.tree.delta_mpf(k_delta)
+            ivs = self.tree.levels[level]
+            with mp.workprec(self.tree.bits):
+                hull = ([iv.left - t for iv in ivs],
+                        [iv.right + t for iv in ivs])
+            self._hulls[(level, k_delta)] = hull
+        lo_t, hi_t = hull
+        live = [j for j in range(bisect_right(hi_t, x) + 1,
+                                 bisect_left(lo_t, x) + 1)
+                if self._bump(j, level, k_delta).support_hit(x)]
+        if len(live) > 1:
+            raise InvariantError(f"{stage} locality broken at s={s}")
+        return live
 
     # -- evaluation ----------------------------------------------------------
 
@@ -228,13 +259,7 @@ class ExtensionOperator:
                 # widest cutoff in the accumulation stage: N = M_s + 1,
                 # i.e. n = n_{s-1} - 1 (n = 1 at the root stage)
                 t_hi_A = s + (sched.n[s - 1] - 1 if s else 1)
-                live = []
-                for j in range(1, 2 ** s + 1):
-                    b = self._bump(j, s, t_hi_A)
-                    if b.support_hit(x):
-                        live.append(j)
-                if len(live) > 1:
-                    raise InvariantError(f"accumulation locality broken at s={s}")
+                live = self._live(s, t_hi_A, x, "accumulation", s)
                 nonzero_A.append(live)
                 for j in live:
                     itp = self._interpolant(j, s, sched.N(s) + 1)
@@ -253,13 +278,7 @@ class ExtensionOperator:
                             total += itp.coeffs[N] * omega * u
                 # transition stage: cutoff width delta_{s + n_s - 1}
                 t_T = s + sched.n[s] - 1
-                live_T = []
-                for k in range(1, 2 ** (s + 1) + 1):
-                    b = self._bump(k, s + 1, t_T)
-                    if b.support_hit(x):
-                        live_T.append(k)
-                if len(live_T) > 1:
-                    raise InvariantError(f"transition locality broken at s={s}")
+                live_T = self._live(s + 1, t_T, x, "transition", s)
                 nonzero_T.append(live_T)
                 for k in live_T:
                     u = self._bump(k, s + 1, t_T).value(x)

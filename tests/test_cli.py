@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,37 @@ class TestCLI:
         assert code == 0
         data = json.loads(out)["data"]
         assert data["liminf_estimate"] == pytest.approx(2 ** -0.5, rel=0.1)
+
+    def test_dn_default_r_and_s(self, capsys):
+        code, out = run_cli(["dn", "--family", "example2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["config"]["r"], payload["config"]["s"]) == ("32,128", "4,9")
+        assert [(row["r"], row["s"]) for row in payload["data"]["rows"]] == \
+            [(32, 4), (128, 9)]
+
+    def test_density_without_k_range_names_the_flag(self, capsys):
+        code = main(["density", "--family", "delta_form", "--b", "2",
+                     "--depth", "4"])
+        assert code == 2
+        assert "--k-range" in capsys.readouterr().err
+
+    def test_readme_islands_command_runs(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        line = next(l for l in readme.read_text().splitlines()
+                    if "cantorext density" in l and "islands" in l)
+        args = shlex.split(line)[1:]
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert [p["ln_inv_r"] for p in json.loads(out)["data"]["per_r"]]
+
+    def test_worker_count_leaves_the_body_unchanged(self, capsys):
+        args = ["markov", "--family", "power_law", "--a", "2", "--k-max", "12",
+                "--depth", "3", "--n", "2,4", "--seed", "11"]
+        _, out1 = run_cli(args + ["--workers", "1"], capsys)
+        _, out2 = run_cli(args + ["--workers", "2"], capsys)
+        assert out1 == out2
+        assert "workers" not in json.loads(out1)["config"]
 
     def test_module_entrypoint(self):
         proc = subprocess.run(

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorext.bump import (BumpSpec, bump_for_interval, bump_for_set,
                             merge_atoms, step_series, step_value_mpf)
@@ -26,6 +27,21 @@ def tree_ex1():
 @pytest.fixture(scope="module")
 def tree_ex1_512():
     return build_tree(build_model(EXAMPLE1, k_max=14, B=1.0), depth=7, bits=512)
+
+
+@pytest.fixture(scope="module")
+def probe_points_512(tree_ex1_512):
+    """On-set endpoints, uniform off-set points, and points inside the
+    narrow shoulders (distance c delta_k from an atom), at tree precision."""
+    tree = tree_ex1_512
+    rng = np.random.default_rng(3)
+    with mp.workprec(tree.bits):
+        on_set = [z for iv in tree.levels[7][5::23] for z in (iv.left, iv.right)]
+        off_set = [mp.mpf(float(u)) for u in rng.uniform(-0.05, 1.05, size=12)]
+        shoulder = [iv.right + tree.delta_mpf(k) * c
+                    for iv in tree.levels[7][9::40] for k in (3, 4, 5, 6)
+                    for c in (mp.mpf("0.4"), mp.mpf("0.8"))]
+    return on_set + off_set + shoulder
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +280,10 @@ class TestOperatorIdentities:
         op = ExtensionOperator(tree_ex1, s_max=3)
         width = tree_ex1.delta_mpf(k_delta)
         monkeypatch.setattr(BumpSpec, "support_hit", lambda self, x: self.t == width)
+        # and the bisection offers every cutoff of that width to the audit
+        for level, ivs in enumerate(tree_ex1.levels):
+            op._hulls[(level, k_delta)] = ([mp.ninf] * len(ivs),
+                                           [mp.inf] * len(ivs))
         with pytest.raises(InvariantError, match=f"{stage} locality broken"):
             op.evaluate(lambda v: mp.mpf(1), mp.mpf("0.5"))
 
@@ -322,21 +342,62 @@ def _scratch_omega_W(op, f, x, s_cap):
     return total
 
 
-def test_running_omega_matches_scratch_products(tree_ex1_512):
+def test_running_omega_matches_scratch_products(tree_ex1_512, probe_points_512):
     op = ExtensionOperator(tree_ex1_512, s_max=4)
-    rng = np.random.default_rng(3)
     with mp.workprec(tree_ex1_512.bits):
-        on_set = [z for iv in tree_ex1_512.levels[7][5::23] for z in (iv.left, iv.right)]
-        off_set = [mp.mpf(float(u)) for u in rng.uniform(-0.05, 1.05, size=12)]
-        # inside the narrow shoulders: distance delta_k from an atom
-        off_set += [iv.right + tree_ex1_512.delta_mpf(k) * c
-                    for iv in tree_ex1_512.levels[7][9::40] for k in (3, 4, 5, 6)
-                    for c in (mp.mpf("0.4"), mp.mpf("0.8"))]
         for f in (lambda v: v * v, mp.sin):
             for S in (2, 4):
-                for x in on_set + off_set:
+                for x in probe_points_512:
                     got = op.evaluate(f, x, s_max=S).value
                     assert got == _scratch_omega_W(op, f, x, S), (S, x)
+
+
+_JET_FUNCS = (lambda v: mp.mpf(1), lambda v: v, lambda v: v * v, mp.sin,
+              lambda v: 3 - 2 * v + v * v * v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(0, len(_JET_FUNCS) - 1),
+                                st.integers(0, 10 ** 6), st.sampled_from((2, 4))),
+                      min_size=2, max_size=8))
+def test_interleaved_functions_match_fresh_operators(tree_ex1_512,
+                                                     probe_points_512, calls):
+    # one operator switching between functions keeps each function's
+    # interpolants and values; a fresh operator per function rebuilds them
+    shared = ExtensionOperator(tree_ex1_512, s_max=4)
+    fresh = {}
+    with mp.workprec(tree_ex1_512.bits):
+        for i, p, S in calls:
+            f, x = _JET_FUNCS[i], probe_points_512[p % len(probe_points_512)]
+            own = fresh.setdefault(i, ExtensionOperator(tree_ex1_512, s_max=4))
+            want = own.evaluate(f, x, norm_q=2.0, q=5, s_max=S)
+            assert shared.evaluate(f, x, norm_q=2.0, q=5, s_max=S) == want, (i, p, S)
+
+
+def test_bisected_live_sets_match_full_scan(tree_ex1_512, probe_points_512):
+    # the cutoffs both stages audit, at every level the operator reaches;
+    # x runs over each hull's exact ends, the shoulders and the plateaus
+    tree = tree_ex1_512
+    op = ExtensionOperator(tree, s_max=4)
+    sched = op.schedule
+    live_seen = 0
+    with mp.workprec(tree.bits):
+        for s in range(op.s_max):
+            for stage, level, k_delta in (
+                    ("accumulation", s, s + (sched.n[s - 1] - 1 if s else 1)),
+                    ("transition", s + 1, s + sched.n[s] - 1)):
+                t = tree.delta_mpf(k_delta)
+                xs = list(probe_points_512)
+                for iv in tree.levels[level]:
+                    xs += [iv.left - t, iv.right + t, iv.left - t / 2,
+                           iv.right + t / 2, iv.left, iv.right]
+                for x in xs:
+                    scan = [j for j in range(1, 2 ** level + 1)
+                            if op._bump(j, level, k_delta).support_hit(x)]
+                    assert op._live(level, k_delta, x, stage, s) == scan, \
+                        (stage, s, x)
+                    live_seen += bool(scan)
+    assert live_seen > 100
 
 
 class TestWhitneyNorms:
