@@ -74,6 +74,18 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return merged
 
 
+def _finite(v):
+    """``v`` with every non-finite float replaced by None, so that the JSON
+    body is strict (``ln_err`` is -inf where W reproduces f exactly)."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
 def _emit(config: dict, data, csv_rows: list | None = None,
           csv_header: list | None = None) -> None:
     """Write the payload to ``--out`` or stdout in ``--format``: JSON carries
@@ -86,7 +98,8 @@ def _emit(config: dict, data, csv_rows: list | None = None,
                  and isinstance(v, (str, int, float, bool, type(None), list))}
     if fmt == "json":
         payload = {"version": __version__, "config": clean_cfg, "data": data}
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
+        text = json.dumps(_finite(payload), sort_keys=True, indent=2,
+                          allow_nan=False)
     else:
         buf = io.StringIO()
         for k, v in sorted(clean_cfg.items()):

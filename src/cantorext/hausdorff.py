@@ -14,8 +14,10 @@ exp(-1000), far below the double range, while their h-costs are moderate.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -32,7 +34,52 @@ LN2 = math.log(2.0)
 # atom providers
 # ---------------------------------------------------------------------------
 
-class FloatAtoms:
+def _clip(atoms, lo, hi):
+    """The atoms meeting the open window (lo, hi), end atoms clamped to it.
+
+    Returns a copy of the provider over those atoms, or None when the window
+    meets none.  Atoms are sorted and disjoint, so the kept ones (right > lo
+    and left < hi) are the run i0 <= i < i1 found by bisection.  The view
+    shares everything but its per-atom lists, which are copied (a numpy
+    slice is a view of its array), so clipping never writes into ``atoms``.
+    """
+    i0 = bisect_right(atoms.rights, lo)
+    i1 = bisect_left(atoms.lefts, hi)
+    if i0 >= i1 or not lo < hi:
+        return None
+    view = copy.copy(atoms)
+    for name in atoms.per_atom:
+        setattr(view, name, getattr(atoms, name)[i0:i1].copy())
+    cut_lo, cut_hi = bool(view.lefts[0] < lo), bool(view.rights[-1] > hi)
+    # an end clamped by an earlier clip stays clamped while its atom is kept
+    view.clamped = (cut_lo or (i0 == 0 and atoms.clamped[0]),
+                    cut_hi or (i1 == atoms.count and atoms.clamped[1]))
+    if cut_lo:
+        view.lefts[0] = lo
+    if cut_hi:
+        view.rights[-1] = hi
+    return view
+
+
+class _Atoms:
+    """Sorted disjoint atoms: ascending ``lefts`` and ``rights`` and a row of
+    span logs ``ln_inv_span_starts(j)`` = ln(1/(right_j - left_i)), i <= j.
+
+    ``clamped`` tells whether a clipped view cut the left end of its first
+    atom and the right end of its last.  Each provider binds ``clip`` and
+    ``ln_inv_span_starts`` in its own namespace, where the benchmark's span
+    recorder wraps them per class.
+    """
+
+    per_atom = ("lefts", "rights")
+    clamped = (False, False)
+
+    @property
+    def count(self) -> int:
+        return len(self.lefts)
+
+
+class FloatAtoms(_Atoms):
     """Plain double-precision atoms (tests, synthetic sets)."""
 
     def __init__(self, intervals: Sequence[tuple]):
@@ -47,47 +94,31 @@ class FloatAtoms:
         self.lefts = np.array([a for a, _ in ivs])
         self.rights = np.array([b for _, b in ivs])
 
-    @property
-    def count(self) -> int:
-        return len(self.lefts)
-
     def ln_inv_span_starts(self, j: int) -> np.ndarray:
         return -np.log(self.rights[j] - self.lefts[:j + 1])
 
-    def clip(self, lo: float, hi: float) -> Optional["FloatAtoms"]:
-        keep = [(max(a, lo), min(b, hi))
-                for a, b in zip(self.lefts, self.rights) if b > lo and a < hi]
-        keep = [(a, b) for a, b in keep if a < b]
-        return FloatAtoms(keep) if keep else None
+    clip = _clip
 
 
-class TreeAtoms:
+class TreeAtoms(_Atoms):
     """Deepest-level basic intervals of a tree, spans at full precision.
 
-    Pairwise span logs are memoized on the root provider so clipped views of
-    the same tree reuse them.
+    Pairwise span logs are memoized by endpoint pair; clipped views share the
+    memo of the provider they come from.
     """
 
     def __init__(self, tree: CantorTree, level: Optional[int] = None,
-                 within: Optional[tuple] = None,
-                 _pairs: Optional[tuple] = None, _memo: Optional[dict] = None):
+                 within: Optional[tuple] = None):
         self.bits = tree.bits
-        if _pairs is not None:
-            self.lefts, self.rights = _pairs
-        else:
-            ivs = tree.atoms(level)
-            if within is not None:
-                j, s = within
-                base = tree.interval(j, s)
-                ivs = [iv for iv in ivs
-                       if base.left <= iv.left and iv.right <= base.right]
-            self.lefts = [iv.left for iv in ivs]
-            self.rights = [iv.right for iv in ivs]
-        self._memo = _memo if _memo is not None else {}
-
-    @property
-    def count(self) -> int:
-        return len(self.lefts)
+        ivs = tree.atoms(level)
+        if within is not None:
+            j, s = within
+            base = tree.interval(j, s)
+            ivs = [iv for iv in ivs
+                   if base.left <= iv.left and iv.right <= base.right]
+        self.lefts = [iv.left for iv in ivs]
+        self.rights = [iv.right for iv in ivs]
+        self._memo = {}
 
     def ln_inv_span_starts(self, j: int) -> np.ndarray:
         out = np.empty(j + 1)
@@ -102,22 +133,7 @@ class TreeAtoms:
                 out[i] = v
         return out
 
-    def clip(self, lo, hi) -> Optional["TreeAtoms"]:
-        with mp.workprec(self.bits):
-            lefts, rights = [], []
-            for a, b in zip(self.lefts, self.rights):
-                if b <= lo or a >= hi:
-                    continue
-                lefts.append(a if a >= lo else lo)
-                rights.append(b if b <= hi else hi)
-        if not lefts:
-            return None
-        view = object.__new__(TreeAtoms)
-        view.bits = self.bits
-        view.lefts = lefts
-        view.rights = rights
-        view._memo = self._memo
-        return view
+    clip = _clip
 
 
 def q_rule_constant(Q: float) -> Callable[[int], float]:
@@ -153,68 +169,47 @@ class IslandFamily:
         return self.b(k) - math.exp(-k * self.Q(k))
 
     def atoms(self, k_from: int = 1) -> "IslandAtoms":
-        return IslandAtoms(self, k_from=k_from, residual=True)
+        return IslandAtoms(self, k_from=k_from)
 
     def island_pair(self, k: int) -> "IslandAtoms":
-        return IslandAtoms(self, k_from=k, k_to=k + 1, residual=False)
+        return IslandAtoms(replace(self, k_max=k + 1), k_from=k, residual=False)
 
 
-class IslandAtoms:
+class IslandAtoms(_Atoms):
     """Atom provider over an island family, spans by closed form.
 
-    Atom order is ascending position: the residual [0, b_{K+1}] first, then
-    I_K, ..., I_{k_from}.  Span logs are exact in the exponents (log1p/expm1),
-    so islands far below the double range still cost correctly.
+    Atom order is ascending position: the residual [0, b_{K+1}] first (the
+    one atom with k > k_max), then I_K, ..., I_{k_from}; ``ks`` holds each
+    atom's k.  Span logs are exact in the exponents (log1p/expm1), so islands
+    far below the double range still cost correctly; a span that ends on a
+    clamped end is taken in doubles.
     """
 
+    per_atom = ("lefts", "rights", "ks")
+
     def __init__(self, fam: IslandFamily, k_from: int = 1,
-                 k_to: Optional[int] = None, residual: bool = True,
-                 left_override: Optional[float] = None,
-                 right_override: Optional[float] = None,
-                 ks: Optional[list] = None):
+                 residual: bool = True):
         self.fam = fam
-        if ks is not None:
-            self.ks = ks
-        else:
-            k_hi = k_to if k_to is not None else fam.k_max
-            self.ks = ([fam.k_max + 1] if residual else []) \
-                + list(range(k_hi, k_from - 1, -1))
-        self.residual = residual and (ks is None)
-        self.left_override = left_override    # replaces left of atom 0
-        self.right_override = right_override  # replaces right of last atom
+        self.ks = list(range(fam.k_max, k_from - 1, -1))
+        self.lefts = [fam.a(k) for k in self.ks]
+        if residual:
+            self.ks.insert(0, fam.k_max + 1)
+            self.lefts.insert(0, 0.0)
         if not self.ks:
             raise ParameterError("empty atom set")
-
-    @property
-    def count(self) -> int:
-        return len(self.ks)
-
-    def _is_residual(self, i: int) -> bool:
-        return self.residual and i == 0
-
-    def left(self, i: int) -> float:
-        if i == 0 and self.left_override is not None:
-            return self.left_override
-        return 0.0 if self._is_residual(i) else self.fam.a(self.ks[i])
-
-    def right(self, i: int) -> float:
-        if i == len(self.ks) - 1 and self.right_override is not None:
-            return self.right_override
-        # the residual atom is [0, b_{ks[0]}] with ks[0] = k_max + 1
-        return self.fam.b(self.ks[i])
+        self.rights = [fam.b(k) for k in self.ks]
 
     def _ln_inv_span(self, i: int, j: int) -> float:
-        # ln(1/(right(j) - left(i))), closed form in the exponents
-        overridden = (i == 0 and self.left_override is not None) or \
-                     (j == len(self.ks) - 1 and self.right_override is not None)
-        if overridden:
-            span = self.right(j) - self.left(i)
+        # ln(1/(rights[j] - lefts[i])), closed form in the exponents
+        if (i == 0 and self.clamped[0]) or \
+                (j == len(self.ks) - 1 and self.clamped[1]):
+            span = self.rights[j] - self.lefts[i]
             if span <= 0:
                 raise DomainError("clipped span collapsed at double precision")
             return -math.log(span)
         kj = self.ks[j]
-        if self._is_residual(i):
-            return float(kj)  # span = b_{kj} - 0
+        if i == 0 and self.ks[0] > self.fam.k_max:
+            return float(kj)  # span = b_{kj} - 0 from the residual
         ki = self.ks[i]
         kiq = ki * self.fam.Q(ki)
         if i == j:
@@ -226,25 +221,7 @@ class IslandAtoms:
     def ln_inv_span_starts(self, j: int) -> np.ndarray:
         return np.array([self._ln_inv_span(i, j) for i in range(j + 1)])
 
-    def clip(self, lo: float, hi: float) -> Optional["IslandAtoms"]:
-        keep, l_ov, r_ov = [], None, None
-        for i in range(len(self.ks)):
-            a, b = self.left(i), self.right(i)
-            if b <= lo or a >= hi:
-                continue
-            keep.append((i, self.ks[i]))
-        if not keep:
-            return None
-        i0, i1 = keep[0][0], keep[-1][0]
-        if self.left(i0) < lo:
-            l_ov = lo
-        if self.right(i1) > hi:
-            r_ov = hi
-        view = IslandAtoms(self.fam, residual=False,
-                           ks=[k for _, k in keep],
-                           left_override=l_ov, right_override=r_ov)
-        view.residual = self.residual and keep[0][0] == 0
-        return view
+    clip = _clip
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +343,15 @@ class DensityTable:
         return out
 
 
-def _scan(clipper, h, r_items, x_items, analytic_limit, keep_rows) -> DensityTable:
+def _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows) -> DensityTable:
     rows, per_r = [], []
     for ln_inv_r, r_native in r_items:
         phis = []
         for label, x in x_items:
-            atoms = clipper(x, r_native)
-            if atoms is None:
+            window = atoms.clip(x - r_native, x + r_native)
+            if window is None:
                 continue
-            phi = content_dp(atoms, h).value
+            phi = content_dp(window, h).value
             phis.append(phi)
             if keep_rows:
                 rows.append(DensityRow(ln_inv_r=ln_inv_r, x_label=label, phi=phi))
@@ -408,11 +385,7 @@ def density_scan_tree(tree: CantorTree, h, k_range: Sequence[int],
             r = mp.mpf(7) / 8 * tree.delta_mpf(k - 1)
             r_items.append((float(-mp.log(r)), r))
         x_items = [(f"atom{i}", a) for i, a in enumerate(atoms.lefts)]
-
-        def clipper(x, r):
-            return atoms.clip(x - r, x + r)
-
-        return _scan(clipper, h, r_items, x_items, analytic_limit, keep_rows)
+        return _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows)
 
 
 def density_scan_islands(fam: IslandFamily, h, k_list: Sequence[int],
@@ -430,11 +403,7 @@ def density_scan_islands(fam: IslandFamily, h, k_list: Sequence[int],
     for k in range(1, fam.k_max + 1):
         xs.append((f"a{k}", fam.a(k)))
         xs.append((f"b{k}", fam.b(k)))
-
-    def clipper(x, r):
-        return atoms.clip(x - r, x + r)
-
-    return _scan(clipper, h, r_items, xs, analytic_limit, keep_rows)
+    return _scan(atoms, h, r_items, xs, analytic_limit, keep_rows)
 
 
 # ---------------------------------------------------------------------------

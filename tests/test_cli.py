@@ -1,4 +1,9 @@
+import contextlib
+import functools
+import hashlib
+import io
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -6,13 +11,47 @@ from pathlib import Path
 
 import pytest
 
-from cantorext.cli import main
+from cantorext.cli import _emit, main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "readme_cli.json"
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def _readme_commands() -> list:
+    """Each command of the README's CLI block as an argument list.  ``--out``
+    is dropped: it writes its own path into the header."""
+    cmds, in_cli = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("## "):
+            in_cli = line.strip() == "## CLI"
+        elif in_cli and line.strip().startswith("cantorext "):
+            args = shlex.split(line)[1:]
+            if "--out" in args:
+                i = args.index("--out")
+                del args[i:i + 2]
+            cmds.append(args)
+    return cmds
+
+
+def _command_id(args) -> str:
+    if "--family" in args:
+        return f"{args[0]}-{args[args.index('--family') + 1]}"
+    return args[0]
+
+
+@functools.lru_cache(maxsize=None)
+def readme_body(command: str) -> tuple:
+    """(exit code, stdout body) of one README command, run once per test run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(command.split())
+    return code, buf.getvalue()
 
 
 class TestCLI:
@@ -132,14 +171,34 @@ class TestCLI:
         assert code == 2
         assert "--k-range" in capsys.readouterr().err
 
-    def test_readme_islands_command_runs(self, capsys):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        line = next(l for l in readme.read_text().splitlines()
-                    if "cantorext density" in l and "islands" in l)
-        args = shlex.split(line)[1:]
-        code, out = run_cli(args, capsys)
+    @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
+    def test_readme_command_body(self, args):
+        # the README promises byte-identical bodies for a configuration; the
+        # golden hashes pin them across changes to the program
+        code, out = readme_body(" ".join(args))
         assert code == 0
-        assert [p["ln_inv_r"] for p in json.loads(out)["data"]["per_r"]]
+        golden = json.loads(GOLDEN.read_text())
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[" ".join(args)]
+
+    def test_readme_bodies_are_strict_json(self):
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        for args in _readme_commands():
+            json.loads(readme_body(" ".join(args))[1], parse_constant=reject)
+        # ln_err is null where W reproduces f(x) exactly
+        rows = json.loads(readme_body(
+            "extend --family example1 --B 1 --bits 1024 --s-max 3")[1])["data"]
+        exact = [r for r in rows if r["ln_err"] is None]
+        assert exact and all(r["W"] == r["fx"] for r in exact)
+
+    def test_non_finite_floats_are_written_as_null(self, capsys):
+        data = {"a": [-math.inf, 1.5, (math.nan, math.inf)],
+                "b": {"c": -math.inf}, "d": "inf"}
+        _emit({}, data)
+        out = json.loads(capsys.readouterr().out)["data"]
+        assert out == {"a": [None, 1.5, [None, None]], "b": {"c": None},
+                       "d": "inf"}
 
     def test_worker_count_leaves_the_body_unchanged(self, capsys):
         args = ["markov", "--family", "power_law", "--a", "2", "--k-max", "12",
@@ -157,8 +216,8 @@ class TestCLI:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["data"]["ep"] == "yes"
 
-    def test_examples_bundle_sections(self, capsys):
-        code, out = run_cli(["examples"], capsys)
+    def test_examples_bundle_sections(self):
+        code, out = readme_body("examples")
         assert code == 0
         data = json.loads(out)["data"]
         assert data["example1"]["polar"] == "polar" and data["example1"]["ep"] == "yes"

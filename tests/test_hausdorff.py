@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,12 +146,11 @@ class TestIslandFamily:
         assert res.runs == [(0, 0), (1, 1)]
 
     def test_span_logs_against_highprec(self):
-        import mpmath as mp
         fam = IslandFamily(q_rule_constant(2.0), k_max=30)
         atoms = fam.atoms()
         with mp.workprec(300):
             def left(i):
-                if atoms._is_residual(i):
+                if atoms.ks[i] == fam.k_max + 1:  # the residual [0, b_{k_max+1}]
                     return mp.mpf(0)
                 k = atoms.ks[i]
                 return mp.exp(-k) - mp.exp(-k * 2)
@@ -162,6 +163,115 @@ class TestIslandFamily:
                 for i in range(j + 1):
                     want = float(-mp.log(right(j) - left(i)))
                     assert got[i] == pytest.approx(want, rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _clip_provider(kind: str):
+    if kind == "tree":
+        return TreeAtoms(build_tree(build_model(DELTA_FORM, k_max=12, b=2.0),
+                                    depth=4, bits=256))
+    if kind == "islands-Q2":
+        return IslandFamily(q_rule_constant(2.0), k_max=12).atoms()
+    if kind == "islands-logk":
+        return IslandFamily(q_rule_log(), k_max=12).atoms(k_from=3)
+    return IslandFamily(q_rule_constant(2.0), k_max=12).island_pair(5)
+
+
+def _window_ends(atoms, mid) -> list:
+    """Atom endpoints, points inside atoms and in gaps, and both far sides."""
+    L, R = list(atoms.lefts), list(atoms.rights)
+    ends = [L[0] - 1, R[-1] + 1] + L + R
+    ends += [mid(a, b) for a, b in zip(L, R)]
+    ends += [mid(b, a) for b, a in zip(R, L[1:])]
+    return ends
+
+
+def _reference_rows(atoms, lo, hi):
+    """Brute-force clip of a root provider: (lefts, rights, kept indices,
+    clamped) and its span rows, entry by entry."""
+    idx = [i for i in range(atoms.count)
+           if atoms.rights[i] > lo and atoms.lefts[i] < hi] if lo < hi else []
+    if not idx:
+        return None
+    lefts = [atoms.lefts[i] if atoms.lefts[i] >= lo else lo for i in idx]
+    rights = [atoms.rights[i] if atoms.rights[i] <= hi else hi for i in idx]
+    clamped = (lefts[0] != atoms.lefts[idx[0]],
+               rights[-1] != atoms.rights[idx[-1]])
+    m = len(idx)
+    rows = []
+    for j in range(m):
+        row = []
+        for i in range(j + 1):
+            if isinstance(atoms, TreeAtoms):
+                with mp.workprec(atoms.bits):
+                    row.append(float(-mp.log(rights[j] - lefts[i])))
+            elif isinstance(atoms, FloatAtoms):
+                row.append(float(-np.log(rights[j] - lefts[i])))
+            elif (i == 0 and clamped[0]) or (j == m - 1 and clamped[1]):
+                row.append(-math.log(rights[j] - lefts[i]))
+            else:  # closed form, as in the unclipped provider
+                row.append(float(atoms.ln_inv_span_starts(idx[j])[idx[i]]))
+        rows.append(np.array(row))
+    return lefts, rights, idx, clamped, rows
+
+
+def _snapshot(atoms) -> tuple:
+    return tuple(list(getattr(atoms, name)) for name in atoms.per_atom) \
+        + (atoms.clamped,)
+
+
+class TestClip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["float", "tree", "islands-Q2", "islands-logk",
+                            "pair"]),
+           st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+                    min_size=1, max_size=8),
+           st.data())
+    def test_bisected_clip_matches_brute_force(self, kind, layout, data):
+        if kind == "float":
+            pos, ivs = 0.0, []
+            for gap, length in layout:
+                ivs.append((pos + gap, pos + gap + length))
+                pos += gap + length
+            atoms = FloatAtoms(ivs)
+        else:
+            atoms = _clip_provider(kind)
+        if kind == "tree":
+            def mid(a, b):
+                with mp.workprec(atoms.bits):
+                    return (a + b) / 2
+        else:
+            def mid(a, b):
+                return (a + b) / 2
+        ends = _window_ends(atoms, mid)
+        lo, hi, lo2, hi2 = (data.draw(st.sampled_from(ends)) for _ in range(4))
+        before = _snapshot(atoms)
+
+        view = atoms.clip(lo, hi)
+        want = _reference_rows(atoms, lo, hi)
+        assert _snapshot(atoms) == before
+        if want is None:
+            assert view is None
+            return
+        lefts, rights, idx, clamped, rows = want
+        assert list(view.lefts) == lefts and list(view.rights) == rights
+        assert view.clamped == clamped
+        if kind.startswith("islands") or kind == "pair":
+            assert view.ks == [atoms.ks[i] for i in idx]
+        for j in range(view.count):
+            assert view.ln_inv_span_starts(j).tobytes() == rows[j].tobytes()
+
+        # clipping a view is clipping to the intersected window
+        inner = view.clip(lo2, hi2)
+        both = atoms.clip(max(lo, lo2), min(hi, hi2))
+        assert (inner is None) == (both is None)
+        if both is not None:
+            assert list(inner.lefts) == list(both.lefts)
+            assert list(inner.rights) == list(both.rights)
+            assert inner.clamped == both.clamped
+            for j in range(both.count):
+                assert inner.ln_inv_span_starts(j).tobytes() == \
+                    both.ln_inv_span_starts(j).tobytes()
 
 
 @pytest.fixture(scope="module")
