@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import mpmath as mp
@@ -36,12 +35,13 @@ from .markov import (markov_bounds, markov_numeric, ratio_table,
 
 VALIDATION_ERRORS = (ValidationError, ParameterError, DegreeError,
                      NodeCollisionError, DomainError, InsufficientOrderError,
-                     InvariantError, ValueError)
+                     InvariantError, ValueError, OSError)
 BUDGET_ERRORS = (DepthError, PrecisionError, HorizonError, CancellationError)
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
+def _config_flags(path: str) -> list:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -50,28 +50,25 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValidationError(f"config line without '=': {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = val
-    return out
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
-def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge config-file values under explicit flags; report the result."""
-    merged = vars(args).copy()
-    merged.pop("func", None)
-    cfg_path = merged.pop("config", None)
-    if cfg_path:
-        defaults = vars(parser.parse_args([args.command]))
-        file_values = _read_config_file(cfg_path)
-        # a flag left at its subcommand default yields to the config file
-        keys = [key for key in file_values if key != "command" and key in merged
-                and merged[key] == defaults[key]]
-        # the file's values are parsed as their flags are, types included
-        typed = vars(parser.parse_args(
-            [args.command] + [f"--{key.replace('_', '-')}={file_values[key]}"
-                              for key in keys]))
-        merged.update((key, typed[key]) for key in keys)
-    merged["config_file"] = cfg_path
-    return merged
+def resolve_config(parser: argparse.ArgumentParser, argv: list) -> dict:
+    """The run's configuration from ``[command, *flags]``.
+
+    The ``--config`` file's lines become flags placed between the command
+    and the command line's own flags, and all are parsed in one pass: each
+    file value is typed like its flag, an unknown key is a usage error, and
+    a command-line flag wins because it comes last.
+    """
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(argv[:1] + _config_flags(args.config)
+                                 + argv[1:])
+    cfg = vars(args)
+    cfg["config_file"] = cfg.pop("config")
+    return cfg
 
 
 def _finite(v):
@@ -92,10 +89,8 @@ def _emit(config: dict, data, csv_rows: list | None = None,
     data, CSV carries rows + config preamble.  Without a CSV table, JSON."""
     out = config.get("out")
     fmt = config.get("format", "json") if csv_header else "json"
-    # the worker count changes no result, and its default is the machine's
-    # CPU count, so it stays out of the header
-    clean_cfg = {k: v for k, v in sorted(config.items()) if k != "workers"
-                 and isinstance(v, (str, int, float, bool, type(None), list))}
+    clean_cfg = {k: v for k, v in sorted(config.items())
+                 if isinstance(v, (str, int, float, bool, type(None), list))}
     if fmt == "json":
         payload = {"version": __version__, "config": clean_cfg, "data": data}
         text = json.dumps(_finite(payload), sort_keys=True, indent=2,
@@ -281,7 +276,7 @@ def cmd_markov(cfg: dict) -> None:
     for n in ns:
         bounds = markov_bounds(model, n)
         est = markov_numeric(atoms, n, points_per_atom=cfg["N"],
-                             seed=cfg["seed"], workers=cfg["workers"])
+                             seed=cfg["seed"])
         rows.append((n, bounds.lower.ln_mag,
                      bounds.point.ln_mag if bounds.point else "",
                      bounds.upper.ln_mag, est.value))
@@ -391,38 +386,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--Q", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None)
 
+    # each subcommand's handler, and the defaults that depend on it
     handlers = {
-        "gamma": cmd_gamma, "geometry": cmd_geometry, "nodes": cmd_nodes,
-        "extend": cmd_extend, "dn": cmd_dn, "hausdorff": cmd_hausdorff,
-        "density": cmd_density, "markov": cmd_markov, "examples": cmd_examples,
+        "gamma": (cmd_gamma, {}), "geometry": (cmd_geometry, {}),
+        "nodes": (cmd_nodes, {"N": 8}), "extend": (cmd_extend, {"N": 16}),
+        "dn": (cmd_dn, {"r": "32,128", "s": "4,9"}),
+        "hausdorff": (cmd_hausdorff, {}), "density": (cmd_density, {}),
+        "markov": (cmd_markov, {"N": 24, "n": "2,4,8"}),
+        "examples": (cmd_examples, {}),
     }
-    for name, fn in handlers.items():
-        p = sub.add_parser(name)
+    for name, (fn, defaults) in handlers.items():
+        # no prefix matching: a config key `k_ma` is unknown, not --k-max
+        p = sub.add_parser(name, allow_abbrev=False)
         common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
         parser.print_usage(sys.stderr)
         return 2
-    # defaults that depend on the subcommand
-    defaults = {"gamma": {}, "nodes": {"N": 8}, "extend": {"N": 16},
-                "dn": {"r": "32,128", "s": "4,9"},
-                "markov": {"N": 24, "n": "2,4,8"}}
-    cfg = resolve_config(args, parser)
-    for key, val in defaults.get(args.command, {}).items():
-        if cfg.get(key) is None:
-            cfg[key] = val
     try:
-        args.func(cfg)
+        cfg = resolve_config(parser, argv)
+        cfg.pop("func")(cfg)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ argument.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,9 +156,9 @@ class ExtensionOperator:
 
     Bump specs are cached per basic interval and width.  Interpolants (per
     basic interval) and function values (per node) are cached per function
-    for the operator's lifetime, so switching between functions keeps each
-    one's work: Newton coefficient k depends only on nodes 0..k, and node
-    sets are prefix-stable, so a cached interpolant equals a rebuilt one.
+    while the function object lives, so switching between functions keeps
+    each one's work: Newton coefficient k depends only on nodes 0..k, and
+    node sets are prefix-stable, so a cached interpolant equals a rebuilt one.
     """
 
     def __init__(self, tree: CantorTree, s_max: int,
@@ -175,22 +176,20 @@ class ExtensionOperator:
                 f"tree depth is {tree.depth}")
         self._bumps: dict = {}
         self._hulls: dict = {}
-        # id(f) -> (f, f_cache, interp); holding f keeps its id from reuse
-        self._per_f: dict = {}
-        self._f: Optional[Callable] = None
-        self._f_cache: dict = {}
-        self._interp: dict = {}
+        # f -> (node values, interpolants); dropped with f
+        self._per_f = weakref.WeakKeyDictionary()
         with mp.workprec(tree.bits):
             self._root_bump = bump_for_set(tree, mp.mpf(1))
 
     # -- caches ------------------------------------------------------------
 
-    def _interpolant(self, j: int, s: int, n_nodes: int) -> LocalInterpolant:
-        key = (j, s)
-        itp = self._interp.get(key)
+    def _interpolant(self, f: Callable, caches: tuple, j: int, s: int,
+                     n_nodes: int) -> LocalInterpolant:
+        values, interps = caches
+        itp = interps.get((j, s))
         if itp is None or len(itp.points) < n_nodes:
-            itp = LocalInterpolant(self.tree, j, s, n_nodes, self._f_cache, self._f)
-            self._interp[key] = itp
+            itp = LocalInterpolant(self.tree, j, s, n_nodes, values, f)
+            interps[(j, s)] = itp
         return itp
 
     def _bump(self, j: int, s: int, k_delta: int) -> BumpSpec:
@@ -202,11 +201,6 @@ class ExtensionOperator:
             b = bump_for_interval(self.tree, j, s, t)
             self._bumps[key] = b
         return b
-
-    def _set_function(self, f: Callable):
-        if self._f is not f:
-            self._f, self._f_cache, self._interp = \
-                self._per_f.setdefault(id(f), (f, {}, {}))
 
     def _live(self, level: int, k_delta: int, x, stage: str, s: int) -> list:
         """The j whose width-delta_{k_delta} cutoff around I_{j,level} is
@@ -248,11 +242,11 @@ class ExtensionOperator:
         s_cap = self.s_max if s_max is None else s_max
         if s_cap > self.s_max:
             raise DepthError(f"operator prepared for truncation {self.s_max}")
-        self._set_function(f)
+        caches = self._per_f.setdefault(f, ({}, {}))
         tree, sched = self.tree, self.schedule
         with mp.workprec(tree.bits):
             x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
-            root = self._interpolant(1, 0, 2)
+            root = self._interpolant(f, caches, 1, 0, 2)
             total = root.partial(x, 1) * self._root_bump.value(x)
             nonzero_A, nonzero_T = [], []
             for s in range(s_cap):
@@ -262,7 +256,7 @@ class ExtensionOperator:
                 live = self._live(s, t_hi_A, x, "accumulation", s)
                 nonzero_A.append(live)
                 for j in live:
-                    itp = self._interpolant(j, s, sched.N(s) + 1)
+                    itp = self._interpolant(f, caches, j, s, sched.N(s) + 1)
                     # increments L_N - L_{N-1} = [z_1..z_{N+1}]f * Omega_N(x),
                     # Omega_N = prod_{k<N} (x - z_{k+1}) kept as a running product
                     omega, k = 1, 0
@@ -285,8 +279,10 @@ class ExtensionOperator:
                     if u == 0:
                         continue
                     j_parent = (k + 1) // 2
-                    fine = self._interpolant(k, s + 1, sched.M(s + 1) + 1)
-                    coarse = self._interpolant(j_parent, s, sched.N(s) + 1)
+                    fine = self._interpolant(f, caches, k, s + 1,
+                                             sched.M(s + 1) + 1)
+                    coarse = self._interpolant(f, caches, j_parent, s,
+                                               sched.N(s) + 1)
                     diff = fine.partial(x, sched.M(s + 1)) \
                         - coarse.partial(x, sched.N(s))
                     total += diff * u

@@ -30,6 +30,7 @@ from .geometry import CantorTree
 from .logreal import LogReal
 
 LN2 = math.log(2.0)
+EXTRA_CANDIDATES = 24   # stratified interior candidates per estimate
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,6 @@ class NumericMarkov:
     value: float
     grid_size: int
     stalled: bool            # some candidate LP did not converge
-    refined_value: Optional[float] = None  # on a doubled grid, if requested
 
 
 def chebyshev_grid(atoms: Sequence[tuple], points_per_atom: int) -> np.ndarray:
@@ -102,8 +102,7 @@ def _lp_value(V: np.ndarray, dV: np.ndarray, idx: int) -> tuple:
 
 
 def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
-                   extra_candidates: int = 24, seed: int = 0,
-                   refine: bool = False, workers: int = 1) -> NumericMarkov:
+                   seed: int = 0, workers: int = 1) -> NumericMarkov:
     """Estimate M_n of the grid over the atoms by per-candidate LPs.
 
     Candidates where |P'| can peak are all grid points of the two extreme
@@ -136,9 +135,9 @@ def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
     last = np.where(grid >= atoms[-1][0])[0]
     cand = set(first.tolist()) | set(last.tolist())
     rng = np.random.default_rng(seed)
-    if extra_candidates and len(grid) > len(cand):
+    if len(grid) > len(cand):
         rest = np.setdiff1d(np.arange(len(grid)), np.array(sorted(cand)))
-        take = min(extra_candidates, len(rest))
+        take = min(EXTRA_CANDIDATES, len(rest))
         strata = np.array_split(rest, take)
         cand |= {int(rng.choice(s)) for s in strata if len(s)}
     order = sorted(cand)
@@ -150,13 +149,7 @@ def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
         results = [_lp_value(V, dV, idx) for idx in order]
     best = max((val for val, _ in results), default=-math.inf)
     stalled = any(not ok for _, ok in results)
-    refined = None
-    if refine:
-        refined = markov_numeric(atoms, n, points_per_atom * 2,
-                                 extra_candidates, seed, refine=False,
-                                 workers=workers).value
-    return NumericMarkov(n=n, value=best, grid_size=len(grid), stalled=stalled,
-                         refined_value=refined)
+    return NumericMarkov(n=n, value=best, grid_size=len(grid), stalled=stalled)
 
 
 def tree_atom_bounds(tree: CantorTree, level: Optional[int] = None) -> list:

@@ -23,6 +23,14 @@ def run_cli(args, capsys):
     return code, out
 
 
+def exit_code(args) -> int:
+    """main's exit code; argparse's usage errors raise SystemExit(2)."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _readme_commands() -> list:
     """Each command of the README's CLI block as an argument list.  ``--out``
     is dropped: it writes its own path into the header."""
@@ -123,6 +131,32 @@ class TestCLI:
         code, out = run_cli(["gamma", "--config", str(cfg), "--k-max", "4"],
                             capsys)
         assert len(json.loads(out)["data"]["B"]) == 4
+        # even when the flag repeats its default value (k_max 40)
+        code, out = run_cli(["gamma", "--config", str(cfg), "--k-max", "40"],
+                            capsys)
+        payload = json.loads(out)
+        assert payload["config"]["k_max"] == 40
+        assert len(payload["data"]["B"]) == 40
+
+    @pytest.mark.parametrize("text, cause", [
+        ("famly = example2\n", "--famly=example2"),
+        ("k_ma = 12\n", "--k-ma=12"),
+        ("family = example1\nk_max 12\n", "config line without '='"),
+        (None, "No such file"),
+    ], ids=["unknown-key", "key-prefix", "no-equals", "missing-file"])
+    def test_bad_config_exits_2_with_cause(self, capsys, tmp_path, text, cause):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert exit_code(["gamma", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and cause in captured.err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing-dir" / "gamma.json"
+        assert exit_code(["gamma", "--family", "example1", "--k-max", "4",
+                          "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_config_file_values_take_flag_types(self, capsys, tmp_path):
         # depth/bits from a file give the same body as the same flags
@@ -200,19 +234,11 @@ class TestCLI:
         assert out == {"a": [None, 1.5, [None, None]], "b": {"c": None},
                        "d": "inf"}
 
-    def test_worker_count_leaves_the_body_unchanged(self, capsys):
-        args = ["markov", "--family", "power_law", "--a", "2", "--k-max", "12",
-                "--depth", "3", "--n", "2,4", "--seed", "11"]
-        _, out1 = run_cli(args + ["--workers", "1"], capsys)
-        _, out2 = run_cli(args + ["--workers", "2"], capsys)
-        assert out1 == out2
-        assert "workers" not in json.loads(out1)["config"]
-
     def test_module_entrypoint(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cantorext", "gamma", "--family", "example1",
              "--B", "1", "--k-max", "4"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, cwd=ROOT / "src")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["data"]["ep"] == "yes"
 

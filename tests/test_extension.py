@@ -1,3 +1,4 @@
+import gc
 import math
 
 import mpmath as mp
@@ -254,7 +255,7 @@ class TestOperatorIdentities:
         j3 = next(j for j in range(1, 9)
                   if tree_ex1.interval(j, 3).left <= x <= tree_ex1.interval(j, 3).right)
         with mp.workprec(tree_ex1.bits):
-            itp = op._interpolant(j3, 3, op.schedule.M(3) + 1)
+            itp = op._interpolant(f, op._per_f[f], j3, 3, op.schedule.M(3) + 1)
             direct = itp.partial(x, op.schedule.M(3))
             assert abs(out.value - direct) < mp.mpf(2) ** (-tree_ex1.bits + 64)
 
@@ -270,6 +271,19 @@ class TestOperatorIdentities:
             out = op.evaluate(lambda v: mp.mpf(1), mp.mpf(float(x)))
             assert all(len(a) <= 1 for a in out.nonzero_A)
             assert all(len(t) <= 1 for t in out.nonzero_T)
+
+    def test_caches_go_with_their_function(self, tree_ex1):
+        # a fresh lambda per call leaves no cache entry once it is collected
+        op = ExtensionOperator(tree_ex1, s_max=3)
+        for x in np.linspace(-0.1, 1.1, 40):
+            op.evaluate(lambda v: mp.mpf(1), mp.mpf(float(x)))
+        gc.collect()
+        assert len(op._per_f) == 0
+        # a function that lives keeps its entry and its interpolants
+        f = lambda v: v * v
+        op.evaluate(f, mp.mpf("0.3"))
+        gc.collect()
+        assert len(op._per_f) == 1 and op._per_f[f][1]
 
     @pytest.mark.parametrize("k_delta, stage", [(1, "transition"),
                                                  (2, "accumulation")])
@@ -314,15 +328,16 @@ class TestOperatorIdentities:
 def _scratch_omega_W(op, f, x, s_cap):
     """The truncated operator with every Omega_N(x) rebuilt from its factors."""
     tree, sched = op.tree, op.schedule
-    op._set_function(f)
+    caches = op._per_f.setdefault(f, ({}, {}))
+    interpolant = lambda j, s, n: op._interpolant(f, caches, j, s, n)
     with mp.workprec(tree.bits):
-        total = op._interpolant(1, 0, 2).partial(x, 1) * op._root_bump.value(x)
+        total = interpolant(1, 0, 2).partial(x, 1) * op._root_bump.value(x)
         for s in range(s_cap):
             t_A = s + (sched.n[s - 1] - 1 if s else 1)
             for j in range(1, 2 ** s + 1):
                 if not op._bump(j, s, t_A).support_hit(x):
                     continue
-                itp = op._interpolant(j, s, sched.N(s) + 1)
+                itp = interpolant(j, s, sched.N(s) + 1)
                 for N in range(sched.M(s) + 1, sched.N(s) + 1):
                     u = op._bump(j, s, s + N.bit_length() - 1).value(x)
                     if u != 0:
@@ -335,8 +350,8 @@ def _scratch_omega_W(op, f, x, s_cap):
                 b = op._bump(k, s + 1, t_T)
                 if not b.support_hit(x) or b.value(x) == 0:
                     continue
-                fine = op._interpolant(k, s + 1, sched.M(s + 1) + 1)
-                coarse = op._interpolant((k + 1) // 2, s, sched.N(s) + 1)
+                fine = interpolant(k, s + 1, sched.M(s + 1) + 1)
+                coarse = interpolant((k + 1) // 2, s, sched.N(s) + 1)
                 total += (fine.partial(x, sched.M(s + 1))
                           - coarse.partial(x, sched.N(s))) * b.value(x)
     return total

@@ -65,8 +65,9 @@ class TestNumeric:
 
     def test_grid_refinement_monotone(self):
         atoms = [(0.0, 1.0)]
-        est = markov_numeric(atoms, 4, points_per_atom=64, refine=True)
-        assert est.refined_value <= est.value * (1 + 1e-9)
+        coarse = markov_numeric(atoms, 4, points_per_atom=64).value
+        fine = markov_numeric(atoms, 4, points_per_atom=128).value
+        assert fine <= coarse * (1 + 1e-9)
 
     def test_bracket_consistency_on_tree(self):
         tree = build_tree(build_model(POWER_LAW, k_max=12, a=2.0), depth=3, bits=512)
