@@ -100,12 +100,21 @@ class FloatAtoms(_Atoms):
     clip = _clip
 
 
+_NO_SPANS = np.empty(0)
+
+
 class TreeAtoms(_Atoms):
     """Deepest-level basic intervals of a tree, spans at full precision.
 
-    Pairwise span logs are memoized by endpoint pair; clipped views share the
-    memo of the provider they come from.
+    Span logs are memoized per root atom: ``ids`` holds each atom's index in
+    the provider a view was clipped from, and the memo, which all views
+    share, holds for root atom j the span logs ln(1/(right_j - left_i)) over
+    a run of starts i <= j that ends at j.  Every row asks for such a run, so
+    a memo row only grows at its front.  An entry that starts or ends on a
+    clamped end is taken at full precision every time and never stored.
     """
+
+    per_atom = ("lefts", "rights", "ids")
 
     def __init__(self, tree: CantorTree, level: Optional[int] = None,
                  within: Optional[tuple] = None):
@@ -118,20 +127,28 @@ class TreeAtoms(_Atoms):
                    if base.left <= iv.left and iv.right <= base.right]
         self.lefts = [iv.left for iv in ivs]
         self.rights = [iv.right for iv in ivs]
+        self.ids = np.arange(len(ivs))
         self._memo = {}
 
-    def ln_inv_span_starts(self, j: int) -> np.ndarray:
-        out = np.empty(j + 1)
+    def _spans(self, starts, j: int) -> np.ndarray:
         with mp.workprec(self.bits):
             R = self.rights[j]
-            for i in range(j + 1):
-                key = (self.lefts[i], R)
-                v = self._memo.get(key)
-                if v is None:
-                    v = float(-mp.log(R - self.lefts[i]))
-                    self._memo[key] = v
-                out[i] = v
-        return out
+            return np.array([float(-mp.log(R - self.lefts[i])) for i in starts],
+                            dtype=float)
+
+    def ln_inv_span_starts(self, j: int) -> np.ndarray:
+        if j == self.count - 1 and self.clamped[1]:
+            return self._spans(range(j + 1), j)
+        head = 1 if self.clamped[0] else 0
+        need = j + 1 - head  # unclamped starts head..j, root ids[head]..ids[j]
+        key = int(self.ids[j])
+        memo = self._memo.get(key, _NO_SPANS)
+        if len(memo) < need:
+            memo = np.concatenate(
+                (self._spans(range(head, j + 1 - len(memo)), j), memo))
+            self._memo[key] = memo
+        lead = self._spans(range(1), j) if head else _NO_SPANS
+        return np.concatenate((lead, memo[len(memo) - need:]))
 
     clip = _clip
 
@@ -179,47 +196,50 @@ class IslandAtoms(_Atoms):
     """Atom provider over an island family, spans by closed form.
 
     Atom order is ascending position: the residual [0, b_{K+1}] first (the
-    one atom with k > k_max), then I_K, ..., I_{k_from}; ``ks`` holds each
-    atom's k.  Span logs are exact in the exponents (log1p/expm1), so islands
-    far below the double range still cost correctly; a span that ends on a
-    clamped end is taken in doubles.
+    one atom with k > k_max), then I_K, ..., I_{k_from}.  The per-atom arrays
+    ``ks`` and ``kq`` hold each atom's k and ln(1/length): k Q_k for I_k, and
+    k for the residual, whose left end 0 = e^-k - e^-k fits the same form.
+    A row of span logs is one numpy expression in these exponents (log1p of
+    the relative correction), so islands far below the double range still
+    cost correctly; a span that starts or ends on a clamped end is taken in
+    doubles, entry by entry.
     """
 
-    per_atom = ("lefts", "rights", "ks")
+    per_atom = ("lefts", "rights", "ks", "kq")
 
     def __init__(self, fam: IslandFamily, k_from: int = 1,
                  residual: bool = True):
         self.fam = fam
-        self.ks = list(range(fam.k_max, k_from - 1, -1))
-        self.lefts = [fam.a(k) for k in self.ks]
+        ks = list(range(fam.k_max, k_from - 1, -1))
+        kq = [k * fam.Q(k) for k in ks]
+        self.lefts = [fam.a(k) for k in ks]
         if residual:
-            self.ks.insert(0, fam.k_max + 1)
+            ks.insert(0, fam.k_max + 1)
+            kq.insert(0, float(fam.k_max + 1))
             self.lefts.insert(0, 0.0)
-        if not self.ks:
+        if not ks:
             raise ParameterError("empty atom set")
-        self.rights = [fam.b(k) for k in self.ks]
+        self.rights = [fam.b(k) for k in ks]
+        self.ks = np.array(ks)
+        self.kq = np.array(kq)
 
-    def _ln_inv_span(self, i: int, j: int) -> float:
-        # ln(1/(rights[j] - lefts[i])), closed form in the exponents
-        if (i == 0 and self.clamped[0]) or \
-                (j == len(self.ks) - 1 and self.clamped[1]):
-            span = self.rights[j] - self.lefts[i]
-            if span <= 0:
-                raise DomainError("clipped span collapsed at double precision")
-            return -math.log(span)
-        kj = self.ks[j]
-        if i == 0 and self.ks[0] > self.fam.k_max:
-            return float(kj)  # span = b_{kj} - 0 from the residual
-        ki = self.ks[i]
-        kiq = ki * self.fam.Q(ki)
-        if i == j:
-            return kiq  # span = |I_ki|
-        # span = e^-kj - e^-ki + e^-ki*Qki = e^-kj (1 - e^-(ki-kj) + e^-(kiq-kj))
-        rest = -math.exp(-(ki - kj)) + math.exp(-(kiq - kj))
-        return kj - math.log1p(rest)
+    def _clamped_span(self, i: int, j: int) -> float:
+        span = self.rights[j] - self.lefts[i]
+        if span <= 0:
+            raise DomainError("clipped span collapsed at double precision")
+        return -math.log(span)
 
     def ln_inv_span_starts(self, j: int) -> np.ndarray:
-        return np.array([self._ln_inv_span(i, j) for i in range(j + 1)])
+        if j == self.count - 1 and self.clamped[1]:
+            return np.array([self._clamped_span(i, j) for i in range(j + 1)])
+        ks, kq, kj = self.ks, self.kq, self.ks[j]
+        # i < j: span = e^-kj - e^-ki + e^-kq_i
+        #             = e^-kj (1 - e^-(ki-kj) + e^-(kq_i-kj)); i = j: |atom j|
+        row = np.append(
+            kj - np.log1p(np.exp(kj - kq[:j]) - np.exp(kj - ks[:j])), kq[j])
+        if self.clamped[0]:
+            row[0] = self._clamped_span(0, j)
+        return row
 
     clip = _clip
 
@@ -242,10 +262,15 @@ def content_dp(atoms, h) -> ContentResult:
     so consecutive-run partitions exhaust the optima.
     """
     m = atoms.count
+    # h once over the triangle of span logs, row j at offset j(j+1)/2
+    hs = h.h_ln(np.concatenate([atoms.ln_inv_span_starts(j)
+                                for j in range(m)]))
     cost = np.zeros(m + 1)
     back = np.zeros(m, dtype=int)
+    start = 0
     for j in range(m):
-        vals = cost[:j + 1] + h.h_ln(atoms.ln_inv_span_starts(j))
+        vals = cost[:j + 1] + hs[start:start + j + 1]
+        start += j + 1
         i = int(np.argmin(vals))
         cost[j + 1] = float(vals[i])
         back[j] = i

@@ -118,6 +118,65 @@ class TestContentDP:
             content_dp(FloatAtoms(base), H_HALF).value - 1e-15
 
 
+def _row_by_row_dp(atoms, h):
+    """The covering DP with h applied to one span row at a time."""
+    m = atoms.count
+    cost, back = np.zeros(m + 1), []
+    for j in range(m):
+        vals = cost[:j + 1] + h.h_ln(atoms.ln_inv_span_starts(j))
+        i = int(np.argmin(vals))
+        cost[j + 1] = float(vals[i])
+        back.append(i)
+    runs, j = [], m - 1
+    while j >= 0:
+        runs.append((back[j], j))
+        j = back[j] - 1
+    return float(cost[m]), runs[::-1]
+
+
+def _clip_mid(atoms, i0, i1):
+    """The view cut at the midpoints of atoms i0 and i1."""
+    def mid(i):
+        return (atoms.lefts[i] + atoms.rights[i]) / 2
+    return atoms.clip(mid(i0), mid(i1))
+
+
+def _dp_provider(kind: str):
+    if kind == "float":
+        rng = np.random.default_rng(7)
+        ends = np.cumsum(rng.uniform(1e-4, 0.02, size=24))
+        return FloatAtoms(list(zip(ends[::2], ends[1::2])))
+    if kind == "tree":
+        atoms = TreeAtoms(build_tree(build_model(DELTA_FORM, k_max=12, b=2.0),
+                                     depth=4, bits=256))
+        with mp.workprec(atoms.bits):
+            return _clip_mid(atoms, 1, 7)  # spans below 1/e
+    return _clip_mid(IslandFamily(q_rule_log(), k_max=12).atoms(), 0, 10)
+
+
+@pytest.mark.parametrize("kind", ["float", "tree", "islands"])
+@pytest.mark.parametrize("h", [H_HALF, LogPower(0.5, +1, 3),
+                               LogPower(0.5, -1, 3), "eta"])
+def test_one_pass_dp_matches_row_by_row(kind, h):
+    if h == "eta":
+        h = EtaProfile(build_model(EXAMPLE1, k_max=12, B=1.0))
+    atoms = _dp_provider(kind)
+    assert kind == "float" or atoms.clamped == (True, True)
+    res = content_dp(atoms, h)
+    value, runs = _row_by_row_dp(atoms, h)
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    assert res.runs == runs
+
+
+def test_collapsed_clipped_island_span_raises():
+    # a clamped first atom whose left end reached its right end
+    view = _clip_mid(IslandFamily(q_rule_constant(2.0), k_max=12).atoms(),
+                     3, 12)
+    view.lefts[0] = view.rights[0]
+    with pytest.raises(DomainError):
+        content_dp(view, H_HALF)
+
+
 class TestIslandFamily:
     def test_tail_cover_is_single_interval(self):
         fam = IslandFamily(q_rule_constant(2.0), k_max=60)
@@ -257,7 +316,7 @@ class TestClip:
         assert list(view.lefts) == lefts and list(view.rights) == rights
         assert view.clamped == clamped
         if kind.startswith("islands") or kind == "pair":
-            assert view.ks == [atoms.ks[i] for i in idx]
+            assert list(view.ks) == [atoms.ks[i] for i in idx]
         for j in range(view.count):
             assert view.ln_inv_span_starts(j).tobytes() == rows[j].tobytes()
 
@@ -272,6 +331,105 @@ class TestClip:
             for j in range(both.count):
                 assert inner.ln_inv_span_starts(j).tobytes() == \
                     both.ln_inv_span_starts(j).tobytes()
+
+
+def _scalar_island_row(atoms, j):
+    """Row j entry by entry: doubles on a clamped end, else the scalar closed
+    form in the exponents that the numpy row replaced."""
+    fam, m, kj = atoms.fam, atoms.count, int(atoms.ks[j])
+    row = []
+    for i in range(j + 1):
+        ki = int(atoms.ks[i])
+        if (i == 0 and atoms.clamped[0]) or (j == m - 1 and atoms.clamped[1]):
+            row.append(-math.log(atoms.rights[j] - atoms.lefts[i]))
+        elif ki > fam.k_max:  # the residual [0, b_ki]
+            row.append(float(kj))
+        elif i == j:
+            row.append(ki * fam.Q(ki))
+        else:
+            kiq = ki * fam.Q(ki)
+            row.append(kj - math.log1p(-math.exp(-(ki - kj))
+                                       + math.exp(-(kiq - kj))))
+    return np.array(row)
+
+
+def _within_4_ulp(got, want) -> bool:
+    return got.shape == want.shape and \
+        bool(np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))))
+
+
+class TestSpanRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["Q2", "Q3", "logk", "pair"]),
+           st.integers(min_value=2, max_value=16), st.data())
+    def test_island_rows_match_scalar_closed_form(self, kind, k_max, data):
+        rule = {"Q2": q_rule_constant(2.0), "Q3": q_rule_constant(3.0),
+                "logk": q_rule_log(), "pair": q_rule_constant(2.0)}[kind]
+        fam = IslandFamily(rule, k_max=k_max)
+        atoms = fam.island_pair(k_max - 1) if kind == "pair" else \
+            fam.atoms(k_from=data.draw(st.integers(1, k_max)))
+        ends = _window_ends(atoms, lambda a, b: (a + b) / 2)
+        lo, hi = (data.draw(st.sampled_from(ends)) for _ in range(2))
+        view = atoms.clip(lo, hi) or atoms
+        for j in range(view.count):
+            assert _within_4_ulp(view.ln_inv_span_starts(j),
+                                 _scalar_island_row(view, j))
+
+    @pytest.mark.parametrize("kind", ["Q2", "logk", "pair"])
+    def test_island_rows_cover_both_clamped_ends(self, kind):
+        rule = q_rule_log() if kind == "logk" else q_rule_constant(2.0)
+        fam = IslandFamily(rule, k_max=12)
+        atoms = fam.island_pair(5) if kind == "pair" else fam.atoms()
+        L, R = atoms.lefts, atoms.rights
+        for lo, hi in ((L[0] + (R[0] - L[0]) / 3, R[-1] + 1),
+                       (L[0] - 1, L[-1] + (R[-1] - L[-1]) / 3),
+                       (L[0] + (R[0] - L[0]) / 3, L[-1] + (R[-1] - L[-1]) / 3)):
+            view = atoms.clip(lo, hi)
+            assert view.clamped == (lo > L[0], hi < R[-1])
+            for j in range(view.count):
+                assert _within_4_ulp(view.ln_inv_span_starts(j),
+                                     _scalar_island_row(view, j))
+
+    @pytest.mark.parametrize("rule,k_max", [(q_rule_constant(3.0), 400),
+                                            (q_rule_log(), 200)])
+    def test_deep_island_rows(self, rule, k_max):
+        # |I_k| / b_k = e^-k(Q_k - 1) underflows here: a row that took log1p
+        # on its diagonal would meet log1p(-1)
+        atoms = IslandFamily(rule, k_max=k_max).atoms(k_from=k_max - 12)
+        for j in range(atoms.count):
+            assert _within_4_ulp(atoms.ln_inv_span_starts(j),
+                                 _scalar_island_row(atoms, j))
+
+    def test_tree_memo_never_serves_a_clamped_entry(self):
+        # the memo is keyed by root atom index: two views clamping the same
+        # first atom at different points must each get their own first entry
+        tree = build_tree(build_model(DELTA_FORM, k_max=12, b=2.0),
+                          depth=4, bits=256)
+        for root_first in (True, False):
+            atoms = TreeAtoms(tree)
+            if root_first:
+                before = [atoms.ln_inv_span_starts(j).tobytes()
+                          for j in range(atoms.count)]
+            L, R = atoms.lefts[2], atoms.rights[2]
+            with mp.workprec(tree.bits):
+                cuts = [L + (R - L) / 3, L + 2 * (R - L) / 3]
+            for lo in cuts:
+                view = atoms.clip(lo, atoms.rights[-1] + 1)
+                assert view.clamped == (True, False)
+                for j in range(view.count):
+                    with mp.workprec(tree.bits):
+                        want = [float(-mp.log(view.rights[j] - view.lefts[i]))
+                                for i in range(j + 1)]
+                    assert view.ln_inv_span_starts(j).tolist() == want
+            after = [atoms.ln_inv_span_starts(j).tobytes()
+                     for j in range(atoms.count)]
+            if root_first:
+                assert after == before
+            with mp.workprec(tree.bits):
+                fresh = [np.array([float(-mp.log(atoms.rights[j] - atoms.lefts[i]))
+                                   for i in range(j + 1)]).tobytes()
+                         for j in range(atoms.count)]
+            assert after == fresh
 
 
 @pytest.fixture(scope="module")
