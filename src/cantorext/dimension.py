@@ -18,8 +18,7 @@ representable):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,16 +37,14 @@ def _iterated_log(x, times: int):
 class EtaProfile:
     """h(t) = 2^{-eta(t)}, eta piecewise linear in ln t with eta(delta_k) = k."""
 
-    kind = "eta_profile"
-
-    def __init__(self, model_or_profile, k_max: Optional[int] = None):
+    def __init__(self, model_or_profile):
         prof = model_or_profile
         if isinstance(model_or_profile, GammaModel):
             prof = make_profile(model_or_profile)
         if not isinstance(prof, Profile):
             raise ParameterError("EtaProfile needs a gamma model or its profile")
         self.profile = prof
-        k_hi = k_max if k_max is not None else prof.model.k_max
+        k_hi = prof.model.k_max
         # L_k = ln(1/delta_k), exact fractions rounded once
         self._L = np.array([float(prof.ln_inv_delta(k)) for k in range(k_hi + 1)])
         self._k = np.arange(k_hi + 1, dtype=float)
@@ -86,10 +83,6 @@ class EtaProfile:
             raise DomainError(f"tau outside the eta table range (eta={eta})")
         return float(np.interp(eta, self._k, self._L))
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "k_max": int(self._k[-1]),
-                "family": self.profile.model.family}
-
 
 class LogPower:
     """h(t) = (ln 1/t)^(-alpha(t)) with a constant or slowly corrected exponent.
@@ -99,8 +92,6 @@ class LogPower:
     iterated-log domain (large t) the correction is frozen at its boundary
     value, which keeps h continuous and nondecreasing on all of (0, 1).
     """
-
-    kind = "log_power"
 
     def __init__(self, alpha0: float, eps_sign: int = 0, m: int = 3):
         if not 0.0 <= alpha0 <= 1.0:
@@ -137,21 +128,23 @@ class LogPower:
         if self.eps_sign == 0:
             return 1.0  # h <= 1 needs ln(1/t) >= 1
         lo, hi = 2.0, 2.0
-        while not (self._eps_raw(hi) < self._eps_cap):
+        while not (self._eps_raw(hi, self.m - 1) < self._eps_cap):
             hi *= 2.0
             if hi > 1e300:
                 raise ParameterError("eps cap unreachable")
         while hi - lo > 1e-9 * hi:
             mid = (lo + hi) / 2
-            if self._eps_raw(mid) < self._eps_cap:
+            if self._eps_raw(mid, self.m - 1) < self._eps_cap:
                 hi = mid
             else:
                 lo = mid
         return max(hi, 1.0)
 
-    def _eps_raw(self, lnt):
-        y = _iterated_log(np.asarray(lnt, dtype=float), self.m - 1)
+    def _eps_raw(self, x, logs: int):
+        """1/log_(logs)(x), frozen at the cap where the log chain leaves
+        (1/cap, inf); x = L with m-1 logs, or w = ln L with m-2."""
         with np.errstate(invalid="ignore", divide="ignore"):
+            y = _iterated_log(np.asarray(x, dtype=float), logs)
             out = np.where(np.isfinite(y) & (y > 1.0 / self._eps_cap),
                            1.0 / np.maximum(y, 1e-300), self._eps_cap)
         return out
@@ -161,14 +154,11 @@ class LogPower:
         if self.eps_sign == 0:
             z = np.zeros_like(np.asarray(lnt, dtype=float))
             return float(z) if np.isscalar(lnt) else z
-        out = self._eps_raw(lnt)
+        out = self._eps_raw(lnt, self.m - 1)
         return float(out) if np.isscalar(lnt) or out.ndim == 0 else out
 
     def alpha_ln(self, lnt):
         return self.alpha0 + self.eps_sign * self.eps(lnt)
-
-    def alpha(self, t: float) -> float:
-        return self.alpha_ln(-math.log(t))
 
     # -- evaluation --------------------------------------------------------
 
@@ -212,11 +202,11 @@ class LogPower:
 
     # -- inversion ---------------------------------------------------------
 
-    def inverse_lnln(self, ln_inv_tau: float, rel_tol: float = 1e-14) -> float:
+    def inverse_lnln(self, ln_inv_tau: float) -> float:
         """w = ln ln(1/h^{-1}(tau)) given ln(1/tau), by bisection.
 
         alpha(L) * ln L is strictly increasing in L on the domain, so the
-        inverse is exact up to the requested relative tolerance.
+        inverse is exact up to a relative tolerance of 1e-14.
         """
         if ln_inv_tau < 0:
             raise DomainError("need tau <= 1")
@@ -227,10 +217,7 @@ class LogPower:
             if self.eps_sign == 0:
                 a = self.alpha0
             else:
-                y = _iterated_log(w, self.m - 2) if self.m > 2 else w
-                eps = 1.0 / y if (np.isfinite(y) and y > 1.0 / self._eps_cap) \
-                    else self._eps_cap
-                a = self.alpha0 + self.eps_sign * eps
+                a = self.alpha0 + self.eps_sign * self._eps_raw(w, self.m - 2)
             return a * w - target
 
         lo = math.log(max(self.lnt_min, 1.0 + 1e-12))
@@ -247,7 +234,7 @@ class LogPower:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= rel_tol * abs(hi):
+            if hi - lo <= 1e-14 * abs(hi):
                 break
         return 0.5 * (lo + hi)
 
@@ -283,10 +270,6 @@ class LogPower:
         if self.alpha0 == 0.0:
             return math.inf
         return 2.0 ** (1.0 / self.alpha0)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "alpha0": self.alpha0,
-                "eps_sign": self.eps_sign, "m": self.m}
 
 
 def h_inverse(h, tau: float) -> float:

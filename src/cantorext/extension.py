@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .bump import BumpSpec, bump_for_interval, bump_for_set
+from .bump import P_MAX, BumpSpec, bump_for_interval, bump_for_set
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
                      InvariantError, NodeCollisionError, ParameterError)
 from .gamma import GammaModel, Profile, profile as make_profile
@@ -52,7 +52,7 @@ class Schedule:
     """Interpolation degrees per level: N_s = 2^{n_s}-1 on level s, handing
     off at M_s = 2^{n_{s-1}-1}-1 (M_0 = 1)."""
 
-    n: tuple  # n_s for s = 0..cap
+    n: tuple  # n_s for s = 0..s_cap
 
     def N(self, s: int) -> int:
         return 2 ** self.n[s] - 1
@@ -61,10 +61,6 @@ class Schedule:
         if s == 0:
             return 1
         return 2 ** (self.n[s - 1] - 1) - 1
-
-    @property
-    def cap(self) -> int:
-        return len(self.n) - 1
 
 
 def schedule_for(prof: Profile, s_cap: int) -> Schedule:
@@ -161,12 +157,11 @@ class ExtensionOperator:
     node sets are prefix-stable, so a cached interpolant equals a rebuilt one.
     """
 
-    def __init__(self, tree: CantorTree, s_max: int,
-                 schedule: Optional[Schedule] = None):
+    def __init__(self, tree: CantorTree, s_max: int):
         depth_needed = 0
         self.tree = tree
         self.prof = tree.profile
-        self.schedule = schedule or schedule_for(self.prof, s_max)
+        self.schedule = schedule_for(self.prof, s_max)
         self.s_max = s_max
         for s in range(s_max):
             depth_needed = max(depth_needed, s + self.schedule.n[s] - 1)
@@ -424,10 +419,9 @@ class DNReport:
 
 def dn_experiment(model: GammaModel, eps: float, m: int,
                   r_list: Sequence[int], s_list: Sequence[int],
-                  tree: Optional[CantorTree] = None,
-                  paired: bool = True) -> DNReport:
+                  tree: Optional[CantorTree] = None) -> DNReport:
     """Certified lower bounds of the dominating-norm ratio for the localized
-    node polynomials, per (r, s).
+    node polynomials, per pair (r, s) of the equal-length lists.
 
     q = 2^m and r = 2^n; the three closed-form bounds (sup bound, derivative
     lower bound at 0, Whitney-norm bound 2 r!) combine into a lower bound of
@@ -439,15 +433,11 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
     prof = make_profile(model)
     B = prof.B
     c0 = model.c0
-    if paired:
-        if len(r_list) != len(s_list):
-            raise ParameterError("paired experiment needs equal-length lists")
-        pairs = list(zip(r_list, s_list))
-    else:
-        pairs = [(r, s) for r in r_list for s in s_list]
+    if len(r_list) != len(s_list):
+        raise ParameterError("paired experiment needs equal-length lists")
     q = 2 ** m
     rows = []
-    for r, s in pairs:
+    for r, s in zip(r_list, s_list):
         n = int(math.log2(r))
         if 2 ** n != r:
             raise ParameterError(f"r={r} is not a power of two")
@@ -514,14 +504,14 @@ def sorted_ln_distances(x, points: Sequence) -> list:
     return sorted(vals)
 
 
-def check_distance_product_bound(tree: CantorTree, interval: tuple, N: int,
-                                 x_offsets: Sequence[float] = (0.0, 1e-3, 0.37, 0.99, 1.0),
-                                 c1: Optional[float] = None) -> bool:
+def check_distance_product_bound(tree: CantorTree, interval: tuple,
+                                 N: int) -> bool:
     """Nearest-node product domination on N+1 increasing-type nodes.
 
     For every x within delta_{s+n} of the first N nodes and every node z:
     delta_{s+n} prod_{k=2}^{N} d_k(x, Z_N) <= C1^N prod_{k=2}^{N+1} d_k(z, Z),
-    with C1 = (8/7)(C0 + 1).
+    with C1 = (8/7)(C0 + 1).  x runs over z + delta_{s+n} times the offsets
+    0, 1e-3, 0.37, 0.99 and 1.
     """
     j, s = interval
     n = N.bit_length() - 1  # 2^n <= N < 2^{n+1}
@@ -531,15 +521,14 @@ def check_distance_product_bound(tree: CantorTree, interval: tuple, N: int,
     with mp.workprec(tree.bits):
         delta = tree.delta_mpf(s + n)
         ln_delta = float(mp.log(delta))
-        if c1 is None:
-            c1 = 8.0 / 7.0 * (tree.model.c0 + 1.0)
+        c1 = 8.0 / 7.0 * (tree.model.c0 + 1.0)
         rhs_best = math.inf
         for z in Z:
             ds = sorted_ln_distances(z, Z)
             rhs = N * math.log(c1) + math.fsum(ds[1:])  # k = 2..N+1
             rhs_best = min(rhs_best, rhs)
         for z in ZN:
-            for off in x_offsets:
+            for off in (0.0, 1e-3, 0.37, 0.99, 1.0):
                 x = z + delta * mp.mpf(off)
                 ds = sorted_ln_distances(x, ZN)
                 if ds[0] > ln_delta + 1e-12:
@@ -602,11 +591,12 @@ def check_chain_product_bound(tree: CantorTree, interval: tuple, N: int,
 
 
 def check_cutoff_product_bound(tree: CantorTree, interval: tuple, N: int,
-                               x_grid: Sequence[float], p_max: int = 3) -> bool:
+                               x_grid: Sequence[float]) -> bool:
     """|(Omega_N u)^(p)(x)| <= 2^p (C0+1) c_p delta^{-p+1} N^p prod_{k>=2} d_k.
 
     Float-precision check (use shallow, double-friendly models): Omega_N from
-    the first N increasing-type nodes, u the width-delta_{s+n} cutoff.
+    the first N increasing-type nodes, u the width-delta_{s+n} cutoff,
+    derivative orders p = 0..P_MAX.
     """
     j, s = interval
     n = N.bit_length() - 1
@@ -621,18 +611,18 @@ def check_cutoff_product_bound(tree: CantorTree, interval: tuple, N: int,
     cp = bump_f.c_p_table
     poly = np.poly(Z)  # Omega_N coefficients, highest first
     ders = [poly]
-    for _ in range(p_max):
+    for _ in range(P_MAX):
         ders.append(np.polyder(ders[-1]))
     for x in x_grid:
-        useries = bump_f.series(x, p_max)
+        useries = bump_f.series(x)
         omega = [float(np.polyval(d, x)) for d in ders]
-        oseries = [omega[i] / math.factorial(i) for i in range(p_max + 1)]
+        oseries = [omega[i] / math.factorial(i) for i in range(P_MAX + 1)]
         prod_series = []
-        for p in range(p_max + 1):
+        for p in range(P_MAX + 1):
             prod_series.append(sum(oseries[i] * useries[p - i] for i in range(p + 1)))
         ds = sorted(abs(x - z) for z in Z)
         tail = math.prod(ds[1:]) if len(ds) > 1 else 1.0
-        for p in range(p_max + 1):
+        for p in range(P_MAX + 1):
             lhs = abs(prod_series[p]) * math.factorial(p)
             rhs = 2.0 ** p * (c0 + 1.0) * cp[p] * delta ** (-p + 1) * N ** p * tail
             if not lhs <= rhs * (1 + 1e-9):

@@ -51,10 +51,10 @@ NONPOLAR = "nonpolar"
 UNDETERMINED = "undetermined-at-horizon"
 
 
-def _lr_from_ln_fraction(ln_value: Fraction, sign: int = 1) -> LogReal:
-    """LogReal with exactly rational ln magnitude."""
+def _lr_from_ln_fraction(ln_value: Fraction) -> LogReal:
+    """Positive LogReal with exactly rational ln magnitude."""
     q = math.floor(ln_value)
-    return LogReal.from_parts(sign, q, float(ln_value - q))
+    return LogReal.from_parts(1, q, float(ln_value - q))
 
 
 @dataclass(frozen=True)
@@ -626,19 +626,18 @@ class DiagnosticsReport:
 
 
 def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
-                          n_grid: Sequence[int], eps: float, m: int,
-                          M: Optional[float] = None) -> DiagnosticsReport:
+                          n_grid: Sequence[int], eps: float,
+                          m: int) -> DiagnosticsReport:
     """Evaluate the finite-horizon forms of the uniform-smallness conditions.
 
     For each grid point (s, n) the report carries the uniform ratio
     B_{s+n}/sum, the block and most-recent-window inequalities at (eps, m),
-    and the delta-product inequality at exponent M (default 1/(2 eps), which
-    makes it the exact log-domain translation of the window form).  The
-    ``consistent`` flag asserts the provable pointwise implications between
-    them; it is a cross-check of the implementation, not of the model.
+    and the delta-product inequality at exponent M = 1/(2 eps), the exact
+    log-domain translation of the window form.  The ``consistent`` flag
+    asserts the provable pointwise implications between them; it is a
+    cross-check of the implementation, not of the model.
     """
-    if M is None:
-        M = 1.0 / (2.0 * eps)
+    M = 1.0 / (2.0 * eps)
     B = prof.B
     k_max = prof.model.k_max
     if m < 0:
@@ -679,7 +678,7 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
                 consistent = False
             if block_holds and not uniform_holds_at_eps:
                 consistent = False
-            if abs(M - 1.0 / (2.0 * eps)) < 1e-12 and m and (recent_holds != product_holds):
+            if m and recent_holds != product_holds:
                 consistent = False
             rows.append(DiagnosticsRow(
                 s=s, n=n, ratio_uniform=ratio,

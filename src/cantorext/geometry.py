@@ -48,9 +48,9 @@ def required_bits(model: GammaModel, depth: int) -> int:
     return int(bits) + GUARD_BITS
 
 
-def max_depth_for_bits(model: GammaModel, bits: int, cap: int = 10) -> int:
+def max_depth_for_bits(model: GammaModel, bits: int) -> int:
     d = 0
-    while d < min(cap, model.k_max) and required_bits(model, d + 1) <= bits:
+    while d < min(10, model.k_max) and required_bits(model, d + 1) <= bits:
         d += 1
     return d
 
@@ -71,8 +71,6 @@ class BasicInterval:
     left_type: int
     right_type: int
     ln_length: LogReal = None
-    gap_to_sibling: LogReal = None  # distance to the sibling sharing the parent
-    central_gap: LogReal = None     # gap between this interval's two children
 
 
 @dataclass
@@ -129,14 +127,6 @@ class CantorTree:
     def atoms(self, level: Optional[int] = None) -> list:
         """The basic intervals of the given (default deepest) level."""
         return list(self.levels[self.depth if level is None else level])
-
-    def endpoints(self, level: int) -> list:
-        """All endpoints at the given level, ascending (the Y_level point set)."""
-        out = []
-        for iv in self.levels[level]:
-            out.append((iv.left, iv.left_type))
-            out.append((iv.right, iv.right_type))
-        return out
 
     def delta_mpf(self, k: int) -> mp.mpf:
         """delta_k at full tree precision (exact dyadic log, rounded once)."""
@@ -199,13 +189,12 @@ def _point_from_address(addr: Sequence[int], r: list, memo: dict) -> mp.mpf:
 
 
 def eval_P(s: int, x, model: GammaModel, bits: int = 256,
-           r_mpf: Optional[list] = None, strict: bool = False):
+           r_mpf: Optional[list] = None):
     """P_{2^s}(x) by the quadratic recursion (s >= 1), at ``bits`` precision.
 
-    With ``strict=True`` a PrecisionError is raised when an intermediate sum
-    v + r_i cancels below the mantissa budget, i.e. when the RELATIVE accuracy
-    of the value is gone.  The default tolerates that: residual measurements at
-    endpoints evaluate exactly there, where the tiny result is the point.
+    An intermediate sum v + r_i may cancel below the mantissa budget, losing
+    the value's relative accuracy: residual measurements at endpoints evaluate
+    exactly there, where the tiny result is the point.
     """
     if s < 1:
         raise ValueError("levels start at P_2 (s = 1)")
@@ -215,12 +204,7 @@ def eval_P(s: int, x, model: GammaModel, bits: int = 256,
         x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
         v = x * (x - 1)
         for i in range(1, s):
-            w = v + r_mpf[i]
-            if strict and v != 0 and w != 0 \
-                    and abs(w) < abs(v) * mp.mpf(2) ** (-bits + 8):
-                raise PrecisionError(
-                    f"cancellation at level {i} exceeds the {bits}-bit budget")
-            v = v * w
+            v = v * (v + r_mpf[i])
         return v
 
 
@@ -255,27 +239,20 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
                     raise PrecisionError(
                         f"level-{s} points out of order inside I_{iv.index},{s - 1}; "
                         "raise the mantissa budget")
-                gap = LogReal.from_mpf(d - c)
                 cur.append(BasicInterval(
                     level=s, index=2 * iv.index - 1, left=iv.left, right=c,
-                    addr=iv.addr + (LEFT,), left_type=iv.left_type, right_type=s,
-                    gap_to_sibling=gap))
+                    addr=iv.addr + (LEFT,), left_type=iv.left_type, right_type=s))
                 cur.append(BasicInterval(
                     level=s, index=2 * iv.index, left=d, right=iv.right,
-                    addr=iv.addr + (RIGHT,), left_type=s, right_type=iv.right_type,
-                    gap_to_sibling=gap))
-                iv.central_gap = gap
+                    addr=iv.addr + (RIGHT,), left_type=s, right_type=iv.right_type))
             levels.append(cur)
         for lvl in levels:
             for iv in lvl:
                 iv.ln_length = LogReal.from_mpf(iv.right - iv.left)
-    tree = CantorTree(model=model, depth=depth, bits=bits, levels=levels,
+    # only the nesting is checked here; verify_geometry reports the length
+    # and gap bounds, which delta-form prefixes legitimately fail
+    return CantorTree(model=model, depth=depth, bits=bits, levels=levels,
                       r_mpf=r)
-    # the nesting/length/gap invariants are checked at build time and the
-    # report travels with the tree; admissibility exceptions (delta-form
-    # prefixes) legitimately fail some levels, so no exception is raised here
-    tree.geometry = verify_geometry(tree)
-    return tree
 
 
 def select_nodes(tree: CantorTree, interval: tuple, N: int) -> NodeSet:
@@ -395,8 +372,7 @@ def endpoint_residuals(tree: CantorTree) -> list:
     return out
 
 
-def refine_endpoint_bisection(tree: CantorTree, iv: BasicInterval,
-                              n_iter: int = 0) -> tuple:
+def refine_endpoint_bisection(tree: CantorTree, iv: BasicInterval) -> tuple:
     """Re-derive the inner endpoint of ``iv`` by plain sign bisection.
 
     Independent cross-check for the algebraic chain: bisects
@@ -421,8 +397,7 @@ def refine_endpoint_bisection(tree: CantorTree, iv: BasicInterval,
         else:
             a, b, inner = gap_mid, parent.right, iv.left
         fa = f(a)
-        n_iter = n_iter or tree.bits // 2 + s * 8
-        for _ in range(n_iter):
+        for _ in range(tree.bits // 2 + s * 8):
             mid = (a + b) / 2
             if mid == a or mid == b:
                 break

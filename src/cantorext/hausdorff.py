@@ -399,7 +399,8 @@ def density_scan_tree(tree: CantorTree, h, k_range: Sequence[int],
 
     Radii r_k = (7/8) delta_{k-1} cover exactly one level-k basic interval
     around any x in the set and stop inside the adjacent gaps; x runs over the
-    deepest-level atom endpoints.
+    deepest-level atom endpoints.  The ratio needs h(2r), so k = 1 (r = 7/8)
+    is rejected.
     """
     atoms = TreeAtoms(tree)
     with mp.workprec(tree.bits):
@@ -408,13 +409,15 @@ def density_scan_tree(tree: CantorTree, h, k_range: Sequence[int],
             if not 1 <= k <= tree.depth:
                 raise DepthError(f"k={k} outside tree depth")
             r = mp.mpf(7) / 8 * tree.delta_mpf(k - 1)
+            if 2 * r >= 1:
+                raise DomainError(f"k={k}: radius r = {float(r):.6g} has "
+                                  "2r >= 1, outside the domain of h")
             r_items.append((float(-mp.log(r)), r))
         x_items = [(f"atom{i}", a) for i, a in enumerate(atoms.lefts)]
         return _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows)
 
 
 def density_scan_islands(fam: IslandFamily, h, k_list: Sequence[int],
-                         analytic_limit: Optional[float] = None,
                          keep_rows: bool = False) -> DensityTable:
     """Density table of the island family at radii r_k = b_k - b_{k+1}."""
     atoms = fam.atoms()
@@ -428,7 +431,7 @@ def density_scan_islands(fam: IslandFamily, h, k_list: Sequence[int],
     for k in range(1, fam.k_max + 1):
         xs.append((f"a{k}", fam.a(k)))
         xs.append((f"b{k}", fam.b(k)))
-    return _scan(atoms, h, r_items, xs, analytic_limit, keep_rows)
+    return _scan(atoms, h, r_items, xs, None, keep_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +471,6 @@ class OrderReport:
     lnt_grid: list
     eta_diff: list       # eta1 - eta2
     classification: str  # "h1 << h2" | "h2 << h1" | "equivalent" | "incomparable-at-horizon"
-
-    @property
-    def verdict(self) -> str:
-        return self.classification
 
 
 def compare_dimension_functions(h1, h2, lnt_grid: Sequence[float]) -> OrderReport:

@@ -55,14 +55,6 @@ class LogReal:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LogReal":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "LogReal":
-        return _ONE
-
-    @classmethod
     def from_float(cls, x: float) -> "LogReal":
         """Exact-ish conversion: ``to_float(from_float(x)) == x`` for normal doubles."""
         x = float(x)

@@ -152,16 +152,16 @@ def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
     return NumericMarkov(n=n, value=best, grid_size=len(grid), stalled=stalled)
 
 
-def tree_atom_bounds(tree: CantorTree, level: Optional[int] = None) -> list:
-    return [(float(iv.left), float(iv.right)) for iv in tree.atoms(level)]
+def tree_atom_bounds(tree: CantorTree) -> list:
+    return [(float(iv.left), float(iv.right)) for iv in tree.atoms()]
 
 
-def certificate_lower_bound(tree: CantorTree, s: int,
-                            points_per_atom: int = 8) -> float:
+def certificate_lower_bound(tree: CantorTree, s: int) -> float:
     """ln of a direct M_{2^s} witness: the scaled level polynomial.
 
     Q = (P_{2^s} + r_s/2) / (r_s/2) has |Q| <= 1 on the level-s domain, so
-    max |Q'| over the grid is a true lower bound for the grid's M_{2^s}.
+    max |Q'| over a grid of 8 equispaced points per level-s atom is a true
+    lower bound for that grid's M_{2^s}.
     """
     if s > tree.depth:
         raise HorizonError("certificate level beyond tree depth")
@@ -170,8 +170,8 @@ def certificate_lower_bound(tree: CantorTree, s: int,
         rs = tree.r_mpf[s]
         for iv in tree.atoms(s):
             width = iv.right - iv.left
-            for i in range(points_per_atom):
-                x = iv.left + width * mp.mpf(i) / (points_per_atom - 1)
+            for i in range(8):
+                x = iv.left + width * mp.mpf(i) / 7
                 # P'_{2^{i+1}} = P'_{2^i} (2 P_{2^i} + r_i)
                 v = x * (x - 1)
                 dv = 2 * x - 1

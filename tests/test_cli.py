@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorext import hausdorff
 from cantorext.cli import _emit, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,6 +205,17 @@ class TestCLI:
                      "--depth", "4"])
         assert code == 2
         assert "--k-range" in capsys.readouterr().err
+
+    def test_density_k1_rejected_before_any_content(self, capsys, monkeypatch):
+        # r_1 = 7/8 gives 2r > 1, outside every h's domain
+        def no_content(*args):
+            raise AssertionError("content computed before the k check")
+
+        monkeypatch.setattr(hausdorff, "content_dp", no_content)
+        code = main(["density", "--family", "delta_form", "--b", "2",
+                     "--depth", "4", "--k-range", "1,2,3"])
+        assert code == 2
+        assert "k=1: radius r = 0.875 has 2r >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
     def test_readme_command_body(self, args):

@@ -190,12 +190,6 @@ class TestLengthGapTables:
                     # the stored log-lengths agree with the endpoints at double grade
                     assert abs(iv.ln_length.ln_mag - float(mp.log(length))) < 1e-13
 
-    def test_sibling_gap_view(self, tree_ex1):
-        t = tree_ex1
-        iv = t.interval(3, 2)
-        parent = t.interval(2, 1)
-        assert iv.gap_to_sibling is parent.central_gap
-
 
 from hypothesis import given, settings, strategies as st
 
@@ -231,7 +225,7 @@ def test_every_family_builds_and_verifies(family, kw, depth, bits):
         else build_model(family, **kw)
     tree = build_tree(model, depth=depth, bits=bits)
     assert len(tree.atoms()) == 2 ** depth
-    rep = tree.geometry
+    rep = verify_geometry(tree)
     # admissible levels satisfy the bounds; delta-form prefixes are exempt
     for lvl in rep.levels:
         if lvl.level > len(model.eq2_exceptions):

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -32,6 +33,16 @@ class TestDimensionFunctions:
     def test_inverse_of_h0(self):
         # alpha == 1: h^{-1}(tau) = exp(-1/tau)
         assert h_inverse(H_LOG, 0.1) == pytest.approx(math.exp(-10), rel=1e-12)
+
+    def test_frozen_exponent_warns_nothing(self):
+        # ln(1/t) < 1 and ln ln(1/t) <= 0 lie outside the iterated logs'
+        # domain, where eps is frozen at its cap; no numpy warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert LogPower(0.5, 1, 3).h(0.5) == 1.4426947765058011
+            assert LogPower(0.5, -1, 3).h(0.5) == 1.0959574028674248
+            assert LogPower(0.3, 1, 4).inverse_lnln(0.5) == 0.500000350000245
+            assert LogPower(1.0, -1, 4).inverse_lnln(1e-6) == 0.9999999999712448
 
     def test_inverse_roundtrip(self):
         for h in (H_HALF, LogPower(0.5, +1, 3), LogPower(1.0, -1, 3)):
@@ -146,22 +157,24 @@ def _dp_provider(kind: str):
         rng = np.random.default_rng(7)
         ends = np.cumsum(rng.uniform(1e-4, 0.02, size=24))
         return FloatAtoms(list(zip(ends[::2], ends[1::2])))
-    if kind == "tree":
+    if kind in ("tree", "tree_wide"):
         atoms = TreeAtoms(build_tree(build_model(DELTA_FORM, k_max=12, b=2.0),
                                      depth=4, bits=256))
         with mp.workprec(atoms.bits):
-            return _clip_mid(atoms, 1, 7)  # spans below 1/e
+            if kind == "tree":
+                return _clip_mid(atoms, 1, 7)  # spans below 1/e
+            return atoms.clip(0.08, 0.92)  # spans up to 0.739 > 1/e
     return _clip_mid(IslandFamily(q_rule_log(), k_max=12).atoms(), 0, 10)
 
 
-@pytest.mark.parametrize("kind", ["float", "tree", "islands"])
+@pytest.mark.parametrize("kind", ["float", "tree", "islands", "tree_wide"])
 @pytest.mark.parametrize("h", [H_HALF, LogPower(0.5, +1, 3),
                                LogPower(0.5, -1, 3), "eta"])
 def test_one_pass_dp_matches_row_by_row(kind, h):
     if h == "eta":
         h = EtaProfile(build_model(EXAMPLE1, k_max=12, B=1.0))
     atoms = _dp_provider(kind)
-    assert kind == "float" or atoms.clamped == (True, True)
+    assert kind in ("float", "tree_wide") or atoms.clamped == (True, True)
     res = content_dp(atoms, h)
     value, runs = _row_by_row_dp(atoms, h)
     assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
