@@ -91,6 +91,12 @@ class LogPower:
     classical logarithmic measure is alpha0 = 1, eps_sign = 0.  Outside the
     iterated-log domain (large t) the correction is frozen at its boundary
     value, which keeps h continuous and nondecreasing on all of (0, 1).
+
+    The domain start, where eps_m first falls below its cap, is searched as a
+    double L = ln(1/t) <= 1e300, so it exists only for a cap above
+    1/log_(m-1)(1e300): 0.153 for m = 3, 0.533 for m = 4, and no cap <= 1
+    for m >= 5.  Beyond that the constructor raises ParameterError, as for
+    LogPower(0.5, 1, 4), LogPower(0.5, -1, 5) and LogPower(1.0, -1, 5).
     """
 
     def __init__(self, alpha0: float, eps_sign: int = 0, m: int = 3):
@@ -131,7 +137,10 @@ class LogPower:
         while not (self._eps_raw(hi, self.m - 1) < self._eps_cap):
             hi *= 2.0
             if hi > 1e300:
-                raise ParameterError("eps cap unreachable")
+                raise ParameterError(
+                    f"eps_m cap {self._eps_cap:.6g} unreachable for "
+                    f"m={self.m}: its domain start lies beyond ln(1/t) = "
+                    f"1e300, which a double cannot hold")
         while hi - lo > 1e-9 * hi:
             mid = (lo + hi) / 2
             if self._eps_raw(mid, self.m - 1) < self._eps_cap:

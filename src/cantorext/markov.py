@@ -7,10 +7,14 @@ M_{2^k} ~ 2/delta_k, and monotonicity brackets every degree:
 
 The numeric estimator solves, per candidate extremum x*, the linear program
 max P'(x*) over |P(x_i)| <= 1 on a grid, in the Chebyshev basis of the grid's
-hull (scipy HiGHS, a dual-simplex/active-set exchange with anti-cycling); the
-maximum over candidates estimates M_n of the grid.  An independent lower-bound
-witness comes from the level polynomial P_{2^s} + r_s/2, which maps the level
-domain onto [-r_s/2, r_s/2].
+hull; the maximum over candidates estimates M_n of the grid.  All candidate
+LPs of one estimate share the polytope {a : -1 <= V a <= 1}, so one HiGHS
+model holds it and each candidate only changes the objective: the previous
+optimal basis stays primal feasible and the re-solve is warm, a few simplex
+iterations.  A warm solve that does not reach optimality drops the solver's
+state and is retried cold through ``linprog``; only a failed retry counts as
+a stalled candidate.  An independent lower-bound witness comes from the level
+polynomial P_{2^s} + r_s/2, which maps the level domain onto [-r_s/2, r_s/2].
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial import chebyshev as C
 from scipy.optimize import linprog
+# scipy's private binding of the HiGHS solver that linprog(method="highs")
+# drives; linprog rebuilds the model per call, this keeps one and re-solves
+from scipy.optimize._highspy import _core as highs
 
 from .errors import DegreeError, HorizonError, ParameterError
 from .gamma import GammaModel, profile as make_profile
@@ -89,7 +96,8 @@ def chebyshev_grid(atoms: Sequence[tuple], points_per_atom: int) -> np.ndarray:
 
 
 def _lp_value(V: np.ndarray, dV: np.ndarray, idx: int) -> tuple:
-    """max P'(x_idx) subject to |P(x_i)| <= 1; returns (value, converged)."""
+    """max P'(x_idx) subject to |P(x_i)| <= 1, solved cold; returns
+    (value, converged)."""
     G, m = V.shape
     c = -dV[idx]
     A_ub = np.vstack([V, -V])
@@ -101,15 +109,25 @@ def _lp_value(V: np.ndarray, dV: np.ndarray, idx: int) -> tuple:
     return (float(-res.fun), True)
 
 
-def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
-                   seed: int = 0, workers: int = 1) -> NumericMarkov:
-    """Estimate M_n of the grid over the atoms by per-candidate LPs.
+def _polytope_model(V: np.ndarray):
+    """A HiGHS model of -1 <= V a <= 1 over free columns a, cost zero."""
+    G, m = V.shape
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.addVars(m, np.full(m, -highs.kHighsInf), np.full(m, highs.kHighsInf))
+    model.addRows(G, np.full(G, -1.0), np.ones(G), G * m,
+                  np.arange(0, G * m, m), np.tile(np.arange(m), G), V.ravel())
+    return model
+
+
+def candidate_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
+                  seed: int = 0) -> tuple:
+    """(V, dV, candidates) of the estimate: the Chebyshev-basis values and
+    derivatives on the grid, and the ascending grid indices of the candidate
+    extrema.
 
     Candidates where |P'| can peak are all grid points of the two extreme
-    atoms plus a seeded stratified sample elsewhere; by symmetry of the
-    feasible set one maximization per candidate suffices.  Candidate LPs are
-    independent; ``workers`` threads them (the reduction by max is
-    order-free, so the result stays deterministic).
+    atoms plus a seeded stratified sample elsewhere.
     """
     if n > 32:
         raise DegreeError("numeric estimator supports degrees up to 32")
@@ -140,16 +158,35 @@ def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
         take = min(EXTRA_CANDIDATES, len(rest))
         strata = np.array_split(rest, take)
         cand |= {int(rng.choice(s)) for s in strata if len(s)}
-    order = sorted(cand)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _lp_value(V, dV, i), order))
-    else:
-        results = [_lp_value(V, dV, idx) for idx in order]
-    best = max((val for val, _ in results), default=-math.inf)
-    stalled = any(not ok for _, ok in results)
-    return NumericMarkov(n=n, value=best, grid_size=len(grid), stalled=stalled)
+    return V, dV, sorted(cand)
+
+
+def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
+                   seed: int = 0, workers: int = 1) -> NumericMarkov:
+    """Estimate M_n of the grid over the atoms by per-candidate LPs.
+
+    By symmetry of the feasible set one maximization per candidate suffices.
+    The candidates are solved in ascending order on one shared, warm-started
+    model, so they run one after another and ``workers`` must be 1; the
+    keyword stays only because existing callers pass ``workers=1``.
+    """
+    if workers != 1:
+        raise ParameterError("candidate LPs share one model; workers must be 1")
+    V, dV, order = candidate_lps(atoms, n, points_per_atom, seed)
+    model = _polytope_model(V)
+    cols = np.arange(n + 1)
+    best, stalled = -math.inf, False
+    for idx in order:
+        model.changeColsCost(n + 1, cols, -dV[idx])
+        model.run()
+        if model.getModelStatus() == highs.HighsModelStatus.kOptimal:
+            val = -model.getObjectiveValue()
+        else:
+            model.clearSolver()   # the next candidate starts cold
+            val, ok = _lp_value(V, dV, idx)
+            stalled = stalled or not ok
+        best = max(best, val)
+    return NumericMarkov(n=n, value=best, grid_size=len(V), stalled=stalled)
 
 
 def tree_atom_bounds(tree: CantorTree) -> list:

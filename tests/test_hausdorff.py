@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorext.cli import main
 from cantorext.dimension import (
     EtaProfile, LogPower, check_derivative_bound, check_doubling, h_inverse,
 )
@@ -43,6 +44,22 @@ class TestDimensionFunctions:
             assert LogPower(0.5, -1, 3).h(0.5) == 1.0959574028674248
             assert LogPower(0.3, 1, 4).inverse_lnln(0.5) == 0.500000350000245
             assert LogPower(1.0, -1, 4).inverse_lnln(1e-6) == 0.9999999999712448
+
+    @pytest.mark.parametrize("args", [(0.5, 1, 4), (0.5, -1, 5), (1.0, -1, 5)])
+    def test_unreachable_domain_start_names_m(self, args):
+        # the cap is below 1/log_(m-1)(1e300): no double L reaches it
+        with pytest.raises(ParameterError,
+                           match=f"m={args[2]}: its domain start lies beyond "
+                                 r"ln\(1/t\) = 1e300, which a double cannot"):
+            LogPower(*args)
+
+    def test_unreachable_domain_start_exits_2(self, capsys):
+        code = main(["density", "--family", "islands", "--Q", "2",
+                     "--alpha0", "0.5", "--eps-sign", "1", "--m", "4",
+                     "--k-range", "10"])
+        assert code == 2
+        assert "m=4: its domain start lies beyond ln(1/t) = 1e300" in \
+            capsys.readouterr().err
 
     def test_inverse_roundtrip(self):
         for h in (H_HALF, LogPower(0.5, +1, 3), LogPower(1.0, -1, 3)):

@@ -1,14 +1,39 @@
+import functools
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from cantorext import markov
 from cantorext.errors import DegreeError, HorizonError, ParameterError
 from cantorext.gamma import DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW, build_model
 from cantorext.geometry import build_tree
 from cantorext.markov import (
-    certificate_lower_bound, markov_bounds, markov_numeric, ratio_table,
-    tree_atom_bounds,
+    candidate_lps, certificate_lower_bound, markov_bounds, markov_numeric,
+    ratio_table, tree_atom_bounds,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_atoms(family: str, depth: int, **params) -> tuple:
+    model = build_model(family, k_max=12, **params)
+    return tuple(tree_atom_bounds(build_tree(model, depth=depth, bits=512)))
+
+
+def _cold_reference(atoms, n, points_per_atom) -> dict:
+    """The per-candidate loop the shared model replaced: one cold linprog
+    over the 2G one-sided rows [V; -V] per candidate.  Maps each candidate
+    to its value, or to None where the LP failed."""
+    V, dV, order = candidate_lps(atoms, n, points_per_atom)
+    A_ub = np.vstack([V, -V])
+    b_ub = np.ones(2 * len(V))
+    out = {}
+    for idx in order:
+        res = linprog(-dV[idx], A_ub=A_ub, b_ub=b_ub,
+                      bounds=[(None, None)] * (n + 1), method="highs")
+        out[idx] = None if res.status != 0 or res.x is None else -res.fun
+    return out
 
 
 class TestBounds:
@@ -89,6 +114,52 @@ class TestNumeric:
             markov_numeric([(0, 1)], 33)
         with pytest.raises(ParameterError):
             markov_numeric([(0, 1)], 8, points_per_atom=8)  # grid < 4n
+        with pytest.raises(ParameterError):
+            markov_numeric([(0, 1)], 2, workers=2)  # one shared model
+
+
+class TestWarmStartOracle:
+    """The shared warm-started model against cold per-candidate linprog."""
+
+    @pytest.mark.parametrize("family, params, n, points", [
+        ("unit", {}, 2, 128),
+        ("unit", {}, 3, 128),
+        *[(POWER_LAW, {"a": 2.0}, n, 24) for n in (2, 4, 8)],
+        *[(DELTA_FORM, {"b": 2.0}, n, 24) for n in (2, 4, 8)],
+    ])
+    def test_same_estimate(self, family, params, n, points):
+        # [0, 1], and the trees of the README's markov command
+        atoms = ((0.0, 1.0),) if family == "unit" else \
+            _tree_atoms(family, 3, **params)
+        ref = _cold_reference(atoms, n, points)
+        est = markov_numeric(atoms, n, points_per_atom=points)
+        assert est.stalled == (None in ref.values())
+        want = max(v for v in ref.values() if v is not None)
+        assert est.value == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("family, depth, params, n, points", [
+        (POWER_LAW, 4, {"a": 2.0}, 16, 16),
+        (DELTA_FORM, 3, {"b": 3.0}, 8, 24),
+    ])
+    def test_fails_no_candidate_the_cold_loop_solves(
+            self, monkeypatch, family, depth, params, n, points):
+        # the estimates below the proven bracket (FOUND (b) in CHANGES.md):
+        # a candidate fails only if its cold retry fails too
+        atoms = _tree_atoms(family, depth, **params)
+        cold, failed = markov._lp_value, set()
+
+        def spy(V, dV, idx):
+            val, ok = cold(V, dV, idx)
+            if not ok:
+                failed.add(idx)
+            return val, ok
+
+        monkeypatch.setattr(markov, "_lp_value", spy)
+        est = markov_numeric(atoms, n, points_per_atom=points)
+        ref_failed = {i for i, v in _cold_reference(atoms, n, points).items()
+                      if v is None}
+        assert ref_failed and failed <= ref_failed
+        assert est.stalled == bool(failed)
 
 
 class TestRatioTable:
