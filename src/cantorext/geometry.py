@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .errors import BracketError, DepthError, PrecisionError
 from .gamma import GammaModel, profile
@@ -153,6 +154,32 @@ def _r_chain(model: GammaModel, s: int) -> list:
     return r
 
 
+def _sqrt(x: mp.mpf) -> mp.mpf:
+    """mp.sqrt(x) for a finite x >= 0, bit for bit.
+
+    mpmath's round-to-nearest ``mpf_sqrt``, with the floor root taken by C
+    ``math.isqrt`` instead of the pure-Python backend's Newton iteration; the
+    floor root is unique, so the result is the same.  ``mpf_sqrt``'s shortcut
+    for powers of two is left out: the general path rounds them the same.
+    """
+    prec = mp.mp.prec
+    _, man, exp, bc = x._mpf_
+    if not man:
+        return x
+    if exp & 1:
+        exp -= 1
+        man <<= 1
+        bc += 1
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    n = man << shift
+    man = math.isqrt(n)
+    if n != man * man:                   # perturb up, as mpf_sqrt does
+        man = (man << 1) + 1
+        shift += 2
+    return mp.make_mpf(from_man_exp(man, (exp - shift) // 2, prec, "n"))
+
+
 def _point_from_address(addr: Sequence[int], r: list, memo: dict) -> mp.mpf:
     """The type-s point whose level-s interval has the given address.
 
@@ -173,7 +200,7 @@ def _point_from_address(addr: Sequence[int], r: list, memo: dict) -> mp.mpf:
         if disc_sq < 0:
             raise BracketError(
                 f"negative discriminant at level {i}: invalid gamma sequence")
-        disc = mp.sqrt(disc_sq)
+        disc = _sqrt(disc_sq)
         if addr[i] == addr[i - 1]:       # outer side of the parent
             v = v / (r[i] / 2 + disc)
         else:
@@ -182,7 +209,7 @@ def _point_from_address(addr: Sequence[int], r: list, memo: dict) -> mp.mpf:
     disc_sq = mp.mpf(1) / 4 + v
     if disc_sq < 0:
         raise BracketError("negative discriminant at the root level")
-    disc = mp.sqrt(disc_sq)
+    disc = _sqrt(disc_sq)
     if addr[0] == LEFT:
         return -v / (mp.mpf(1) / 2 + disc)
     return mp.mpf(1) / 2 + disc

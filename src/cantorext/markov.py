@@ -15,6 +15,8 @@ iterations.  A warm solve that does not reach optimality drops the solver's
 state and is retried cold through ``linprog``; only a failed retry counts as
 a stalled candidate.  An independent lower-bound witness comes from the level
 polynomial P_{2^s} + r_s/2, which maps the level domain onto [-r_s/2, r_s/2].
+
+scipy is imported on the first LP, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy.optimize import linprog
-# scipy's private binding of the HiGHS solver that linprog(method="highs")
-# drives; linprog rebuilds the model per call, this keeps one and re-solves
-from scipy.optimize._highspy import _core as highs
 
 from .errors import DegreeError, HorizonError, ParameterError
 from .gamma import GammaModel, profile as make_profile
@@ -95,6 +93,20 @@ def chebyshev_grid(atoms: Sequence[tuple], points_per_atom: int) -> np.ndarray:
     return np.unique(np.concatenate(xs))
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
+
+
+def _highs():
+    """scipy's private binding of the HiGHS solver that linprog(method="highs")
+    drives; linprog rebuilds the model per call, the estimator keeps one and
+    re-solves it."""
+    from scipy.optimize._highspy import _core
+    return _core
+
+
 def _lp_value(V: np.ndarray, dV: np.ndarray, idx: int) -> tuple:
     """max P'(x_idx) subject to |P(x_i)| <= 1, solved cold; returns
     (value, converged)."""
@@ -112,6 +124,7 @@ def _lp_value(V: np.ndarray, dV: np.ndarray, idx: int) -> tuple:
 def _polytope_model(V: np.ndarray):
     """A HiGHS model of -1 <= V a <= 1 over free columns a, cost zero."""
     G, m = V.shape
+    highs = _highs()
     model = highs._Highs()
     model.setOptionValue("output_flag", False)
     model.addVars(m, np.full(m, -highs.kHighsInf), np.full(m, highs.kHighsInf))
@@ -174,12 +187,13 @@ def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
         raise ParameterError("candidate LPs share one model; workers must be 1")
     V, dV, order = candidate_lps(atoms, n, points_per_atom, seed)
     model = _polytope_model(V)
+    optimal = _highs().HighsModelStatus.kOptimal
     cols = np.arange(n + 1)
     best, stalled = -math.inf, False
     for idx in order:
         model.changeColsCost(n + 1, cols, -dV[idx])
         model.run()
-        if model.getModelStatus() == highs.HighsModelStatus.kOptimal:
+        if model.getModelStatus() == optimal:
             val = -model.getObjectiveValue()
         else:
             model.clearSolver()   # the next candidate starts cold

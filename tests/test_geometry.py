@@ -2,9 +2,11 @@ import math
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 
+from cantorext import geometry
 from cantorext.errors import DepthError
-from cantorext.gamma import CUSTOM, EXAMPLE1, POWER_LAW, build_model
+from cantorext.gamma import CUSTOM, DELTA_FORM, EXAMPLE1, POWER_LAW, build_model
 from cantorext.geometry import (
     build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
     refine_endpoint_bisection, required_bits, select_nodes, verify_geometry,
@@ -191,7 +193,7 @@ class TestLengthGapTables:
                     assert abs(iv.ln_length.ln_mag - float(mp.log(length))) < 1e-13
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,3 +232,51 @@ def test_every_family_builds_and_verifies(family, kw, depth, bits):
     for lvl in rep.levels:
         if lvl.level > len(model.eq2_exceptions):
             assert lvl.length_bounds_ok and lvl.gap_bound_ok, (family, lvl)
+
+
+@st.composite
+def _sqrt_args(draw):
+    """(precision, mantissa, exponent) of a finite x >= 0: mantissas of 0 to
+    8300 bits, exact squares among them, and exponents of either parity down
+    to about -2^20000."""
+    prec = draw(st.integers(min_value=53, max_value=8192))
+    bits = draw(st.integers(min_value=0, max_value=8300))
+    man = draw(st.integers(min_value=2 ** bits >> 1, max_value=2 ** bits - 1))
+    exp = draw(st.integers(min_value=-20050, max_value=64)
+               | st.integers(min_value=-20002, max_value=-19998))
+    if draw(st.booleans()):
+        man, exp = man * man, 2 * (exp // 2)
+    return prec, man, exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sqrt_args())
+@example((53, 0, 0))                          # zero
+@example((8192, 1, -20000))                   # powers of two, even exponent
+@example((8192, 1, -20001))                   # ... and odd
+@example((53, 4, 7))                          # normalizes to man == 1
+@example((4096, 3 ** 2000, -20000))           # exact square
+@example((8192, 2 ** 8191 + 1, -19999))
+def test_sqrt_is_mpmath_sqrt_bit_for_bit(args):
+    prec, man, exp = args
+    x = mp.make_mpf(from_man_exp(man, exp))   # exact: no rounding to prec
+    with mp.workprec(prec):
+        assert geometry._sqrt(x)._mpf_ == mp.sqrt(x)._mpf_
+
+
+@pytest.mark.parametrize("family,kw,depth,bits", [
+    (EXAMPLE1, {"B": 1.0}, 6, 2048),
+    (DELTA_FORM, {"b": 3.0}, 6, 1280),
+])
+def test_tree_endpoints_match_mp_sqrt_build(family, kw, depth, bits,
+                                            monkeypatch):
+    model = build_model(family, k_max=12, **kw)
+
+    def ends():
+        tree = build_tree(model, depth=depth, bits=bits)
+        return [(iv.left._mpf_, iv.right._mpf_)
+                for level in tree.levels for iv in level]
+
+    fast = ends()
+    monkeypatch.setattr(geometry, "_sqrt", mp.sqrt)
+    assert ends() == fast
