@@ -219,7 +219,8 @@ def cmd_dn(cfg: dict) -> None:
 
 
 def _dimension_from(cfg: dict):
-    return LogPower(cfg["alpha0"], cfg["eps_sign"], m=cfg["m"] or 3)
+    m = 3 if cfg["m"] is None else cfg["m"]
+    return LogPower(cfg["alpha0"], cfg["eps_sign"], m=m)
 
 
 def cmd_hausdorff(cfg: dict) -> None:
@@ -269,7 +270,7 @@ def cmd_density(cfg: dict) -> None:
 
 def cmd_markov(cfg: dict) -> None:
     model = _model_from(cfg)
-    tree = build_tree(model, depth=cfg["depth"] or 3, bits=cfg["bits"])
+    tree = build_tree(model, depth=cfg["depth"], bits=cfg["bits"])
     atoms = tree_atom_bounds(tree)
     ns = [int(v) for v in str(cfg["n"]).split(",")]
     rows, data = [], []
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "nodes": (cmd_nodes, {"N": 8}), "extend": (cmd_extend, {"N": 16}),
         "dn": (cmd_dn, {"r": "32,128", "s": "4,9"}),
         "hausdorff": (cmd_hausdorff, {}), "density": (cmd_density, {}),
-        "markov": (cmd_markov, {"N": 24, "n": "2,4,8"}),
+        "markov": (cmd_markov, {"N": 24, "n": "2,4,8", "depth": 3}),
         "examples": (cmd_examples, {}),
     }
     for name, (fn, defaults) in handlers.items():

@@ -29,6 +29,8 @@ from fractions import Fraction
 from itertools import count, takewhile
 from typing import Callable, Optional, Sequence
 
+import mpmath as mp
+
 from .errors import HorizonError, ParameterError, ValidationError
 from .logreal import ONE, LogReal, log_mul_pow
 
@@ -170,8 +172,9 @@ def _power_law(k_max: int, a: float):
     ln_inv = [Fraction(a * math.log(k)) for k in range(1, k_max + 1)]
 
     def tail(p):
-        from scipy.special import zeta   # scipy loads only for this tail
-        return float(zeta(a)) - sum(k ** -a for k in range(1, p + 1))
+        # the Hurwitz zeta sum_{k>p} k^-a is the tail itself: nothing cancels
+        with mp.workprec(53):
+            return float(mp.zeta(a, p + 1))
 
     return {"a": a}, ln_inv, tail, {}
 
@@ -263,8 +266,8 @@ def _example2(k_max: int, variant: str, kj):
 
     def tail(p):
         # sum (k+5)^-2 minus the dip corrections (1 - eps_j)(k_j+5)^-2
-        from scipy.special import polygamma   # scipy loads only for this tail
-        s = float(polygamma(1, p + 6))
+        with mp.workprec(53):
+            s = float(mp.polygamma(1, p + 6))
         for k, dA in dips.items():
             if k <= p:
                 continue

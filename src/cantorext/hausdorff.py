@@ -61,9 +61,21 @@ def _clip(atoms, lo, hi):
     return view
 
 
+_NO_SPANS = np.empty(0)
+
+
 class _Atoms:
     """Sorted disjoint atoms: ascending ``lefts`` and ``rights`` and a row of
     span logs ``ln_inv_span_starts(j)`` = ln(1/(right_j - left_i)), i <= j.
+
+    Rows come from one memo per root provider, which every clipped view
+    shares: ``ids`` holds each atom's index in the root, and the memo holds
+    for root atom j the span logs over a run of starts i <= j that ends at j.
+    Every row asks for such a run, so a memo entry only grows at its front.
+    A provider supplies the column ``_column(starts, j)``, the span logs from
+    the atoms in ``starts`` (a range ending at or before j) to atom j.  An
+    entry that starts or ends on a clamped end depends on the window, so it
+    is computed by ``_clamped_column`` on every call and never stored.
 
     ``clamped`` tells whether a clipped view cut the left end of its first
     atom and the right end of its last.  Each provider binds ``clip`` and
@@ -71,12 +83,35 @@ class _Atoms:
     recorder wraps them per class.
     """
 
-    per_atom = ("lefts", "rights")
+    per_atom = ("lefts", "rights", "ids")
     clamped = (False, False)
+
+    def __init__(self, lefts, rights):
+        self.lefts = lefts
+        self.rights = rights
+        self.ids = np.arange(len(lefts))
+        self._memo = {}
 
     @property
     def count(self) -> int:
         return len(self.lefts)
+
+    def _clamped_column(self, starts, j: int) -> np.ndarray:
+        return self._column(starts, j)
+
+    def ln_inv_span_starts(self, j: int) -> np.ndarray:
+        if j == self.count - 1 and self.clamped[1]:
+            return self._clamped_column(range(j + 1), j)
+        head = 1 if self.clamped[0] else 0
+        need = j + 1 - head  # unclamped starts head..j, root ids[head]..ids[j]
+        key = int(self.ids[j])
+        memo = self._memo.get(key, _NO_SPANS)
+        if len(memo) < need:
+            memo = np.concatenate(
+                (self._column(range(head, j + 1 - len(memo)), j), memo))
+            self._memo[key] = memo
+        lead = self._clamped_column(range(1), j) if head else _NO_SPANS
+        return np.concatenate((lead, memo[len(memo) - need:]))
 
 
 class FloatAtoms(_Atoms):
@@ -91,30 +126,19 @@ class FloatAtoms(_Atoms):
                 raise ParameterError("atoms must be disjoint and sorted")
         if any(a >= b for a, b in ivs):
             raise ParameterError("atoms must have positive length")
-        self.lefts = np.array([a for a, _ in ivs])
-        self.rights = np.array([b for _, b in ivs])
+        super().__init__(np.array([a for a, _ in ivs]),
+                         np.array([b for _, b in ivs]))
 
-    def ln_inv_span_starts(self, j: int) -> np.ndarray:
-        return -np.log(self.rights[j] - self.lefts[:j + 1])
+    def _column(self, starts, j: int) -> np.ndarray:
+        return -np.log(self.rights[j] - self.lefts[starts.start:starts.stop])
 
+    ln_inv_span_starts = _Atoms.ln_inv_span_starts
     clip = _clip
 
 
-_NO_SPANS = np.empty(0)
-
-
 class TreeAtoms(_Atoms):
-    """Deepest-level basic intervals of a tree, spans at full precision.
-
-    Span logs are memoized per root atom: ``ids`` holds each atom's index in
-    the provider a view was clipped from, and the memo, which all views
-    share, holds for root atom j the span logs ln(1/(right_j - left_i)) over
-    a run of starts i <= j that ends at j.  Every row asks for such a run, so
-    a memo row only grows at its front.  An entry that starts or ends on a
-    clamped end is taken at full precision every time and never stored.
-    """
-
-    per_atom = ("lefts", "rights", "ids")
+    """Deepest-level basic intervals of a tree, span logs by ``mp.log`` at
+    the tree's precision, rounded to doubles."""
 
     def __init__(self, tree: CantorTree, level: Optional[int] = None,
                  within: Optional[tuple] = None):
@@ -125,31 +149,15 @@ class TreeAtoms(_Atoms):
             base = tree.interval(j, s)
             ivs = [iv for iv in ivs
                    if base.left <= iv.left and iv.right <= base.right]
-        self.lefts = [iv.left for iv in ivs]
-        self.rights = [iv.right for iv in ivs]
-        self.ids = np.arange(len(ivs))
-        self._memo = {}
+        super().__init__([iv.left for iv in ivs], [iv.right for iv in ivs])
 
-    def _spans(self, starts, j: int) -> np.ndarray:
+    def _column(self, starts, j: int) -> np.ndarray:
         with mp.workprec(self.bits):
             R = self.rights[j]
             return np.array([float(-mp.log(R - self.lefts[i])) for i in starts],
                             dtype=float)
 
-    def ln_inv_span_starts(self, j: int) -> np.ndarray:
-        if j == self.count - 1 and self.clamped[1]:
-            return self._spans(range(j + 1), j)
-        head = 1 if self.clamped[0] else 0
-        need = j + 1 - head  # unclamped starts head..j, root ids[head]..ids[j]
-        key = int(self.ids[j])
-        memo = self._memo.get(key, _NO_SPANS)
-        if len(memo) < need:
-            memo = np.concatenate(
-                (self._spans(range(head, j + 1 - len(memo)), j), memo))
-            self._memo[key] = memo
-        lead = self._spans(range(1), j) if head else _NO_SPANS
-        return np.concatenate((lead, memo[len(memo) - need:]))
-
+    ln_inv_span_starts = _Atoms.ln_inv_span_starts
     clip = _clip
 
 
@@ -193,54 +201,52 @@ class IslandFamily:
 
 
 class IslandAtoms(_Atoms):
-    """Atom provider over an island family, spans by closed form.
+    """Atom provider over an island family, span logs by closed form.
 
     Atom order is ascending position: the residual [0, b_{K+1}] first (the
     one atom with k > k_max), then I_K, ..., I_{k_from}.  The per-atom arrays
     ``ks`` and ``kq`` hold each atom's k and ln(1/length): k Q_k for I_k, and
     k for the residual, whose left end 0 = e^-k - e^-k fits the same form.
-    A row of span logs is one numpy expression in these exponents (log1p of
-    the relative correction), so islands far below the double range still
+    A column of span logs is one numpy expression in these exponents (log1p
+    of the relative correction), so islands far below the double range still
     cost correctly; a span that starts or ends on a clamped end is taken in
     doubles, entry by entry.
     """
 
-    per_atom = ("lefts", "rights", "ks", "kq")
+    per_atom = ("lefts", "rights", "ids", "ks", "kq")
 
     def __init__(self, fam: IslandFamily, k_from: int = 1,
                  residual: bool = True):
         self.fam = fam
         ks = list(range(fam.k_max, k_from - 1, -1))
         kq = [k * fam.Q(k) for k in ks]
-        self.lefts = [fam.a(k) for k in ks]
+        lefts = [fam.a(k) for k in ks]
         if residual:
             ks.insert(0, fam.k_max + 1)
             kq.insert(0, float(fam.k_max + 1))
-            self.lefts.insert(0, 0.0)
+            lefts.insert(0, 0.0)
         if not ks:
             raise ParameterError("empty atom set")
-        self.rights = [fam.b(k) for k in ks]
+        super().__init__(lefts, [fam.b(k) for k in ks])
         self.ks = np.array(ks)
         self.kq = np.array(kq)
 
-    def _clamped_span(self, i: int, j: int) -> float:
-        span = self.rights[j] - self.lefts[i]
-        if span <= 0:
-            raise DomainError("clipped span collapsed at double precision")
-        return -math.log(span)
-
-    def ln_inv_span_starts(self, j: int) -> np.ndarray:
-        if j == self.count - 1 and self.clamped[1]:
-            return np.array([self._clamped_span(i, j) for i in range(j + 1)])
-        ks, kq, kj = self.ks, self.kq, self.ks[j]
+    def _column(self, starts, j: int) -> np.ndarray:
         # i < j: span = e^-kj - e^-ki + e^-kq_i
         #             = e^-kj (1 - e^-(ki-kj) + e^-(kq_i-kj)); i = j: |atom j|
-        row = np.append(
-            kj - np.log1p(np.exp(kj - kq[:j]) - np.exp(kj - ks[:j])), kq[j])
-        if self.clamped[0]:
-            row[0] = self._clamped_span(0, j)
-        return row
+        below = slice(starts.start, min(starts.stop, j))
+        kj = self.ks[j]
+        col = kj - np.log1p(np.exp(kj - self.kq[below])
+                            - np.exp(kj - self.ks[below]))
+        return np.append(col, self.kq[j]) if starts.stop > j else col
 
+    def _clamped_column(self, starts, j: int) -> np.ndarray:
+        spans = [self.rights[j] - self.lefts[i] for i in starts]
+        if min(spans) <= 0:
+            raise DomainError("clipped span collapsed at double precision")
+        return np.array([-math.log(span) for span in spans])
+
+    ln_inv_span_starts = _Atoms.ln_inv_span_starts
     clip = _clip
 
 

@@ -217,6 +217,31 @@ class TestCLI:
         assert code == 2
         assert "k=1: radius r = 0.875 has 2r >= 1" in capsys.readouterr().err
 
+    def test_markov_depth_0_estimates_on_the_unit_interval(self, capsys):
+        # depth 0 leaves the one atom [0, 1], where M_2 = 2 n^2 = 8; depth 3
+        # would give 64
+        code, out = run_cli(["markov", "--family", "power_law", "--a", "2",
+                             "--depth", "0", "--n", "2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["depth"] == 0
+        assert 8.0 <= payload["data"][0]["numeric"] < 8.1
+
+    def test_markov_depth_defaults_to_3(self, capsys):
+        args = ["markov", "--family", "power_law", "--a", "2", "--n", "2"]
+        _, implicit = run_cli(args, capsys)
+        _, explicit = run_cli(args + ["--depth", "3"], capsys)
+        assert json.loads(implicit)["config"]["depth"] == 3
+        assert implicit == explicit
+
+    def test_density_m_0_is_rejected(self, capsys):
+        # LogPower(0.5, 1, m=0) is invalid; m = 0 must not stand for m = 3
+        code = main(["density", "--family", "islands", "--Q", "2",
+                     "--eps-sign", "1", "--m", "0", "--k-range", "10",
+                     "--k-max", "20"])
+        assert code == 2
+        assert "m >= 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
     def test_readme_command_body(self, args):
         # the README promises byte-identical bodies for a configuration; the

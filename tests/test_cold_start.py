@@ -1,9 +1,10 @@
 """scipy stays off the import path.
 
-Only the Markov LP estimator and the power_law/example2 analytic tails call
-scipy, so a fresh interpreter that builds trees, evaluates the extension
-operator, scans densities and runs the CLI's ``gamma`` command never loads
-it.  The first LP then imports it on demand.
+Only the Markov LP estimator calls scipy, so a fresh interpreter that builds
+trees (power_law and example2 models, whose analytic tails take mpmath's
+zeta and trigamma, among them), evaluates the extension operator, scans
+densities and runs the CLI's ``gamma`` command never loads it.  The first LP
+then imports it on demand.
 """
 
 import subprocess
@@ -32,6 +33,8 @@ delta = gamma.build_model(gamma.DELTA_FORM, k_max=12, b=2.0)
 hausdorff.density_scan_tree(geometry.build_tree(delta, depth=4, bits=512),
                             dimension.LogPower(alpha0=0.5), range(2, 5))
 gamma.classify_ep(delta)
+gamma.build_model(gamma.POWER_LAW, a=2)
+gamma.build_model(gamma.EXAMPLE2)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["gamma", "--family", "example1"])
 if code:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,23 @@ class TestBuild:
         # independent oracle: brute-force partial sum
         brute = 5 / 32 + sum(k ** -2.0 for k in range(6, 2 * 10 ** 6))
         assert math.isclose(m.gamma_sum, brute, rel_tol=1e-5)
+
+    @pytest.mark.parametrize("a", [1.1, 1.5, 2.0, 3.0])
+    def test_power_law_tail_is_the_hurwitz_zeta(self, a):
+        # gamma_sum = p/32 + sum_{k>p} k^-a, within one rounding of 200 bits
+        m = build_model(POWER_LAW, a=a)
+        p = m.clamp_prefix
+        with mp.workprec(200):
+            want = float(mp.mpf(p) / 32 + mp.zeta(a, p + 1))
+        assert abs(m.gamma_sum - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("family,params", [(POWER_LAW, {"a": 2.0}),
+                                               (EXAMPLE2, {})])
+    def test_gamma_sum_ignores_working_precision(self, family, params):
+        want = build_model(family, **params).gamma_sum
+        for bits in (20, 300):
+            with mp.workprec(bits):
+                assert build_model(family, **params).gamma_sum == want
 
     def test_custom_rejects_large_gamma(self):
         with pytest.raises(ValidationError):

@@ -388,6 +388,36 @@ def _within_4_ulp(got, want) -> bool:
         bool(np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))))
 
 
+@functools.lru_cache(maxsize=None)
+def _memo_tree():
+    return build_tree(build_model(DELTA_FORM, k_max=12, b=2.0),
+                      depth=4, bits=256)
+
+
+def _memo_root(kind: str):
+    """A root provider with an empty span memo."""
+    if kind == "tree":
+        return TreeAtoms(_memo_tree())
+    fam = IslandFamily(q_rule_constant(2.0), k_max=12)
+    return fam.atoms() if kind == "islands" else fam.island_pair(5)
+
+
+def _between(atoms, a, b, t):
+    """a + t (b - a), at the tree's precision for tree atoms."""
+    if isinstance(atoms, TreeAtoms):
+        with mp.workprec(atoms.bits):
+            return a + t * (b - a)
+    return a + t * (b - a)
+
+
+def _span_log(atoms, right, left) -> float:
+    """ln(1/(right - left)) as a provider takes it on a clamped end."""
+    if isinstance(atoms, TreeAtoms):
+        with mp.workprec(atoms.bits):
+            return float(-mp.log(right - left))
+    return -math.log(right - left)
+
+
 class TestSpanRows:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["Q2", "Q3", "logk", "pair"]),
@@ -430,36 +460,63 @@ class TestSpanRows:
             assert _within_4_ulp(atoms.ln_inv_span_starts(j),
                                  _scalar_island_row(atoms, j))
 
-    def test_tree_memo_never_serves_a_clamped_entry(self):
+    @pytest.mark.parametrize("kind", ["tree", "islands", "pair"])
+    def test_memo_never_serves_a_clamped_entry(self, kind):
         # the memo is keyed by root atom index: two views clamping the same
         # first atom at different points must each get their own first entry
-        tree = build_tree(build_model(DELTA_FORM, k_max=12, b=2.0),
-                          depth=4, bits=256)
         for root_first in (True, False):
-            atoms = TreeAtoms(tree)
+            atoms = _memo_root(kind)
             if root_first:
                 before = [atoms.ln_inv_span_starts(j).tobytes()
                           for j in range(atoms.count)]
-            L, R = atoms.lefts[2], atoms.rights[2]
-            with mp.workprec(tree.bits):
-                cuts = [L + (R - L) / 3, L + 2 * (R - L) / 3]
-            for lo in cuts:
-                view = atoms.clip(lo, atoms.rights[-1] + 1)
+            c = min(2, atoms.count - 2)
+            L, R = atoms.lefts[c], atoms.rights[c]
+            for t in (1, 2):
+                view = atoms.clip(_between(atoms, L, R, t / 3),
+                                  atoms.rights[-1] + 1)
                 assert view.clamped == (True, False)
+                fresh = _memo_root(kind)
                 for j in range(view.count):
-                    with mp.workprec(tree.bits):
-                        want = [float(-mp.log(view.rights[j] - view.lefts[i]))
-                                for i in range(j + 1)]
-                    assert view.ln_inv_span_starts(j).tolist() == want
+                    # a fresh root computes its row in one column
+                    want = np.concatenate((
+                        [_span_log(atoms, view.rights[j], view.lefts[0])],
+                        fresh.ln_inv_span_starts(c + j)[c + 1:]))
+                    assert view.ln_inv_span_starts(j).tobytes() == \
+                        want.tobytes()
             after = [atoms.ln_inv_span_starts(j).tobytes()
                      for j in range(atoms.count)]
             if root_first:
                 assert after == before
-            with mp.workprec(tree.bits):
-                fresh = [np.array([float(-mp.log(atoms.rights[j] - atoms.lefts[i]))
-                                   for i in range(j + 1)]).tobytes()
-                         for j in range(atoms.count)]
-            assert after == fresh
+            fresh = _memo_root(kind)
+            assert after == [fresh.ln_inv_span_starts(j).tobytes()
+                             for j in range(atoms.count)]
+
+    @pytest.mark.parametrize("kind", ["tree", "islands"])
+    def test_views_share_the_root_memo(self, kind, monkeypatch):
+        atoms = _memo_root(kind)
+        rows = [atoms.ln_inv_span_starts(j) for j in range(atoms.count)]
+        calls = []
+        column = type(atoms)._column
+
+        def counted(self, starts, j):
+            calls.append((starts, j))
+            return column(self, starts, j)
+
+        monkeypatch.setattr(type(atoms), "_column", counted)
+        # both ends in gaps: atoms 2 .. count-3, neither end clamped
+        L, R = atoms.lefts, atoms.rights
+        lo, hi = _between(atoms, R[1], L[2], 0.5), \
+            _between(atoms, R[-3], L[-2], 0.5)
+        view = atoms.clip(lo, hi)
+        assert view.clamped == (False, False)
+        assert view.count == atoms.count - 4
+        for j in range(view.count):
+            assert view.ln_inv_span_starts(j).tobytes() == \
+                rows[j + 2][2:].tobytes()
+        assert calls == []
+        # the counter does see a miss: a view of a fresh root computes
+        _memo_root(kind).clip(lo, hi).ln_inv_span_starts(0)
+        assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
