@@ -30,6 +30,7 @@ from .hausdorff import (IslandFamily, TreeAtoms, compare_dimension_functions,
                         content_dp, density_scan_islands, density_scan_tree,
                         ep_root_test, lambda_level_estimate, q_rule_constant,
                         q_rule_log)
+from .logreal import ln_double
 from .markov import (markov_bounds, markov_numeric, ratio_table,
                      tree_atom_bounds)
 
@@ -198,7 +199,7 @@ def cmd_extend(cfg: dict) -> None:
                 err = abs(out.value - f(x))
                 rows.append((name, _decimal(x, 30), _decimal(out.value, 30),
                              _decimal(f(x), 30),
-                             float(mp.log(err)) if err > 0 else -math.inf,
+                             ln_double(err) if err > 0 else -math.inf,
                              out.certified_bound.ln_mag))
     data = [{"f": r[0], "x": r[1], "W": r[2], "fx": r[3], "ln_err": r[4],
              "ln_bound": r[5]} for r in rows]

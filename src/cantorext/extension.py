@@ -38,7 +38,7 @@ from .errors import (DepthError, HorizonError, InsufficientOrderError,
                      InvariantError, NodeCollisionError, ParameterError)
 from .gamma import GammaModel, Profile, profile as make_profile
 from .geometry import CantorTree, select_nodes
-from .logreal import LogReal, log_mul_pow
+from .logreal import LogReal, ln_double, log_mul_pow
 
 LN2 = math.log(2.0)
 
@@ -477,7 +477,7 @@ def _direct_sup_check(tree: CantorTree, s: int, n: int) -> tuple:
             for x in (iv.left, iv.right):
                 if any(x == z for z in nodes):
                     continue
-                val = math.fsum(float(mp.log(abs(x - z))) for z in nodes)
+                val = math.fsum(ln_double(abs(x - z)) for z in nodes)
                 best = max(best, val)
         prof = tree.profile
         terms = [(prof.delta[n + s], 1)]
@@ -500,7 +500,7 @@ def sorted_ln_distances(x, points: Sequence) -> list:
     vals = []
     for z in points:
         d = abs(x - z)
-        vals.append(-math.inf if d == 0 else float(mp.log(d)))
+        vals.append(-math.inf if d == 0 else ln_double(d))
     return sorted(vals)
 
 
@@ -558,10 +558,10 @@ def chain_product_minimum(Z_sorted: Sequence, j: int, q: int, bits: int) -> floa
             if v is None:
                 v = math.inf
                 if a > 0:
-                    v = min(v, float(mp.log(Z_sorted[b] - Z_sorted[a - 1]))
+                    v = min(v, ln_double(Z_sorted[b] - Z_sorted[a - 1])
                             + rec(a - 1, b))
                 if b < N1 - 1:
-                    v = min(v, float(mp.log(Z_sorted[b + 1] - Z_sorted[a]))
+                    v = min(v, ln_double(Z_sorted[b + 1] - Z_sorted[a])
                             + rec(a, b + 1))
                 memo[key] = v
             return v

@@ -106,6 +106,7 @@ class CantorTree:
         self.bits = bits
         self.levels = levels          # levels[s][j-1] -> BasicInterval
         self.r_mpf = r_mpf            # r_0..r_depth at tree precision
+        self._delta_mpf: dict = {}    # k -> delta_mpf(k)
         acc = Fraction(0)
         self._ln_inv_delta = [acc]    # exact ln(1/delta_k), k = 0..depth
         for k in range(1, depth + 1):
@@ -131,13 +132,16 @@ class CantorTree:
 
     def delta_mpf(self, k: int) -> mp.mpf:
         """delta_k at full tree precision (exact dyadic log, rounded once)."""
-        if k > self.depth:
-            fr = sum(self.model.ln_inv_gamma[self.depth:k],
-                     self._ln_inv_delta[self.depth])
-        else:
-            fr = self._ln_inv_delta[k]
-        with mp.workprec(self.bits):
-            return _exp_neg(fr)
+        d = self._delta_mpf.get(k)
+        if d is None:
+            if k > self.depth:
+                fr = sum(self.model.ln_inv_gamma[self.depth:k],
+                         self._ln_inv_delta[self.depth])
+            else:
+                fr = self._ln_inv_delta[k]
+            with mp.workprec(self.bits):
+                d = self._delta_mpf[k] = _exp_neg(fr)
+        return d
 
 
 def _exp_neg(fr: Fraction) -> mp.mpf:
@@ -152,6 +156,9 @@ def _r_chain(model: GammaModel, s: int) -> list:
     for k in range(1, s + 1):
         r.append(_exp_neg(model.ln_inv_gamma[k - 1]) * r[k - 1] ** 2)
     return r
+
+
+_LOW64 = (1 << 64) - 1
 
 
 def _sqrt(x: mp.mpf) -> mp.mpf:
@@ -174,45 +181,61 @@ def _sqrt(x: mp.mpf) -> mp.mpf:
     shift += shift & 1
     n = man << shift
     man = math.isqrt(n)
-    if n != man * man:                   # perturb up, as mpf_sqrt does
-        man = (man << 1) + 1
+    low = man & _LOW64
+    # n is a square only if man^2 agrees with it in the low 64 bits, a test
+    # that spares almost every non-square the full product
+    if (low * low - n) & _LOW64 or n != man * man:
+        man = (man << 1) + 1             # perturb up, as mpf_sqrt does
         shift += 2
     return mp.make_mpf(from_man_exp(man, (exp - shift) // 2, prec, "n"))
 
 
-def _point_from_address(addr: Sequence[int], r: list, memo: dict) -> mp.mpf:
-    """The type-s point whose level-s interval has the given address.
+def _level_points(s: int, r: list, half_r: list, quarter_r_sq: list):
+    """The solver address -> type-s point for the level-s intervals.
 
     Solves P_{2^s}(x) = -r_s by inverting the quadratic chain with the
-    cancellation-free root at each level; the branch is "outer" exactly when
-    the address repeats its previous bit.  The chain value after the step at
-    level i depends only on (s, addr[i-1:]), so ``memo`` (keyed that way)
-    shares the steps among all points of one tree.
+    cancellation-free root at each level; the branch at step i is "outer"
+    exactly when addr[i] repeats addr[i - 1].  So the chain value after step i
+    depends only on the flip pattern of addr[i-1:], and the discriminant at
+    step i only on that of addr[i:]: both roots of one quadratic share it, and
+    at the root so do an address and its mirror image.  The two memos belong
+    to level s and are keyed by flip pattern; ``half_r`` and ``quarter_r_sq``
+    hold r_i/2 and r_i^2/4.
     """
-    s = len(addr)
-    v = -r[s]
-    for i in range(s - 1, 0, -1):
-        key = (s, addr[i - 1:])
-        if key in memo:
-            v = memo[key]
-            continue
-        disc_sq = r[i] * r[i] / 4 + v
-        if disc_sq < 0:
-            raise BracketError(
-                f"negative discriminant at level {i}: invalid gamma sequence")
-        disc = _sqrt(disc_sq)
-        if addr[i] == addr[i - 1]:       # outer side of the parent
-            v = v / (r[i] / 2 + disc)
-        else:
-            v = -r[i] / 2 - disc
-        memo[key] = v
-    disc_sq = mp.mpf(1) / 4 + v
-    if disc_sq < 0:
-        raise BracketError("negative discriminant at the root level")
-    disc = _sqrt(disc_sq)
-    if addr[0] == LEFT:
-        return -v / (mp.mpf(1) / 2 + disc)
-    return mp.mpf(1) / 2 + disc
+    values: dict = {}
+    discs: dict = {}
+
+    def disc(i: int, v: mp.mpf, pattern: tuple) -> mp.mpf:
+        d = discs.get(pattern)
+        if d is None:
+            disc_sq = quarter_r_sq[i] + v
+            if disc_sq < 0:
+                raise BracketError(
+                    f"negative discriminant at level {i}: invalid gamma sequence"
+                    if i else "negative discriminant at the root level")
+            d = discs[pattern] = _sqrt(disc_sq)
+        return d
+
+    def point(addr: Sequence[int]) -> mp.mpf:
+        # flips[k - 1] tells whether addr[k] repeats addr[k - 1]
+        flips = tuple(b == a for a, b in zip(addr, addr[1:]))
+        v = -r[s]
+        for i in range(s - 1, 0, -1):
+            nxt = values.get(flips[i - 1:])
+            if nxt is None:
+                d = disc(i, v, flips[i:])
+                if flips[i - 1]:                 # outer side of the parent
+                    nxt = v / (half_r[i] + d)
+                else:
+                    nxt = -half_r[i] - d
+                values[flips[i - 1:]] = nxt
+            v = nxt
+        d = disc(0, v, flips)
+        if addr[0] == LEFT:
+            return -v / (half_r[0] + d)
+        return half_r[0] + d
+
+    return point
 
 
 def eval_P(s: int, x, model: GammaModel, bits: int = 256,
@@ -253,15 +276,17 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
             f"depth {depth} needs ~{need} mantissa bits, have {bits}")
     with mp.workprec(bits):
         r = _r_chain(model, depth)
+        half_r = [ri / 2 for ri in r]
+        quarter_r_sq = [ri * ri / 4 for ri in r]
         root = BasicInterval(level=0, index=1, left=mp.mpf(0), right=mp.mpf(1),
                              addr=(), left_type=0, right_type=0)
         levels = [[root]]
-        chain_memo: dict = {}
         for s in range(1, depth + 1):
+            point = _level_points(s, r, half_r, quarter_r_sq)
             cur = []
             for iv in levels[s - 1]:
-                c = _point_from_address(iv.addr + (LEFT,), r, chain_memo)
-                d = _point_from_address(iv.addr + (RIGHT,), r, chain_memo)
+                c = point(iv.addr + (LEFT,))
+                d = point(iv.addr + (RIGHT,))
                 if not (iv.left < c < d < iv.right):
                     raise PrecisionError(
                         f"level-{s} points out of order inside I_{iv.index},{s - 1}; "

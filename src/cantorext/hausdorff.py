@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DepthError, DomainError, ParameterError
 from .dimension import LogPower
 from .geometry import CantorTree
+from .logreal import ln_double
 
 LN2 = math.log(2.0)
 
@@ -137,8 +138,8 @@ class FloatAtoms(_Atoms):
 
 
 class TreeAtoms(_Atoms):
-    """Deepest-level basic intervals of a tree, span logs by ``mp.log`` at
-    the tree's precision, rounded to doubles."""
+    """Deepest-level basic intervals of a tree, span logs at the tree's
+    precision rounded to doubles (``ln_double``)."""
 
     def __init__(self, tree: CantorTree, level: Optional[int] = None,
                  within: Optional[tuple] = None):
@@ -154,7 +155,8 @@ class TreeAtoms(_Atoms):
     def _column(self, starts, j: int) -> np.ndarray:
         with mp.workprec(self.bits):
             R = self.rights[j]
-            return np.array([float(-mp.log(R - self.lefts[i])) for i in starts],
+            # 0.0 - y rather than -y: a span of exactly 1 logs +0.0, not -0.0
+            return np.array([0.0 - ln_double(R - self.lefts[i]) for i in starts],
                             dtype=float)
 
     ln_inv_span_starts = _Atoms.ln_inv_span_starts
@@ -418,7 +420,7 @@ def density_scan_tree(tree: CantorTree, h, k_range: Sequence[int],
             if 2 * r >= 1:
                 raise DomainError(f"k={k}: radius r = {float(r):.6g} has "
                                   "2r >= 1, outside the domain of h")
-            r_items.append((float(-mp.log(r)), r))
+            r_items.append((-ln_double(r), r))
         x_items = [(f"atom{i}", a) for i, a in enumerate(atoms.lefts)]
         return _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows)
 

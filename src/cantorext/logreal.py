@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import mpf_log, round_nearest, to_float
 
 from .errors import CancellationError
 
@@ -26,6 +27,39 @@ _CONV_PREC = 112
 _LOG_GUARD = 16
 
 _CANCEL_FLOOR = 2.0 ** -40
+
+# ln_double's short log: its bits, and how many of its last units around a
+# midpoint between two doubles send it to the full-precision log
+_LN_PREC = _CONV_PREC + _LOG_GUARD
+_LN_TAIL = _LN_PREC - 53
+_LN_SLACK = 1 << 10
+# mpf_log's own working precision for a _LN_PREC-bit result
+_LN_WP = _LN_PREC + 20
+
+
+def ln_double(x) -> float:
+    """``float(mp.log(x))`` for a positive mpf x at the working precision.
+
+    The log is taken at 128 bits and rounded to the nearest double.  That is
+    the double the working-precision log rounds to unless the exact log lies
+    within a few units of the 128-bit result's last place of a midpoint
+    between two doubles; within 2^10 units (or at a working precision of 128
+    bits or less, or far outside the normal double range) the log runs at the
+    working precision, as ``float(mp.log(x))`` would.
+    """
+    _, man, exp, bc = x._mpf_
+    # mpf_log takes an x in [1/4, 1/2) for one near 1 once x - 1/4 cancels
+    # more than its working precision: it logs 1/4 + 2^-200 as about 2^-198
+    near_quarter = (exp + bc == -1 and bc > _LN_WP + 1
+                    and man >> (bc - _LN_WP - 1) == 1 << _LN_WP)
+    if mp.mp.prec > _LN_PREC and not near_quarter:
+        ln = mpf_log(x._mpf_, _LN_PREC, round_nearest)
+        _, man, exp, bc = ln
+        tail = (man << (_LN_PREC - bc)) & ((1 << _LN_TAIL) - 1)
+        if (abs(tail - (1 << (_LN_TAIL - 1))) > _LN_SLACK
+                and -1000 < exp + bc < 1000):
+            return to_float(ln, rnd=round_nearest)
+    return float(mp.log(x))
 
 
 def _normalize(hi: int, lo: float) -> tuple[int, float]:

@@ -280,3 +280,55 @@ def test_tree_endpoints_match_mp_sqrt_build(family, kw, depth, bits,
     fast = ends()
     monkeypatch.setattr(geometry, "_sqrt", mp.sqrt)
     assert ends() == fast
+
+
+def _chain_point(addr, r):
+    """The type-len(addr) point by the quadratic chain, one address at a time
+    and without any memo: the oracle for build_tree's shared chains."""
+    s = len(addr)
+    v = -r[s]
+    for i in range(s - 1, 0, -1):
+        disc = mp.sqrt(r[i] * r[i] / 4 + v)
+        if addr[i] == addr[i - 1]:
+            v = v / (r[i] / 2 + disc)
+        else:
+            v = -r[i] / 2 - disc
+    disc = mp.sqrt(mp.mpf(1) / 4 + v)
+    if addr[0] == geometry.LEFT:
+        return -v / (mp.mpf(1) / 2 + disc)
+    return mp.mpf(1) / 2 + disc
+
+
+@pytest.mark.parametrize("family,kw,depth,bits", [
+    (EXAMPLE1, {"B": 1.0}, 8, 2048),
+    (DELTA_FORM, {"b": 3.0}, 6, 1280),
+    (POWER_LAW, {"a": 2.0}, 5, 512),
+])
+def test_tree_endpoints_match_per_address_chain(family, kw, depth, bits):
+    tree = build_tree(build_model(family, k_max=12, **kw), depth=depth,
+                      bits=bits)
+    with mp.workprec(bits):
+        for level in tree.levels[1:]:
+            for iv in level:
+                # the endpoint created at this level faces the parent's centre
+                new = iv.right if iv.addr[-1] == geometry.LEFT else iv.left
+                assert new._mpf_ == _chain_point(iv.addr, tree.r_mpf)._mpf_
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_build_takes_one_sqrt_per_flip_pattern(depth, monkeypatch):
+    # level s solves 2^(s-1) root discriminants and 2^(s-1) - 1 others
+    calls = []
+    sqrt = geometry._sqrt
+    monkeypatch.setattr(geometry, "_sqrt",
+                        lambda x: calls.append(x) or sqrt(x))
+    build_tree(build_model(EXAMPLE1, k_max=12, B=1.0), depth=depth, bits=512)
+    assert len(calls) == 2 ** (depth + 1) - depth - 2
+
+
+def test_delta_mpf_is_computed_once_per_k(tree_ex1):
+    fr = sum(tree_ex1.model.ln_inv_gamma[:3])
+    with mp.workprec(tree_ex1.bits):
+        want = mp.exp(-mp.mpf(fr.numerator) / fr.denominator)
+    assert tree_ex1.delta_mpf(3) is tree_ex1.delta_mpf(3)
+    assert tree_ex1.delta_mpf(3) == want

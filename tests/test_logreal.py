@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantorext.errors import CancellationError
-from cantorext.logreal import ONE, ZERO, LogReal, log_mul_pow, log_sum
+from cantorext.gamma import DELTA_FORM, EXAMPLE1, build_model
+from cantorext.geometry import build_tree
+from cantorext.logreal import ONE, ZERO, LogReal, ln_double, log_mul_pow, log_sum
 
 
 def lr(x):
@@ -204,3 +206,72 @@ def test_from_mpf_matches_full_precision_log(bits, exp, negative, rnd):
     assert fast.sign == ref.sign
     assert fast.hi == ref.hi
     assert abs(fast.lo - ref.lo) <= 2.0 ** -100
+
+
+@pytest.fixture
+def full_logs(monkeypatch):
+    """Counts the calls of ``mp.log``: ln_double's full-precision path."""
+    calls = []
+    log = mp.log
+    monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
+    return calls
+
+
+@pytest.mark.parametrize("family,kw,depth,bits", [
+    (EXAMPLE1, {"B": 1.0}, 5, 2048),
+    (DELTA_FORM, {"b": 3.0}, 5, 1280),
+])
+def test_ln_double_matches_full_log_on_tree_spans(family, kw, depth, bits):
+    atoms = build_tree(build_model(family, k_max=12, **kw), depth=depth,
+                       bits=bits).atoms()
+    with mp.workprec(bits):
+        for j, right in enumerate(atoms):
+            for left in atoms[:j + 1]:
+                span = right.right - left.left
+                assert ln_double(span) == float(mp.log(span))
+
+
+@pytest.mark.parametrize("low", [0.75, -3.0, 5.5, 1e-3])
+@pytest.mark.parametrize("nudge", [0, 1, -1])
+def test_ln_double_falls_back_next_to_a_midpoint(low, nudge, full_logs):
+    # ln x within 2^-1000 of the exact midpoint of two adjacent doubles: the
+    # 128-bit log cannot tell which of them the full log rounds to
+    with mp.workprec(1024):
+        mid = (mp.mpf(low) + mp.mpf(math.nextafter(low, math.inf))) / 2
+        x = mp.exp(mid) * (1 + nudge * mp.mpf(2) ** -1000)
+        got = ln_double(x)
+        assert len(full_logs) == 1
+        assert got == float(mp.log(x))
+
+
+@pytest.mark.parametrize("prec", [53, 100, 128])
+def test_ln_double_takes_the_full_log_at_128_bits_or_less(prec, full_logs):
+    with mp.workprec(prec):
+        x = mp.mpf(3) / 7
+        got = ln_double(x)
+        assert len(full_logs) == 1
+        assert got == float(mp.log(x))
+
+
+@pytest.mark.parametrize("bits", [256, 512, 8192])
+def test_ln_double_just_above_a_quarter(bits, full_logs):
+    # mpf_log at 128 bits takes 1/4 + 2^(56 - bits) for 1 + 2^(58 - bits)
+    with mp.workprec(bits):
+        x = mp.mpf(1) / 4 + mp.mpf(2) ** (56 - bits)
+        got = ln_double(x)
+        assert len(full_logs) == 1
+        assert got == float(mp.log(x)) == pytest.approx(-math.log(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(min_value=129, max_value=4096),
+       exp=st.integers(min_value=-2 ** 12, max_value=2 ** 12),
+       rnd=st.randoms(use_true_random=False))
+@example(bits=512, exp=1, rnd=None)                      # x = 1, ln x = 0
+def test_ln_double_matches_full_log(bits, exp, rnd):
+    man = 1 << (bits - 1)
+    if rnd is not None:
+        man |= rnd.getrandbits(bits - 1)
+    with mp.workprec(bits):
+        x = mp.mpf((man, exp - bits))
+        assert ln_double(x) == float(mp.log(x))
