@@ -13,7 +13,7 @@ from .hausdorff import (ContentResult, DensityTable, FloatAtoms, IslandFamily,
                         TreeAtoms, compare_dimension_functions, content_dp,
                         density_scan_islands, density_scan_tree, ep_root_test,
                         lambda_level_estimate)
-from .bump import BumpSpec, bump_for_interval, bump_for_set
+from .bump import BumpSpec, bump_for_interval
 from .extension import (ExtensionOperator, JetSample, Schedule,
                         divided_differences, dn_experiment, polynomial_jet,
                         schedule_for, whitney_norm)

@@ -212,10 +212,3 @@ def bump_for_interval(tree, j: int, s: int, t) -> BumpSpec:
              for iv in tree.levels[tree.depth][(j - 1) * span:j * span]]
     comps = merge_atoms(atoms, t, bits=tree.bits)
     return BumpSpec(t=t, components=comps, bits=tree.bits)
-
-
-def bump_for_set(tree, t) -> BumpSpec:
-    """Cutoff around the whole set at tree resolution."""
-    atoms = [(iv.left, iv.right) for iv in tree.atoms()]
-    comps = merge_atoms(atoms, t, bits=tree.bits)
-    return BumpSpec(t=t, components=comps, bits=tree.bits)

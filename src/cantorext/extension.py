@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .bump import P_MAX, BumpSpec, bump_for_interval, bump_for_set
+from .bump import P_MAX, BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
                      InvariantError, NodeCollisionError, ParameterError)
 from .gamma import GammaModel, Profile, profile as make_profile
@@ -174,7 +174,7 @@ class ExtensionOperator:
         # f -> (node values, interpolants); dropped with f
         self._per_f = weakref.WeakKeyDictionary()
         with mp.workprec(tree.bits):
-            self._root_bump = bump_for_set(tree, mp.mpf(1))
+            self._root_bump = bump_for_interval(tree, 1, 0, mp.mpf(1))
 
     # -- caches ------------------------------------------------------------
 
@@ -602,19 +602,16 @@ def check_cutoff_product_bound(tree: CantorTree, interval: tuple, N: int,
     n = N.bit_length() - 1
     node_set = select_nodes(tree, interval, N)
     Z = [float(z) for z in node_set.points()]
-    with mp.workprec(tree.bits):
-        delta = float(tree.delta_mpf(s + n))
     bump = bump_for_interval(tree, j, s, tree.delta_mpf(s + n))
-    bump_f = BumpSpec(t=delta, components=[(float(a), float(b))
-                                           for a, b in bump.components])
+    delta = float(bump.t)
     c0 = tree.model.c0
-    cp = bump_f.c_p_table
+    cp = bump.c_p_table
     poly = np.poly(Z)  # Omega_N coefficients, highest first
     ders = [poly]
     for _ in range(P_MAX):
         ders.append(np.polyder(ders[-1]))
     for x in x_grid:
-        useries = bump_f.series(x)
+        useries = bump.series(x)
         omega = [float(np.polyval(d, x)) for d in ders]
         oseries = [omega[i] / math.factorial(i) for i in range(P_MAX + 1)]
         prod_series = []

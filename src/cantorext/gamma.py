@@ -556,6 +556,7 @@ class Profile:
     """
 
     model: GammaModel
+    ln_inv_deltas: tuple  # exact Fraction ln(1/delta_k), len k_max+1
     delta: tuple  # LogReal, len k_max+1
     r: tuple      # LogReal, len k_max+1
     B: tuple      # float, len k_max+1, [0] = nan
@@ -564,37 +565,33 @@ class Profile:
     polar_verdict: str
 
     def ln_inv_delta(self, k: int) -> Fraction:
-        d = self.delta[k]
-        return -(Fraction(d.hi) + Fraction(d.lo))
+        """ln(1/delta_k) as an exact Fraction, k = 0..k_max."""
+        if not 0 <= k <= self.model.k_max:
+            raise HorizonError(f"k={k} outside horizon 0..{self.model.k_max}")
+        return self.ln_inv_deltas[k]
 
 
 def profile(model: GammaModel) -> Profile:
     """delta/r/B/beta/Robin sequences, exact in the log domain."""
-    k_max = model.k_max
-    deltas = [ONE]
-    rs = [ONE]
-    cum = Fraction(0)
-    r_ln = Fraction(0)
-    for k in range(1, k_max + 1):
-        cum += model.ln_inv_gamma[k - 1]
-        deltas.append(_lr_from_ln_fraction(-cum))
-        r_ln = r_ln * 2 + model.ln_inv_gamma[k - 1]
-        rs.append(_lr_from_ln_fraction(-r_ln))
-    B = [math.nan]
-    beta = [math.nan]
-    robin = [0.0]
+    cum = r_ln = Fraction(0)
+    sums, deltas, rs = [cum], [ONE], [ONE]
+    B, beta, robin = [math.nan], [math.nan], [0.0]
     acc = 0.0
-    cum = Fraction(0)
-    for k in range(1, k_max + 1):
-        cum += model.ln_inv_gamma[k - 1]
-        b_hi = cum / 2 ** (k + 1)
-        b = float(b_hi)
+    for k in range(1, model.k_max + 1):
+        g = model.ln_inv_gamma[k - 1]
+        cum += g
+        sums.append(cum)
+        deltas.append(_lr_from_ln_fraction(-cum))
+        r_ln = r_ln * 2 + g
+        rs.append(_lr_from_ln_fraction(-r_ln))
+        b = float(cum / 2 ** (k + 1))
         B.append(b)
         beta.append(math.log(b) / k if 0 < b < math.inf else math.nan)
         acc += b
         robin.append(acc)
-    return Profile(model=model, delta=tuple(deltas), r=tuple(rs), B=tuple(B),
-                   beta=tuple(beta), robin_partial=tuple(robin),
+    return Profile(model=model, ln_inv_deltas=tuple(sums), delta=tuple(deltas),
+                   r=tuple(rs), B=tuple(B), beta=tuple(beta),
+                   robin_partial=tuple(robin),
                    polar_verdict=FAMILY_SPECS[model.family].polar(model.params))
 
 

@@ -107,11 +107,6 @@ class CantorTree:
         self.levels = levels          # levels[s][j-1] -> BasicInterval
         self.r_mpf = r_mpf            # r_0..r_depth at tree precision
         self._delta_mpf: dict = {}    # k -> delta_mpf(k)
-        acc = Fraction(0)
-        self._ln_inv_delta = [acc]    # exact ln(1/delta_k), k = 0..depth
-        for k in range(1, depth + 1):
-            acc += model.ln_inv_gamma[k - 1]
-            self._ln_inv_delta.append(acc)
 
     def interval(self, j: int, s: int) -> BasicInterval:
         if not (0 <= s <= self.depth):
@@ -131,14 +126,11 @@ class CantorTree:
         return list(self.levels[self.depth if level is None else level])
 
     def delta_mpf(self, k: int) -> mp.mpf:
-        """delta_k at full tree precision (exact dyadic log, rounded once)."""
+        """delta_k at full tree precision (exact dyadic log, rounded once);
+        HorizonError outside 0..k_max."""
         d = self._delta_mpf.get(k)
         if d is None:
-            if k > self.depth:
-                fr = sum(self.model.ln_inv_gamma[self.depth:k],
-                         self._ln_inv_delta[self.depth])
-            else:
-                fr = self._ln_inv_delta[k]
+            fr = self.profile.ln_inv_delta(k)
             with mp.workprec(self.bits):
                 d = self._delta_mpf[k] = _exp_neg(fr)
         return d
@@ -238,24 +230,30 @@ def _level_points(s: int, r: list, half_r: list, quarter_r_sq: list):
     return point
 
 
-def eval_P(s: int, x, model: GammaModel, bits: int = 256,
-           r_mpf: Optional[list] = None):
-    """P_{2^s}(x) by the quadratic recursion (s >= 1), at ``bits`` precision.
+def level_values(x: mp.mpf, r: Sequence, s: int) -> list:
+    """[P_2(x), P_4(x), ..., P_{2^s}(x)] at the working precision.
 
-    An intermediate sum v + r_i may cancel below the mantissa budget, losing
-    the value's relative accuracy: residual measurements at endpoints evaluate
+    The forward recursion P_2 = x(x - 1), P_{2^{i+1}} = P_{2^i}(P_{2^i} + r_i),
+    with r_i = ``r[i]`` (the tree's ``r_mpf`` or a ``_r_chain``).  An
+    intermediate sum v + r_i may cancel below the mantissa budget, losing the
+    value's relative accuracy: residual measurements at endpoints evaluate
     exactly there, where the tiny result is the point.
     """
+    v = x * (x - 1)
+    out = [v]
+    for i in range(1, s):
+        v = v * (v + r[i])
+        out.append(v)
+    return out
+
+
+def eval_P(s: int, x, model: GammaModel, bits: int = 256):
+    """P_{2^s}(x) by the quadratic recursion (s >= 1), at ``bits`` precision."""
     if s < 1:
         raise ValueError("levels start at P_2 (s = 1)")
     with mp.workprec(bits):
-        if r_mpf is None:
-            r_mpf = _r_chain(model, s - 1)
         x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
-        v = x * (x - 1)
-        for i in range(1, s):
-            v = v * (v + r_mpf[i])
-        return v
+        return level_values(x, _r_chain(model, s - 1), s)[-1]
 
 
 def build_tree(model: GammaModel, depth: Optional[int] = None,
@@ -417,8 +415,7 @@ def endpoint_residuals(tree: CantorTree) -> list:
                     if key in seen:
                         continue
                     seen.add(key)
-                    res = abs(eval_P(s + 1, x, tree.model, bits=tree.bits,
-                                     r_mpf=tree.r_mpf))
+                    res = abs(level_values(x, tree.r_mpf, s + 1)[-1])
                     worst = max(worst, res / (rs * rs))
             out.append((s, float(mp.log(worst, 2)) if worst > 0 else -mp.inf))
     return out
@@ -441,8 +438,7 @@ def refine_endpoint_bisection(tree: CantorTree, iv: BasicInterval) -> tuple:
         gap_mid = (child_l.right + child_r.left) / 2
 
         def f(x):
-            return eval_P(s, x, tree.model, bits=tree.bits,
-                          r_mpf=tree.r_mpf) + tree.r_mpf[s]
+            return level_values(x, tree.r_mpf, s)[-1] + tree.r_mpf[s]
 
         if iv.addr[-1] == LEFT:
             a, b, inner = parent.left, gap_mid, iv.right

@@ -141,15 +141,9 @@ class TreeAtoms(_Atoms):
     """Deepest-level basic intervals of a tree, span logs at the tree's
     precision rounded to doubles (``ln_double``)."""
 
-    def __init__(self, tree: CantorTree, level: Optional[int] = None,
-                 within: Optional[tuple] = None):
+    def __init__(self, tree: CantorTree, level: Optional[int] = None):
         self.bits = tree.bits
         ivs = tree.atoms(level)
-        if within is not None:
-            j, s = within
-            base = tree.interval(j, s)
-            ivs = [iv for iv in ivs
-                   if base.left <= iv.left and iv.right <= base.right]
         super().__init__([iv.left for iv in ivs], [iv.right for iv in ivs])
 
     def _column(self, starts, j: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from numpy.polynomial import chebyshev as C
 
 from .errors import DegreeError, HorizonError, ParameterError
 from .gamma import GammaModel, profile as make_profile
-from .geometry import CantorTree
+from .geometry import CantorTree, level_values
 from .logreal import LogReal
 
 LN2 = math.log(2.0)
@@ -214,22 +214,20 @@ def certificate_lower_bound(tree: CantorTree, s: int) -> float:
     max |Q'| over a grid of 8 equispaced points per level-s atom is a true
     lower bound for that grid's M_{2^s}.
     """
-    if s > tree.depth:
-        raise HorizonError("certificate level beyond tree depth")
+    if not 0 <= s <= tree.depth:
+        raise HorizonError(f"certificate level {s} outside 0..{tree.depth}")
     best = -mp.inf
+    r = tree.r_mpf
     with mp.workprec(tree.bits):
-        rs = tree.r_mpf[s]
         for iv in tree.atoms(s):
             width = iv.right - iv.left
             for i in range(8):
                 x = iv.left + width * mp.mpf(i) / 7
-                # P'_{2^{i+1}} = P'_{2^i} (2 P_{2^i} + r_i)
-                v = x * (x - 1)
+                # P'_{2^{i+1}} = P'_{2^i} (2 P_{2^i} + r_i), from P'_2 = 2x - 1
                 dv = 2 * x - 1
-                for lev in range(1, s):
-                    dv = dv * (2 * v + tree.r_mpf[lev])
-                    v = v * (v + tree.r_mpf[lev])
-                best = max(best, abs(dv) * 2 / rs)
+                for lev, v in enumerate(level_values(x, r, s)[:-1], start=1):
+                    dv = dv * (2 * v + r[lev])
+                best = max(best, abs(dv) * 2 / r[s])
         return float(mp.log(best))
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorext.bump import (BumpSpec, bump_for_interval, bump_for_set,
-                            merge_atoms, step_series, step_value_mpf)
+from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
+                            step_series, step_value_mpf)
 from cantorext.errors import InvariantError, NodeCollisionError, ParameterError
 from cantorext.extension import (
     ExtensionOperator, check_chain_product_bound,
@@ -194,7 +194,7 @@ class TestBump:
         specs = []
         with mp.workprec(tree.bits):
             for t in widths:
-                specs.append(bump_for_set(tree, t))
+                specs.append(bump_for_interval(tree, 1, 0, t))
                 specs.append(bump_for_interval(tree, 2, 1, t))
                 if tree.model.family == POWER_LAW:  # lengths a double resolves
                     float_atoms = [(float(iv.left), float(iv.right)) for iv in atoms]

@@ -9,7 +9,7 @@ from cantorext.dimension import LogPower
 from cantorext.errors import HorizonError, ValidationError
 from cantorext.gamma import (
     CUSTOM, DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2, EXAMPLE3, EXPONENTIAL,
-    FROM_DIMENSION_FUNCTION, NONPOLAR, POLAR, POWER_LAW, UNDETERMINED,
+    FAMILIES, FROM_DIMENSION_FUNCTION, NONPOLAR, POLAR, POWER_LAW, UNDETERMINED,
     build_model, classify_ep, condition_diagnostics, profile,
 )
 from cantorext.logreal import log_mul_pow
@@ -126,6 +126,19 @@ class TestProfile:
         for n in range(1, 26):
             expect = float(p.ln_inv_delta(n) / 2 ** (n + 1))
             assert math.isclose(p.B[n], expect, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_ln_inv_delta_is_the_exact_prefix_sum(self, family):
+        params = {FROM_DIMENSION_FUNCTION: {"h": LogPower(alpha0=0.5)},
+                  CUSTOM: {"gammas": [1 / 64] * 40}}.get(family, {})
+        m = build_model(family, k_max=40, **params)
+        p = profile(m)
+        assert m.k_max == 40
+        for k in range(41):
+            assert p.ln_inv_delta(k) == sum(m.ln_inv_gamma[:k], Fraction(0))
+        for k in (-1, 41):
+            with pytest.raises(HorizonError):
+                p.ln_inv_delta(k)
 
     def test_robin_partial_monotone(self):
         p = profile(build_model(DOUBLY_EXP, k_max=20, a=3.0))

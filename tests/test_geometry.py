@@ -5,7 +5,7 @@ import pytest
 from mpmath.libmp import from_man_exp
 
 from cantorext import geometry
-from cantorext.errors import DepthError
+from cantorext.errors import DepthError, HorizonError
 from cantorext.gamma import CUSTOM, DELTA_FORM, EXAMPLE1, POWER_LAW, build_model
 from cantorext.geometry import (
     build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
@@ -332,3 +332,41 @@ def test_delta_mpf_is_computed_once_per_k(tree_ex1):
         want = mp.exp(-mp.mpf(fr.numerator) / fr.denominator)
     assert tree_ex1.delta_mpf(3) is tree_ex1.delta_mpf(3)
     assert tree_ex1.delta_mpf(3) == want
+
+
+@pytest.mark.parametrize("family,kw,depth,bits", [
+    (EXAMPLE1, {"B": 1.0}, 5, 512),
+    (POWER_LAW, {"a": 2.0}, 6, 512),
+    (DELTA_FORM, {"b": 3.0}, 5, 1024),
+])
+def test_level_values_is_the_forward_recursion(family, kw, depth, bits):
+    """Every level P_2..P_{2^(depth+1)}, each recomputed from scratch by the
+    recursion, at the level-2 endpoints and the midpoints of eight atoms."""
+    model = build_model(family, k_max=12, **kw)
+    tree = build_tree(model, depth=depth, bits=bits)
+    r = tree.r_mpf
+    with mp.workprec(bits):
+        xs = [z for iv in tree.levels[2] for z in (iv.left, iv.right)]
+        xs += [(iv.left + iv.right) / 2 for iv in tree.atoms()[::2 ** depth // 8]]
+        for x in xs:
+            got = geometry.level_values(x, r, depth + 1)
+            assert len(got) == depth + 1
+            for s in range(1, depth + 2):
+                v = x * (x - 1)
+                for i in range(1, s):
+                    v = v * (v + r[i])
+                assert got[s - 1]._mpf_ == v._mpf_
+                assert eval_P(s, x, model, bits=bits)._mpf_ == v._mpf_
+
+
+def test_delta_mpf_past_the_horizon_raises():
+    # k_max = 5 and depth 3: delta_4 and delta_5 come from the model's own
+    # gammas, and no delta exists past k_max
+    model = build_model(EXAMPLE1, k_max=5, B=1.0)
+    tree = build_tree(model, depth=3, bits=512)
+    fr = sum(model.ln_inv_gamma)
+    with mp.workprec(tree.bits):
+        assert tree.delta_mpf(5) == mp.exp(-mp.mpf(fr.numerator) / fr.denominator)
+    for k in (-1, 6, 7):
+        with pytest.raises(HorizonError):
+            tree.delta_mpf(k)

@@ -592,7 +592,8 @@ class TestDensities:
         # one-interval covers beat the two-child covers at every level
         tree = build_tree(build_model(DELTA_FORM, k_max=12, b=2.0), depth=6, bits=512)
         for (j, s) in [(1, 2), (2, 3), (5, 4)]:
-            atoms = TreeAtoms(tree, within=(j, s))
+            iv = tree.interval(j, s)
+            atoms = TreeAtoms(tree).clip(iv.left, iv.right)
             res = content_dp(atoms, H_HALF)
             assert res.runs == [(0, atoms.count - 1)]
 
@@ -603,7 +604,8 @@ class TestDensities:
         deep = content_dp(TreeAtoms(tree, level=6), h).value
         assert deep <= shallow + 1e-12
         # restricted to I_{j,2} both stay >= 2^-2
-        atoms = TreeAtoms(tree, within=(2, 2))
+        iv = tree.interval(2, 2)
+        atoms = TreeAtoms(tree).clip(iv.left, iv.right)
         assert content_dp(atoms, h).value >= 0.25 - 1e-12
 
 

@@ -109,6 +109,24 @@ class TestNumeric:
         est = markov_numeric(tree_atom_bounds(tree), 4, points_per_atom=24)
         assert ln_cert <= math.log(est.value) + 1e-9
 
+    @pytest.mark.parametrize("family, params, depth, want", [
+        (POWER_LAW, {"a": 2.0}, 4,
+         "0x1.0a2b23f3bab73p+2 0x1.e7f9c1e980fa9p+2 0x1.62e42fefa39efp+3 "
+         "0x1.d1cb7eea86c0ap+3"),
+        (EXAMPLE1, {"B": 1.0}, 5,
+         "0x1.2c5c85fdf473ep+2 0x1.162e42fefa39fp+3 0x1.0b17217f7d1cfp+4 "
+         "0x1.058b90bfbe8e8p+5 0x1.02c5c85fdf474p+6"),
+    ], ids=["power_law", "example1"])
+    def test_certificate_values_are_pinned(self, family, params, depth, want):
+        # ln of the level-s witness for s = 1..depth, bit for bit
+        tree = build_tree(build_model(family, k_max=12, **params), depth=depth,
+                          bits=512)
+        got = [certificate_lower_bound(tree, s).hex() for s in range(1, depth + 1)]
+        assert got == want.split()
+        for s in (-1, depth + 1):
+            with pytest.raises(HorizonError):
+                certificate_lower_bound(tree, s)
+
     def test_guards(self):
         with pytest.raises(DegreeError):
             markov_numeric([(0, 1)], 33)
