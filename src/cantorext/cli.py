@@ -19,10 +19,10 @@ import mpmath as mp
 
 from . import __version__
 from .dimension import EtaProfile, LogPower
-from .errors import (CancellationError, DegreeError, DepthError,
-                     DomainError, HorizonError, InsufficientOrderError,
-                     InvariantError, NodeCollisionError, ParameterError,
-                     PrecisionError, ValidationError)
+from .errors import (DegreeError, DepthError, DomainError, HorizonError,
+                     InsufficientOrderError, InvariantError,
+                     NodeCollisionError, ParameterError, PrecisionError,
+                     ValidationError)
 from .extension import ExtensionOperator, dn_experiment
 from .gamma import build_model, classify_ep, family_spec, profile
 from .geometry import build_tree, select_nodes, verify_geometry
@@ -37,7 +37,7 @@ from .markov import (markov_bounds, markov_numeric, ratio_table,
 VALIDATION_ERRORS = (ValidationError, ParameterError, DegreeError,
                      NodeCollisionError, DomainError, InsufficientOrderError,
                      InvariantError, ValueError, OSError)
-BUDGET_ERRORS = (DepthError, PrecisionError, HorizonError, CancellationError)
+BUDGET_ERRORS = (DepthError, PrecisionError, HorizonError)
 
 
 def _config_flags(path: str) -> list:

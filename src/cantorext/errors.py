@@ -29,10 +29,6 @@ class BracketError(CantorExtError):
     """A root bracket lost its sign structure (invalid gamma sequence)."""
 
 
-class CancellationError(CantorExtError):
-    """Mixed-sign log-domain sum cancelled below the resolvable floor."""
-
-
 class DomainError(CantorExtError):
     """Argument outside the domain of a dimension function."""
 

@@ -51,12 +51,6 @@ NONPOLAR = "nonpolar"
 UNDETERMINED = "undetermined-at-horizon"
 
 
-def _lr_from_ln_fraction(ln_value: Fraction) -> LogReal:
-    """Positive LogReal with exactly rational ln magnitude."""
-    q = math.floor(ln_value)
-    return LogReal.from_parts(1, q, float(ln_value - q))
-
-
 @dataclass(frozen=True)
 class GammaModel:
     """A validated gamma sequence up to horizon ``k_max``.
@@ -76,11 +70,6 @@ class GammaModel:
     eq2_exceptions: tuple = ()
     gamma_sum: float = 0.0  # sum_{k=1}^inf gamma_k (analytic tail included)
     meta: dict = field(default_factory=dict)
-
-    def gamma(self, k: int) -> LogReal:
-        """gamma_k as a log-domain scalar (k is 1-based)."""
-        self._check_k(k)
-        return _lr_from_ln_fraction(-self.ln_inv_gamma[k - 1])
 
     def ln_inv_gamma_float(self, k: int) -> float:
         self._check_k(k)
@@ -551,14 +540,13 @@ def classify_ep(model: GammaModel, prof: Optional[Profile] = None) -> EPVerdict:
 class Profile:
     """Derived sequences of a model up to its horizon.
 
-    Index convention: entry k is the k-th term; delta[0] = r[0] = 1 and
+    Index convention: entry k is the k-th term; delta[0] = 1 and
     B[0] = beta[0] = nan (the weights start at k = 1).
     """
 
     model: GammaModel
     ln_inv_deltas: tuple  # exact Fraction ln(1/delta_k), len k_max+1
     delta: tuple  # LogReal, len k_max+1
-    r: tuple      # LogReal, len k_max+1
     B: tuple      # float, len k_max+1, [0] = nan
     beta: tuple   # float, len k_max+1, [0] = nan
     robin_partial: tuple  # float, len k_max+1, [0] = 0
@@ -572,26 +560,23 @@ class Profile:
 
 
 def profile(model: GammaModel) -> Profile:
-    """delta/r/B/beta/Robin sequences, exact in the log domain."""
-    cum = r_ln = Fraction(0)
-    sums, deltas, rs = [cum], [ONE], [ONE]
+    """delta/B/beta/Robin sequences, exact in the log domain."""
+    cum = Fraction(0)
+    sums, deltas = [cum], [ONE]
     B, beta, robin = [math.nan], [math.nan], [0.0]
     acc = 0.0
     for k in range(1, model.k_max + 1):
-        g = model.ln_inv_gamma[k - 1]
-        cum += g
+        cum += model.ln_inv_gamma[k - 1]
         sums.append(cum)
-        deltas.append(_lr_from_ln_fraction(-cum))
-        r_ln = r_ln * 2 + g
-        rs.append(_lr_from_ln_fraction(-r_ln))
+        q = math.floor(-cum)
+        deltas.append(LogReal.from_parts(q, float(-cum - q)))
         b = float(cum / 2 ** (k + 1))
         B.append(b)
         beta.append(math.log(b) / k if 0 < b < math.inf else math.nan)
         acc += b
         robin.append(acc)
     return Profile(model=model, ln_inv_deltas=tuple(sums), delta=tuple(deltas),
-                   r=tuple(rs), B=tuple(B), beta=tuple(beta),
-                   robin_partial=tuple(robin),
+                   B=tuple(B), beta=tuple(beta), robin_partial=tuple(robin),
                    polar_verdict=FAMILY_SPECS[model.family].polar(model.params))
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 from mpmath.libmp import from_man_exp
 
-from .errors import BracketError, DepthError, PrecisionError
+from .errors import BracketError, DepthError, HorizonError, PrecisionError
 from .gamma import GammaModel, profile
 from .logreal import LogReal
 
@@ -123,7 +123,10 @@ class CantorTree:
 
     def atoms(self, level: Optional[int] = None) -> list:
         """The basic intervals of the given (default deepest) level."""
-        return list(self.levels[self.depth if level is None else level])
+        level = self.depth if level is None else level
+        if not (0 <= level <= self.depth):
+            raise DepthError(f"level {level} outside built depth {self.depth}")
+        return list(self.levels[level])
 
     def delta_mpf(self, k: int) -> mp.mpf:
         """delta_k at full tree precision (exact dyadic log, rounded once);
@@ -143,7 +146,10 @@ def _exp_neg(fr: Fraction) -> mp.mpf:
 
 
 def _r_chain(model: GammaModel, s: int) -> list:
-    """[r_0, ..., r_s] at the working precision: r_0 = 1, r_k = gamma_k r_{k-1}^2."""
+    """[r_0, ..., r_s] at the working precision: r_0 = 1, r_k = gamma_k r_{k-1}^2;
+    HorizonError for s past the model's horizon."""
+    if s > model.k_max:
+        raise HorizonError(f"r_{s} needs gamma_{s}, horizon {model.k_max}")
     r = [mp.mpf(1)]
     for k in range(1, s + 1):
         r.append(_exp_neg(model.ln_inv_gamma[k - 1]) * r[k - 1] ** 2)

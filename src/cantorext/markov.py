@@ -49,7 +49,6 @@ class MarkovEstimate:
     lower: LogReal            # 1/delta_k
     upper: LogReal            # 4/delta_{k+1}
     point: Optional[LogReal]  # 2/delta_k when n = 2^k
-    numeric: Optional[float] = None
 
     def bracket_contains_ln(self, ln_value: float) -> bool:
         return self.lower.ln_mag <= ln_value <= self.upper.ln_mag

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -298,3 +299,26 @@ class TestCLI:
         assert data["regular_densities"]["2.0"]["ep"] == "yes"
         assert data["regular_densities"]["3.0"]["ep"] == "no"
         assert data["markov_crossover"]["decreasing_negative_from"] <= 9
+
+
+def test_reproduce_examples_script(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_examples.py"),
+         str(tmp_path)], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    headers = {"example1_profile.csv": "k,B_k,beta_k,robin_partial",
+               "island_density.csv": "ln_inv_r,x,phi,ratio_at_r",
+               "markov.csv": "n,ln_lower,ln_point,ln_upper,numeric"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["examples.json", "dip_dn_table.json", *headers])
+    # the bundle's config differs from the in-process run's only in "out"
+    bundle = json.loads((tmp_path / "examples.json").read_text())
+    assert bundle["data"] == json.loads(readme_body("examples")[1])["data"]
+    for name, header in headers.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        n = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert n > 0 and lines[n - 1].startswith("# version = ")
+        assert lines[n] == header

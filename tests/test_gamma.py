@@ -12,7 +12,15 @@ from cantorext.gamma import (
     FAMILIES, FROM_DIMENSION_FUNCTION, NONPOLAR, POLAR, POWER_LAW, UNDETERMINED,
     build_model, classify_ep, condition_diagnostics, profile,
 )
-from cantorext.logreal import log_mul_pow
+from cantorext.geometry import build_tree
+from cantorext.logreal import LogReal, log_mul_pow
+
+
+def _gamma(m, k):
+    """gamma_k as a LogReal, from the exact ln(1/gamma_k)."""
+    ln = -m.ln_inv_gamma[k - 1]
+    q = math.floor(ln)
+    return LogReal.from_parts(q, float(ln - q))
 
 
 class TestBuild:
@@ -82,8 +90,11 @@ class TestBuild:
 
     def test_horizon_guard(self):
         m = build_model(EXAMPLE1, k_max=5, B=1.0)
-        with pytest.raises(HorizonError):
-            m.gamma(6)
+        for k in (0, 6):
+            with pytest.raises(HorizonError):
+                m.ln_inv_gamma_float(k)
+            with pytest.raises(HorizonError):
+                m.gamma_float(k)
 
 
 class TestProfile:
@@ -94,9 +105,11 @@ class TestProfile:
         assert p.polar_verdict == POLAR
 
     def test_seed_values(self):
-        p = profile(build_model(EXAMPLE1, k_max=4, B=1.0))
+        m = build_model(EXAMPLE1, k_max=4, B=1.0)
+        p = profile(m)
         assert p.delta[0].hi == 0 and p.delta[0].lo == 0.0
-        assert p.r[0].hi == 0 and p.r[0].lo == 0.0
+        assert p.ln_inv_delta(0) == 0
+        assert build_tree(m, depth=1).r_mpf[0] == 1
         assert math.isnan(p.B[0])
 
     def test_custom_delta_and_B(self):
@@ -110,15 +123,8 @@ class TestProfile:
         m = build_model(EXAMPLE2, k_max=20)
         p = profile(m)
         for s in (1, 5, 17, 20):
-            prod = log_mul_pow([(m.gamma(k), 1) for k in range(1, s + 1)])
+            prod = log_mul_pow([(_gamma(m, k), 1) for k in range(1, s + 1)])
             assert prod == p.delta[s]
-
-    def test_r_recursion_exact(self):
-        m = build_model(POWER_LAW, k_max=15, a=2.0)
-        p = profile(m)
-        for s in (1, 7, 15):
-            direct = log_mul_pow([(m.gamma(k), 2 ** (s - k)) for k in range(1, s + 1)])
-            assert direct == p.r[s]
 
     def test_B_definition_crosscheck(self):
         # 2^{-n-1} ln(1/delta_n) = B_n for every n
@@ -270,7 +276,7 @@ def test_delta_product_identity_random_prefixes(i, j):
     m = build_model(EXAMPLE2, k_max=48)
     p = profile(m)
     s = i + j
-    split = log_mul_pow([(p.delta[i], 1)] + [(m.gamma(k), 1) for k in range(i + 1, s + 1)])
+    split = log_mul_pow([(p.delta[i], 1)] + [(_gamma(m, k), 1) for k in range(i + 1, s + 1)])
     assert split == p.delta[s]
 
 

@@ -11,6 +11,7 @@ from cantorext.geometry import (
     build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
     refine_endpoint_bisection, required_bits, select_nodes, verify_geometry,
 )
+from cantorext.hausdorff import TreeAtoms
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,13 @@ class TestEvalP:
             assert float(l11) == pytest.approx(0.0322929, abs=1e-7)
             res = eval_P(1, l11, m, bits=256) + mp.mpf(1) / 32
             assert abs(res) < mp.mpf(2) ** -240
+
+    def test_past_the_horizon_raises(self):
+        # P_8 needs r_2, and so gamma_2; the model stops at gamma_1
+        m = build_model(CUSTOM, gammas=[1 / 32])
+        assert float(eval_P(2, 0.5, m)) == pytest.approx(-0.25 * (-0.25 + 1 / 32))
+        with pytest.raises(HorizonError):
+            eval_P(3, 0.5, m)
 
 
 class TestBuildTree:
@@ -370,3 +378,14 @@ def test_delta_mpf_past_the_horizon_raises():
     for k in (-1, 6, 7):
         with pytest.raises(HorizonError):
             tree.delta_mpf(k)
+
+
+def test_atoms_outside_the_built_depth_raise():
+    tree = build_tree(build_model(EXAMPLE1, k_max=5, B=1.0), depth=3, bits=512)
+    assert [len(tree.atoms(s)) for s in range(4)] == [1, 2, 4, 8]
+    assert tree.atoms() == tree.atoms(3)
+    for level in (-1, -3, 4):
+        with pytest.raises(DepthError):
+            tree.atoms(level)
+        with pytest.raises(DepthError):
+            TreeAtoms(tree, level=level)

@@ -4,10 +4,9 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cantorext.errors import CancellationError
 from cantorext.gamma import DELTA_FORM, EXAMPLE1, build_model
 from cantorext.geometry import build_tree
-from cantorext.logreal import ONE, ZERO, LogReal, ln_double, log_mul_pow, log_sum
+from cantorext.logreal import ONE, LogReal, ln_double, log_mul_pow
 
 
 def lr(x):
@@ -18,7 +17,6 @@ class TestLogMulPow:
     def test_two_deltas(self):
         # (e^-4)^1 * (e^-8)^2 = e^-20
         out = log_mul_pow([(LogReal.from_ln(-4.0), 1), (LogReal.from_ln(-8.0), 2)])
-        assert out.sign == 1
         assert out.hi + out.lo == -20.0
 
     def test_zero_exponent_is_empty_product(self):
@@ -31,16 +29,6 @@ class TestLogMulPow:
         deltas = [LogReal.from_ln(-(2.0 ** (k + 1))) for k in (1, 2, 3)]
         out = log_mul_pow(list(zip(deltas, (1, 2, 4))))
         assert out.hi == -84 and out.lo == 0.0
-
-    def test_sign_parity(self):
-        out = log_mul_pow([(lr(-2.0), 3), (lr(0.5), 1)])
-        assert out.sign == -1
-        assert math.isclose(out.to_float(), -4.0, rel_tol=1e-15)
-
-    def test_zero_factor(self):
-        assert log_mul_pow([(ZERO, 2), (lr(3.0), 1)]) == ZERO
-        with pytest.raises(ZeroDivisionError):
-            log_mul_pow([(ZERO, -1)])
 
     def test_huge_exponents_keep_integer_part(self):
         d = LogReal.from_ln(-0.75)
@@ -59,49 +47,6 @@ class TestLogMulPow:
         assert shuffled == base
 
 
-class TestLogSum:
-    def test_ln2(self):
-        out = log_sum([ONE, ONE])
-        assert math.isclose(out.ln_mag, math.log(2), rel_tol=1e-15)
-
-    def test_robin_partial_sum_constant_terms(self):
-        # ten unit weights sum to 10
-        out = log_sum([ONE] * 10)
-        assert math.isclose(out.ln_mag, math.log(10), rel_tol=1e-15)
-
-    def test_tiny_pair_against_mpmath(self):
-        # reference computed independently at 120 bits
-        with mp.workprec(120):
-            ref = float(mp.log(mp.exp(-700) + mp.exp(-701)))
-        out = log_sum([LogReal.from_ln(-700.0), LogReal.from_ln(-701.0)])
-        assert math.isclose(out.ln_mag, ref, rel_tol=1e-15)
-
-    def test_singleton_identity(self):
-        x = LogReal.from_ln(-1234.5678, -1)
-        assert log_sum([x]) is x
-
-    def test_empty_and_zero(self):
-        assert log_sum([]) == ZERO
-        assert log_sum([ZERO, ZERO]) == ZERO
-
-    def test_cancellation_raises(self):
-        a = ONE
-        b = LogReal.from_ln(-(2.0 ** -50), -1)  # -exp(-2^-50), cancels to ~2^-50
-        with pytest.raises(CancellationError):
-            log_sum([a, b])
-
-    def test_benign_mixed_signs(self):
-        out = log_sum([lr(3.0), lr(-1.0)])
-        assert math.isclose(out.to_float(), 2.0, rel_tol=1e-14)
-
-    @given(st.lists(st.floats(min_value=-700, max_value=700), min_size=1, max_size=8))
-    def test_against_float_reference(self, lns):
-        terms = [LogReal.from_ln(v) for v in lns]
-        ref = math.log(math.fsum(math.exp(v) for v in lns))
-        out = log_sum(terms)
-        assert math.isclose(out.ln_mag, ref, rel_tol=1e-12, abs_tol=1e-12)
-
-
 class TestRoundTrip:
     @given(st.floats(min_value=1e-300, max_value=1e300))
     def test_to_of_from_is_identity(self, x):
@@ -114,29 +59,35 @@ class TestRoundTrip:
         w = LogReal.from_float(v.to_float())
         assert w == v
 
-    def test_negative(self):
-        assert LogReal.from_float(-2.5).to_float() == -2.5
 
-    def test_zero(self):
-        assert LogReal.from_float(0.0) == ZERO
-        assert ZERO.to_float() == 0.0
+@pytest.mark.parametrize("make,bad", [
+    pytest.param(make, bad, id=f"{name}-{bad}")
+    for name, make, bads in [
+        ("from_float", LogReal.from_float, (0.0, -2.5, math.inf, math.nan)),
+        ("from_mpf", LogReal.from_mpf, (mp.mpf(0), mp.mpf(-2.5), mp.inf, mp.nan)),
+        # the log constructors take any finite log: the log of 0 is -inf
+        ("from_ln", LogReal.from_ln, (-math.inf, math.inf, math.nan)),
+        ("from_parts", lambda lo: LogReal.from_parts(0, lo),
+         (-math.inf, math.inf, math.nan)),
+    ]
+    for bad in bads])
+def test_constructors_reject_non_positive_and_non_finite(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)
 
 
 class TestComparisons:
     def test_ordering_far_apart(self):
         # floats cannot resolve +-1 at 1e18; the integer part can
-        a = LogReal.from_parts(1, -(10 ** 18), 0.0)
-        b = LogReal.from_parts(1, -(10 ** 18) + 1, 0.0)
+        a = LogReal.from_parts(-(10 ** 18), 0.0)
+        b = LogReal.from_parts(-(10 ** 18) + 1, 0.0)
         assert a < b < ONE
 
     def test_huge_hi_comparison_no_overflow(self):
-        a = LogReal.from_parts(1, 10 ** 400, 0.1)
-        b = LogReal.from_parts(1, 10 ** 400, 0.2)
+        a = LogReal.from_parts(10 ** 400, 0.1)
+        b = LogReal.from_parts(10 ** 400, 0.2)
         assert a < b
         assert a.ln_mag == math.inf  # float view saturates, comparison stays exact
-
-    def test_sign_ordering(self):
-        assert LogReal.from_float(-5.0) < ZERO < lr(1e-300)
 
     @given(st.floats(min_value=-1e15, max_value=1e15),
            st.floats(min_value=-1e15, max_value=1e15))
@@ -147,24 +98,10 @@ class TestComparisons:
 class TestPow:
     def test_pow_zero_is_one(self):
         assert lr(0.123).pow(0) == ONE
-        assert ZERO.pow(0) == ONE
-
-    def test_negative_base_parity(self):
-        assert lr(-2.0).pow(2).sign == 1
-        assert lr(-2.0).pow(3).sign == -1
 
     def test_inverse(self):
         x = lr(8.0)
         assert math.isclose(x.pow(-1).to_float(), 0.125, rel_tol=1e-15)
-
-    def test_ln_scaled_exact(self):
-        # B = 1.0 at scale 2^61: integer part exact
-        v = LogReal.from_ln_scaled(1.0, 2 ** 61, sign=-1)
-        assert v.hi == 2 ** 61 and v.lo == 0.0 and v.sign == -1
-
-    def test_ln_scaled_readback(self):
-        v = LogReal.from_ln_scaled(-1.5, 2 ** 40)
-        assert v.ln_scaled(-40) == -1.5
 
 
 @given(st.floats(min_value=1e-10, max_value=1e10),
@@ -174,36 +111,32 @@ def test_pow_homomorphism(x, a, b):
     v = LogReal.from_float(x)
     combined = log_mul_pow([(v, a), (v, b)])
     direct = v.pow(a + b)
-    assert combined.sign == direct.sign
-    if combined.sign:
-        assert combined.hi == direct.hi
-        assert math.isclose(combined.lo, direct.lo, rel_tol=0, abs_tol=5e-13)
+    assert combined.hi == direct.hi
+    assert math.isclose(combined.lo, direct.lo, rel_tol=0, abs_tol=5e-13)
 
 
 def _from_mpf_full_precision(x):
     """The conversion with the log taken at the value's own precision."""
-    ln = mp.log(abs(x))
+    ln = mp.log(x)
     hi = int(mp.floor(ln))
-    return LogReal.from_parts(1 if x > 0 else -1, hi, float(ln - hi))
+    return LogReal.from_parts(hi, float(ln - hi))
 
 
 @settings(max_examples=60, deadline=None)
 @given(bits=st.integers(min_value=512, max_value=8192),
        exp=st.integers(min_value=-2 ** 13, max_value=2 ** 13),
-       negative=st.booleans(),
        rnd=st.randoms(use_true_random=False))
-@example(bits=512, exp=1, negative=False, rnd=None)      # x = 1, ln x = 0
-@example(bits=8192, exp=0, negative=True, rnd=None)      # x = -1/2
-def test_from_mpf_matches_full_precision_log(bits, exp, negative, rnd):
-    # a random full-width mantissa (or a power of two): 2^(exp-1) <= |x| < 2^exp
+@example(bits=512, exp=1, rnd=None)                      # x = 1, ln x = 0
+@example(bits=8192, exp=0, rnd=None)                     # x = 1/2
+def test_from_mpf_matches_full_precision_log(bits, exp, rnd):
+    # a random full-width mantissa (or a power of two): 2^(exp-1) <= x < 2^exp
     man = 1 << (bits - 1)
     if rnd is not None:
         man |= rnd.getrandbits(bits - 1)
     with mp.workprec(bits):
-        x = mp.mpf((-man if negative else man, exp - bits))
+        x = mp.mpf((man, exp - bits))
         fast = LogReal.from_mpf(x)
         ref = _from_mpf_full_precision(x)
-    assert fast.sign == ref.sign
     assert fast.hi == ref.hi
     assert abs(fast.lo - ref.lo) <= 2.0 ** -100
 
