@@ -189,18 +189,20 @@ def cmd_extend(cfg: dict) -> None:
     fns = {"one": lambda x: mp.mpf(1), "identity": lambda x: x,
            "square": lambda x: x * x, "sin": mp.sin}
     norm_q = {"one": 1.0, "identity": 1.0, "square": 2.0, "sin": 2.0}
-    rows = []
+    per_f = {name: [] for name in fns}
     with mp.workprec(tree.bits):
         xs = [iv.right for iv in tree.levels[min(tree.depth, s_max + 2)]]
         xs = xs[:cfg["N"]]
-        for name, f in fns.items():
-            for x in xs:
+        # every function at one point before the next: they share its state
+        for x in xs:
+            for name, f in fns.items():
                 out = op.evaluate(f, x, norm_q=norm_q[name], q=q)
                 err = abs(out.value - f(x))
-                rows.append((name, _decimal(x, 30), _decimal(out.value, 30),
-                             _decimal(f(x), 30),
-                             ln_double(err) if err > 0 else -math.inf,
-                             out.certified_bound.ln_mag))
+                per_f[name].append((name, _decimal(x, 30),
+                                    _decimal(out.value, 30), _decimal(f(x), 30),
+                                    ln_double(err) if err > 0 else -math.inf,
+                                    out.certified_bound.ln_mag))
+    rows = [r for name in fns for r in per_f[name]]
     data = [{"f": r[0], "x": r[1], "W": r[2], "fx": r[3], "ln_err": r[4],
              "ln_bound": r[5]} for r in rows]
     _emit(cfg, data, rows, ["f", "x", "W", "f(x)", "ln_err", "ln_bound"])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -124,14 +124,28 @@ class LocalInterpolant:
             vals.append(v)
         self.coeffs = divided_differences(self.points, vals)
 
-    def partial(self, x, upto: int):
-        """L_upto(f, x): Newton partial sum using nodes 0..upto."""
+    def partial(self, x, upto: int, omega: Optional[list] = None):
+        """L_upto(f, x): Newton partial sum using nodes 0..upto.
+
+        ``omega`` is x's row [1, Omega_1(x), ...] over these nodes, at least
+        upto + 1 long; without it the row is built here.
+        """
+        if omega is None:
+            omega = grow_omega([1], x, self.points, upto)
         total = self.coeffs[0]
-        omega = 1
         for k in range(1, upto + 1):
-            omega = omega * (x - self.points[k - 1])
-            total = total + self.coeffs[k] * omega
+            total = total + self.coeffs[k] * omega[k]
         return total
+
+
+def grow_omega(row: list, x, points: Sequence, upto: int) -> list:
+    """Extend row = [1, Omega_1(x), ...] in place through Omega_upto(x),
+    Omega_k = prod_{i<k} (x - z_{i+1}) taken as a running product."""
+    omega = row[-1]
+    for k in range(len(row), upto + 1):
+        omega = omega * (x - points[k - 1])
+        row.append(omega)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +161,46 @@ class WValue:
     certified_bound: Optional[LogReal] = None
 
 
+@dataclass
+class _PointState:
+    """Everything the operator needs at one x that does not depend on f.
+
+    ``stages[s]`` holds level s's live sets and nonzero cutoff values: (live
+    A indices, [(j, [(N, u_N(x)), ...])], live T indices, [(k, u_k(x))]).
+    ``omega[(j, s)]`` is the row [1, Omega_1(x), ...] over the nodes of
+    I_{j,s}, grown on demand; node sets are prefix-stable, so every
+    function's interpolant extends the same row.
+    """
+
+    x: object
+    root_u: object
+    stages: list = field(default_factory=list)
+    omega: dict = field(default_factory=dict)
+
+    def row(self, j: int, s: int, points: Sequence, upto: int) -> list:
+        return grow_omega(self.omega.setdefault((j, s), [1]), self.x,
+                          points, upto)
+
+
 class ExtensionOperator:
     """Evaluator of the truncated operator on a fixed tree and schedule.
 
-    Bump specs are cached per basic interval and width.  Interpolants (per
-    basic interval) and function values (per node) are cached per function
-    while the function object lives, so switching between functions keeps
-    each one's work: Newton coefficient k depends only on nodes 0..k, and
-    node sets are prefix-stable, so a cached interpolant equals a rebuilt one.
+    W(f, x) pairs f's Newton coefficients with weights that depend on x and
+    the tree alone: the live sets of both stages, the cutoff values u(x) and
+    the running products Omega_k(x).  Those weights are kept for the most
+    recent x only (one entry, replaced when x changes), so any number of
+    functions evaluated at one point before moving on share them.  Bump specs
+    and their support hulls are cached per basic interval and width.
+    Interpolants (per basic interval) and function values (per node) are
+    cached per function while the function object lives, so switching
+    between functions keeps each one's work: Newton coefficient k depends
+    only on nodes 0..k, and node sets are prefix-stable, so a cached
+    interpolant equals a rebuilt one.
     """
 
     def __init__(self, tree: CantorTree, s_max: int):
+        if s_max < 1:
+            raise ParameterError(f"truncation level {s_max} is below 1")
         depth_needed = 0
         self.tree = tree
         self.prof = tree.profile
@@ -173,6 +216,7 @@ class ExtensionOperator:
         self._hulls: dict = {}
         # f -> (node values, interpolants); dropped with f
         self._per_f = weakref.WeakKeyDictionary()
+        self._point: Optional[_PointState] = None
         with mp.workprec(tree.bits):
             self._root_bump = bump_for_interval(tree, 1, 0, mp.mpf(1))
 
@@ -222,6 +266,56 @@ class ExtensionOperator:
             raise InvariantError(f"{stage} locality broken at s={s}")
         return live
 
+    def _level(self, S: int) -> int:
+        if not 1 <= S <= self.s_max:
+            raise ParameterError(
+                f"truncation level {S} outside 1..{self.s_max}")
+        return S
+
+    # -- the point state -----------------------------------------------------
+
+    def _state(self, x, s_cap: int) -> _PointState:
+        """x's state through level s_cap - 1; a new x replaces the old one.
+
+        A level is stored only once both its audits have passed, so a broken
+        locality raises again on every call.
+        """
+        pt = self._point
+        if pt is None or pt.x != x:
+            pt = self._point = _PointState(x, self._root_bump.value(x))
+        while len(pt.stages) < s_cap:
+            pt.stages.append(self._stage(x, len(pt.stages)))
+        return pt
+
+    def _stage(self, x, s: int) -> tuple:
+        """Level s's live sets and nonzero cutoff values at x."""
+        sched = self.schedule
+        # widest cutoff in the accumulation stage: N = M_s + 1,
+        # i.e. n = n_{s-1} - 1 (n = 1 at the root stage)
+        t_hi_A = s + (sched.n[s - 1] - 1 if s else 1)
+        live_A = self._live(s, t_hi_A, x, "accumulation", s)
+        terms_A = []
+        for j in live_A:
+            terms = []
+            for N in range(sched.M(s) + 1, sched.N(s) + 1):
+                n = N.bit_length() - 1  # 2^n <= N < 2^{n+1}
+                if N == sched.M(s) + 1 or N == 1 << n:
+                    # the cutoff width delta_{s+n} changes with n only
+                    u = self._bump(j, s, s + n).value(x)
+                if u != 0:
+                    terms.append((N, u))
+            if terms:
+                terms_A.append((j, terms))
+        # transition stage: cutoff width delta_{s + n_s - 1}
+        t_T = s + sched.n[s] - 1
+        live_T = self._live(s + 1, t_T, x, "transition", s)
+        terms_T = []
+        for k in live_T:
+            u = self._bump(k, s + 1, t_T).value(x)
+            if u != 0:
+                terms_T.append((k, u))
+        return live_A, terms_A, live_T, terms_T
+
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, f: Callable, x, norm_q: Optional[float] = None,
@@ -234,52 +328,36 @@ class ExtensionOperator:
         n = n_{S-1} - 1, valid for points of the set.  ``s_max`` may lower the
         truncation level per call (caches are shared across levels).
         """
-        s_cap = self.s_max if s_max is None else s_max
-        if s_cap > self.s_max:
-            raise DepthError(f"operator prepared for truncation {self.s_max}")
+        s_cap = self._level(self.s_max if s_max is None else s_max)
         caches = self._per_f.setdefault(f, ({}, {}))
-        tree, sched = self.tree, self.schedule
-        with mp.workprec(tree.bits):
+        sched = self.schedule
+        with mp.workprec(self.tree.bits):
             x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
+            pt = self._state(x, s_cap)
             root = self._interpolant(f, caches, 1, 0, 2)
-            total = root.partial(x, 1) * self._root_bump.value(x)
+            total = root.partial(x, 1, pt.row(1, 0, root.points, 1)) \
+                * pt.root_u
             nonzero_A, nonzero_T = [], []
             for s in range(s_cap):
-                # widest cutoff in the accumulation stage: N = M_s + 1,
-                # i.e. n = n_{s-1} - 1 (n = 1 at the root stage)
-                t_hi_A = s + (sched.n[s - 1] - 1 if s else 1)
-                live = self._live(s, t_hi_A, x, "accumulation", s)
-                nonzero_A.append(live)
-                for j in live:
+                live_A, terms_A, live_T, terms_T = pt.stages[s]
+                nonzero_A.append(list(live_A))
+                nonzero_T.append(list(live_T))
+                # increments L_N - L_{N-1} = [z_1..z_{N+1}]f * Omega_N(x)
+                for j, terms in terms_A:
                     itp = self._interpolant(f, caches, j, s, sched.N(s) + 1)
-                    # increments L_N - L_{N-1} = [z_1..z_{N+1}]f * Omega_N(x),
-                    # Omega_N = prod_{k<N} (x - z_{k+1}) kept as a running product
-                    omega, k = 1, 0
-                    for N in range(sched.M(s) + 1, sched.N(s) + 1):
-                        n = N.bit_length() - 1  # 2^n <= N < 2^{n+1}
-                        if N == sched.M(s) + 1 or N == 1 << n:
-                            # the cutoff width delta_{s+n} changes with n only
-                            u = self._bump(j, s, s + n).value(x)
-                        if u != 0:
-                            while k < N:
-                                omega = omega * (x - itp.points[k])
-                                k += 1
-                            total += itp.coeffs[N] * omega * u
-                # transition stage: cutoff width delta_{s + n_s - 1}
-                t_T = s + sched.n[s] - 1
-                live_T = self._live(s + 1, t_T, x, "transition", s)
-                nonzero_T.append(live_T)
-                for k in live_T:
-                    u = self._bump(k, s + 1, t_T).value(x)
-                    if u == 0:
-                        continue
+                    omega = pt.row(j, s, itp.points, terms[-1][0])
+                    for N, u in terms:
+                        total += itp.coeffs[N] * omega[N] * u
+                for k, u in terms_T:
                     j_parent = (k + 1) // 2
                     fine = self._interpolant(f, caches, k, s + 1,
                                              sched.M(s + 1) + 1)
                     coarse = self._interpolant(f, caches, j_parent, s,
                                                sched.N(s) + 1)
-                    diff = fine.partial(x, sched.M(s + 1)) \
-                        - coarse.partial(x, sched.N(s))
+                    diff = fine.partial(x, sched.M(s + 1), pt.row(
+                        k, s + 1, fine.points, sched.M(s + 1))) \
+                        - coarse.partial(x, sched.N(s), pt.row(
+                            j_parent, s, coarse.points, sched.N(s)))
                     total += diff * u
             bound = None
             if norm_q is not None and q is not None:
@@ -289,7 +367,7 @@ class ExtensionOperator:
 
     def certified_bound(self, S: int, norm_q: float, q: int) -> LogReal:
         """Telescoping truncation error bound at level S, for x in the set."""
-        n = self.schedule.n[S - 1] - 1
+        n = self.schedule.n[self._level(S) - 1] - 1
         c0 = self.tree.model.c0
         ln_const = math.log(norm_q) + n * LN2 + (q - 1) * math.log(c0) \
             + (2 ** n) * math.log(8 * c0 / 7)

@@ -243,6 +243,16 @@ class TestCLI:
         assert code == 2
         assert "m >= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s_max", ["0", "-1"])
+    def test_extend_truncation_below_1_is_rejected(self, capsys, s_max):
+        # a level below 1 used to index the schedule from its end and print
+        # bounds like ln_bound = -8.8e12 next to ln_err = -5.8
+        code = main(["extend", "--family", "example1", "--B", "1",
+                     "--bits", "1024", "--s-max", s_max])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "truncation level" in err
+
     @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
     def test_readme_command_body(self, args):
         # the README promises byte-identical bodies for a configuration; the

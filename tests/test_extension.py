@@ -300,6 +300,24 @@ class TestOperatorIdentities:
                                            [mp.inf] * len(ivs))
         with pytest.raises(InvariantError, match=f"{stage} locality broken"):
             op.evaluate(lambda v: mp.mpf(1), mp.mpf("0.5"))
+        # a failed audit is not kept in the point's state
+        with pytest.raises(InvariantError, match=f"{stage} locality broken"):
+            op.evaluate(lambda v: v, mp.mpf("0.5"))
+
+    @pytest.mark.parametrize("S", [0, -1, 4])
+    def test_truncation_level_outside_range_raises(self, tree_ex1, S):
+        # S < 1 used to read the schedule and the deltas from the list ends
+        # (a certified bound of e^-32765 where the error is 2e-15)
+        op = ExtensionOperator(tree_ex1, s_max=3)
+        with pytest.raises(ParameterError, match="truncation level"):
+            op.evaluate(mp.sin, mp.mpf("0.3"), norm_q=2.0, q=5, s_max=S)
+        with pytest.raises(ParameterError, match="truncation level"):
+            op.certified_bound(S, norm_q=2.0, q=5)
+
+    @pytest.mark.parametrize("s_max", [0, -1])
+    def test_operator_below_level_1_raises(self, tree_ex1, s_max):
+        with pytest.raises(ParameterError, match="truncation level"):
+            ExtensionOperator(tree_ex1, s_max=s_max)
 
     def test_certified_bound_formula(self, tree_ex1):
         op = ExtensionOperator(tree_ex1, s_max=3)
@@ -387,6 +405,60 @@ def test_interleaved_functions_match_fresh_operators(tree_ex1_512,
             own = fresh.setdefault(i, ExtensionOperator(tree_ex1_512, s_max=4))
             want = own.evaluate(f, x, norm_q=2.0, q=5, s_max=S)
             assert shared.evaluate(f, x, norm_q=2.0, q=5, s_max=S) == want, (i, p, S)
+
+
+def test_point_major_jets_match_scratch_products(tree_ex1_512,
+                                                 probe_points_512):
+    # every function at one x before the next x, the truncation level
+    # raised at the same x: the shared point state gives the scratch values
+    op = ExtensionOperator(tree_ex1_512, s_max=4)
+    with mp.workprec(tree_ex1_512.bits):
+        for x in probe_points_512:
+            for S in (2, 4):
+                got = [op.evaluate(f, x, s_max=S).value for f in _JET_FUNCS]
+                want = [_scratch_omega_W(op, f, x, S) for f in _JET_FUNCS]
+                assert got == want, (S, x)
+
+
+def test_second_function_at_a_point_evaluates_no_cutoff(tree_ex1_512,
+                                                        monkeypatch):
+    calls = {"value": 0, "support_hit": 0}
+    for name in calls:
+        orig = getattr(BumpSpec, name)
+
+        def counted(self, x, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, x)
+
+        monkeypatch.setattr(BumpSpec, name, counted)
+    tree = tree_ex1_512
+    op = ExtensionOperator(tree, s_max=4)
+    x = tree.levels[7][37].right
+    with mp.workprec(tree.bits):
+        op.evaluate(mp.sin, x)
+        assert calls["value"] > 0 and calls["support_hit"] > 0
+        calls.update(value=0, support_hit=0)
+        # an equal mpf, not the same object, finds the state
+        op.evaluate(lambda v: v * v, +x)
+        assert calls == {"value": 0, "support_hit": 0}
+        op.evaluate(lambda v: v * v, tree.levels[7][38].right)
+        assert calls["value"] > 0 and calls["support_hit"] > 0
+
+
+def test_returned_live_sets_are_fresh_lists(tree_ex1_512):
+    tree = tree_ex1_512
+    x = tree.levels[7][37].right
+    f = lambda v: v * v
+    want = ExtensionOperator(tree, s_max=4).evaluate(f, x)
+    op = ExtensionOperator(tree, s_max=4)
+    first = op.evaluate(f, x)
+    assert any(first.nonzero_A) and any(first.nonzero_T)
+    for lists in (first.nonzero_A, first.nonzero_T):
+        for live in lists:
+            live.append(99)
+        lists.append([7])
+    again = op.evaluate(f, x)
+    assert again == want
 
 
 def test_bisected_live_sets_match_full_scan(tree_ex1_512, probe_points_512):
