@@ -181,6 +181,8 @@ def cmd_nodes(cfg: dict) -> None:
 
 
 def cmd_extend(cfg: dict) -> None:
+    if cfg["N"] < 1:
+        raise ParameterError("extend needs --N >= 1 points")
     model = _model_from(cfg)
     tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
     s_max = cfg["s_max"]

@@ -368,6 +368,9 @@ class ExtensionOperator:
     def certified_bound(self, S: int, norm_q: float, q: int) -> LogReal:
         """Telescoping truncation error bound at level S, for x in the set."""
         n = self.schedule.n[self._level(S) - 1] - 1
+        if S + n > self.tree.model.k_max:
+            raise HorizonError(f"bound at level {S} needs delta_{S + n}, "
+                               f"horizon {self.tree.model.k_max}")
         c0 = self.tree.model.c0
         ln_const = math.log(norm_q) + n * LN2 + (q - 1) * math.log(c0) \
             + (2 ** n) * math.log(8 * c0 / 7)

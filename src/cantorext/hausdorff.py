@@ -457,6 +457,8 @@ def ep_root_test(h: LogPower, k_values: Sequence[int]) -> RootTest:
     2^{1/alpha0}); a_k itself converges only at triple-log speed for the
     corrected exponents, so the horizon value is a diagnostic, not a decision.
     """
+    if not k_values:
+        raise ParameterError("the root test needs at least one k")
     a_vals = []
     for k in k_values:
         w = h.inverse_lnln(k * LN2)

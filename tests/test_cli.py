@@ -9,10 +9,11 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from cantorext import hausdorff
+from cantorext import cli, hausdorff
 from cantorext.cli import _emit, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,12 +57,46 @@ def _command_id(args) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def readme_body(command: str) -> tuple:
-    """(exit code, stdout body) of one README command, run once per test run."""
+def readme_run(command: str) -> tuple:
+    """(exit code, stdout body, the config keys its handler read) of one
+    README command, run once per test run.  The keys tell the boundary sweep
+    which flags the command uses."""
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    resolve = cli.resolve_config
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with mock.patch.object(cli, "resolve_config",
+                           lambda *a: Recording(resolve(*a))), \
+            contextlib.redirect_stdout(buf):
         code = main(command.split())
-    return code, buf.getvalue()
+    return code, buf.getvalue(), frozenset(read)
+
+
+def readme_body(command: str) -> tuple:
+    """(exit code, stdout body) of one README command."""
+    return readme_run(command)[:2]
+
+
+# values at or past the edge of what each flag accepts
+BOUNDARY_VALUES = {
+    "--k-max": ["0", "1", "2", "4"], "--depth": ["0", "1"],
+    "--bits": ["1"], "--N": ["-1", "0", "1"], "--n": ["0", "1"],
+    "--r": ["0", "1"], "--s": ["0", "-1"], "--q": ["0", "-1"],
+    "--s-max": ["0"], "--interval": ["0,0", "2,0"], "--epsilon": ["0", "-1"],
+    "--m-window": ["-1"], "--alpha0": ["-1", "0"], "--eps-sign": ["2", "-1"],
+    "--m": ["0", "1"], "--B": ["0", "-1"], "--a": ["0"], "--b": ["0"],
+    "--variant": ["Z"], "--gammas": ["0"], "--k-range": ["0", "1"],
+    "--Q": ["0", "1"], "--seed": ["-1"],
+}
 
 
 class TestCLI:
@@ -253,6 +288,37 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and "truncation level" in err
 
+    @pytest.mark.parametrize("args", [
+        ["extend", "--N", "0"], ["extend", "--N", "-1"],
+        ["markov", "--N", "1"], ["markov", "--N", "0"],
+        ["markov", "--N", "-5"],
+    ], ids=" ".join)
+    def test_counts_below_their_minimum_are_rejected(self, capsys, args):
+        # extend --N 0 used to print no rows and --N -1 to drop the last
+        # point; markov --N below 2 estimated on 2 points per atom instead
+        code = main(args + ["--family", "power_law", "--a", "2",
+                            "--depth", "2", "--s-max", "1", "--n", "2"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["extend", "--family", "example1", "--B", "1", "--bits", "1024",
+         "--s-max", "2", "--N", "2", "--k-max", "2"],
+        ["extend", "--family", "example1", "--B", "1", "--bits", "1024",
+         "--s-max", "3", "--k-max", "4"],
+    ])
+    def test_extend_bound_past_the_horizon_exits_3(self, capsys, args):
+        assert main(args) == 3
+        assert "horizon" in capsys.readouterr().err
+
+    def test_hausdorff_k_max_below_5_exits_2(self, capsys):
+        # the root test's k list range(5, k_max + 1, 5) is empty
+        code = main(["hausdorff", "--family", "example1", "--B", "1",
+                     "--depth", "3", "--k-max", "4"])
+        assert code == 2
+        assert "at least one k" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
     def test_readme_command_body(self, args):
         # the README promises byte-identical bodies for a configuration; the
@@ -261,6 +327,31 @@ class TestCLI:
         assert code == 0
         golden = json.loads(GOLDEN.read_text())
         assert hashlib.sha256(out.encode()).hexdigest() == golden[" ".join(args)]
+
+    @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
+    def test_boundary_flags_exit_cleanly(self, args):
+        # each flag the command reads, set alone to each boundary value, must
+        # end in exit 0, 2 or 3, never in an exception out of main
+        read = readme_run(" ".join(args))[2]
+        bad = []
+        for flag, values in BOUNDARY_VALUES.items():
+            if flag[2:].replace("-", "_") not in read:
+                continue
+            for value in values:
+                run = list(args)
+                if flag in run:
+                    run[run.index(flag) + 1] = value
+                else:
+                    run += [flag, value]
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = exit_code(run)
+                except Exception as exc:
+                    code = repr(exc)
+                if code not in (0, 2, 3):
+                    bad.append(f"{' '.join(run)}: {code}")
+        assert not bad, "\n".join(bad)
 
     def test_readme_bodies_are_strict_json(self):
         def reject(token):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
                             step_series, step_value_mpf)
-from cantorext.errors import InvariantError, NodeCollisionError, ParameterError
+from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
+                              ParameterError)
 from cantorext.extension import (
     ExtensionOperator, check_chain_product_bound,
     check_cutoff_product_bound, check_distance_product_bound,
@@ -318,6 +319,15 @@ class TestOperatorIdentities:
     def test_operator_below_level_1_raises(self, tree_ex1, s_max):
         with pytest.raises(ParameterError, match="truncation level"):
             ExtensionOperator(tree_ex1, s_max=s_max)
+
+    def test_certified_bound_past_the_horizon_raises(self):
+        # level 3 of a k_max = 4 model needs delta_5; the index used to run
+        # off the profile with a bare IndexError
+        tree = build_tree(build_model(EXAMPLE1, k_max=4, B=1.0), bits=256)
+        op = ExtensionOperator(tree, s_max=3)
+        assert op.certified_bound(2, norm_q=2.0, q=5).ln_mag < 0
+        with pytest.raises(HorizonError, match="needs delta_5, horizon 4"):
+            op.certified_bound(3, norm_q=2.0, q=5)
 
     def test_certified_bound_formula(self, tree_ex1):
         op = ExtensionOperator(tree_ex1, s_max=3)

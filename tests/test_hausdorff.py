@@ -632,6 +632,13 @@ class TestRootTest:
         assert rt.a_values[-1] > rt.a_values[0]
         assert rt.verdict == "no"
 
+    @pytest.mark.parametrize("ks", [[], range(5, 5, 5)])
+    def test_no_k_raises(self, ks):
+        # `hausdorff --k-max 4` asks for range(5, 5, 5); the horizon value
+        # used to be read from an empty list
+        with pytest.raises(ParameterError, match="at least one k"):
+            ep_root_test(H_HALF, ks)
+
     def test_deep_horizon_approaches_two(self):
         # log-domain evaluation reaches k = 1e7 where a_k is within 5% of 2
         h = LogPower(1.0, -1, 3)

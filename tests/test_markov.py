@@ -135,6 +135,12 @@ class TestNumeric:
         with pytest.raises(ParameterError):
             markov_numeric([(0, 1)], 2, workers=2)  # one shared model
 
+    @pytest.mark.parametrize("points", [1, 0, -5])
+    def test_fewer_than_two_points_per_atom_raise(self, points):
+        # each used to be replaced by 2 points per atom
+        with pytest.raises(ParameterError, match="2 endpoints"):
+            candidate_lps([(0.0, 0.25), (0.75, 1.0)], 1, points)
+
 
 class TestWarmStartOracle:
     """The shared warm-started model against cold per-candidate linprog."""
@@ -155,29 +161,44 @@ class TestWarmStartOracle:
         want = max(v for v in ref.values() if v is not None)
         assert est.value == pytest.approx(want, rel=1e-6)
 
-    @pytest.mark.parametrize("family, depth, params, n, points", [
-        (POWER_LAW, 4, {"a": 2.0}, 16, 16),
-        (DELTA_FORM, 3, {"b": 3.0}, 8, 24),
-    ])
-    def test_fails_no_candidate_the_cold_loop_solves(
-            self, monkeypatch, family, depth, params, n, points):
+    @pytest.mark.parametrize("family, depth, params, n, points, want", [
+        (POWER_LAW, 4, {"a": 2.0}, 16, 16, "0x1.10fb233240000p+16"),
+        (DELTA_FORM, 3, {"b": 3.0}, 8, 24, "-inf"),
+    ], ids=["power_law-4", "delta_form-3"])
+    def test_stalls_only_where_the_cold_loop_fails(
+            self, monkeypatch, family, depth, params, n, points, want):
         # the estimates below the proven bracket (FOUND (b) in CHANGES.md):
-        # a candidate fails only if its cold retry fails too
+        # each candidate is solved once, on the shared model, and one that
+        # misses optimality there has no cold solution either
         atoms = _tree_atoms(family, depth, **params)
-        cold, failed = markov._lp_value, set()
+        optimal = markov._highs().HighsModelStatus.kOptimal
+        runs, lp_calls = [], []
 
-        def spy(V, dV, idx):
-            val, ok = cold(V, dV, idx)
-            if not ok:
-                failed.add(idx)
-            return val, ok
+        class Recorded:
+            def __init__(self, model):
+                self._model = model
 
-        monkeypatch.setattr(markov, "_lp_value", spy)
+            def __getattr__(self, name):
+                return getattr(self._model, name)
+
+            def run(self):
+                self._model.run()
+                runs.append(self._model.getModelStatus() == optimal)
+
+        build, linprog_ = markov._polytope_model, markov.linprog
+        monkeypatch.setattr(markov, "_polytope_model",
+                            lambda V: Recorded(build(V)))
+        monkeypatch.setattr(
+            markov, "linprog",
+            lambda *a, **kw: lp_calls.append(1) or linprog_(*a, **kw))
         est = markov_numeric(atoms, n, points_per_atom=points)
+        order = candidate_lps(atoms, n, points)[2]
+        assert not lp_calls and len(runs) == len(order)
+        failed = {idx for idx, ok in zip(order, runs) if not ok}
         ref_failed = {i for i, v in _cold_reference(atoms, n, points).items()
                       if v is None}
-        assert ref_failed and failed <= ref_failed
-        assert est.stalled == bool(failed)
+        assert failed and failed <= ref_failed
+        assert est.stalled and est.value.hex() == want
 
 
 class TestRatioTable:
