@@ -516,6 +516,9 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
     c0 = model.c0
     if len(r_list) != len(s_list):
         raise ParameterError("paired experiment needs equal-length lists")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError("the dominating-norm bound needs a finite "
+                             f"eps > 0, got {eps}")
     q = 2 ** m
     rows = []
     for r, s in zip(r_list, s_list):

@@ -35,29 +35,44 @@ LN2 = math.log(2.0)
 # atom providers
 # ---------------------------------------------------------------------------
 
-def _clip(atoms, lo, hi):
-    """The atoms meeting the open window (lo, hi), end atoms clamped to it.
+def _run(atoms, lo, hi):
+    """The run of atoms meeting the open window (lo, hi), or None.
 
-    Returns a copy of the provider over those atoms, or None when the window
-    meets none.  Atoms are sorted and disjoint, so the kept ones (right > lo
-    and left < hi) are the run i0 <= i < i1 found by bisection.  The view
-    shares everything but its per-atom lists, which are copied (a numpy
-    slice is a view of its array), so clipping never writes into ``atoms``.
+    Atoms are sorted and disjoint, so the kept ones (right > lo and left <
+    hi) are the run i0 <= i < i1 found by bisection.  Returns ``(i0, i1,
+    lo_cut, hi_cut)``, each end the window's value where it cuts the end
+    atom and None where not: everything the ``_clip`` view depends on.
     """
     i0 = bisect_right(atoms.rights, lo)
     i1 = bisect_left(atoms.lefts, hi)
     if i0 >= i1 or not lo < hi:
         return None
+    return (i0, i1, lo if atoms.lefts[i0] < lo else None,
+            hi if atoms.rights[i1 - 1] > hi else None)
+
+
+def _clip(atoms, lo, hi):
+    """The atoms meeting the open window (lo, hi), end atoms clamped to it.
+
+    Returns a copy of the provider over the run ``_run`` finds, or None when
+    the window meets none.  The view shares everything but its per-atom
+    lists, which are copied (a numpy slice is a view of its array), so
+    clipping never writes into ``atoms``.
+    """
+    run = _run(atoms, lo, hi)
+    if run is None:
+        return None
+    i0, i1, lo_cut, hi_cut = run
     view = copy.copy(atoms)
     for name in atoms.per_atom:
         setattr(view, name, getattr(atoms, name)[i0:i1].copy())
-    cut_lo, cut_hi = bool(view.lefts[0] < lo), bool(view.rights[-1] > hi)
     # an end clamped by an earlier clip stays clamped while its atom is kept
-    view.clamped = (cut_lo or (i0 == 0 and atoms.clamped[0]),
-                    cut_hi or (i1 == atoms.count and atoms.clamped[1]))
-    if cut_lo:
+    view.clamped = (lo_cut is not None or (i0 == 0 and atoms.clamped[0]),
+                    hi_cut is not None
+                    or (i1 == atoms.count and atoms.clamped[1]))
+    if lo_cut is not None:
         view.lefts[0] = lo
-    if cut_hi:
+    if hi_cut is not None:
         view.rights[-1] = hi
     return view
 
@@ -179,8 +194,9 @@ class IslandFamily:
 
     def Q(self, k: int) -> float:
         q = float(self.q_rule(k))
-        if q < 2.0:
-            raise ParameterError("island exponents need Q_k >= 2")
+        if not (math.isfinite(q) and q >= 2.0):
+            raise ParameterError("island exponents need finite Q_k >= 2, "
+                                 f"got Q_{k} = {q}")
         return q
 
     def b(self, k: int) -> float:
@@ -371,14 +387,19 @@ class DensityTable:
 
 
 def _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows) -> DensityTable:
-    rows, per_r = [], []
+    """Density table over the radii and centres.  Many windows repeat, so
+    phi is solved once per ``_run`` key, in a memo of this call (h fixed)."""
+    rows, per_r, solved = [], [], {}
     for ln_inv_r, r_native in r_items:
         phis = []
         for label, x in x_items:
-            window = atoms.clip(x - r_native, x + r_native)
-            if window is None:
+            lo, hi = x - r_native, x + r_native
+            key = _run(atoms, lo, hi)
+            if key is None:
                 continue
-            phi = content_dp(window, h).value
+            phi = solved.get(key)
+            if phi is None:
+                phi = solved[key] = content_dp(atoms.clip(lo, hi), h).value
             phis.append(phi)
             if keep_rows:
                 rows.append(DensityRow(ln_inv_r=ln_inv_r, x_label=label, phi=phi))

@@ -91,11 +91,12 @@ BOUNDARY_VALUES = {
     "--k-max": ["0", "1", "2", "4"], "--depth": ["0", "1"],
     "--bits": ["1"], "--N": ["-1", "0", "1"], "--n": ["0", "1"],
     "--r": ["0", "1"], "--s": ["0", "-1"], "--q": ["0", "-1"],
-    "--s-max": ["0"], "--interval": ["0,0", "2,0"], "--epsilon": ["0", "-1"],
+    "--s-max": ["0"], "--interval": ["0,0", "2,0"],
+    "--epsilon": ["0", "-1", "nan", "inf"],
     "--m-window": ["-1"], "--alpha0": ["-1", "0"], "--eps-sign": ["2", "-1"],
     "--m": ["0", "1"], "--B": ["0", "-1"], "--a": ["0"], "--b": ["0"],
     "--variant": ["Z"], "--gammas": ["0"], "--k-range": ["0", "1"],
-    "--Q": ["0", "1"], "--seed": ["-1"],
+    "--Q": ["0", "1", "nan", "inf"], "--seed": ["-1"],
 }
 
 
@@ -318,6 +319,25 @@ class TestCLI:
                      "--depth", "3", "--k-max", "4"])
         assert code == 2
         assert "at least one k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("Q", ["nan", "inf"])
+    def test_density_non_finite_island_exponent_is_rejected(self, capsys, Q):
+        # Q = nan passed the Q >= 2 test and printed a liminf of 0.496;
+        # Q = inf gave zero-length islands and printed inf_phi 0.0
+        code = main(["density", "--family", "islands", "--Q", Q,
+                     "--alpha0", "0.5", "--k-range", "10,30", "--k-max", "120"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite Q_k >= 2" in err
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_dn_epsilon_not_positive_is_rejected(self, capsys, eps):
+        # eps = 0 and -1 printed "diverges": true with every row firing
+        code = main(["dn", "--family", "example2", "--r", "128,512",
+                     "--s", "9,16", "--epsilon", eps])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite eps > 0" in err
 
     @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
     def test_readme_command_body(self, args):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorext import hausdorff
 from cantorext.cli import main
 from cantorext.dimension import (
     EtaProfile, LogPower, check_derivative_bound, check_doubling, h_inverse,
@@ -607,6 +608,130 @@ class TestDensities:
         iv = tree.interval(2, 2)
         atoms = TreeAtoms(tree).clip(iv.left, iv.right)
         assert content_dp(atoms, h).value >= 0.25 - 1e-12
+
+
+def _scan_every_window(atoms, h, r_items, x_items, analytic_limit, keep_rows):
+    """The density scan without the window memo: one clip and one covering
+    DP for every (radius, centre)."""
+    rows, per_r = [], []
+    for ln_inv_r, r_native in r_items:
+        phis = []
+        for label, x in x_items:
+            window = atoms.clip(x - r_native, x + r_native)
+            if window is None:
+                continue
+            phi = content_dp(window, h).value
+            phis.append(phi)
+            if keep_rows:
+                rows.append(hausdorff.DensityRow(ln_inv_r, label, phi))
+        if phis:
+            inf_phi = min(phis)
+            per_r.append(hausdorff.DensityPoint(
+                ln_inv_r, inf_phi, inf_phi / h.h_ln(ln_inv_r - math.log(2.0))))
+    per_r.sort(key=lambda p: p.ln_inv_r)
+    liminf = min((p.ratio for p in per_r[len(per_r) // 2:]), default=math.nan)
+    return hausdorff.DensityTable(rows, per_r, liminf, analytic_limit)
+
+
+def _table_hex(table) -> list:
+    return ([(r.ln_inv_r.hex(), r.x_label, r.phi.hex()) for r in table.rows]
+            + [(p.ln_inv_r.hex(), p.inf_phi.hex(), p.ratio.hex())
+               for p in table.per_r]
+            + [table.liminf_estimate.hex()])
+
+
+def _view_key(view) -> tuple:
+    """A clipped view of an unclamped root in the key form of ``_run``."""
+    return (int(view.ids[0]), int(view.ids[-1]) + 1,
+            view.lefts[0] if view.clamped[0] else None,
+            view.rights[-1] if view.clamped[1] else None)
+
+
+SCAN_HS = (LogPower(0.5), LogPower(0.5, 1, 3), LogPower(0.5, -1, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _delta_tree(b: float):
+    depth, bits = {2.0: (6, 512), 3.0: (5, 1024)}[b]
+    return build_tree(build_model(DELTA_FORM, k_max=12, b=b),
+                      depth=depth, bits=bits)
+
+
+class TestScanMemo:
+    """``_scan`` solves the covering DP once per distinct window."""
+
+    @pytest.mark.parametrize("kind", ["islands", "tree"])
+    def test_one_dp_per_distinct_window(self, kind, monkeypatch):
+        solved, keys = [], []
+        dp, run = hausdorff.content_dp, hausdorff._run
+
+        def counting_dp(atoms, h):
+            solved.append(_view_key(atoms))
+            return dp(atoms, h)
+
+        def recording_run(atoms, lo, hi):
+            key = run(atoms, lo, hi)
+            keys.append(key)
+            return key
+
+        monkeypatch.setattr(hausdorff, "content_dp", counting_dp)
+        monkeypatch.setattr(hausdorff, "_run", recording_run)
+        if kind == "tree":
+            table = density_scan_tree(_delta_tree(2.0), H_HALF, range(2, 7),
+                                      keep_rows=True)
+        else:
+            table = density_scan_islands(IslandFamily(q_rule_log(), k_max=60),
+                                         H_HALF, [9, 20, 30, 40, 57],
+                                         keep_rows=True)
+        distinct = set(keys) - {None}
+        assert len(solved) == len(set(solved)) == len(distinct)
+        assert set(solved) == distinct
+        # the memo is what saves the DPs: many rows share a window
+        assert len(solved) < len(table.rows)
+
+    def test_clamped_end_value_is_part_of_the_key(self, monkeypatch):
+        # both windows keep atoms 0 and 1 and cut only atom 0, at 0.0025
+        # and at 0.00375: same (i0, i1), different clamped left ends
+        atoms = FloatAtoms([(0.0, 0.01), (0.02, 0.03)])
+        r = 0.0175
+        lo_a, lo_b = 0.02 - r, 0.02125 - r
+        assert hausdorff._run(atoms, lo_a, 0.02 + r)[:2] == \
+            hausdorff._run(atoms, lo_b, 0.02125 + r)[:2] == (0, 2)
+        calls = []
+        dp = hausdorff.content_dp
+        monkeypatch.setattr(hausdorff, "content_dp",
+                            lambda a, h: calls.append(a.lefts[0]) or dp(a, h))
+        table = hausdorff._scan(atoms, H_HALF, [(-math.log(r), r)],
+                                [("a", 0.02), ("b", 0.02125)], None, True)
+        assert calls == [lo_a, lo_b]
+        phi_a, phi_b = (row.phi for row in table.rows)
+        assert phi_a != phi_b
+        assert phi_a == dp(atoms.clip(lo_a, 0.02 + r), H_HALF).value
+        assert phi_b == dp(atoms.clip(lo_b, 0.02125 + r), H_HALF).value
+
+    @pytest.mark.parametrize("rule", ["2", "3", "log"])
+    @pytest.mark.parametrize("h", SCAN_HS, ids=["h", "h+", "h-"])
+    def test_island_scans_match_every_window_scan(self, rule, h, monkeypatch):
+        q = q_rule_log() if rule == "log" else q_rule_constant(float(rule))
+        # 16 radii from k = 10: at shallow radii a window that keeps one
+        # island cuts it at x + r, so windows of different radii share
+        # (i0, i1) and differ in the clamped end alone
+        fam = IslandFamily(q, k_max=60)
+        ks = list(range(10, 58, 3))
+        got = density_scan_islands(fam, h, ks, keep_rows=True)
+        monkeypatch.setattr(hausdorff, "_scan", _scan_every_window)
+        want = density_scan_islands(fam, h, ks, keep_rows=True)
+        assert _table_hex(got) == _table_hex(want)
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    @pytest.mark.parametrize("h", SCAN_HS, ids=["h", "h+", "h-"])
+    def test_tree_scans_match_every_window_scan(self, b, h, monkeypatch):
+        tree = _delta_tree(b)
+        ks = range(2, tree.depth + 1)
+        got = density_scan_tree(tree, h, ks, b ** -0.5, keep_rows=True)
+        monkeypatch.setattr(hausdorff, "_scan", _scan_every_window)
+        want = density_scan_tree(tree, h, ks, b ** -0.5, keep_rows=True)
+        assert _table_hex(got) == _table_hex(want)
 
 
 class TestRootTest:
