@@ -481,10 +481,10 @@ def build_model(family: str, k_max: int = 40, **params) -> GammaModel:
     """Build and validate a gamma model of one of FAMILIES.
 
     Each family's parameters, their types and defaults are declared in
-    FAMILY_SPECS; parameters it does not declare are ignored.  Where the
-    formula exceeds 1/32 on a prefix, that prefix is clamped to exactly 1/32
-    (or, with ``keep_prefix``, recorded in ``eq2_exceptions``), and
-    admissibility is checked.
+    FAMILY_SPECS; parameters it does not declare are ignored, and a float
+    parameter must be finite.  Where the formula exceeds 1/32 on a prefix,
+    that prefix is clamped to exactly 1/32 (or, with ``keep_prefix``,
+    recorded in ``eq2_exceptions``), and admissibility is checked.
     """
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
@@ -493,6 +493,9 @@ def build_model(family: str, k_max: int = 40, **params) -> GammaModel:
     for name, (kind, default) in spec.params.items():
         value = params.get(name, default)
         kw[name] = value if kind is None else kind(value)
+        if kind is float and not math.isfinite(kw[name]):
+            raise ParameterError(
+                f"{family}: parameter {name} must be finite, got {kw[name]}")
     stored, ln_inv, tail, meta = spec.formula(k_max, **kw)
     k_max = len(ln_inv)
     ln32 = Fraction(LN32)

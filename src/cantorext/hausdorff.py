@@ -22,11 +22,12 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_float, to_float
 
 from .errors import DepthError, DomainError, ParameterError
 from .dimension import LogPower
 from .geometry import CantorTree
-from .logreal import ln_double
+from .logreal import ln_double, ln_double_fixed
 
 LN2 = math.log(2.0)
 
@@ -39,29 +40,47 @@ def _run(atoms, lo, hi):
     """The run of atoms meeting the open window (lo, hi), or None.
 
     Atoms are sorted and disjoint, so the kept ones (right > lo and left <
-    hi) are the run i0 <= i < i1 found by bisection.  Returns ``(i0, i1,
-    lo_cut, hi_cut)``, each end the window's value where it cuts the end
-    atom and None where not: everything the ``_clip`` view depends on.
+    hi) are the run i0 <= i < i1 found by bisection: of the root's ``keys``
+    over the view's own range, with each window end as the floor or ceiling
+    that the keys compare like the end itself.  An end that a clip clamped
+    is not in the keys; it is compared with the window exactly.  Returns
+    ``(i0, i1, lo_cut, hi_cut)``, each end the window's value where it cuts
+    the end atom and None where not: everything the ``_clip`` view depends
+    on.
     """
-    i0 = bisect_right(atoms.rights, lo)
-    i1 = bisect_left(atoms.lefts, hi)
-    if i0 >= i1 or not lo < hi:
+    lefts, rights = atoms.keys
+    lo_floor, lo_ceil = atoms.key(lo)
+    hi_floor, hi_ceil = atoms.key(hi)
+    a, n = int(atoms.ids[0]), atoms.count
+    head, tail = atoms.clamped
+    i0 = bisect_right(rights, lo_floor, a, a + n - tail) - a
+    if tail and i0 == n - 1 and atoms.rights[-1] <= lo:
+        i0 = n
+    i1 = bisect_left(lefts, hi_ceil, a + head, a + n) - a
+    if head and i1 == 1 and not atoms.lefts[0] < hi:
+        i1 = 0
+    if i0 >= i1 or not lo_ceil < hi_floor and not lo < hi:
         return None
-    return (i0, i1, lo if atoms.lefts[i0] < lo else None,
-            hi if atoms.rights[i1 - 1] > hi else None)
+    lo_cut = atoms.lefts[0] < lo if head and i0 == 0 else \
+        lefts[a + i0] < lo_ceil
+    hi_cut = atoms.rights[-1] > hi if tail and i1 == n else \
+        rights[a + i1 - 1] > hi_floor
+    return (i0, i1, lo if lo_cut else None, hi if hi_cut else None)
 
 
-def _clip(atoms, lo, hi):
+def _clip(atoms, lo, hi, run=None):
     """The atoms meeting the open window (lo, hi), end atoms clamped to it.
 
-    Returns a copy of the provider over the run ``_run`` finds, or None when
-    the window meets none.  The view shares everything but its per-atom
-    lists, which are copied (a numpy slice is a view of its array), so
-    clipping never writes into ``atoms``.
+    Returns a copy of the provider over the run ``_run`` finds (``run``,
+    when the caller has it already), or None when the window meets none.
+    The view shares everything but its per-atom lists, which are copied (a
+    numpy slice is a view of its array), so clipping never writes into
+    ``atoms``.
     """
-    run = _run(atoms, lo, hi)
     if run is None:
-        return None
+        run = _run(atoms, lo, hi)
+        if run is None:
+            return None
     i0, i1, lo_cut, hi_cut = run
     view = copy.copy(atoms)
     for name in atoms.per_atom:
@@ -71,10 +90,27 @@ def _clip(atoms, lo, hi):
                     hi_cut is not None
                     or (i1 == atoms.count and atoms.clamped[1]))
     if lo_cut is not None:
-        view.lefts[0] = lo
+        view.lefts[0] = lo_cut
     if hi_cut is not None:
-        view.rights[-1] = hi
+        view.rights[-1] = hi_cut
     return view
+
+
+def _scaled(v, scale: int) -> tuple:
+    """floor(v 2^scale) and ceil(v 2^scale) for an mpf or a double v; an
+    infinity or NaN stays a float, which ints compare with as with v."""
+    t = getattr(v, "_mpf_", None) or from_float(float(v))
+    sign, man, exp, _ = t
+    if not man:
+        v = to_float(t)
+        return (0, 0) if v == 0 else (v, v)
+    shift = exp + scale
+    if shift >= 0:
+        n = -man << shift if sign else man << shift
+        return n, n
+    q = man >> -shift
+    inexact = q << -shift != man
+    return (-q - inexact, -q) if sign else (q, q + inexact)
 
 
 _NO_SPANS = np.empty(0)
@@ -94,9 +130,11 @@ class _Atoms:
     is computed by ``_clamped_column`` on every call and never stored.
 
     ``clamped`` tells whether a clipped view cut the left end of its first
-    atom and the right end of its last.  Each provider binds ``clip`` and
-    ``ln_inv_span_starts`` in its own namespace, where the benchmark's span
-    recorder wraps them per class.
+    atom and the right end of its last.  ``keys`` holds the root's lefts
+    and rights for bisection, shared by every view, and ``key(v)`` a window
+    end's floor and ceiling in their units: here the values themselves.
+    Each provider binds ``clip`` and ``ln_inv_span_starts`` in its own
+    namespace, where the benchmark's span recorder wraps them per class.
     """
 
     per_atom = ("lefts", "rights", "ids")
@@ -105,8 +143,13 @@ class _Atoms:
     def __init__(self, lefts, rights):
         self.lefts = lefts
         self.rights = rights
+        self.keys = (lefts, rights)
         self.ids = np.arange(len(lefts))
         self._memo = {}
+
+    @staticmethod
+    def key(v) -> tuple:
+        return v, v
 
     @property
     def count(self) -> int:
@@ -154,17 +197,46 @@ class FloatAtoms(_Atoms):
 
 class TreeAtoms(_Atoms):
     """Deepest-level basic intervals of a tree, span logs at the tree's
-    precision rounded to doubles (``ln_double``)."""
+    precision rounded to doubles (``ln_double``).
+
+    ``keys`` holds every endpoint as an exact int at one scale 2^-F, F the
+    largest -exponent of a nonzero endpoint, so bisection compares ints:
+    ``key`` turns a window end into its floor and ceiling at that scale.
+    An unclamped span is the int difference D of two keys, and its log is
+    ``ln_double_fixed(D, F)``: the double ``ln_double`` gives for right -
+    left, the mpf that D 2^-F rounds to.  A double-double log decides it
+    where its error bound (2^-69 + |E| 2^-82 for a span g 2^E, 2^-57 |ln|
+    within 2^-3 of 1) leaves the log that far from every midpoint between
+    two doubles; elsewhere the 128-bit, then the working-precision log
+    does: 1 of the 12,459 spans of the density benchmark's tree
+    operations.  A clamped end is a window's value, off the scale: spans
+    from or to it are taken in mpf (``_clamped_column``).
+    """
 
     def __init__(self, tree: CantorTree, level: Optional[int] = None):
         self.bits = tree.bits
         ivs = tree.atoms(level)
         super().__init__([iv.left for iv in ivs], [iv.right for iv in ivs])
+        self.scale = max(-v._mpf_[2] for v in self.lefts + self.rights
+                         if v._mpf_[1])
+        self.keys = tuple([self.key(v)[0] for v in ends]
+                          for ends in (self.lefts, self.rights))
+
+    def key(self, v) -> tuple:
+        return _scaled(v, self.scale)
 
     def _column(self, starts, j: int) -> np.ndarray:
+        lefts, rights = self.keys
+        a = int(self.ids[0])
+        R, scale = rights[a + j], self.scale
+        with mp.workprec(self.bits):
+            # 0.0 - y rather than -y: a span of exactly 1 logs +0.0, not -0.0
+            return np.array([0.0 - ln_double_fixed(R - lefts[a + i], scale)
+                             for i in starts], dtype=float)
+
+    def _clamped_column(self, starts, j: int) -> np.ndarray:
         with mp.workprec(self.bits):
             R = self.rights[j]
-            # 0.0 - y rather than -y: a span of exactly 1 logs +0.0, not -0.0
             return np.array([0.0 - ln_double(R - self.lefts[i]) for i in starts],
                             dtype=float)
 
@@ -399,7 +471,8 @@ def _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows) -> DensityTable
                 continue
             phi = solved.get(key)
             if phi is None:
-                phi = solved[key] = content_dp(atoms.clip(lo, hi), h).value
+                phi = solved[key] = content_dp(atoms.clip(lo, hi, key),
+                                               h).value
             phis.append(phi)
             if keep_rows:
                 rows.append(DensityRow(ln_inv_r=ln_inv_r, x_label=label, phi=phi))

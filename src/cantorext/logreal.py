@@ -10,13 +10,15 @@ of the log and remain exactly comparable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import mpmath as mp
-from mpmath.libmp import mpf_log, round_nearest, to_float
+from mpmath.libmp import (from_float, from_man_exp, mpf_log, mpf_sub,
+                          round_nearest, to_float)
 
 # Bits used for float <-> log conversions.  2*53 bits make exp(log(x)) round
 # back to x exactly for every normal double, which plain libm does not.
@@ -32,23 +34,146 @@ _LN_SLACK = 1 << 10
 # mpf_log's own working precision for a _LN_PREC-bit result
 _LN_WP = _LN_PREC + 20
 
+# ln 2 = _LN2_HI + _LN2_LO + (at most 2^-86): a 32-bit head, so that
+# E _LN2_HI is exact for |E| < 2^20
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+_MASK53 = (1 << 53) - 1
+_TWO52 = float(1 << 52)
+
+
+@functools.cache
+def _ln_centres() -> tuple:
+    """ln c_i = hi + lo for c_i = 1 + (i + 1/2)/128, i < 128, within 2^-106.
+
+    Built on the first fast log, not at import."""
+    rows = []
+    for i in range(128):
+        ln = mpf_log(from_float(1 + (i + 0.5) / 128), 160, round_nearest)
+        hi = to_float(ln, rnd=round_nearest)
+        rows.append((hi, to_float(mpf_sub(ln, from_float(hi), 160),
+                                  rnd=round_nearest)))
+    return tuple(rows)
+
+
+def _rounded(hi: float, lo: float, bound: float) -> Optional[float]:
+    """The double nearest to y, given |y - (hi + lo)| <= bound and |hi| >=
+    |lo|; None unless y lies at least ``bound`` from every midpoint.
+
+    TwoSum: s + err = hi + lo exactly.  A power of two has the smaller
+    spacing below it, so it takes a quarter of its ulp on both sides."""
+    s = hi + lo
+    err = lo - (s - hi)
+    ulp = math.ulp(s)
+    half = ulp * (0.25 if abs(s) == ulp * _TWO52 else 0.5)
+    return s if abs(err) + 2 * bound < half else None
+
+
+def _ln_near_one(man: int, exp: int, bc: int,
+                 below: bool) -> Optional[tuple]:
+    """``_ln_short`` for x = man 2^exp within 2^-3 of 1 (``below``: x < 1).
+
+    eps = x - 1 is exact in the mantissa.  ln(1 + eps) = 2 atanh t with t =
+    eps/(2 + eps), |t| < 1/15.  One integer division gives T = t 2^k,
+    2^103.9 < |T| < 2^105.1, split into doubles t1 + t0 (t0 < 2^-50.9 |t1|,
+    2^-103.8 relative in all); then 2 atanh t = 2t + 2t w (1/3 + w/5 + ...
+    + w^8/17), w = t1^2, with the polynomial in doubles from t1 alone.  The
+    error is at most |2 t1| (2^-102.8 + 2^-50.4 w): 2^-50.9 w from leaving
+    t0 out of the polynomial, 2^-52.4 w from its rounding, the series' tail
+    below 2^-66 w.  The bound given is |2 t1| (2^-100 + 2^-50 w).
+    """
+    d = (1 << bc) - man if below else man - (1 << (bc - 1))
+    if not d:
+        return 0.0, 0.0, 0.0
+    bl = d.bit_length()
+    if bl + exp < -900:  # |ln x| near the end of the double range
+        return None
+    if bl > 110:
+        d >>= bl - 110
+        exp += bl - 110
+        bl = 110
+    # |eps| = d 2^exp and 2 + eps = (2^(1-exp) -+ d) 2^exp
+    k = 106 - bl - exp
+    t = (d << k) // ((1 << (1 - exp)) + (-d if below else d))
+    t1 = math.ldexp(float(t >> 53), 53 - k)
+    w = t1 * t1
+    hi = t1 + t1
+    lo = math.ldexp(float(t & _MASK53), 1 - k) + hi * w * (
+        1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
+            1 / 13 + w * (1 / 15 + w * (1 / 17))))))))
+    if below:
+        hi, lo = -hi, -lo
+    return hi, lo, abs(hi) * (2.0 ** -100 + w * 2.0 ** -50)
+
+
+def _ln_short(man: int, exp: int, bc: int) -> Optional[tuple]:
+    """ln x = hi + lo within ``bound``, as (hi, lo, bound), for x = man 2^exp
+    > 0 (man of bc bits, not necessarily odd); None for |E| >= 2^20 or |ln
+    x| < 2^-900.
+
+    With x = g 2^E, 1 <= g < 2, and M the top 106 bits of g (M 2^-105 <=
+    g < (M + 1) 2^-105): ln g = ln c_i + 2 atanh u, c_i = 1 + (i + 1/2)/128
+    the centre of g's 128th of [1, 2), u = (g - c_i)/(g + c_i), |u| <=
+    2^-9.  u is taken from M to 2^-106 by one integer division (so the
+    mantissa below its top 53 bits enters through u, and below 106 bits
+    moves ln g by less than 2^-105), split into doubles u1 + u0; then 2
+    atanh u = 2u + 2u1 w (1/3 + w/5 + w^2/7 + w^3/9), w = u1^2, the dropped
+    terms below 2^-83.  E ln 2 = E _LN2_HI (exact) + E _LN2_LO.  The sums
+    run in double-double (Fast2Sum: outside 2^-3 of 1, |E ln 2 + ln c_i| >
+    0.12 > |2u|).  The error is at most 2^-69 + |E| 2^-82: 2^-70 from the
+    tail in u1 alone, |E| 2^-82.2 from _LN2_LO and the low sums.  Within
+    2^-3 of 1, where that is not small against ln x, see ``_ln_near_one``.
+    """
+    E = exp + bc - 1
+    if E == 0 and man - (1 << (bc - 1)) << 3 < 1 << (bc - 1):
+        return _ln_near_one(man, exp, bc, False)
+    if E == -1 and (1 << bc) - man << 3 < 1 << bc:
+        return _ln_near_one(man, exp, bc, True)
+    if not -(1 << 20) < E < 1 << 20:
+        return None
+    M = man >> bc - 106 if bc >= 106 else man << 106 - bc
+    i = (M >> 98) - 128
+    C = (2 * i + 257) << 97                    # c_i 2^105
+    u = ((M - C) << 106) // (M + C)
+    u1 = float(u >> 53) * 2.0 ** -53
+    w = u1 * u1
+    u2 = u1 + u1
+    c_hi, c_lo = _ln_centres()[i]
+    A = E * _LN2_HI
+    a = A + c_hi
+    b = a + u2
+    lo = ((c_hi - (a - A)) + (u2 - (b - a)) + (E * _LN2_LO + c_lo)
+          + (float(u & _MASK53) * 2.0 ** -105
+             + u2 * w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9))))))
+    return b, lo, 2.0 ** -69 + abs(E) * 2.0 ** -82
+
 
 def ln_double(x) -> float:
     """``float(mp.log(x))`` for a positive mpf x at the working precision.
 
-    The log is taken at 128 bits and rounded to the nearest double.  That is
-    the double the working-precision log rounds to unless the exact log lies
-    within a few units of the 128-bit result's last place of a midpoint
-    between two doubles; within 2^10 units (or at a working precision of 128
-    bits or less, or far outside the normal double range) the log runs at the
-    working precision, as ``float(mp.log(x))`` would.
+    Three tries, cheapest first, each taken only where it decides:
+    - a double-double log (``_ln_short``; Tang's table method, Ziv's
+      rounding test) with a proven error bound B: 2^-69 + |E| 2^-82 for x
+      = g 2^E, and |ln x| (2^-100 + 2^-50 eps^2 / 4) within eps = x - 1 of
+      1, |eps| < 2^-3.  Its double is returned only when the TwoSum error
+      of the final sum leaves ln x at least B from every midpoint between
+      two doubles (B < 2^-57 |ln x|, far above the 128-bit log's slack of
+      about 2^-117 |ln x|);
+    - the log at 128 bits, rounded to the nearest double, unless the
+      result lies within 2^10 units of its last place of such a midpoint;
+    - the log at the working precision, as ``float(mp.log(x))`` would.
+
+    Each try returns the double nearest to ln x, so the three agree.  At a
+    working precision of 128 bits or less, next to 1/4 (where ``mpf_log``
+    at 128 bits is wrong) or far outside the normal double range, only the
+    last runs.
     """
-    _, man, exp, bc = x._mpf_
-    # mpf_log takes an x in [1/4, 1/2) for one near 1 once x - 1/4 cancels
-    # more than its working precision: it logs 1/4 + 2^-200 as about 2^-198
-    near_quarter = (exp + bc == -1 and bc > _LN_WP + 1
-                    and man >> (bc - _LN_WP - 1) == 1 << _LN_WP)
-    if mp.mp.prec > _LN_PREC and not near_quarter:
+    sign, man, exp, bc = x._mpf_
+    if mp.mp.prec > _LN_PREC and not _near_quarter(man, exp, bc):
+        short = _ln_short(man, exp, bc) if man and not sign else None
+        ln = None if short is None else _rounded(*short)
+        if ln is not None:
+            return ln
         ln = mpf_log(x._mpf_, _LN_PREC, round_nearest)
         _, man, exp, bc = ln
         tail = (man << (_LN_PREC - bc)) & ((1 << _LN_TAIL) - 1)
@@ -56,6 +181,32 @@ def ln_double(x) -> float:
                 and -1000 < exp + bc < 1000):
             return to_float(ln, rnd=round_nearest)
     return float(mp.log(x))
+
+
+def ln_double_fixed(d: int, scale: int) -> float:
+    """``ln_double`` of the mpf that d 2^-scale (d > 0) rounds to at the
+    working precision p, without making that mpf where the short log
+    decides: it runs on d itself, and rounding to p bits moves the log by
+    less than 2^(1-p), which is added to its bound.
+    """
+    prec = mp.mp.prec
+    bc = d.bit_length()
+    if prec > _LN_PREC and not _near_quarter(d, -scale, bc):
+        short = _ln_short(d, -scale, bc)
+        if short is not None:
+            hi, lo, bound = short
+            ln = _rounded(hi, lo, bound + math.ldexp(1.0, 1 - prec))
+            if ln is not None:
+                return ln
+    return ln_double(mp.make_mpf(from_man_exp(d, -scale, prec, round_nearest)))
+
+
+def _near_quarter(man: int, exp: int, bc: int) -> bool:
+    """Whether x = man 2^exp lies in [1/4, 1/2) next to 1/4: mpf_log takes
+    such an x for one near 1 once x - 1/4 cancels more than its working
+    precision, and logs 1/4 + 2^-200 as about 2^-198 at 128 bits."""
+    return (exp + bc == -1 and bc > _LN_WP + 1
+            and man >> (bc - _LN_WP - 1) == 1 << _LN_WP)
 
 
 def _normalize(hi: int, lo: float) -> tuple[int, float]:

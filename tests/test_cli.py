@@ -94,7 +94,8 @@ BOUNDARY_VALUES = {
     "--s-max": ["0"], "--interval": ["0,0", "2,0"],
     "--epsilon": ["0", "-1", "nan", "inf"],
     "--m-window": ["-1"], "--alpha0": ["-1", "0"], "--eps-sign": ["2", "-1"],
-    "--m": ["0", "1"], "--B": ["0", "-1"], "--a": ["0"], "--b": ["0"],
+    "--m": ["0", "1"], "--B": ["0", "-1", "nan", "inf"],
+    "--a": ["0", "nan", "inf"], "--b": ["0", "nan", "inf"],
     "--variant": ["Z"], "--gammas": ["0"], "--k-range": ["0", "1"],
     "--Q": ["0", "1", "nan", "inf"], "--seed": ["-1"],
 }
@@ -329,6 +330,22 @@ class TestCLI:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == "" and "finite Q_k >= 2" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["gamma", "--family", "example1", "--B"],
+        ["geometry", "--family", "power_law", "--a"],
+        ["density", "--family", "delta_form", "--depth", "3",
+         "--k-range", "2,3", "--b"],
+    ], ids=["B", "a", "b"])
+    def test_non_finite_family_parameter_is_rejected(self, capsys, args,
+                                                     value):
+        # inf raised a bare OverflowError (exit 1); nan exited 2 with
+        # "cannot convert NaN to integer ratio", naming no flag
+        code = main(args + [value])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"parameter {args[-1][2:]} must be finite" in err
 
     @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
     def test_dn_epsilon_not_positive_is_rejected(self, capsys, eps):

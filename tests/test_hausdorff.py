@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import warnings
@@ -732,6 +733,68 @@ class TestScanMemo:
         monkeypatch.setattr(hausdorff, "_scan", _scan_every_window)
         want = density_scan_tree(tree, h, ks, b ** -0.5, keep_rows=True)
         assert _table_hex(got) == _table_hex(want)
+
+
+def _mpf_run(atoms, lo, hi):
+    """``_run`` as a bisection over the provider's own lefts and rights
+    (mpf values for tree atoms, clamped ends included)."""
+    i0 = bisect.bisect_right(list(atoms.rights), lo)
+    i1 = bisect.bisect_left(list(atoms.lefts), hi)
+    if i0 >= i1 or not lo < hi:
+        return None
+    return (i0, i1, lo if atoms.lefts[i0] < lo else None,
+            hi if atoms.rights[i1 - 1] > hi else None)
+
+
+class TestIntegerKeys:
+    """Tree atoms bisect exact int endpoint keys, not their mpf values."""
+
+    def test_keys_are_the_endpoints_exactly(self):
+        atoms = TreeAtoms(_delta_tree(3.0))
+        for ends, keys in zip((atoms.lefts, atoms.rights), atoms.keys):
+            assert all(isinstance(k, int) for k in keys)
+            assert [mp.ldexp(k, -atoms.scale) for k in keys] == list(ends)
+
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_scan_windows_match_mpf_bisection(self, b, monkeypatch):
+        # every window of the tree scans that TestScanMemo runs
+        runs = []
+        run = hausdorff._run
+
+        def compared(atoms, lo, hi):
+            key = run(atoms, lo, hi)
+            runs.append((key, _mpf_run(atoms, lo, hi)))
+            return key
+
+        monkeypatch.setattr(hausdorff, "_run", compared)
+        tree = _delta_tree(b)
+        density_scan_tree(tree, H_HALF, range(2, tree.depth + 1))
+        assert len(runs) == (tree.depth - 1) * 2 ** tree.depth
+        assert all(got == want for got, want in runs)
+
+    @pytest.mark.parametrize("clamp", ["left", "right", "both"])
+    def test_clamped_view_windows_match_mpf_bisection(self, clamp):
+        root = TreeAtoms(_memo_tree())
+        L, R = root.lefts, root.rights
+        with mp.workprec(root.bits):
+            lo = L[2] + (R[2] - L[2]) / 3 if clamp != "right" else \
+                (R[1] + L[2]) / 2
+            hi = R[-3] - (R[-3] - L[-3]) / 3 if clamp != "left" else \
+                (R[-3] + L[-2]) / 2
+            view = root.clip(lo, hi)
+            assert view.clamped == (clamp != "right", clamp != "left")
+            # the view's ends, points between a clamped end and the end of
+            # its root atom, inside atoms and gaps, both far sides, floats
+            ends = _window_ends(view, lambda a, b: (a + b) / 2)
+            ends += [(lo + L[2]) / 2, (hi + R[-3]) / 2, L[2], R[-3]]
+        with mp.workprec(root.bits + 64):
+            # ends off the keys' scale, a 2^-8 step of it from an endpoint
+            step = mp.ldexp(1, -root.scale - 8)
+            ends += [v + d for v in (lo, hi, L[4], R[4]) for d in (step, -step)]
+        ends += [float(v) for v in ends]
+        for a in ends:
+            for b in ends:
+                assert hausdorff._run(view, a, b) == _mpf_run(view, a, b)
 
 
 class TestRootTest:

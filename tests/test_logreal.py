@@ -4,9 +4,13 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cantorext import hausdorff, logreal
+from cantorext.dimension import EtaProfile, LogPower
 from cantorext.gamma import DELTA_FORM, EXAMPLE1, build_model
 from cantorext.geometry import build_tree
-from cantorext.logreal import ONE, LogReal, ln_double, log_mul_pow
+from cantorext.hausdorff import TreeAtoms, content_dp, density_scan_tree
+from cantorext.logreal import (ONE, LogReal, ln_double, ln_double_fixed,
+                               log_mul_pow)
 
 
 def lr(x):
@@ -208,3 +212,126 @@ def test_ln_double_matches_full_log(bits, exp, rnd):
     with mp.workprec(bits):
         x = mp.mpf((man, exp - bits))
         assert ln_double(x) == float(mp.log(x))
+
+
+def test_short_log_constants():
+    # the error bounds of the short log rest on these: E ln 2 exact in its
+    # head for |E| < 2^20, and the table within 2^-106
+    with mp.workprec(300):
+        head = logreal._LN2_HI * 2 ** 32
+        assert head == int(head) and int(head).bit_length() == 32
+        assert abs(mp.log(2) - logreal._LN2_HI - logreal._LN2_LO) <= \
+            mp.mpf(2) ** -86
+        for i, (hi, lo) in enumerate(logreal._ln_centres()):
+            assert abs(mp.log(1 + mp.mpf(2 * i + 1) / 256) - hi - lo) <= \
+                mp.mpf(2) ** -106
+
+
+@st.composite
+def _short_log_inputs(draw):
+    """(bits, man, exp): any x, x within 2^-3 of 1 on either side, or x next
+    to a power of two (a mantissa 1 + 2^-k or 2 - 2^-k)."""
+    bits = draw(st.integers(min_value=129, max_value=8192))
+    kind = draw(st.sampled_from(["any", "above 1", "below 1", "power of 2"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    top = 1 << (bits - 1)
+    if kind == "any":
+        man = top | rnd.getrandbits(bits - 1)
+        return bits, man, draw(st.integers(-2 ** 12, 2 ** 12)) - bits
+    if kind == "power of 2":
+        low = rnd.getrandbits(draw(st.integers(1, bits - 1))) | 1
+        man = top + low if draw(st.booleans()) else 2 * top - low
+        return bits, man, draw(st.integers(-2 ** 12, 2 ** 12)) - bits
+    # |x - 1| = 2^-shift (1 + random), so eps keeps bits - shift bits
+    shift = draw(st.integers(min_value=3, max_value=bits - 1))
+    eps = rnd.getrandbits(bits - shift) | 1 << (bits - shift - 1)
+    if kind == "above 1":
+        return bits, top + (eps >> 1), 1 - bits
+    return bits, 2 * top - eps, -bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_short_log_inputs())
+@example((512, 1, 0))                                    # x = 1
+@example((129, (1 << 128) + (1 << 125), -128))           # x = 1 + 2^-3
+@example((129, (1 << 129) - (1 << 126), -129))           # x = 1 - 2^-3
+def test_short_log_matches_full_log_within_its_bound(case):
+    # the double-double log is within its stated bound of the exact log,
+    # and ln_double's double is the one the working-precision log rounds to
+    bits, man, exp = case
+    with mp.workprec(bits):
+        x = mp.mpf((man, exp))
+        want = float(mp.log(x))
+        assert ln_double(x).hex() == want.hex()
+    _, man, exp, bc = x._mpf_
+    short = logreal._ln_short(man, exp, bc)
+    if short is None:  # |ln x| < 2^-900, next to the end of the double range
+        assert abs(want) < 2.0 ** -899
+        return
+    hi, lo, bound = short
+    with mp.workprec(bits + 200):
+        assert abs(mp.log(x) - hi - lo) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(prec=st.integers(min_value=129, max_value=2048),
+       extra=st.integers(min_value=-64, max_value=600),
+       near=st.sampled_from([None, 1, -1]),
+       shift=st.integers(min_value=3, max_value=2000),
+       exp=st.integers(min_value=-2 ** 12, max_value=2 ** 12),
+       rnd=st.randoms(use_true_random=False))
+def test_fixed_point_log_matches_rounded_mpf(prec, extra, near, shift, exp,
+                                             rnd):
+    # d carries up to 600 bits more than the working precision: the short
+    # log runs on d itself, ln_double on the mpf that d 2^-scale rounds to
+    bits = max(prec + extra, 2)
+    if near is None:
+        d, scale = rnd.getrandbits(bits) | 1 << (bits - 1), bits - exp
+    else:  # d 2^-bits = 1 + near 2^-shift (1 + random), its tail rounded off
+        shift = min(shift, bits - 2)
+        eps = rnd.getrandbits(bits - shift - 1) | 1 << (bits - shift - 1)
+        d, scale = (1 << bits) + near * eps, bits
+    with mp.workprec(prec):
+        x = mp.mpf((d, -scale))
+        assert ln_double_fixed(d, scale).hex() == ln_double(x).hex() \
+            == float(mp.log(x)).hex()
+
+
+def _density_tree_operations():
+    """The density workload's three tree operations at their nominal sizes:
+    the delta_form scans b = 2 (depth 7, 1024 bits) and b = 3 (depth 6,
+    1280 bits), and the EXAMPLE1 content of a depth-7, 512-bit tree."""
+    for b, depth, bits in ((2.0, 7, 1024), (3.0, 6, 1280)):
+        tree = build_tree(build_model(DELTA_FORM, k_max=12, b=b), depth=depth,
+                          bits=bits)
+        density_scan_tree(tree, LogPower(0.5), range(2, depth + 1))
+    model = build_model(EXAMPLE1, k_max=14, B=1.0)
+    content_dp(TreeAtoms(build_tree(model, depth=7, bits=512)),
+               EtaProfile(model))
+
+
+def test_short_log_decides_most_tree_spans(monkeypatch):
+    # a short log that always fell through would still give the right
+    # doubles; only the share of spans it decides shows that it works
+    logreal._ln_centres()  # its table is built with mpf_log, once
+    logs, spans, slow = [], [], []
+
+    def counted(ln):
+        def call(*args):
+            before = len(logs)
+            out = ln(*args)
+            spans.append(args)
+            if len(logs) > before:
+                slow.append(args)
+            return out
+        return call
+
+    for name in ("ln_double", "ln_double_fixed"):
+        monkeypatch.setattr(hausdorff, name, counted(getattr(hausdorff, name)))
+    mpf_log, log = logreal.mpf_log, mp.log
+    monkeypatch.setattr(logreal, "mpf_log",
+                        lambda *a: logs.append(a) or mpf_log(*a))
+    monkeypatch.setattr(mp, "log", lambda x: logs.append(x) or log(x))
+    _density_tree_operations()
+    assert len(spans) > 12000
+    assert len(slow) <= 0.05 * len(spans)
