@@ -448,8 +448,7 @@ def whitney_norm(jet: JetSample, q: int, bits: int = 256) -> float:
     with mp.workprec(bits):
         best = max(abs(D[p][i]) for p in range(q + 1) for i in range(m))
         # remainders below the precision floor of the jet values are noise
-        floor = max(abs(D[p][i]) for p in range(q + 1) for i in range(m)) \
-            * mp.mpf(2) ** (-bits + 16)
+        floor = best * mp.mpf(2) ** (16 - bits)
         for i in range(m):
             for j_ in range(m):
                 if i == j_:

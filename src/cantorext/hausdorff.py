@@ -36,47 +36,46 @@ LN2 = math.log(2.0)
 # atom providers
 # ---------------------------------------------------------------------------
 
+def _root(atoms):
+    if atoms.clipped:
+        raise ParameterError("a clipped view cannot be clipped again; "
+                             "clip its root provider")
+
+
 def _run(atoms, lo, hi):
-    """The run of atoms meeting the open window (lo, hi), or None.
+    """The run of a root provider's atoms meeting the open window (lo, hi),
+    or None.
 
     Atoms are sorted and disjoint, so the kept ones (right > lo and left <
-    hi) are the run i0 <= i < i1 found by bisection: of the root's ``keys``
-    over the view's own range, with each window end as the floor or ceiling
-    that the keys compare like the end itself.  An end that a clip clamped
-    is not in the keys; it is compared with the window exactly.  Returns
-    ``(i0, i1, lo_cut, hi_cut)``, each end the window's value where it cuts
-    the end atom and None where not: everything the ``_clip`` view depends
-    on.
+    hi) are the run i0 <= i < i1 found by bisection: of ``keys``, with each
+    window end as the floor or ceiling that the keys compare like the end
+    itself.  Returns ``(i0, i1, lo_cut, hi_cut)``, each end the window's
+    value where it cuts the end atom and None where not: everything the
+    ``_clip`` view depends on.  Raises ParameterError for a clipped view.
     """
+    _root(atoms)
     lefts, rights = atoms.keys
     lo_floor, lo_ceil = atoms.key(lo)
     hi_floor, hi_ceil = atoms.key(hi)
-    a, n = int(atoms.ids[0]), atoms.count
-    head, tail = atoms.clamped
-    i0 = bisect_right(rights, lo_floor, a, a + n - tail) - a
-    if tail and i0 == n - 1 and atoms.rights[-1] <= lo:
-        i0 = n
-    i1 = bisect_left(lefts, hi_ceil, a + head, a + n) - a
-    if head and i1 == 1 and not atoms.lefts[0] < hi:
-        i1 = 0
+    i0 = bisect_right(rights, lo_floor)
+    i1 = bisect_left(lefts, hi_ceil)
     if i0 >= i1 or not lo_ceil < hi_floor and not lo < hi:
         return None
-    lo_cut = atoms.lefts[0] < lo if head and i0 == 0 else \
-        lefts[a + i0] < lo_ceil
-    hi_cut = atoms.rights[-1] > hi if tail and i1 == n else \
-        rights[a + i1 - 1] > hi_floor
-    return (i0, i1, lo if lo_cut else None, hi if hi_cut else None)
+    return (i0, i1, lo if lefts[i0] < lo_ceil else None,
+            hi if rights[i1 - 1] > hi_floor else None)
 
 
 def _clip(atoms, lo, hi, run=None):
-    """The atoms meeting the open window (lo, hi), end atoms clamped to it.
+    """The atoms of a root provider meeting the open window (lo, hi), end
+    atoms clamped to it.
 
     Returns a copy of the provider over the run ``_run`` finds (``run``,
     when the caller has it already), or None when the window meets none.
     The view shares everything but its per-atom lists, which are copied (a
     numpy slice is a view of its array), so clipping never writes into
-    ``atoms``.
+    ``atoms``.  Raises ParameterError for a clipped view.
     """
+    _root(atoms)
     if run is None:
         run = _run(atoms, lo, hi)
         if run is None:
@@ -85,10 +84,8 @@ def _clip(atoms, lo, hi, run=None):
     view = copy.copy(atoms)
     for name in atoms.per_atom:
         setattr(view, name, getattr(atoms, name)[i0:i1].copy())
-    # an end clamped by an earlier clip stays clamped while its atom is kept
-    view.clamped = (lo_cut is not None or (i0 == 0 and atoms.clamped[0]),
-                    hi_cut is not None
-                    or (i1 == atoms.count and atoms.clamped[1]))
+    view.clipped = True
+    view.clamped = (lo_cut is not None, hi_cut is not None)
     if lo_cut is not None:
         view.lefts[0] = lo_cut
     if hi_cut is not None:
@@ -129,15 +126,17 @@ class _Atoms:
     entry that starts or ends on a clamped end depends on the window, so it
     is computed by ``_clamped_column`` on every call and never stored.
 
-    ``clamped`` tells whether a clipped view cut the left end of its first
-    atom and the right end of its last.  ``keys`` holds the root's lefts
-    and rights for bisection, shared by every view, and ``key(v)`` a window
-    end's floor and ceiling in their units: here the values themselves.
-    Each provider binds ``clip`` and ``ln_inv_span_starts`` in its own
-    namespace, where the benchmark's span recorder wraps them per class.
+    ``clip`` takes the root only (``clipped`` is False there), and
+    ``clamped`` tells whether a view cut the left end of its first atom and
+    the right end of its last.  ``keys`` holds the root's lefts and rights
+    for bisection, and ``key(v)`` a window end's floor and ceiling in their
+    units: here the values themselves.  Each provider binds ``clip`` and
+    ``ln_inv_span_starts`` in its own namespace, where the benchmark's span
+    recorder wraps them per class.
     """
 
     per_atom = ("lefts", "rights", "ids")
+    clipped = False
     clamped = (False, False)
 
     def __init__(self, lefts, rights):
@@ -207,10 +206,10 @@ class TreeAtoms(_Atoms):
     left, the mpf that D 2^-F rounds to.  A double-double log decides it
     where its error bound (2^-69 + |E| 2^-82 for a span g 2^E, 2^-57 |ln|
     within 2^-3 of 1) leaves the log that far from every midpoint between
-    two doubles; elsewhere the 128-bit, then the working-precision log
-    does: 1 of the 12,459 spans of the density benchmark's tree
-    operations.  A clamped end is a window's value, off the scale: spans
-    from or to it are taken in mpf (``_clamped_column``).
+    two doubles; elsewhere the working-precision log does: 1 of the 12,459
+    spans of the density benchmark's tree operations, the span of exactly
+    1.  A clamped end is a window's value, off the scale: spans from or to
+    it are taken in mpf (``_clamped_column``).
     """
 
     def __init__(self, tree: CantorTree, level: Optional[int] = None):

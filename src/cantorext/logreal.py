@@ -26,13 +26,12 @@ _CONV_PREC = 112
 # Extra bits for mpf -> log conversions, on top of the exponent's bit length.
 _LOG_GUARD = 16
 
-# ln_double's short log: its bits, and how many of its last units around a
-# midpoint between two doubles send it to the full-precision log
-_LN_PREC = _CONV_PREC + _LOG_GUARD
-_LN_TAIL = _LN_PREC - 53
-_LN_SLACK = 1 << 10
-# mpf_log's own working precision for a _LN_PREC-bit result
-_LN_WP = _LN_PREC + 20
+# ln_double's short log runs only above this working precision.  At or below
+# it, float(mp.log(x)) rounds twice (to the working precision, then to a
+# double) and can miss the double nearest ln x that the short log returns;
+# above it that first rounding moves the log by less than the short log's
+# error bound, so both give the same double.
+_SHORT_LOG_MIN_PREC = 128
 
 # ln 2 = _LN2_HI + _LN2_LO + (at most 2^-86): a 32-bit head, so that
 # E _LN2_HI is exact for |E| < 2^20
@@ -149,37 +148,22 @@ def _ln_short(man: int, exp: int, bc: int) -> Optional[tuple]:
 
 
 def ln_double(x) -> float:
-    """``float(mp.log(x))`` for a positive mpf x at the working precision.
+    """``float(mp.log(x))`` for an mpf x at the working precision p (an x of
+    more than p bits taken as rounded to p bits).
 
-    Three tries, cheapest first, each taken only where it decides:
-    - a double-double log (``_ln_short``; Tang's table method, Ziv's
-      rounding test) with a proven error bound B: 2^-69 + |E| 2^-82 for x
-      = g 2^E, and |ln x| (2^-100 + 2^-50 eps^2 / 4) within eps = x - 1 of
-      1, |eps| < 2^-3.  Its double is returned only when the TwoSum error
-      of the final sum leaves ln x at least B from every midpoint between
-      two doubles (B < 2^-57 |ln x|, far above the 128-bit log's slack of
-      about 2^-117 |ln x|);
-    - the log at 128 bits, rounded to the nearest double, unless the
-      result lies within 2^10 units of its last place of such a midpoint;
-    - the log at the working precision, as ``float(mp.log(x))`` would.
-
-    Each try returns the double nearest to ln x, so the three agree.  At a
-    working precision of 128 bits or less, next to 1/4 (where ``mpf_log``
-    at 128 bits is wrong) or far outside the normal double range, only the
-    last runs.
+    For x > 0 this is ``ln_double_fixed`` of x's mantissa and exponent: a
+    double-double log (``_ln_short``; Tang's table method, Ziv's rounding
+    test) with a proven error bound B: 2^-69 + |E| 2^-82 for x = g 2^E, and
+    |ln x| (2^-100 + 2^-50 eps^2 / 4) within eps = x - 1 of 1, |eps| <
+    2^-3.  Its double is returned only when the TwoSum error of the final
+    sum leaves ln x at least B from every midpoint between two doubles: the
+    double nearest ln x, which float(mp.log(x)) also gives there (see
+    ``_SHORT_LOG_MIN_PREC``).  Elsewhere, at p <= 128 bits and far
+    outside the normal double range, the log at the working precision runs.
     """
-    sign, man, exp, bc = x._mpf_
-    if mp.mp.prec > _LN_PREC and not _near_quarter(man, exp, bc):
-        short = _ln_short(man, exp, bc) if man and not sign else None
-        ln = None if short is None else _rounded(*short)
-        if ln is not None:
-            return ln
-        ln = mpf_log(x._mpf_, _LN_PREC, round_nearest)
-        _, man, exp, bc = ln
-        tail = (man << (_LN_PREC - bc)) & ((1 << _LN_TAIL) - 1)
-        if (abs(tail - (1 << (_LN_TAIL - 1))) > _LN_SLACK
-                and -1000 < exp + bc < 1000):
-            return to_float(ln, rnd=round_nearest)
+    sign, man, exp, _ = x._mpf_
+    if man and not sign:
+        return ln_double_fixed(man, -exp)
     return float(mp.log(x))
 
 
@@ -190,23 +174,15 @@ def ln_double_fixed(d: int, scale: int) -> float:
     less than 2^(1-p), which is added to its bound.
     """
     prec = mp.mp.prec
-    bc = d.bit_length()
-    if prec > _LN_PREC and not _near_quarter(d, -scale, bc):
-        short = _ln_short(d, -scale, bc)
+    if prec > _SHORT_LOG_MIN_PREC:
+        short = _ln_short(d, -scale, d.bit_length())
         if short is not None:
             hi, lo, bound = short
             ln = _rounded(hi, lo, bound + math.ldexp(1.0, 1 - prec))
             if ln is not None:
                 return ln
-    return ln_double(mp.make_mpf(from_man_exp(d, -scale, prec, round_nearest)))
-
-
-def _near_quarter(man: int, exp: int, bc: int) -> bool:
-    """Whether x = man 2^exp lies in [1/4, 1/2) next to 1/4: mpf_log takes
-    such an x for one near 1 once x - 1/4 cancels more than its working
-    precision, and logs 1/4 + 2^-200 as about 2^-198 at 128 bits."""
-    return (exp + bc == -1 and bc > _LN_WP + 1
-            and man >> (bc - _LN_WP - 1) == 1 << _LN_WP)
+    return float(mp.log(mp.make_mpf(from_man_exp(d, -scale, prec,
+                                                 round_nearest))))
 
 
 def _normalize(hi: int, lo: float) -> tuple[int, float]:

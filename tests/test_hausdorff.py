@@ -352,17 +352,13 @@ class TestClip:
         for j in range(view.count):
             assert view.ln_inv_span_starts(j).tobytes() == rows[j].tobytes()
 
-        # clipping a view is clipping to the intersected window
-        inner = view.clip(lo2, hi2)
-        both = atoms.clip(max(lo, lo2), min(hi, hi2))
-        assert (inner is None) == (both is None)
-        if both is not None:
-            assert list(inner.lefts) == list(both.lefts)
-            assert list(inner.rights) == list(both.rights)
-            assert inner.clamped == both.clamped
-            for j in range(both.count):
-                assert inner.ln_inv_span_starts(j).tobytes() == \
-                    both.ln_inv_span_starts(j).tobytes()
+        # only a root is clipped: a view raises, with or without its run
+        run = hausdorff._run(atoms, lo, hi)
+        for clip in (lambda: view.clip(lo2, hi2),
+                     lambda: view.clip(lo, hi, run),
+                     lambda: hausdorff._run(view, lo2, hi2)):
+            with pytest.raises(ParameterError):
+                clip()
 
 
 def _scalar_island_row(atoms, j):
@@ -642,7 +638,7 @@ def _table_hex(table) -> list:
 
 
 def _view_key(view) -> tuple:
-    """A clipped view of an unclamped root in the key form of ``_run``."""
+    """A clipped view in the key form of ``_run``."""
     return (int(view.ids[0]), int(view.ids[-1]) + 1,
             view.lefts[0] if view.clamped[0] else None,
             view.rights[-1] if view.clamped[1] else None)
@@ -737,7 +733,7 @@ class TestScanMemo:
 
 def _mpf_run(atoms, lo, hi):
     """``_run`` as a bisection over the provider's own lefts and rights
-    (mpf values for tree atoms, clamped ends included)."""
+    (mpf values for tree atoms)."""
     i0 = bisect.bisect_right(list(atoms.rights), lo)
     i1 = bisect.bisect_left(list(atoms.lefts), hi)
     if i0 >= i1 or not lo < hi:
@@ -781,12 +777,13 @@ class TestIntegerKeys:
                 (R[1] + L[2]) / 2
             hi = R[-3] - (R[-3] - L[-3]) / 3 if clamp != "left" else \
                 (R[-3] + L[-2]) / 2
-            view = root.clip(lo, hi)
-            assert view.clamped == (clamp != "right", clamp != "left")
-            # the view's ends, points between a clamped end and the end of
-            # its root atom, inside atoms and gaps, both far sides, floats
-            ends = _window_ends(view, lambda a, b: (a + b) / 2)
-            ends += [(lo + L[2]) / 2, (hi + R[-3]) / 2, L[2], R[-3]]
+            assert root.clip(lo, hi).clamped == \
+                (clamp != "right", clamp != "left")
+            # the clamped ends, points between them and the ends of their
+            # atoms, the root's ends, points inside atoms and gaps, both far
+            # sides, floats
+            ends = _window_ends(root, lambda a, b: (a + b) / 2)
+            ends += [lo, hi, (lo + L[2]) / 2, (hi + R[-3]) / 2]
         with mp.workprec(root.bits + 64):
             # ends off the keys' scale, a 2^-8 step of it from an endpoint
             step = mp.ldexp(1, -root.scale - 8)
@@ -794,7 +791,7 @@ class TestIntegerKeys:
         ends += [float(v) for v in ends]
         for a in ends:
             for b in ends:
-                assert hausdorff._run(view, a, b) == _mpf_run(view, a, b)
+                assert hausdorff._run(root, a, b) == _mpf_run(root, a, b)
 
 
 class TestRootTest:

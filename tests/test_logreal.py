@@ -168,17 +168,32 @@ def test_ln_double_matches_full_log_on_tree_spans(family, kw, depth, bits):
                 assert ln_double(span) == float(mp.log(span))
 
 
+@pytest.fixture
+def mpf_logs(monkeypatch):
+    """Counts the calls of ``logreal.mpf_log`` once the short log's table,
+    which is built with it, exists."""
+    logreal._ln_centres()
+    calls = []
+    mpf_log = logreal.mpf_log
+    monkeypatch.setattr(logreal, "mpf_log",
+                        lambda *a: calls.append(a) or mpf_log(*a))
+    return calls
+
+
 @pytest.mark.parametrize("low", [0.75, -3.0, 5.5, 1e-3])
 @pytest.mark.parametrize("nudge", [0, 1, -1])
-def test_ln_double_falls_back_next_to_a_midpoint(low, nudge, full_logs):
-    # ln x within 2^-1000 of the exact midpoint of two adjacent doubles: the
-    # 128-bit log cannot tell which of them the full log rounds to
+def test_ln_double_falls_back_next_to_a_midpoint(low, nudge, full_logs,
+                                                 mpf_logs):
+    # ln x within 2^-1000 of the exact midpoint of two adjacent doubles: no
+    # short log can tell which of them the full log rounds to, so each
+    # entry takes the working-precision log once, and nothing between
     with mp.workprec(1024):
         mid = (mp.mpf(low) + mp.mpf(math.nextafter(low, math.inf))) / 2
         x = mp.exp(mid) * (1 + nudge * mp.mpf(2) ** -1000)
-        got = ln_double(x)
-        assert len(full_logs) == 1
-        assert got == float(mp.log(x))
+        _, man, exp, _ = x._mpf_
+        got = ln_double(x), ln_double_fixed(man, -exp)
+        assert len(full_logs) == 2 and mpf_logs == []
+        assert got[0] == got[1] == float(mp.log(x))
 
 
 @pytest.mark.parametrize("prec", [53, 100, 128])
@@ -191,12 +206,13 @@ def test_ln_double_takes_the_full_log_at_128_bits_or_less(prec, full_logs):
 
 
 @pytest.mark.parametrize("bits", [256, 512, 8192])
-def test_ln_double_just_above_a_quarter(bits, full_logs):
-    # mpf_log at 128 bits takes 1/4 + 2^(56 - bits) for 1 + 2^(58 - bits)
+def test_ln_double_just_above_a_quarter(bits, full_logs, mpf_logs):
+    # mpf_log at 128 bits takes 1/4 + 2^(56 - bits) for 1 + 2^(58 - bits);
+    # the short log does not, and decides it
     with mp.workprec(bits):
         x = mp.mpf(1) / 4 + mp.mpf(2) ** (56 - bits)
         got = ln_double(x)
-        assert len(full_logs) == 1
+        assert full_logs == [] and mpf_logs == []
         assert got == float(mp.log(x)) == pytest.approx(-math.log(4))
 
 
