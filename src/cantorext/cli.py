@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto library operations; every run resolves its
 configuration (config file overridden by flags), embeds it verbatim in the
 output header, and writes deterministic JSON or CSV.  Exit codes: 0 success,
-2 validation/usage error, 3 precision/depth/horizon error.
+2 usage or other library error, 3 precision/depth/horizon error.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import mpmath as mp
 
 from . import __version__
 from .dimension import EtaProfile, LogPower
-from .errors import (DegreeError, DepthError, DomainError, HorizonError,
-                     InsufficientOrderError, InvariantError,
-                     NodeCollisionError, ParameterError, PrecisionError,
-                     ValidationError)
+from .errors import (CantorExtError, DepthError, HorizonError,
+                     ParameterError, PrecisionError, ValidationError)
 from .extension import ExtensionOperator, dn_experiment
 from .gamma import build_model, classify_ep, family_spec, profile
 from .geometry import build_tree, select_nodes, verify_geometry
@@ -34,9 +32,6 @@ from .logreal import ln_double
 from .markov import (markov_bounds, markov_numeric, ratio_table,
                      tree_atom_bounds)
 
-VALIDATION_ERRORS = (ValidationError, ParameterError, DegreeError,
-                     NodeCollisionError, DomainError, InsufficientOrderError,
-                     InvariantError, ValueError, OSError)
 BUDGET_ERRORS = (DepthError, PrecisionError, HorizonError)
 
 
@@ -155,7 +150,7 @@ def cmd_geometry(cfg: dict) -> None:
         intervals = [{
             "level": iv.level, "index": iv.index,
             "left": _decimal(iv.left), "right": _decimal(iv.right),
-            "ln_length": iv.ln_length.ln_mag,
+            "ln_length": iv.ln_length,
         } for lvl in tree.levels for iv in lvl]
     data = {
         "depth": tree.depth, "bits": tree.bits, "all_ok": rep.all_ok,
@@ -421,12 +416,12 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(parser, argv)
         cfg.pop("func")(cfg)
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BUDGET_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (CantorExtError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -603,7 +603,7 @@ def check_distance_product_bound(tree: CantorTree, interval: tuple,
     ZN = Z[:N]
     with mp.workprec(tree.bits):
         delta = tree.delta_mpf(s + n)
-        ln_delta = float(mp.log(delta))
+        ln_delta = ln_double(delta)
         c1 = 8.0 / 7.0 * (tree.model.c0 + 1.0)
         rhs_best = math.inf
         for z in Z:

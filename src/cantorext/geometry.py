@@ -29,7 +29,7 @@ from mpmath.libmp import from_man_exp
 
 from .errors import BracketError, DepthError, HorizonError, PrecisionError
 from .gamma import GammaModel, profile
-from .logreal import LogReal
+from .logreal import ln_double
 
 LEFT, RIGHT = 0, 1
 
@@ -61,7 +61,8 @@ class BasicInterval:
     """One basic interval, endpoints at tree precision.
 
     ``addr`` is the left/right path from the root; ``left_type``/``right_type``
-    are the levels at which the endpoints were created (their point types).
+    are the levels at which the endpoints were created (their point types);
+    ``ln_length`` is ``ln_double(right - left)`` at the tree's precision.
     """
 
     level: int
@@ -71,7 +72,7 @@ class BasicInterval:
     addr: tuple
     left_type: int
     right_type: int
-    ln_length: LogReal = None
+    ln_length: Optional[float] = None
 
 
 @dataclass
@@ -304,7 +305,7 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
             levels.append(cur)
         for lvl in levels:
             for iv in lvl:
-                iv.ln_length = LogReal.from_mpf(iv.right - iv.left)
+                iv.ln_length = ln_double(iv.right - iv.left)
     # only the nesting is checked here; verify_geometry reports the length
     # and gap bounds, which delta-form prefixes legitimately fail
     return CantorTree(model=model, depth=depth, bits=bits, levels=levels,
@@ -348,8 +349,6 @@ def select_nodes(tree: CantorTree, interval: tuple, N: int) -> NodeSet:
             if len(pts) < N:
                 pts.append(Node(partner, ptype))
                 containers.append(child)
-            elif i >= count - 1:
-                break
     return NodeSet(interval=interval, nodes=pts)
 
 
@@ -376,16 +375,18 @@ def verify_geometry(tree: CantorTree) -> GeometryReport:
 
     The strict inequalities have margins as small as gamma_{s+1} (doubly
     exponential in s), so the pass/fail flags are decided at full tree
-    precision; the reported ratio statistics are double-grade.  log is
-    monotone, so only the extreme ratios l/delta_s of a level are logged.
+    precision; the reported ratio statistics are double-grade.  log and
+    correctly rounded division by delta_s > 0 are monotone, so only the
+    shortest and longest length of a level are divided and logged.
     """
     out = []
     ln_c0 = 16.0 * tree.model.gamma_sum
     with mp.workprec(tree.bits):
         for s in range(1, tree.depth + 1):
             delta = tree.delta_mpf(s)
-            ratios = [(iv.right - iv.left) / delta for iv in tree.levels[s]]
-            lo_m, hi_m = mp.log(min(ratios)), mp.log(max(ratios))
+            lengths = [iv.right - iv.left for iv in tree.levels[s]]
+            lo_m = mp.log(min(lengths) / delta)
+            hi_m = mp.log(max(lengths) / delta)
             parents = tree.levels[s - 1]
             g_m = mp.inf
             for iv in parents:

@@ -409,7 +409,7 @@ def lambda_level_estimate(tree: CantorTree, h, k: int) -> LevelSum:
     if k == 0:
         # single interval of length 1: boundary case reported raw
         return LevelSum(level=0, value=1.0, lower=1.0, upper=1.0)
-    vals = np.array([-iv.ln_length.ln_mag for iv in tree.levels[k]])
+    vals = np.array([-iv.ln_length for iv in tree.levels[k]])
     total = float(np.sum(h.h_ln(vals)))
     L_k = float(tree.profile.ln_inv_delta(k))
     upper = 2.0 ** k * h.h_ln(L_k - math.log(tree.model.c0))
@@ -492,10 +492,12 @@ def density_scan_tree(tree: CantorTree, h, k_range: Sequence[int],
                       keep_rows: bool = False) -> DensityTable:
     """Density table of a Cantor-type set at the extremal radii.
 
-    Radii r_k = (7/8) delta_{k-1} cover exactly one level-k basic interval
-    around any x in the set and stop inside the adjacent gaps; x runs over the
-    deepest-level atom endpoints.  The ratio needs h(2r), so k = 1 (r = 7/8)
-    is rejected.
+    Radii r_k = (7/8) delta_{k-1}, centres x the deepest atoms' left ends.
+    Where the gap bound h >= (7/8) l holds above level k, each gap beside a
+    level-k interval is wider than r_k, so a window takes exactly the atoms
+    of x's level-k interval; at k = 2, delta-form prefixes fail it (half the
+    windows take two level-2 intervals for b = 2, all for b = 1.8).  The
+    ratio needs h(2r), so k = 1 (r = 7/8) is rejected.
     """
     atoms = TreeAtoms(tree)
     with mp.workprec(tree.bits):

@@ -235,6 +235,8 @@ class LogReal:
         value's precision: with x = m 2^e, 1/2 <= m < 1 (exact),
         ln x = ln m + e ln 2 is formed with enough bits that its absolute
         error stays near 2^-(_CONV_PREC + _LOG_GUARD) whatever the exponent.
+        The package no longer calls it; the benchmark's tracer still wraps
+        this binding, until the program records its own spans (ROADMAP item 4).
         """
         if not 0 < x < mp.inf:
             raise ValueError(f"cannot represent {x!r}")

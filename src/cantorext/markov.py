@@ -32,7 +32,7 @@ from numpy.polynomial import chebyshev as C
 from .errors import DegreeError, HorizonError, ParameterError
 from .gamma import GammaModel, profile as make_profile
 from .geometry import CantorTree, level_values
-from .logreal import LogReal
+from .logreal import LogReal, ln_double
 
 LN2 = math.log(2.0)
 EXTRA_CANDIDATES = 24   # stratified interior candidates per estimate
@@ -214,7 +214,7 @@ def certificate_lower_bound(tree: CantorTree, s: int) -> float:
                 for lev, v in enumerate(level_values(x, r, s)[:-1], start=1):
                     dv = dv * (2 * v + r[lev])
                 best = max(best, abs(dv) * 2 / r[s])
-        return float(mp.log(best))
+        return ln_double(best)
 
 
 # ---------------------------------------------------------------------------

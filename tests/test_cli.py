@@ -15,6 +15,7 @@ import pytest
 
 from cantorext import cli, hausdorff
 from cantorext.cli import _emit, main
+from cantorext.errors import BracketError
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "readme_cli.json"
@@ -136,6 +137,21 @@ class TestCLI:
                            "--k-max", "12", "--depth", "9", "--bits", "256"],
                           capsys)
         assert code == 3
+
+    def test_library_error_outside_both_groups_exits_2(self, capsys,
+                                                       monkeypatch):
+        # build_tree raises BracketError on a negative discriminant; it
+        # escaped main with a traceback, being in neither exit-code tuple
+        def bracket(*args, **kwargs):
+            raise BracketError("negative discriminant at the root level")
+
+        monkeypatch.setattr(cli, "build_tree", bracket)
+        code = main(["geometry", "--family", "power_law", "--a", "2",
+                     "--depth", "2"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: negative discriminant at the root "
+                                  "level\n")
 
     def test_csv_roundtrip(self, capsys, tmp_path):
         out_file = tmp_path / "gamma.csv"

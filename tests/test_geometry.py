@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import mpmath as mp
@@ -8,10 +10,16 @@ from cantorext import geometry
 from cantorext.errors import DepthError, HorizonError
 from cantorext.gamma import CUSTOM, DELTA_FORM, EXAMPLE1, POWER_LAW, build_model
 from cantorext.geometry import (
-    build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
+    LevelGeometry, build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
     refine_endpoint_bisection, required_bits, select_nodes, verify_geometry,
 )
 from cantorext.hausdorff import TreeAtoms
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(family, kw: tuple, depth: int, bits: int):
+    return build_tree(build_model(family, k_max=12, **dict(kw)), depth=depth,
+                      bits=bits)
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +108,8 @@ class TestBuildTree:
         for (j, s) in [(1, 1), (2, 2), (5, 3), (11, 4)]:
             iv = tree_ex1.interval(j, s)
             _, err = refine_endpoint_bisection(tree_ex1, iv)
-            scale = iv.ln_length.to_mpf() if s else 1
             with mp.workprec(tree_ex1.bits):
+                scale = iv.right - iv.left
                 assert err < mp.mpf(2) ** (-tree_ex1.bits // 2) * scale
 
     def test_depth_budget(self):
@@ -197,8 +205,65 @@ class TestLengthGapTables:
                     total = (cl.right - cl.left) + (cr.right - cr.left) \
                         + (cr.left - cl.right)
                     assert abs(total - length) <= mp.mpf(2) ** (-t.bits + 8) * length
-                    # the stored log-lengths agree with the endpoints at double grade
-                    assert abs(iv.ln_length.ln_mag - float(mp.log(length))) < 1e-13
+                    # the stored log-length is the working-precision log
+                    assert iv.ln_length == float(mp.log(length))
+
+    @pytest.mark.parametrize("family, kw, depth, bits", [
+        (POWER_LAW, {"a": 2.0}, 6, 512),       # the README geometry tree
+        (EXAMPLE1, {"B": 1.0}, 7, 512),
+        (DELTA_FORM, {"b": 2.0}, 7, 1024),
+    ])
+    def test_ln_length_is_the_nearest_double(self, family, kw, depth, bits):
+        # a LogReal rounded twice (float(hi) + lo) and missed the double
+        # nearest ln l by 1 ulp at level 5, indices 5 and 28 of the README tree
+        tree = _tree(family, tuple(kw.items()), depth, bits)
+        with mp.workprec(2000):
+            for lvl in tree.levels:
+                for iv in lvl:
+                    want = float(mp.log(iv.right - iv.left))
+                    assert iv.ln_length.hex() == want.hex(), (iv.level, iv.index)
+
+
+def _geometry_dividing_every_length(tree) -> list:
+    """verify_geometry's levels from every quotient l/delta_s of a level,
+    the extreme ones logged: the reference for its shortest and longest
+    length."""
+    out = []
+    ln_c0 = 16.0 * tree.model.gamma_sum
+    with mp.workprec(tree.bits):
+        for s in range(1, tree.depth + 1):
+            delta = tree.delta_mpf(s)
+            ratios = [(iv.right - iv.left) / delta for iv in tree.levels[s]]
+            lo_m, hi_m = mp.log(min(ratios)), mp.log(max(ratios))
+            g_m = min((cr.left - cl.right) / (iv.right - iv.left)
+                      for iv in tree.levels[s - 1]
+                      for cl, cr in [tree.children(iv)])
+            sharp = 1 - 4 * geometry._exp_neg(tree.model.ln_inv_gamma[s - 1])
+            out.append(LevelGeometry(
+                level=s,
+                min_ln_l_over_delta=float(lo_m), max_ln_l_over_delta=float(hi_m),
+                min_gap_over_len=float(g_m), sharp_gap_bound=float(sharp),
+                length_bounds_ok=bool(lo_m > 0) and bool(hi_m < ln_c0),
+                gap_bound_ok=bool(g_m >= mp.mpf(7) / 8),
+                sharp_gap_ok=bool(g_m > sharp)))
+    return out
+
+
+def _hex_fields(level) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(level).items()}
+
+
+@pytest.mark.parametrize("family, kw, depth, bits", [
+    (DELTA_FORM, {"b": 2.0}, 7, 1024),         # prefix levels fail the gap bound
+    (EXAMPLE1, {"B": 1.0}, 7, 512),
+])
+def test_verify_geometry_matches_every_quotient(family, kw, depth, bits):
+    tree = _tree(family, tuple(kw.items()), depth, bits)
+    got = verify_geometry(tree).levels
+    want = _geometry_dividing_every_length(tree)
+    assert [_hex_fields(l) for l in got] == [_hex_fields(l) for l in want]
+    assert all(l.gap_bound_ok for l in got) == (family != DELTA_FORM)
 
 
 from hypothesis import example, given, settings, strategies as st

@@ -14,7 +14,8 @@ from cantorext.dimension import (
     EtaProfile, LogPower, check_derivative_bound, check_doubling, h_inverse,
 )
 from cantorext.errors import DomainError, ParameterError
-from cantorext.gamma import DELTA_FORM, EXAMPLE1, EXAMPLE2, build_model, profile
+from cantorext.gamma import (DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW,
+                             build_model, profile)
 from cantorext.geometry import build_tree
 from cantorext.hausdorff import (
     FloatAtoms, IslandFamily, TreeAtoms, check_two_scale_gap,
@@ -542,7 +543,7 @@ class TestLevelSums:
         h = EtaProfile(t.model)
         full = lambda_level_estimate(t, h, 6).value
         base = t.interval(2, 2)
-        vals = [-iv.ln_length.ln_mag for iv in t.levels[6]
+        vals = [-iv.ln_length for iv in t.levels[6]
                 if base.left <= iv.left and iv.right <= base.right]
         restricted = float(np.sum(h.h_ln(np.array(vals))))
         assert restricted == pytest.approx(full / 4.0, rel=0.02)
@@ -792,6 +793,61 @@ class TestIntegerKeys:
         for a in ends:
             for b in ends:
                 assert hausdorff._run(root, a, b) == _mpf_run(root, a, b)
+
+
+def _scan_runs(tree) -> dict:
+    """{k: the ``_run`` of each window, by atom} of a tree scan over every
+    k >= 2."""
+    runs = []
+    run = hausdorff._run
+
+    def recording(atoms, lo, hi):
+        runs.append(run(atoms, lo, hi))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(hausdorff, "_run", recording)
+        density_scan_tree(tree, H_HALF, range(2, tree.depth + 1))
+    n = 2 ** tree.depth
+    return {k: runs[(k - 2) * n:(k - 1) * n] for k in range(2, tree.depth + 1)}
+
+
+def _interval_run(tree, k: int, i: int) -> tuple:
+    """The ``_run`` of the atoms of atom i's level-k interval, unclamped."""
+    shift = tree.depth - k
+    j = i >> shift
+    return (j << shift, (j + 1) << shift, None, None)
+
+
+class TestScanWindows:
+    """Which atoms the windows of radius r_k = (7/8) delta_{k-1} take."""
+
+    @pytest.mark.parametrize("family, kw, depth", [
+        (EXAMPLE1, {"B": 1.0}, 7), (POWER_LAW, {"a": 2.0}, 6)])
+    def test_window_is_its_level_k_interval(self, family, kw, depth):
+        # the gap bound holds on every level: each window takes exactly the
+        # atoms of x's level-k interval, no end clamped
+        tree = build_tree(build_model(family, k_max=12, **kw), depth=depth,
+                          bits=512)
+        for k, runs in _scan_runs(tree).items():
+            assert runs == [_interval_run(tree, k, i)
+                            for i in range(len(runs))], k
+
+    def test_delta_form_prefix_window_takes_two_intervals(self):
+        # b = 2 fails the gap bound on levels 1 and 2: at k = 2 half the
+        # windows take atoms of two level-2 intervals; from k = 3 on, each
+        # window is its interval again
+        tree = _delta_tree(2.0)
+        by_k = _scan_runs(tree)
+        for k, runs in by_k.items():
+            if k > 2:
+                assert runs == [_interval_run(tree, k, i)
+                                for i in range(len(runs))], k
+        shift = tree.depth - 2
+        other = [run for i, run in enumerate(by_k[2])
+                 if run != _interval_run(tree, 2, i)]
+        assert len(other) == len(by_k[2]) // 2
+        assert all(i0 >> shift != (i1 - 1) >> shift for i0, i1, _, _ in other)
 
 
 class TestRootTest:
