@@ -1,0 +1,167 @@
+"""Alternating before/after runs of the benchmark, summarised in one JSON file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
+        --pairs extend_sweep:3101-3110 --pairs density:3201-3205 \\
+        --traced extend_sweep:7 --seconds 15 --out BENCH_21.json
+
+``--parent`` and ``--change`` are two source checkouts.  Each run is the
+unchanged ``perfbench/run.py`` of one checkout, started with that checkout as
+its working directory, so it imports the package from that checkout's
+``src/``.  ``--pairs WORKLOAD:SEEDS`` runs one untraced pair per seed (SEEDS
+is ``a-b`` or a comma list); the side that runs first alternates from pair
+to pair.  ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side.
+
+The output holds the machine facts (Python, mpmath and its backend, numpy,
+scipy, CPU count), every run's last-line JSON, and per workload and
+end-to-end metric: each side's median and quartiles, the change against the
+parent, in how many pairs the change was lower, and whether the medians
+differ by more than the parent's interquartile range.  The file is rewritten
+after every pair, so an interrupted session keeps what it measured.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
+
+FACTS = ("import json, os, platform, mpmath, mpmath.libmp, numpy, scipy; "
+         "print(json.dumps({'python': platform.python_version(), "
+         "'mpmath': mpmath.__version__, "
+         "'mpmath_backend': mpmath.libmp.BACKEND, "
+         "'numpy': numpy.__version__, 'scipy': scipy.__version__, "
+         "'cpu_count': os.cpu_count()}))")
+
+
+def seeds_of(text: str) -> list:
+    if "-" in text:
+        a, b = (int(v) for v in text.split("-"))
+        return list(range(a, b + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def workload_arg(text: str) -> tuple:
+    name, _, seeds = text.partition(":")
+    if not name or not seeds:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS, got {text!r}")
+    return name, seeds_of(seeds)
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One ``perfbench/run.py`` run from ``checkout``: its last stdout line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                         check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list) -> list:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q[0], 4), round(q[2], 4)]
+
+
+def summarise(runs: list) -> dict:
+    """Per workload: the pairs' end-to-end metrics and failed shares."""
+    out = {}
+    for w in dict.fromkeys(r["workload"] for r in runs):
+        sides = {s: [r for r in runs if r["workload"] == w and r["side"] == s]
+                 for s in ("parent", "change")}
+        pairs = min(len(v) for v in sides.values())
+        entry = {"pairs": pairs,
+                 "seeds": [r["seed"] for r in sides["parent"][:pairs]]}
+        for m in END_TO_END if pairs else ():
+            par = [r[m] for r in sides["parent"][:pairs]]
+            chg = [r[m] for r in sides["change"][:pairs]]
+            pm, cm = statistics.median(par), statistics.median(chg)
+            pq = quartiles(par)
+            entry[m] = {
+                "parent_median": round(pm, 4), "change_median": round(cm, 4),
+                "change_vs_parent": f"{100 * (cm - pm) / pm:+.1f} %",
+                "parent_quartiles": pq, "change_quartiles": quartiles(chg),
+                "change_lower_in": f"{sum(c < p for p, c in zip(par, chg))} "
+                                   f"of {pairs}",
+                "median_gap_exceeds_parent_iqr": abs(cm - pm) > pq[1] - pq[0],
+            }
+        for s, rs in sides.items():
+            att = sum(r["attempted"] for r in rs)
+            fail = sum(r["failed"] for r in rs)
+            share = 100 * fail / att if att else 0.0
+            entry[f"failed_share_{s}"] = f"{fail} of {att} ({share:.1f} %)"
+            entry[f"all_correct_{s}"] = all(r["correct"] for r in rs)
+        out[w] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--pairs", type=workload_arg, action="append", default=[])
+    ap.add_argument("--traced", type=workload_arg, action="append", default=[])
+    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--method", default="",
+                    help="free text kept in the output beside the method")
+    args = ap.parse_args(argv)
+    dirs = {"parent": os.path.abspath(args.parent),
+            "change": os.path.abspath(args.change)}
+    facts = subprocess.run([sys.executable, "-c", FACTS], capture_output=True,
+                           text=True, check=True, cwd=dirs["change"])
+    doc = {"machine": json.loads(facts.stdout),
+           "method": (f"perfbench/run.py --seconds {args.seconds:g} from each "
+                      "checkout, alternating which side runs first (order in "
+                      "runs); end-to-end metrics as the run prints them. "
+                      + args.method).strip(),
+           "end_to_end_summary": {}, "runs": [], "traced_runs": []}
+
+    def save():
+        doc["end_to_end_summary"] = summarise(doc["runs"])
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+
+    k = 0
+    for workload, seeds in args.pairs:
+        for seed in seeds:
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            k += 1
+            for pos, side in enumerate(order):
+                res = run_once(dirs[side], workload, seed, args.seconds, 0)
+                doc["runs"].append({
+                    "side": side, "workload": workload, "seed": seed,
+                    "trace": 0, "order": pos, "correct": res["correct"],
+                    "attempted": res["attempted"], "failed": res["failed"],
+                    **{m: round(res["metrics"][m]["value"], 4)
+                       for m in END_TO_END}})
+            save()
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{r['side']} {r['wall_s']:.3f} s" for r in doc["runs"][-2:]),
+                file=sys.stderr)
+    for workload, seeds in args.traced:
+        for seed in seeds:
+            for side in ("parent", "change"):
+                res = run_once(dirs[side], workload, seed, args.seconds, 1)
+                doc["traced_runs"].append({
+                    "side": side, "workload": workload, "seed": seed,
+                    "trace": 1, "correct": res["correct"],
+                    "attempted": res["attempted"], "failed": res["failed"],
+                    "metrics": {m: v["value"]
+                                for m, v in res["metrics"].items()}})
+            save()
+    save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fzero, mpf_div, mpf_pos, mpf_sub, round_nearest
 
 from .bump import P_MAX, BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
@@ -89,22 +90,70 @@ def schedule_for(prof: Profile, s_cap: int) -> Schedule:
 # divided differences and local interpolants
 # ---------------------------------------------------------------------------
 
+_DD_GUARD = 64     # bits divided beyond those an entry still carries
+_DD_FLOOR = 128    # no division runs below this precision
+
+
+def _mag(t) -> float:
+    """m with 2^(m-1) <= |t| < 2^m for a finite nonzero raw mpf t; -inf for
+    zero and +inf for inf and nan, which also have a zero mantissa."""
+    man = t[1]
+    if man:
+        return t[2] + t[3]
+    return -math.inf if t == fzero else math.inf
+
+
+def _raw(v):
+    return v._mpf_ if isinstance(v, mp.mpf) else mp.mpf(v)._mpf_
+
+
 def divided_differences(points: Sequence, values: Sequence) -> list:
-    """Newton coefficients [z_1..z_{k+1}]f, k = 0..N, in the given node order."""
+    """Newton coefficients [z_1..z_{k+1}]f, k = 0..N, in the given node order,
+    at the working precision p.
+
+    Each entry divides only the bits it still carries (Wilkinson's running
+    error analysis).  Beside each entry t sits an error exponent e, |error|
+    <= ~2^e: a value starts at mag(t) - p.  For d = t_{i+1} - t_i, taken at
+    p bits, e_d = max(e_{i+1}, e_i, mag(d) - p), so d carries mag(d) - e_d
+    bits, the ones cancellation has left.  dz = z_{i+k} - z_i is taken at p
+    bits, then rounded to p' = min(p, max(mag(d) - e_d + _DD_GUARD,
+    _DD_FLOOR)) bits, and d / dz is rounded to p' bits (round-nearest).  The
+    quotient's error is max(mag(q) - (mag(d) - e_d), mag(q) - p'); an exact
+    zero d gives q = 0 with error e_d / |dz|.  The 64 guard bits keep the
+    extra rounding 2^-64 below the error d already carries, and the floor
+    keeps every division at p <= 128 bits that of the full-precision
+    table, bit for bit.  Shorter coefficients also make the products in
+    ``evaluate`` cheaper.  Non-finite values divide at p bits, as before.
+    """
     n = len(points)
     if n != len(values):
         raise ParameterError("points and values must pair up")
-    table = list(values)
+    prec, rnd = mp.mp.prec, round_nearest
+    z = [_raw(v) for v in points]
+    table = [_raw(v) for v in values]
+    err = [_mag(t) - prec for t in table]
     coeffs = [table[0]]
     for order in range(1, n):
         for i in range(n - order):
-            dz = points[i + order] - points[i]
-            if dz == 0:
+            dz = mpf_sub(z[i + order], z[i], prec, rnd)
+            if dz == fzero:
                 raise NodeCollisionError(
                     f"nodes {i} and {i + order} coincide at working precision")
-            table[i] = (table[i + 1] - table[i]) / dz
+            d = mpf_sub(table[i + 1], table[i], prec, rnd)
+            m = _mag(d)
+            e_d = max(err[i + 1], err[i], m - prec)
+            if d[1]:
+                p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
+                q = mpf_div(d, mpf_pos(dz, p, rnd), p, rnd)
+                mq = _mag(q)
+                err[i] = max(mq - (m - e_d), mq - p)
+            else:
+                # zero, inf or nan: nothing to shorten
+                q = mpf_div(d, dz, prec, rnd)
+                err[i] = e_d - _mag(dz) + 1
+            table[i] = q
         coeffs.append(table[0])
-    return coeffs
+    return [mp.make_mpf(c) for c in coeffs]
 
 
 class LocalInterpolant:

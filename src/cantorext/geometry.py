@@ -377,7 +377,10 @@ def verify_geometry(tree: CantorTree) -> GeometryReport:
     exponential in s), so the pass/fail flags are decided at full tree
     precision; the reported ratio statistics are double-grade.  log and
     correctly rounded division by delta_s > 0 are monotone, so only the
-    shortest and longest length of a level are divided and logged.
+    shortest and longest length of a level are divided.  Their logs are
+    ``ln_double``'s, float(mp.log(q)); ln q_lo > 0 is q_lo > 1, and since
+    rounding to nearest is monotone, the double decides ln q_hi < ln C0
+    unless it equals ln C0, where the log at tree precision decides.
     """
     out = []
     ln_c0 = 16.0 * tree.model.gamma_sum
@@ -385,8 +388,10 @@ def verify_geometry(tree: CantorTree) -> GeometryReport:
         for s in range(1, tree.depth + 1):
             delta = tree.delta_mpf(s)
             lengths = [iv.right - iv.left for iv in tree.levels[s]]
-            lo_m = mp.log(min(lengths) / delta)
-            hi_m = mp.log(max(lengths) / delta)
+            q_lo = min(lengths) / delta
+            q_hi = max(lengths) / delta
+            hi_m = ln_double(q_hi)
+            hi_ok = hi_m < ln_c0 if hi_m != ln_c0 else mp.log(q_hi) < ln_c0
             parents = tree.levels[s - 1]
             g_m = mp.inf
             for iv in parents:
@@ -395,9 +400,9 @@ def verify_geometry(tree: CantorTree) -> GeometryReport:
             sharp = 1 - 4 * _exp_neg(tree.model.ln_inv_gamma[s - 1])
             out.append(LevelGeometry(
                 level=s,
-                min_ln_l_over_delta=float(lo_m), max_ln_l_over_delta=float(hi_m),
+                min_ln_l_over_delta=ln_double(q_lo), max_ln_l_over_delta=hi_m,
                 min_gap_over_len=float(g_m), sharp_gap_bound=float(sharp),
-                length_bounds_ok=bool(lo_m > 0) and bool(hi_m < ln_c0),
+                length_bounds_ok=bool(q_lo > 1) and bool(hi_ok),
                 gap_bound_ok=bool(g_m >= mp.mpf(7) / 8),
                 sharp_gap_ok=bool(g_m > sharp)))
     return GeometryReport(levels=out, all_ok=all(

@@ -4,7 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from test_acceptance import ex1_tree_deep
 
 from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
                             step_series, step_value_mpf)
@@ -89,6 +90,152 @@ class TestDividedDifferences:
     def test_collision(self):
         with pytest.raises(NodeCollisionError):
             divided_differences([mp.mpf(0), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)])
+
+    def test_collision_is_decided_on_the_full_difference(self):
+        # equal nodes raise whatever the values are; nodes 2^-250 apart at
+        # 256 bits do not, though the entries above them carry few bits
+        with mp.workprec(256):
+            equal = [mp.mpf(1), mp.mpf(2) ** -40, mp.mpf(1)]
+            for vals in ([mp.mpf(3)] * 3, [mp.mpf(1), mp.mpf(2), mp.inf]):
+                with pytest.raises(NodeCollisionError, match="nodes 0 and 2"):
+                    divided_differences(equal, vals)
+            apart = [mp.mpf(1), mp.mpf(2) ** -40, 1 + mp.mpf(2) ** -250]
+        _assert_within_full_error(apart, mp.sin, 256, 768)
+
+    @pytest.mark.parametrize("bits", [128, 1024, 8192])
+    def test_exact_zeros_stay_exact(self, bits):
+        # constant f, and x^2 at dyadic nodes, whose tables are exact
+        with mp.workprec(bits):
+            pts = [mp.mpf(v) for v in (0, 1, 0.25, 0.75, 0.5, 0.375)]
+            for vals in ([mp.mpf(7)] * 6, [z * z for z in pts]):
+                got = divided_differences(pts, vals)
+                assert _bits(got) == _bits(_dd_full(pts, vals))
+                assert all(c == 0 for c in got[3:])
+            assert got[:3] == [0, 1, 1]
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
+    def test_non_finite_values_match_the_full_table(self, bad):
+        with mp.workprec(2048):
+            pts = [mp.mpf(1) / k for k in range(1, 8)]
+            for at in (0, 3, 6):
+                vals = [mp.exp(z) for z in pts]
+                vals[at] = bad
+                got = divided_differences(pts, vals)
+                assert _bits(got) == _bits(_dd_full(pts, vals))
+                assert not all(mp.isfinite(c) for c in got)
+
+
+def _dd_full(points, values):
+    """The whole-precision table: every division at the working precision."""
+    n = len(points)
+    table = list(values)
+    coeffs = [table[0]]
+    for order in range(1, n):
+        for i in range(n - order):
+            dz = points[i + order] - points[i]
+            if dz == 0:
+                raise NodeCollisionError(f"nodes {i} and {i + order} coincide")
+            table[i] = (table[i + 1] - table[i]) / dz
+        coeffs.append(table[0])
+    return coeffs
+
+
+def _bits(coeffs):
+    return [mp.mpf(c)._mpf_ for c in coeffs]
+
+
+def _runge(v):
+    return 1 / (1 + 25 * v * v)
+
+
+_DD_FUNCS = {"sin": mp.sin, "exp": mp.exp, "runge": _runge,
+             "quintic": lambda v: v ** 5 - v}
+
+
+def _clustered(data, prec, max_nodes):
+    """Distinct nodes at ``prec`` bits, listed cluster by cluster: up to
+    three centres, one in each third of [-1, 1), with offsets at scales
+    2^-4 down to 2^-(prec/4) around each.  Each centre has an irrational
+    part, so that the nodes and f's values carry rounding errors of their
+    own (see ``test_exact_inputs_can_beat_the_shortcut``)."""
+    nodes = []
+    for i in range(data.draw(st.integers(1, 3))):
+        c = mp.mpf(data.draw(st.floats(-1 + 2 * i / 3, -2 / 3 + 2 * i / 3))) \
+            + mp.sqrt(2) / 2 ** 60
+        for _ in range(data.draw(st.integers(1, 5))):
+            k = data.draw(st.integers(4, prec // 4))
+            u = data.draw(st.floats(0.5, 1))
+            nodes.append(c + mp.mpf(u) * mp.mpf(2) ** -k)
+    nodes = list(dict.fromkeys(nodes))[:max_nodes]
+    assume(len(nodes) >= 2)
+    return nodes
+
+
+def _assert_within_full_error(points, f, prec, ref_prec):
+    """Every coefficient of the shortcut is within 2^4 times the full table's
+    own error (or the reference coefficient's ulp at ``prec`` bits) of a
+    reference table taken at ``ref_prec`` bits."""
+    with mp.workprec(prec):
+        vals = [f(z) for z in points]
+        got = divided_differences(points, vals)
+        full = _dd_full(points, vals)
+    with mp.workprec(ref_prec):
+        ref = _dd_full(points, [f(z) for z in points])
+        for k, (g, w, r) in enumerate(zip(got, full, ref)):
+            _, man, exp, bc = r._mpf_
+            ulp = mp.ldexp(1, exp + bc - prec) if man else 0
+            assert abs(g - r) <= 16 * max(abs(w - r), ulp), k
+
+
+class TestReducedPrecisionTable:
+    """``divided_differences`` divides at the precision an entry carries;
+    ``_dd_full`` is the whole-precision table it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(prec=st.integers(24, 128), data=st.data())
+    def test_bit_for_bit_at_or_below_the_floor(self, prec, data):
+        with mp.workprec(prec):
+            points = _clustered(data, prec, 12)
+            vals = [mp.mpf(data.draw(st.floats(-1e6, 1e6))) for _ in points]
+            assert _bits(divided_differences(points, vals)) == \
+                _bits(_dd_full(points, vals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(prec=st.integers(256, 1024), name=st.sampled_from(sorted(_DD_FUNCS)),
+           data=st.data())
+    def test_clustered_nodes_within_the_full_tables_error(self, prec, name,
+                                                          data):
+        with mp.workprec(prec):
+            points = _clustered(data, prec, 14)
+        _assert_within_full_error(points, _DD_FUNCS[name], prec, 3 * prec)
+
+    @pytest.mark.parametrize("name,prec,nodes", [
+        # the node next to 0.5 comes back after two nodes next to 0
+        ("exp", 459, ((0.5, 5.308404904911445e-67), (2.0 ** -67,),
+                      (2.0 ** -65,), (0.5,))),
+        ("runge", 294, ((-0.96875,), (2.0 ** -69,), (2.0 ** -70,))),
+    ])
+    def test_exact_inputs_can_beat_the_shortcut(self, name, prec, nodes):
+        # Found by the search above before the centres got an irrational
+        # part.  At dyadic nodes f's values round by far less than an ulp,
+        # so the full table ends up exact well below its own error bound,
+        # while the shortcut keeps 64 bits past that bound and no more.
+        # Shifted by an irrational amount, the same nodes meet the 2^4 bound.
+        with mp.workprec(prec):
+            exact = [mp.fsum(parts) for parts in nodes]
+            shifted = [z + mp.sqrt(2) / 2 ** 60 for z in exact]
+        with pytest.raises(AssertionError):
+            _assert_within_full_error(exact, _DD_FUNCS[name], prec, 3 * prec)
+        _assert_within_full_error(shifted, _DD_FUNCS[name], prec, 3 * prec)
+
+    @pytest.mark.parametrize("interval,n_nodes", [((3, 5), 64), ((2, 4), 32)])
+    def test_c3_sin_tables_within_the_full_tables_error(self, interval,
+                                                        n_nodes):
+        # the S = 6 table of criterion 3, whose top coefficients carry no
+        # correct bit at 8192 bits, and a level-4 table
+        tree = ex1_tree_deep()
+        points = select_nodes(tree, interval, n_nodes).points()
+        _assert_within_full_error(points, mp.sin, tree.bits, 3 * tree.bits)
 
 
 class TestBump:
