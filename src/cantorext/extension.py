@@ -91,7 +91,7 @@ def schedule_for(prof: Profile, s_cap: int) -> Schedule:
 # ---------------------------------------------------------------------------
 
 _DD_GUARD = 64     # bits divided beyond those an entry still carries
-_DD_FLOOR = 128    # no division runs below this precision
+_DD_FLOOR = 128    # and never fewer bits than this (or p, where p is lower)
 
 
 def _mag(t) -> float:
@@ -111,19 +111,21 @@ def divided_differences(points: Sequence, values: Sequence) -> list:
     """Newton coefficients [z_1..z_{k+1}]f, k = 0..N, in the given node order,
     at the working precision p.
 
-    Each entry divides only the bits it still carries (Wilkinson's running
-    error analysis).  Beside each entry t sits an error exponent e, |error|
-    <= ~2^e: a value starts at mag(t) - p.  For d = t_{i+1} - t_i, taken at
-    p bits, e_d = max(e_{i+1}, e_i, mag(d) - p), so d carries mag(d) - e_d
-    bits, the ones cancellation has left.  dz = z_{i+k} - z_i is taken at p
-    bits, then rounded to p' = min(p, max(mag(d) - e_d + _DD_GUARD,
-    _DD_FLOOR)) bits, and d / dz is rounded to p' bits (round-nearest).  The
-    quotient's error is max(mag(q) - (mag(d) - e_d), mag(q) - p'); an exact
-    zero d gives q = 0 with error e_d / |dz|.  The 64 guard bits keep the
-    extra rounding 2^-64 below the error d already carries, and the floor
-    keeps every division at p <= 128 bits that of the full-precision
-    table, bit for bit.  Shorter coefficients also make the products in
-    ``evaluate`` cheaper.  Non-finite values divide at p bits, as before.
+    An order-k entry has already lost every bit that orders 1..k cancelled,
+    so each division runs only at the bits its entry still carries
+    (Wilkinson's running error analysis).  Beside each entry t sits an
+    error exponent e, |error(t)| <~ 2^e; a value starts at mag(t) - p.  For
+    d = t_{i+1} - t_i, taken at p bits, e_d = max(e_{i+1}, e_i, mag(d) - p),
+    so d carries mag(d) - e_d bits.  dz = z_{i+k} - z_i is taken at p bits
+    (a zero dz raises), rounded to p' = min(p, max(mag(d) - e_d +
+    _DD_GUARD, _DD_FLOOR)) bits, and d / dz is rounded to p' bits, to
+    nearest.  The quotient's error is max(mag(q) - (mag(d) - e_d),
+    mag(q) - p'); an exact zero d gives q = 0 with error 2^e_d / |dz|.  The
+    64 guard bits keep the added rounding 2^-64 below the error d already
+    carries; below the 128-bit floor nothing is shortened, so at p <= 128
+    the table is the full-precision one, bit for bit.  Non-finite entries
+    divide at p bits.  The bounds are worst cases: where the inputs are
+    exact far below them, the full-precision table can be more accurate.
     """
     n = len(points)
     if n != len(values):

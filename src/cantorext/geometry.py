@@ -402,7 +402,7 @@ def verify_geometry(tree: CantorTree) -> GeometryReport:
                 level=s,
                 min_ln_l_over_delta=ln_double(q_lo), max_ln_l_over_delta=hi_m,
                 min_gap_over_len=float(g_m), sharp_gap_bound=float(sharp),
-                length_bounds_ok=bool(q_lo > 1) and bool(hi_ok),
+                length_bounds_ok=q_lo > 1 and hi_ok,
                 gap_bound_ok=bool(g_m >= mp.mpf(7) / 8),
                 sharp_gap_ok=bool(g_m > sharp)))
     return GeometryReport(levels=out, all_ok=all(
