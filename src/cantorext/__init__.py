@@ -3,7 +3,7 @@ Hausdorff contents and Markov factors."""
 
 __version__ = "0.1.0"
 
-from .logreal import ONE, LogReal, log_mul_pow
+from .logreal import LogReal
 from .gamma import (GammaModel, Profile, build_model, classify_ep,
                     condition_diagnostics, profile)
 from .geometry import (BasicInterval, CantorTree, NodeSet, build_tree, eval_P,

@@ -39,7 +39,7 @@ from .errors import (DepthError, HorizonError, InsufficientOrderError,
                      InvariantError, NodeCollisionError, ParameterError)
 from .gamma import GammaModel, Profile, profile as make_profile
 from .geometry import CantorTree, select_nodes
-from .logreal import LogReal, ln_double, log_mul_pow
+from .logreal import LogReal, ln_double
 
 LN2 = math.log(2.0)
 
@@ -380,6 +380,9 @@ class ExtensionOperator:
         truncation level per call (caches are shared across levels).
         """
         s_cap = self._level(self.s_max if s_max is None else s_max)
+        bound = None
+        if norm_q is not None and q is not None:
+            bound = self.certified_bound(s_cap, norm_q, q)
         caches = self._per_f.setdefault(f, ({}, {}))
         sched = self.schedule
         with mp.workprec(self.tree.bits):
@@ -410,14 +413,17 @@ class ExtensionOperator:
                         - coarse.partial(x, sched.N(s), pt.row(
                             j_parent, s, coarse.points, sched.N(s)))
                     total += diff * u
-            bound = None
-            if norm_q is not None and q is not None:
-                bound = self.certified_bound(s_cap, norm_q, q)
             return WValue(value=total, s_max=s_cap, nonzero_A=nonzero_A,
                           nonzero_T=nonzero_T, certified_bound=bound)
 
     def certified_bound(self, S: int, norm_q: float, q: int) -> LogReal:
-        """Telescoping truncation error bound at level S, for x in the set."""
+        """Telescoping truncation error bound at level S, for x in the set:
+        ||f||_q 2^n C0^(q-1) (8 C0/7)^(2^n) delta_{S+n} delta_S^(q-1)."""
+        if not (isinstance(q, int) and q >= 0):
+            raise ParameterError(f"the bound needs an order q >= 0, got {q}")
+        if not (math.isfinite(norm_q) and norm_q > 0):
+            raise ParameterError("the bound needs a finite norm_q > 0, "
+                                 f"got {norm_q}")
         n = self.schedule.n[self._level(S) - 1] - 1
         if S + n > self.tree.model.k_max:
             raise HorizonError(f"bound at level {S} needs delta_{S + n}, "
@@ -425,11 +431,8 @@ class ExtensionOperator:
         c0 = self.tree.model.c0
         ln_const = math.log(norm_q) + n * LN2 + (q - 1) * math.log(c0) \
             + (2 ** n) * math.log(8 * c0 / 7)
-        return log_mul_pow([
-            (LogReal.from_ln(ln_const), 1),
-            (self.prof.delta[S + n], 1),
-            (self.prof.delta[S], q - 1),
-        ])
+        L = self.prof.ln_inv_deltas
+        return LogReal(Fraction(ln_const) - L[S + n] - (q - 1) * L[S])
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +616,9 @@ def _direct_sup_check(tree: CantorTree, s: int, n: int) -> tuple:
                     continue
                 val = math.fsum(ln_double(abs(x - z)) for z in nodes)
                 best = max(best, val)
-        prof = tree.profile
-        terms = [(prof.delta[n + s], 1)]
-        for i in range(1, n + 1):
-            terms.append((prof.delta[n + s - i], 2 ** (i - 1)))
-        upper = log_mul_pow(terms)
-        ln_upper = 2 ** n * math.log(tree.model.c0) + upper.ln_mag
+        L = tree.profile.ln_inv_deltas
+        ln_upper = 2 ** n * math.log(tree.model.c0) - float(
+            L[n + s] + sum(2 ** (i - 1) * L[n + s - i] for i in range(1, n + 1)))
     return best, ln_upper
 
 

@@ -32,7 +32,6 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 
 from .errors import HorizonError, ParameterError, ValidationError
-from .logreal import ONE, LogReal, log_mul_pow
 
 LN32 = math.log(32.0)
 
@@ -543,13 +542,12 @@ def classify_ep(model: GammaModel, prof: Optional[Profile] = None) -> EPVerdict:
 class Profile:
     """Derived sequences of a model up to its horizon.
 
-    Index convention: entry k is the k-th term; delta[0] = 1 and
-    B[0] = beta[0] = nan (the weights start at k = 1).
+    Index convention: entry k is the k-th term; ln_inv_deltas[0] = 0
+    (delta_0 = 1) and B[0] = beta[0] = nan (the weights start at k = 1).
     """
 
     model: GammaModel
     ln_inv_deltas: tuple  # exact Fraction ln(1/delta_k), len k_max+1
-    delta: tuple  # LogReal, len k_max+1
     B: tuple      # float, len k_max+1, [0] = nan
     beta: tuple   # float, len k_max+1, [0] = nan
     robin_partial: tuple  # float, len k_max+1, [0] = 0
@@ -565,21 +563,19 @@ class Profile:
 def profile(model: GammaModel) -> Profile:
     """delta/B/beta/Robin sequences, exact in the log domain."""
     cum = Fraction(0)
-    sums, deltas = [cum], [ONE]
+    sums = [cum]
     B, beta, robin = [math.nan], [math.nan], [0.0]
     acc = 0.0
     for k in range(1, model.k_max + 1):
         cum += model.ln_inv_gamma[k - 1]
         sums.append(cum)
-        q = math.floor(-cum)
-        deltas.append(LogReal.from_parts(q, float(-cum - q)))
         b = float(cum / 2 ** (k + 1))
         B.append(b)
         beta.append(math.log(b) / k if 0 < b < math.inf else math.nan)
         acc += b
         robin.append(acc)
-    return Profile(model=model, ln_inv_deltas=tuple(sums), delta=tuple(deltas),
-                   B=tuple(B), beta=tuple(beta), robin_partial=tuple(robin),
+    return Profile(model=model, ln_inv_deltas=tuple(sums), B=tuple(B),
+                   beta=tuple(beta), robin_partial=tuple(robin),
                    polar_verdict=FAMILY_SPECS[model.family].polar(model.params))
 
 
@@ -625,8 +621,12 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
     asserts the provable pointwise implications between them; it is a
     cross-check of the implementation, not of the model.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError("the diagnostics need a finite eps > 0, "
+                             f"got {eps}")
     M = 1.0 / (2.0 * eps)
     B = prof.B
+    L = prof.ln_inv_deltas
     k_max = prof.model.k_max
     if m < 0:
         raise ParameterError("m must be >= 0")
@@ -649,12 +649,10 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
             window = math.fsum(B[s + n - m:s + n])
             margin_scaled = window - 2.0 * M * B[s + n]
             product_holds = margin_scaled > 0.0
-            # cross-check in exact log-domain arithmetic when M is integral
+            # cross-check on the exact logs when M is integral
             if M == int(M) and int(M) >= 1:
-                lhs = log_mul_pow(
-                    [(prof.delta[s + n - i], 2 ** (i - 1)) for i in range(1, m + 1)])
-                rhs = prof.delta[s + n].pow(int(M))
-                exact_holds = lhs < rhs
+                exact_holds = sum(2 ** (i - 1) * L[s + n - i]
+                                  for i in range(1, m + 1)) > int(M) * L[s + n]
             else:
                 exact_holds = product_holds
             recent_holds = recent_lhs < recent_rhs

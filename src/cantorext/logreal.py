@@ -1,11 +1,15 @@
-"""Split-logarithm scalars for doubly-exponentially small positive quantities.
+"""Certified double logs, and the read-only log-domain bound.
+
+``ln_double`` gives the double nearest ln x for an mpf x, deciding most logs
+in double-double arithmetic with a proven error bound.
 
 The interval parameters delta_s = gamma_1 * ... * gamma_s and products such as
 delta_{s+n-1} * delta_{s+n-2}^2 * ... * delta_s^{2^{n-1}} have logarithms whose
-magnitude can reach ~2^60, far outside any float exponent range.  A LogReal
-stores ln x of a positive x split as an exact integer part ``hi`` plus a small
-float remainder ``lo``, so integer-power products never lose the integer part
-of the log and remain exactly comparable.
+magnitude can reach ~2^60, far outside any float exponent range.  The package
+keeps them as exact Fraction sums of the profile's ln(1/delta_k)
+(``gamma.Profile.ln_inv_deltas``), so integer-power products never lose the
+integer part of the log and compare exactly.  A ``LogReal`` carries one such
+sum to where it is printed (``ln_mag``) or compared with an mpf (``to_mpf``).
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import (from_float, from_man_exp, mpf_log, mpf_sub,
-                          round_nearest, to_float)
+from mpmath.libmp import (from_float, from_man_exp, from_rational, mpf_log,
+                          mpf_sub, round_nearest, to_float, to_rational)
 
-# Bits used for float <-> log conversions.  2*53 bits make exp(log(x)) round
+# Bits of the log ``LogReal.from_mpf`` takes: 2*53 make exp(log(x)) round
 # back to x exactly for every normal double, which plain libm does not.
 _CONV_PREC = 112
 # Extra bits for mpf -> log conversions, on top of the exponent's bit length.
@@ -37,6 +41,8 @@ _SHORT_LOG_MIN_PREC = 128
 # E _LN2_HI is exact for |E| < 2^20
 _LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
 _LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+# ln 2 as one rational, within 2^-86
+LN2_FRACTION = Fraction(_LN2_HI) + Fraction(_LN2_LO)
 _MASK53 = (1 << 53) - 1
 _TWO52 = float(1 << 52)
 
@@ -185,152 +191,40 @@ def ln_double_fixed(d: int, scale: int) -> float:
                                                  round_nearest))))
 
 
-def _normalize(hi: int, lo: float) -> tuple[int, float]:
-    if not math.isfinite(lo):
-        raise ValueError(f"non-finite log magnitude: {lo!r}")
-    q = round(lo)
-    return hi + q, lo - q
-
-
 @dataclass(frozen=True, slots=True)
 class LogReal:
-    """A positive real number stored as ``ln x = hi + lo``.
+    """A positive real number given by its natural log, an exact Fraction."""
 
-    ``hi`` is an exact (unbounded) integer and ``|lo| <= 0.5`` after
-    normalization.  Every constructor raises ValueError for a value that is
-    not positive and finite (for a log: not finite).
-    """
-
-    hi: int = 0
-    lo: float = 0.0
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogReal":
-        """Exact-ish conversion: ``to_float(from_float(x)) == x`` for normal doubles."""
-        x = float(x)
-        if not 0.0 < x < math.inf:
-            raise ValueError(f"cannot represent {x!r}")
-        with mp.workprec(_CONV_PREC):
-            ln = mp.log(mp.mpf(x))
-            hi = int(mp.floor(ln))
-            lo = float(ln - hi)
-        return cls.from_parts(hi, lo)
-
-    @classmethod
-    def from_ln(cls, ln_mag: float) -> "LogReal":
-        """Value with the given natural log (a plain double)."""
-        return cls.from_parts(0, float(ln_mag))
-
-    @classmethod
-    def from_parts(cls, hi: int, lo: float) -> "LogReal":
-        return cls(*_normalize(hi, lo))
+    ln: Fraction
 
     @classmethod
     def from_mpf(cls, x) -> "LogReal":
-        """Conversion from an mpmath value of any precision.
+        """Conversion from an mpmath value of any precision; ValueError for a
+        value that is not positive and finite.
 
-        Only an integer and a double are kept, so the log need not run at the
-        value's precision: with x = m 2^e, 1/2 <= m < 1 (exact),
-        ln x = ln m + e ln 2 is formed with enough bits that its absolute
-        error stays near 2^-(_CONV_PREC + _LOG_GUARD) whatever the exponent.
-        The package no longer calls it; the benchmark's tracer still wraps
-        this binding, until the program records its own spans (ROADMAP item 4).
+        With x = m 2^e, 1/2 <= m < 1 (exact), ln x = ln m + e ln 2 is formed
+        with enough bits that its absolute error stays near
+        2^-(_CONV_PREC + _LOG_GUARD) whatever the exponent.  The package no
+        longer calls it; the benchmark's tracer still wraps this binding,
+        until the program records its own spans (ROADMAP item 4).
         """
         if not 0 < x < mp.inf:
             raise ValueError(f"cannot represent {x!r}")
         man, exp = mp.frexp(x)
         with mp.workprec(_CONV_PREC + _LOG_GUARD + exp.bit_length()):
             ln = mp.log(man) + exp * mp.ln2
-            hi = int(mp.floor(ln))
-            lo = float(ln - hi)
-        return cls.from_parts(hi, lo)
-
-    # -- accessors ---------------------------------------------------------
+        return cls(Fraction(*to_rational(ln._mpf_)))
 
     @property
     def ln_mag(self) -> float:
-        """ln x as a double (rounds; infinite when hi exceeds the float range)."""
+        """ln x as the nearest double; infinite beyond the double range."""
         try:
-            return float(self.hi) + self.lo
+            return float(self.ln)
         except OverflowError:
-            return math.inf if self.hi > 0 else -math.inf
-
-    def to_float(self) -> float:
-        with mp.workprec(_CONV_PREC):
-            return float(self.to_mpf())
+            return math.inf if self.ln > 0 else -math.inf
 
     def to_mpf(self):
-        """mpmath value at the current working precision (may still under/overflow mpf exponents only astronomically)."""
-        return mp.exp(mp.mpf(self.hi) + mp.mpf(self.lo))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def mul(self, other: "LogReal") -> "LogReal":
-        return LogReal.from_parts(self.hi + other.hi,
-                                  math.fsum((self.lo, other.lo)))
-
-    def pow(self, e: int) -> "LogReal":
-        if e != int(e):
-            raise ValueError("pow exponent must be an integer")
-        e = int(e)
-        if e == 0:
-            return ONE  # empty-product convention
-        hi = self.hi * e
-        if abs(e) == 1:
-            return LogReal.from_parts(hi, self.lo * e)
-        # exact dyadic product keeps the integer part of the log exact
-        fr = Fraction(self.lo) * e
-        q = math.floor(fr)
-        return LogReal.from_parts(hi + q, float(fr - q))
-
-    def inv(self) -> "LogReal":
-        return self.pow(-1)
-
-    # -- comparisons -------------------------------------------------------
-
-    def _cmp(self, other: "LogReal") -> int:
-        d_hi = self.hi - other.hi
-        if d_hi >= 2:
-            return 1
-        if d_hi <= -2:
-            return -1
-        d = d_hi + (self.lo - other.lo)
-        return (d > 0) - (d < 0)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __repr__(self):
-        return f"LogReal(exp({self.hi}{self.lo:+.17g}))"
-
-
-ONE = LogReal(0, 0.0)
-
-
-def log_mul_pow(terms: Iterable[tuple[LogReal, int]]) -> LogReal:
-    """Exact product of powers in the log domain: prod_i t_i ** e_i.
-
-    hi parts accumulate in exact integer arithmetic and lo parts in exact
-    dyadic rationals (floats are dyadic), so the result is rounded exactly
-    once and is invariant under permutation of the terms.  An empty list is
-    the empty product, 1.
-    """
-    hi = 0
-    lo_sum = Fraction(0)
-    for t, e in terms:
-        e = int(e)
-        hi += t.hi * e
-        lo_sum += Fraction(t.lo) * e
-    q = math.floor(lo_sum)
-    return LogReal.from_parts(hi + q, float(lo_sum - q))
+        """x at the working precision: the exp of ln rounded once to it."""
+        return mp.exp(mp.make_mpf(from_rational(
+            self.ln.numerator, self.ln.denominator, mp.mp.prec,
+            round_nearest)))

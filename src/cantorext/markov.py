@@ -32,7 +32,7 @@ from numpy.polynomial import chebyshev as C
 from .errors import DegreeError, HorizonError, ParameterError
 from .gamma import GammaModel, profile as make_profile
 from .geometry import CantorTree, level_values
-from .logreal import LogReal, ln_double
+from .logreal import LN2_FRACTION, LogReal, ln_double
 
 LN2 = math.log(2.0)
 EXTRA_CANDIDATES = 24   # stratified interior candidates per estimate
@@ -62,11 +62,10 @@ def markov_bounds(model: GammaModel, n: int) -> MarkovEstimate:
     if k + 1 > model.k_max:
         raise HorizonError(f"bracket for n={n} needs delta_{k + 1}, horizon {model.k_max}")
     prof = make_profile(model)
-    lower = prof.delta[k].inv()
-    upper = prof.delta[k + 1].inv().mul(LogReal.from_float(4.0))
-    point = None
-    if n == 2 ** k:
-        point = prof.delta[k].inv().mul(LogReal.from_float(2.0))
+    L = prof.ln_inv_deltas
+    lower = LogReal(L[k])
+    upper = LogReal(L[k + 1] + 2 * LN2_FRACTION)
+    point = LogReal(L[k] + LN2_FRACTION) if n == 2 ** k else None
     return MarkovEstimate(n=n, k=k, lower=lower, upper=upper, point=point)
 
 

@@ -372,6 +372,14 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and "finite eps > 0" in err
 
+    def test_extend_negative_order_is_rejected(self, capsys):
+        # --q -2 exited 0 and printed a bound of e^-12.79 for square
+        code = main(["extend", "--family", "example1", "--B", "1", "--bits",
+                     "1024", "--s-max", "3", "--N", "1", "--q", "-1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "order q >= 0" in err
+
     @pytest.mark.parametrize("args", _readme_commands(), ids=_command_id)
     def test_readme_command_body(self, args):
         # the README promises byte-identical bodies for a configuration; the

@@ -493,6 +493,20 @@ class TestOperatorIdentities:
             - (q - 1) * float(tree_ex1.profile.ln_inv_delta(3))
         assert b.ln_mag == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("norm_q,q", [
+        (2.0, -1), (2.0, -2), (0.0, 5), (-1.0, 5), (math.inf, 5),
+        (math.nan, 5)])
+    def test_certified_bound_rejects_bad_inputs(self, tree_ex1, norm_q, q):
+        # a negative q gave a bound, norm_q = 0 a bare "math domain error",
+        # and norm_q = inf an OverflowError from the exact log; evaluate
+        # rejects them before it evaluates f
+        op = ExtensionOperator(tree_ex1, s_max=3)
+        with pytest.raises(ParameterError):
+            op.certified_bound(3, norm_q=norm_q, q=q)
+        with pytest.raises(ParameterError):
+            op.evaluate(lambda x: pytest.fail("f evaluated"), mp.mpf("0.3"),
+                        norm_q=norm_q, q=q)
+
     def test_sin_error_below_bound(self, tree_ex1):
         op = ExtensionOperator(tree_ex1, s_max=3)
         f = lambda x: mp.sin(x)

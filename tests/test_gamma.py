@@ -6,21 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorext.dimension import LogPower
-from cantorext.errors import HorizonError, ValidationError
+from cantorext.errors import HorizonError, ParameterError, ValidationError
 from cantorext.gamma import (
     CUSTOM, DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2, EXAMPLE3, EXPONENTIAL,
     FAMILIES, FROM_DIMENSION_FUNCTION, NONPOLAR, POLAR, POWER_LAW, UNDETERMINED,
     build_model, classify_ep, condition_diagnostics, profile,
 )
 from cantorext.geometry import build_tree
-from cantorext.logreal import LogReal, log_mul_pow
-
-
-def _gamma(m, k):
-    """gamma_k as a LogReal, from the exact ln(1/gamma_k)."""
-    ln = -m.ln_inv_gamma[k - 1]
-    q = math.floor(ln)
-    return LogReal.from_parts(q, float(ln - q))
 
 
 class TestBuild:
@@ -107,7 +99,7 @@ class TestProfile:
     def test_seed_values(self):
         m = build_model(EXAMPLE1, k_max=4, B=1.0)
         p = profile(m)
-        assert p.delta[0].hi == 0 and p.delta[0].lo == 0.0
+        assert p.ln_inv_deltas[0] == 0  # delta_0 = 1
         assert p.ln_inv_delta(0) == 0
         assert build_tree(m, depth=1).r_mpf[0] == 1
         assert math.isnan(p.B[0])
@@ -115,7 +107,8 @@ class TestProfile:
     def test_custom_delta_and_B(self):
         # gamma_k = 2^-k-5: delta_2 = 2^-13, B_2 = 13 ln2 / 8
         p = profile(build_model(CUSTOM, gammas=[2.0 ** -6, 2.0 ** -7]))
-        assert math.isclose(p.delta[2].ln_mag, -13 * math.log(2), rel_tol=1e-15)
+        assert math.isclose(-float(p.ln_inv_deltas[2]), -13 * math.log(2),
+                            rel_tol=1e-15)
         assert math.isclose(p.B[2], 13 * math.log(2) / 8, rel_tol=1e-14)
         assert p.polar_verdict == UNDETERMINED
 
@@ -123,8 +116,7 @@ class TestProfile:
         m = build_model(EXAMPLE2, k_max=20)
         p = profile(m)
         for s in (1, 5, 17, 20):
-            prod = log_mul_pow([(_gamma(m, k), 1) for k in range(1, s + 1)])
-            assert prod == p.delta[s]
+            assert sum(m.ln_inv_gamma[:s]) == p.ln_inv_deltas[s]
 
     def test_B_definition_crosscheck(self):
         # 2^{-n-1} ln(1/delta_n) = B_n for every n
@@ -223,6 +215,23 @@ class TestDiagnostics:
         with pytest.raises(HorizonError):
             condition_diagnostics(p, [5], [10], eps=0.25, m=1)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        # eps = 0 divided by zero, NaN failed to convert, and -0.5 reported
+        # rows at M = -1
+        p = profile(build_model(EXAMPLE1, k_max=10, B=1.0))
+        with pytest.raises(ParameterError):
+            condition_diagnostics(p, [1], [4], eps=eps, m=1)
+
+    def test_product_check_is_exact_on_the_logs(self):
+        # example1 B = 1: ln(1/delta_k) = 2^{k+1}, so the window sum
+        # sum_{i=1..m} 2^{i-1} 2^{s+n-i+1} = m 2^{s+n} equals M ln(1/delta_{s+n})
+        # = M 2^{s+n+1} at M = m/2: the strict product inequality fails
+        p = profile(build_model(EXAMPLE1, k_max=30, B=1.0))
+        rep = condition_diagnostics(p, [3], [8], eps=0.25, m=4)
+        assert rep.M == 2.0 and not rep.rows[0].product_holds
+        assert rep.all_consistent
+
 
 class TestClassifier:
     def test_verdict_table(self):
@@ -276,8 +285,8 @@ def test_delta_product_identity_random_prefixes(i, j):
     m = build_model(EXAMPLE2, k_max=48)
     p = profile(m)
     s = i + j
-    split = log_mul_pow([(p.delta[i], 1)] + [(_gamma(m, k), 1) for k in range(i + 1, s + 1)])
-    assert split == p.delta[s]
+    split = p.ln_inv_deltas[i] + sum(m.ln_inv_gamma[i:s])
+    assert split == p.ln_inv_deltas[s]
 
 
 class TestFromDimensionFunction:

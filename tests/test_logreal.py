@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -6,124 +7,60 @@ from hypothesis import example, given, settings, strategies as st
 
 from cantorext import hausdorff, logreal
 from cantorext.dimension import EtaProfile, LogPower
-from cantorext.gamma import DELTA_FORM, EXAMPLE1, build_model
+from cantorext.gamma import DELTA_FORM, EXAMPLE1, EXAMPLE2, build_model, profile
 from cantorext.geometry import build_tree
 from cantorext.hausdorff import TreeAtoms, content_dp, density_scan_tree
-from cantorext.logreal import (ONE, LogReal, ln_double, ln_double_fixed,
-                               log_mul_pow)
-
-
-def lr(x):
-    return LogReal.from_float(x)
+from cantorext.logreal import LogReal, ln_double, ln_double_fixed
 
 
 class TestLogMulPow:
-    def test_two_deltas(self):
-        # (e^-4)^1 * (e^-8)^2 = e^-20
-        out = log_mul_pow([(LogReal.from_ln(-4.0), 1), (LogReal.from_ln(-8.0), 2)])
-        assert out.hi + out.lo == -20.0
-
-    def test_zero_exponent_is_empty_product(self):
-        out = log_mul_pow([(lr(123.456), 0)])
-        assert out == ONE
-
-    def test_example1_nested_product(self):
-        # delta_k = e^{-2^{k+1}} (B = 1): delta_1 * delta_2^2 * delta_3^4
-        # has log -4 - 2*8 - 4*16 = -84 (plain sum of exponents).
-        deltas = [LogReal.from_ln(-(2.0 ** (k + 1))) for k in (1, 2, 3)]
-        out = log_mul_pow(list(zip(deltas, (1, 2, 4))))
-        assert out.hi == -84 and out.lo == 0.0
+    """ln of a product of powers, as the package forms it: an exact Fraction
+    sum of the profile's logs, rounded once by ``ln_mag``."""
 
     def test_huge_exponents_keep_integer_part(self):
-        d = LogReal.from_ln(-0.75)
         e = 2 ** 60
-        out = log_mul_pow([(d, e)])
-        assert out.hi == -(3 * 2 ** 60) // 4
-        assert out.lo == 0.0
+        ln = Fraction(-0.75) * e
+        assert ln == -(3 * 2 ** 60) // 4
+        assert LogReal(ln).ln_mag == -0.75 * 2.0 ** 60
+        # a profile log with a fraction part: its 2^60-th power keeps every
+        # bit of the log's integer part, which float(L) * e would not
+        L = profile(build_model(EXAMPLE2, k_max=20)).ln_inv_deltas[20]
+        assert L.denominator > 1
+        with mp.workprec(300):
+            ref = mp.mpf(L.numerator) / L.denominator * e
+            assert math.floor(L * e) == int(mp.floor(ref))
+        assert math.floor(L * e) != math.floor(float(L) * e)
 
-    @given(st.permutations(range(5)))
-    def test_permutation_invariance(self, perm):
-        vals = [lr(v) for v in (0.3, 7.25, 1e-200, 1e180, 2.0)]
-        exps = [3, -1, 2, 1, 7]
-        terms = [(vals[i], exps[i]) for i in range(5)]
-        base = log_mul_pow(terms)
-        shuffled = log_mul_pow([terms[i] for i in perm])
-        assert shuffled == base
+
+class TestComparisons:
+    def test_huge_hi_comparison_no_overflow(self):
+        a = LogReal(Fraction(10 ** 400) + Fraction(1, 10))
+        b = LogReal(Fraction(10 ** 400) + Fraction(2, 10))
+        assert a.ln < b.ln
+        assert a.ln_mag == math.inf  # float view saturates, comparison stays exact
+        assert LogReal(-b.ln).ln_mag == -math.inf
 
 
 class TestRoundTrip:
+    # to_mpf at 112 bits, rounded to a double, inverts from_mpf on doubles
     @given(st.floats(min_value=1e-300, max_value=1e300))
     def test_to_of_from_is_identity(self, x):
-        assert LogReal.from_float(x).to_float() == x
+        with mp.workprec(112):
+            assert float(LogReal.from_mpf(mp.mpf(x)).to_mpf()) == x
 
     @given(st.floats(min_value=1e-300, max_value=1e300))
     def test_from_of_to_fixes_image(self, x):
         # on LogReals that came from doubles, from(to(.)) reproduces them
-        v = LogReal.from_float(x)
-        w = LogReal.from_float(v.to_float())
-        assert w == v
+        with mp.workprec(112):
+            v = LogReal.from_mpf(mp.mpf(x))
+            assert LogReal.from_mpf(mp.mpf(float(v.to_mpf()))) == v
 
 
-@pytest.mark.parametrize("make,bad", [
-    pytest.param(make, bad, id=f"{name}-{bad}")
-    for name, make, bads in [
-        ("from_float", LogReal.from_float, (0.0, -2.5, math.inf, math.nan)),
-        ("from_mpf", LogReal.from_mpf, (mp.mpf(0), mp.mpf(-2.5), mp.inf, mp.nan)),
-        # the log constructors take any finite log: the log of 0 is -inf
-        ("from_ln", LogReal.from_ln, (-math.inf, math.inf, math.nan)),
-        ("from_parts", lambda lo: LogReal.from_parts(0, lo),
-         (-math.inf, math.inf, math.nan)),
-    ]
-    for bad in bads])
-def test_constructors_reject_non_positive_and_non_finite(make, bad):
+@pytest.mark.parametrize("bad", [mp.mpf(0), mp.mpf(-2.5), mp.inf, mp.nan],
+                         ids=lambda bad: f"from_mpf-{bad}")
+def test_constructors_reject_non_positive_and_non_finite(bad):
     with pytest.raises(ValueError):
-        make(bad)
-
-
-class TestComparisons:
-    def test_ordering_far_apart(self):
-        # floats cannot resolve +-1 at 1e18; the integer part can
-        a = LogReal.from_parts(-(10 ** 18), 0.0)
-        b = LogReal.from_parts(-(10 ** 18) + 1, 0.0)
-        assert a < b < ONE
-
-    def test_huge_hi_comparison_no_overflow(self):
-        a = LogReal.from_parts(10 ** 400, 0.1)
-        b = LogReal.from_parts(10 ** 400, 0.2)
-        assert a < b
-        assert a.ln_mag == math.inf  # float view saturates, comparison stays exact
-
-    @given(st.floats(min_value=-1e15, max_value=1e15),
-           st.floats(min_value=-1e15, max_value=1e15))
-    def test_matches_float_order(self, u, v):
-        assert (LogReal.from_ln(u) < LogReal.from_ln(v)) == (u < v)
-
-
-class TestPow:
-    def test_pow_zero_is_one(self):
-        assert lr(0.123).pow(0) == ONE
-
-    def test_inverse(self):
-        x = lr(8.0)
-        assert math.isclose(x.pow(-1).to_float(), 0.125, rel_tol=1e-15)
-
-
-@given(st.floats(min_value=1e-10, max_value=1e10),
-       st.integers(min_value=-50, max_value=50),
-       st.integers(min_value=-50, max_value=50))
-def test_pow_homomorphism(x, a, b):
-    v = LogReal.from_float(x)
-    combined = log_mul_pow([(v, a), (v, b)])
-    direct = v.pow(a + b)
-    assert combined.hi == direct.hi
-    assert math.isclose(combined.lo, direct.lo, rel_tol=0, abs_tol=5e-13)
-
-
-def _from_mpf_full_precision(x):
-    """The conversion with the log taken at the value's own precision."""
-    ln = mp.log(x)
-    hi = int(mp.floor(ln))
-    return LogReal.from_parts(hi, float(ln - hi))
+        LogReal.from_mpf(bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,9 +77,10 @@ def test_from_mpf_matches_full_precision_log(bits, exp, rnd):
     with mp.workprec(bits):
         x = mp.mpf((man, exp - bits))
         fast = LogReal.from_mpf(x)
-        ref = _from_mpf_full_precision(x)
-    assert fast.hi == ref.hi
-    assert abs(fast.lo - ref.lo) <= 2.0 ** -100
+        ref = mp.log(x)  # the log at the value's own precision
+        assert abs(mp.mpf(fast.ln.numerator) / fast.ln.denominator - ref) \
+            <= 2.0 ** -100
+        assert abs(fast.to_mpf() / x - 1) <= 2.0 ** -100
 
 
 @pytest.fixture

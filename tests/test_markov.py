@@ -1,13 +1,15 @@
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from cantorext import markov
 from cantorext.errors import DegreeError, HorizonError, ParameterError
-from cantorext.gamma import DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW, build_model
+from cantorext.gamma import (DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2, EXAMPLE3,
+                             EXPONENTIAL, POWER_LAW, build_model, profile)
 from cantorext.geometry import build_tree
 from cantorext.markov import (
     candidate_lps, certificate_lower_bound, markov_bounds, markov_numeric,
@@ -59,6 +61,29 @@ class TestBounds:
         est = markov_bounds(m, 4)
         assert est.lower.ln_mag == pytest.approx(9.0, rel=1e-12)
         assert est.upper.ln_mag == pytest.approx(math.log(4) + 27.0, rel=1e-12)
+
+    @pytest.mark.parametrize("family,kw", [
+        (POWER_LAW, {"a": 2.0}), (EXAMPLE1, {"B": 1.0}), (EXAMPLE2, {}),
+        (EXAMPLE3, {"m": 3}), (EXPONENTIAL, {"a": 3.0}), (DOUBLY_EXP, {}),
+        (DELTA_FORM, {"b": 2.0}), (DELTA_FORM, {"b": 3.0})])
+    def test_bracket_values_are_the_nearest_doubles(self, family, kw):
+        # each printed log is the double nearest the true one: ln(1/delta_k),
+        # ln(4/delta_{k+1}) and ln(2/delta_k) from the exact profile logs
+        m = build_model(family, **kw)
+        L = profile(m).ln_inv_deltas
+        with mp.workprec(256):
+            ln = [mp.mpf(v.numerator) / v.denominator for v in L]
+            for k in range(1, m.k_max):
+                est = markov_bounds(m, 2 ** k)
+                assert est.lower.ln_mag == float(ln[k]), k
+                assert est.upper.ln_mag == float(ln[k + 1] + mp.log(4)), k
+                assert est.point.ln_mag == float(ln[k] + mp.log(2)), k
+
+    def test_delta_form_point_rounds_once(self):
+        # float(hi) + lo rounded twice here: 0x1.637ed9b2612f4p+55, 4.31 from
+        # ln(2/delta_35) against a half-ulp of 4
+        est = markov_bounds(build_model(DELTA_FORM, b=3.0), 2 ** 35)
+        assert est.point.ln_mag == float.fromhex("0x1.637ed9b2612f3p+55")
 
     def test_horizon(self):
         m = build_model(EXAMPLE1, k_max=3, B=1.0)
