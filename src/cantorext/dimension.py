@@ -18,7 +18,6 @@ representable):
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -189,26 +188,6 @@ class LogPower:
             raise DomainError("t must lie in (0, 1)")
         return self.h_ln(-math.log(t))
 
-    def h_prime(self, t: float) -> float:
-        """dh/dt, analytic (for the derivative-bound checks); t a double.
-
-        h = exp(-alpha ln L) with L = ln(1/t), dL/dt = -1/t, and
-        d(eps_m)/dt = eps_m^2 / (t * prod_{i=1}^{m-1} log_(i)(1/t)).
-        """
-        L = -math.log(t)
-        a = self.alpha_ln(L)
-        h = L ** (-a)
-        da_dt = 0.0
-        if self.eps_sign != 0:
-            eps = self.eps(L)
-            if eps < self._eps_cap * 0.999999:  # inside the live domain
-                prod, y = 1.0, L
-                for _ in range(self.m - 1):
-                    prod *= y
-                    y = math.log(y)
-                da_dt = self.eps_sign * eps * eps / (t * prod)
-        return h * (a / (t * L) - da_dt * math.log(L))
-
     # -- inversion ---------------------------------------------------------
 
     def inverse_lnln(self, ln_inv_tau: float) -> float:
@@ -287,28 +266,3 @@ def h_inverse(h, tau: float) -> float:
         L = h.inverse_ln(-math.log(tau))
         return math.exp(-L) if L < 745.0 else 0.0
     return h.inverse(tau)
-
-
-def check_doubling(h, lnt_grid: Sequence[float]) -> bool:
-    """h(t) <= 2 h(t^2) on the grid (the two-scale regularity flag)."""
-    lnt = np.asarray(lnt_grid, dtype=float)
-    return bool(np.all(h.h_ln(lnt) <= 2.0 * h.h_ln(2.0 * lnt) * (1 + 1e-12)))
-
-
-def check_derivative_bound(h: LogPower, t_grid: Sequence[float]) -> bool:
-    """h'(t) <= h(t) h0(t) alpha(t)/t for alpha0, alpha0+eps; <= h h0/t for alpha0-eps.
-
-    Strict for the perturbed exponents; the constant-exponent case is exact
-    equality, accepted here with a 1e-12 slack.
-    """
-    for t in t_grid:
-        L = -math.log(t)
-        h_val = h.h_ln(L)
-        hp = h.h_prime(t)
-        if h.eps_sign >= 0:
-            bound = h_val * (1.0 / L) * h.alpha_ln(L) / t
-        else:
-            bound = h_val * (1.0 / L) / t
-        if not hp <= bound * (1 + 1e-12):
-            return False
-    return True

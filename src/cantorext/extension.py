@@ -31,10 +31,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import fzero, mpf_div, mpf_pos, mpf_sub, round_nearest
 
-from .bump import P_MAX, BumpSpec, bump_for_interval
+from .bump import BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
                      InvariantError, NodeCollisionError, ParameterError)
 from .gamma import GammaModel, Profile, profile as make_profile
@@ -572,6 +571,8 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
     if not (math.isfinite(eps) and eps > 0):
         raise ParameterError("the dominating-norm bound needs a finite "
                              f"eps > 0, got {eps}")
+    if m < 0:
+        raise ParameterError(f"need q = 2^m with m >= 0, got m={m}")
     q = 2 ** m
     rows = []
     for r, s in zip(r_list, s_list):
@@ -580,6 +581,8 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
             raise ParameterError(f"r={r} is not a power of two")
         if m >= n:
             raise ParameterError(f"need q = 2^m < r = 2^n, got m={m}, n={n}")
+        if s < 1:
+            raise ParameterError(f"need s >= 1, got s={s}")
         if s + n > model.k_max:
             raise HorizonError(f"(s={s}, n={n}) beyond horizon {model.k_max}")
         window_hi = math.fsum(B[s + n - i] for i in range(1, m + 1))
@@ -720,42 +723,5 @@ def check_chain_product_bound(tree: CantorTree, interval: tuple, N: int,
                     ok = True
                     break
             if not ok:
-                return False
-    return True
-
-
-def check_cutoff_product_bound(tree: CantorTree, interval: tuple, N: int,
-                               x_grid: Sequence[float]) -> bool:
-    """|(Omega_N u)^(p)(x)| <= 2^p (C0+1) c_p delta^{-p+1} N^p prod_{k>=2} d_k.
-
-    Float-precision check (use shallow, double-friendly models): Omega_N from
-    the first N increasing-type nodes, u the width-delta_{s+n} cutoff,
-    derivative orders p = 0..P_MAX.
-    """
-    j, s = interval
-    n = N.bit_length() - 1
-    node_set = select_nodes(tree, interval, N)
-    Z = [float(z) for z in node_set.points()]
-    bump = bump_for_interval(tree, j, s, tree.delta_mpf(s + n))
-    delta = float(bump.t)
-    c0 = tree.model.c0
-    cp = bump.c_p_table
-    poly = np.poly(Z)  # Omega_N coefficients, highest first
-    ders = [poly]
-    for _ in range(P_MAX):
-        ders.append(np.polyder(ders[-1]))
-    for x in x_grid:
-        useries = bump.series(x)
-        omega = [float(np.polyval(d, x)) for d in ders]
-        oseries = [omega[i] / math.factorial(i) for i in range(P_MAX + 1)]
-        prod_series = []
-        for p in range(P_MAX + 1):
-            prod_series.append(sum(oseries[i] * useries[p - i] for i in range(p + 1)))
-        ds = sorted(abs(x - z) for z in Z)
-        tail = math.prod(ds[1:]) if len(ds) > 1 else 1.0
-        for p in range(P_MAX + 1):
-            lhs = abs(prod_series[p]) * math.factorial(p)
-            rhs = 2.0 ** p * (c0 + 1.0) * cp[p] * delta ** (-p + 1) * N ** p * tail
-            if not lhs <= rhs * (1 + 1e-9):
                 return False
     return True

@@ -649,12 +649,9 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
             window = math.fsum(B[s + n - m:s + n])
             margin_scaled = window - 2.0 * M * B[s + n]
             product_holds = margin_scaled > 0.0
-            # cross-check on the exact logs when M is integral
-            if M == int(M) and int(M) >= 1:
-                exact_holds = sum(2 ** (i - 1) * L[s + n - i]
-                                  for i in range(1, m + 1)) > int(M) * L[s + n]
-            else:
-                exact_holds = product_holds
+            # cross-check on the exact logs
+            exact_holds = sum(2 ** (i - 1) * L[s + n - i]
+                              for i in range(1, m + 1)) > Fraction(M) * L[s + n]
             recent_holds = recent_lhs < recent_rhs
             block_holds = block_lhs < block_rhs
             uniform_holds_at_eps = B[s + n] < eps * total

@@ -431,43 +431,3 @@ def endpoint_residuals(tree: CantorTree) -> list:
                     worst = max(worst, res / (rs * rs))
             out.append((s, float(mp.log(worst, 2)) if worst > 0 else -mp.inf))
     return out
-
-
-def refine_endpoint_bisection(tree: CantorTree, iv: BasicInterval) -> tuple:
-    """Re-derive the inner endpoint of ``iv`` by plain sign bisection.
-
-    Independent cross-check for the algebraic chain: bisects
-    P_{2^s}(x) + r_s = 0 between the parent's outer endpoint (value +r_s) and
-    the middle of the central gap (value < 0), driven purely by signs of the
-    forward evaluation.  Returns (value, |difference to the stored endpoint|).
-    """
-    s = iv.level
-    if s < 1:
-        raise ValueError("the root has no inner endpoint")
-    with mp.workprec(tree.bits):
-        parent = tree.interval((iv.index + 1) // 2, s - 1)
-        child_l, child_r = tree.children(parent)
-        gap_mid = (child_l.right + child_r.left) / 2
-
-        def f(x):
-            return level_values(x, tree.r_mpf, s)[-1] + tree.r_mpf[s]
-
-        if iv.addr[-1] == LEFT:
-            a, b, inner = parent.left, gap_mid, iv.right
-        else:
-            a, b, inner = gap_mid, parent.right, iv.left
-        fa = f(a)
-        for _ in range(tree.bits // 2 + s * 8):
-            mid = (a + b) / 2
-            if mid == a or mid == b:
-                break
-            fm = f(mid)
-            if fm == 0:
-                a = b = mid
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        x = (a + b) / 2
-        return x, abs(x - inner)

@@ -595,13 +595,3 @@ def compare_dimension_functions(h1, h2, lnt_grid: Sequence[float]) -> OrderRepor
     else:
         cls = "incomparable-at-horizon"
     return OrderReport(lnt_grid=grid, eta_diff=d, classification=cls)
-
-
-def check_two_scale_gap(h, prof, C: float, k_range: Sequence[int]) -> bool:
-    """h(C delta_k) < 2 h(delta_{k+1}) over the range (one-interval optimality)."""
-    for k in k_range:
-        L_k = float(prof.ln_inv_delta(k))
-        L_k1 = float(prof.ln_inv_delta(k + 1))
-        if not h.h_ln(L_k - math.log(C)) < 2.0 * h.h_ln(L_k1):
-            return False
-    return True

@@ -1,0 +1,248 @@
+"""Independent checkers that only the unit tests use.
+
+Each one re-derives a quantity the package computes, or checks an inequality
+the construction relies on, by a second route: sign bisection for the
+algebraic endpoint chain, a float Taylor series of the cutoff u beside the
+mpf ``BumpSpec.value`` the operator runs, and an analytic h' for the
+log-power dimension functions.  Tests import them by name
+(``from oracles import series``), as they import ``criterion`` from
+conftest.
+"""
+
+import math
+from typing import Sequence
+
+import mpmath as mp
+import numpy as np
+
+from cantorext.bump import BumpSpec, bump_for_interval
+from cantorext.dimension import LogPower
+from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
+                                select_nodes)
+
+P_MAX = 3
+
+
+# ---------------------------------------------------------------------------
+# geometry: the endpoint chain by sign bisection
+# ---------------------------------------------------------------------------
+
+def refine_endpoint_bisection(tree: CantorTree, iv: BasicInterval) -> tuple:
+    """Re-derive the inner endpoint of ``iv`` by plain sign bisection.
+
+    Independent cross-check for the algebraic chain: bisects
+    P_{2^s}(x) + r_s = 0 between the parent's outer endpoint (value +r_s) and
+    the middle of the central gap (value < 0), driven purely by signs of the
+    forward evaluation.  Returns (value, |difference to the stored endpoint|).
+    """
+    s = iv.level
+    if s < 1:
+        raise ValueError("the root has no inner endpoint")
+    with mp.workprec(tree.bits):
+        parent = tree.interval((iv.index + 1) // 2, s - 1)
+        child_l, child_r = tree.children(parent)
+        gap_mid = (child_l.right + child_r.left) / 2
+
+        def f(x):
+            return level_values(x, tree.r_mpf, s)[-1] + tree.r_mpf[s]
+
+        if iv.addr[-1] == LEFT:
+            a, b, inner = parent.left, gap_mid, iv.right
+        else:
+            a, b, inner = gap_mid, parent.right, iv.left
+        fa = f(a)
+        for _ in range(tree.bits // 2 + s * 8):
+            mid = (a + b) / 2
+            if mid == a or mid == b:
+                break
+            fm = f(mid)
+            if fm == 0:
+                a = b = mid
+                break
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        x = (a + b) / 2
+        return x, abs(x - inner)
+
+
+# ---------------------------------------------------------------------------
+# cutoffs: float Taylor series of u and its shoulder constants
+# ---------------------------------------------------------------------------
+
+def step_series(y: float, order: int = P_MAX) -> tuple:
+    """Taylor coefficients (f, f', f''/2!, f'''/3!) of the step at y (floats).
+
+    S = 1/(1 + E) with E = exp(phi), phi(y) = 1/y - 1/(1-y), whose series is
+    explicit; exp and the reciprocal are then power series in phi - phi(y)
+    and E - E(y).  Evaluated through mpmath: E(y) is exp(+-1/y)-sized near
+    the edges, which overflows plain float evaluation even though the
+    coefficients are tiny there.
+    """
+    if y <= 1e-9:
+        return (0.0,) + (0.0,) * order
+    if y >= 1 - 1e-9:
+        return (1.0,) + (0.0,) * order
+    with mp.workprec(120):
+        ym = mp.mpf(y)
+        phi = tuple((-1) ** n / ym ** (n + 1) - 1 / (1 - ym) ** (n + 1)
+                    for n in range(order + 1))
+        e0 = mp.exp(phi[0])
+        E = _series_compose(phi, [e0 / mp.factorial(j) for j in range(order + 1)])
+        S = _series_compose(E, [(-1) ** j / (1 + e0) ** (j + 1)
+                                for j in range(order + 1)])
+        return tuple(float(c) for c in S)
+
+
+def _series_mul(a: tuple, b: tuple) -> tuple:
+    order = len(a) - 1
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1))
+                 for k in range(order + 1))
+
+
+def _series_compose(a: tuple, weights: Sequence) -> tuple:
+    """The series of sum_j weights[j] (a - a[0])^j to the order of ``a``;
+    with weights[j] = g^(j)(a[0]) / j! that is the series of g(a)."""
+    dev = (0,) + tuple(a[1:])
+    out = [weights[0]] + [0] * (len(a) - 1)
+    power = (1,) + (0,) * (len(a) - 1)
+    for w in weights[1:]:
+        power = _series_mul(power, dev)
+        out = [o + w * c for o, c in zip(out, power)]
+    return tuple(out)
+
+
+def series(spec: BumpSpec, x: float, order: int = P_MAX) -> tuple:
+    """Taylor coefficients of u at x, float precision (for p <= 3 checks)."""
+    m = float(spec.t) / 3.0
+    prod = (1.0,) + (0.0,) * order
+    any_active = False
+    for lo, hi in spec.components:
+        lo, hi = float(lo), float(hi)
+        if x <= lo - 2 * m or x >= hi + 2 * m:
+            continue
+        any_active = True
+        rise = step_series((x - (lo - 2 * m)) / m, order)
+        fall = step_series(((hi + 2 * m) - x) / m, order)
+        # chain rule for the linear arguments: d/dx = (1/m) d/dy, -(1/m) d/dy
+        rise = tuple(c / m ** i for i, c in enumerate(rise))
+        fall = tuple(c * (-1 / m) ** i for i, c in enumerate(fall))
+        b = _series_mul(rise, fall)
+        one_minus = tuple((1.0 if i == 0 else 0.0) - c for i, c in enumerate(b))
+        prod = _series_mul(prod, one_minus)
+    if not any_active:
+        return (0.0,) + (0.0,) * order
+    return tuple((1.0 if i == 0 else 0.0) - c for i, c in enumerate(prod))
+
+
+def c_p_table(spec: BumpSpec) -> tuple:
+    """Empirical sup |u^(p)| t^p for p = 0..3, clamped monotone in p.
+
+    The shoulder constants c_p are not canonical; they are measured on a fine
+    grid per cutoff (normalized by t, so they depend only on the component
+    layout) and are used by the derivative-bound checks, nothing else.
+    """
+    t = float(spec.t)
+    xs = []
+    m = t / 3.0
+    for lo, hi in spec.components:
+        lo, hi = float(lo), float(hi)
+        xs.append(np.linspace(lo - 2 * m, lo - m, 400))
+        xs.append(np.linspace(hi + m, hi + 2 * m, 400))
+    grid = np.concatenate(xs)
+    sup = [0.0] * (P_MAX + 1)
+    for x in grid:
+        ser = series(spec, float(x))
+        fact = 1.0
+        for p in range(P_MAX + 1):
+            if p:
+                fact *= p
+            sup[p] = max(sup[p], abs(ser[p] * fact) * t ** p)
+    cp = []
+    cur = 1.0
+    for p in range(P_MAX + 1):
+        cur = max(cur, sup[p])
+        cp.append(cur)
+    return tuple(cp)
+
+
+def check_cutoff_product_bound(tree: CantorTree, interval: tuple, N: int,
+                               x_grid: Sequence[float]) -> bool:
+    """|(Omega_N u)^(p)(x)| <= 2^p (C0+1) c_p delta^{-p+1} N^p prod_{k>=2} d_k.
+
+    Float-precision check (use shallow, double-friendly models): Omega_N from
+    the first N increasing-type nodes, u the width-delta_{s+n} cutoff,
+    derivative orders p = 0..P_MAX.
+    """
+    j, s = interval
+    n = N.bit_length() - 1
+    node_set = select_nodes(tree, interval, N)
+    Z = [float(z) for z in node_set.points()]
+    bump = bump_for_interval(tree, j, s, tree.delta_mpf(s + n))
+    delta = float(bump.t)
+    c0 = tree.model.c0
+    cp = c_p_table(bump)
+    poly = np.poly(Z)  # Omega_N coefficients, highest first
+    ders = [poly]
+    for _ in range(P_MAX):
+        ders.append(np.polyder(ders[-1]))
+    for x in x_grid:
+        useries = series(bump, x)
+        omega = [float(np.polyval(d, x)) for d in ders]
+        oseries = [omega[i] / math.factorial(i) for i in range(P_MAX + 1)]
+        prod_series = []
+        for p in range(P_MAX + 1):
+            prod_series.append(sum(oseries[i] * useries[p - i] for i in range(p + 1)))
+        ds = sorted(abs(x - z) for z in Z)
+        tail = math.prod(ds[1:]) if len(ds) > 1 else 1.0
+        for p in range(P_MAX + 1):
+            lhs = abs(prod_series[p]) * math.factorial(p)
+            rhs = 2.0 ** p * (c0 + 1.0) * cp[p] * delta ** (-p + 1) * N ** p * tail
+            if not lhs <= rhs * (1 + 1e-9):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# dimension functions: analytic h' of a log-power h
+# ---------------------------------------------------------------------------
+
+def h_prime(h: LogPower, t: float) -> float:
+    """dh/dt, analytic (for the derivative-bound checks); t a double.
+
+    h = exp(-alpha ln L) with L = ln(1/t), dL/dt = -1/t, and
+    d(eps_m)/dt = eps_m^2 / (t * prod_{i=1}^{m-1} log_(i)(1/t)).
+    """
+    L = -math.log(t)
+    a = h.alpha_ln(L)
+    h_val = L ** (-a)
+    da_dt = 0.0
+    if h.eps_sign != 0:
+        eps = h.eps(L)
+        if eps < h._eps_cap * 0.999999:  # inside the live domain
+            prod, y = 1.0, L
+            for _ in range(h.m - 1):
+                prod *= y
+                y = math.log(y)
+            da_dt = h.eps_sign * eps * eps / (t * prod)
+    return h_val * (a / (t * L) - da_dt * math.log(L))
+
+
+def check_derivative_bound(h: LogPower, t_grid: Sequence[float]) -> bool:
+    """h'(t) <= h(t) h0(t) alpha(t)/t for alpha0, alpha0+eps; <= h h0/t for alpha0-eps.
+
+    Strict for the perturbed exponents; the constant-exponent case is exact
+    equality, accepted here with a 1e-12 slack.
+    """
+    for t in t_grid:
+        L = -math.log(t)
+        h_val = h.h_ln(L)
+        hp = h_prime(h, t)
+        if h.eps_sign >= 0:
+            bound = h_val * (1.0 / L) * h.alpha_ln(L) / t
+        else:
+            bound = h_val * (1.0 / L) / t
+        if not hp <= bound * (1 + 1e-12):
+            return False
+    return True

@@ -372,6 +372,21 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and "finite eps > 0" in err
 
+    @pytest.mark.parametrize("args,cause", [
+        (["--r", "32,128", "--s", "0,0"], "s >= 1"),
+        (["--r", "32,128", "--s=-1,-1"], "s >= 1"),
+        (["--epsilon", "0.25", "--r", "128,512", "--s", "9,16",
+          "--m-window", "-1"], "m >= 0"),
+    ])
+    def test_dn_level_below_1_and_window_below_0_are_rejected(self, capsys,
+                                                             args, cause):
+        # each printed rows and exited 0: "brace": null for s = 0 and -1,
+        # and rows at q = 2^-1 for --m-window -1
+        code = main(["dn", "--family", "example2"] + args)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and cause in err
+
     def test_extend_negative_order_is_rejected(self, capsys):
         # --q -2 exited 0 and printed a bound of e^-12.79 for square
         code = main(["extend", "--family", "example1", "--B", "1", "--bits",

@@ -5,15 +5,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from oracles import c_p_table, check_cutoff_product_bound, series, step_series
 from test_acceptance import ex1_tree_deep
 
 from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
-                            step_series, step_value_mpf)
+                            step_value_mpf)
 from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
                               ParameterError)
 from cantorext.extension import (
-    ExtensionOperator, check_chain_product_bound,
-    check_cutoff_product_bound, check_distance_product_bound,
+    ExtensionOperator, check_chain_product_bound, check_distance_product_bound,
     divided_differences, dn_experiment, polynomial_jet, schedule_for,
     whitney_norm,
 )
@@ -268,12 +268,15 @@ class TestBump:
         spec = BumpSpec(t=0.3, components=[(0.0, 0.5)])
         xs = [-0.15, -0.12, 0.62]
         hstep = 1e-6
+
+        def derivative(x, p):
+            return series(spec, x)[p] * math.factorial(p)
+
         for x in xs:
-            ser = spec.series(x)
             for p in (1, 2):
-                fd = (spec.derivative(x + hstep, p - 1)
-                      - spec.derivative(x - hstep, p - 1)) / (2 * hstep)
-                assert spec.derivative(x, p) == pytest.approx(fd, rel=2e-4, abs=1e-6)
+                fd = (derivative(x + hstep, p - 1)
+                      - derivative(x - hstep, p - 1)) / (2 * hstep)
+                assert derivative(x, p) == pytest.approx(fd, rel=2e-4, abs=1e-6)
 
     # 1e-8 and 1 - 1e-8 check the degenerate ends (every coefficient 0.0,
     # or (1, 0, 0, 0)); 2e-3 and 1 - 2e-3 check E(y) huge and tiny while
@@ -290,7 +293,7 @@ class TestBump:
 
     def test_cp_monotone(self):
         spec = BumpSpec(t=0.2, components=[(0.0, 0.4)])
-        cp = spec.c_p_table
+        cp = c_p_table(spec)
         assert all(a <= b for a, b in zip(cp, cp[1:]))
         assert cp[0] == 1.0
 
@@ -731,6 +734,15 @@ class TestDNExperiment:
             dn_experiment(m, eps=0.25, m=3, r_list=[8], s_list=[2])  # m >= n
         with pytest.raises(ParameterError):
             dn_experiment(m, eps=0.25, m=0, r_list=[6], s_list=[2])  # not 2^n
+
+    @pytest.mark.parametrize("m_window,s", [(0, 0), (0, -1), (-1, 9)])
+    def test_window_below_0_and_level_below_1_are_rejected(self, m_window, s):
+        # s = 0 read the undefined B_0 (NaN), s = -1 wrapped to B[-1], and
+        # m = -1 reported rows at q = 2^-1
+        m = build_model(EXAMPLE2, k_max=40, variant="A")
+        with pytest.raises(ParameterError):
+            dn_experiment(m, eps=0.25, m=m_window, r_list=[128, 512],
+                          s_list=[s, s + 7])
 
 
 class TestProductInequalities:

@@ -232,6 +232,20 @@ class TestDiagnostics:
         assert rep.M == 2.0 and not rep.rows[0].product_holds
         assert rep.all_consistent
 
+    def test_exact_product_check_at_a_non_integral_M(self):
+        # M = 1/(2 eps) = 0.83...: the float margin rounds to 0, so the float
+        # check fails, while on the exact logs L_2 + 2 L_1 > M L_3.  The
+        # exact check ran only for an integral M and otherwise compared the
+        # float check with itself, reporting the row consistent.
+        g = [0.006737946999085467, 0.006737946999085467, 8.315287191035687e-07]
+        p = profile(build_model(CUSTOM, k_max=3, gammas=g))
+        rep = condition_diagnostics(p, [1], [2], eps=0.6, m=2)
+        row = rep.rows[0]
+        L = p.ln_inv_deltas
+        assert row.product_margin_scaled == 0.0 and not row.product_holds
+        assert L[2] + 2 * L[1] > Fraction(rep.M) * L[3]
+        assert not row.consistent and not rep.all_consistent
+
 
 class TestClassifier:
     def test_verdict_table(self):

@@ -5,13 +5,14 @@ import math
 import mpmath as mp
 import pytest
 from mpmath.libmp import from_man_exp
+from oracles import refine_endpoint_bisection
 
 from cantorext import geometry
 from cantorext.errors import DepthError, HorizonError
 from cantorext.gamma import CUSTOM, DELTA_FORM, EXAMPLE1, POWER_LAW, build_model
 from cantorext.geometry import (
     LevelGeometry, build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
-    refine_endpoint_bisection, required_bits, select_nodes, verify_geometry,
+    required_bits, select_nodes, verify_geometry,
 )
 from cantorext.hausdorff import TreeAtoms
 

@@ -7,21 +7,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import check_derivative_bound, h_prime
 
 from cantorext import hausdorff
 from cantorext.cli import main
-from cantorext.dimension import (
-    EtaProfile, LogPower, check_derivative_bound, check_doubling, h_inverse,
-)
+from cantorext.dimension import EtaProfile, LogPower, h_inverse
 from cantorext.errors import DomainError, ParameterError
 from cantorext.gamma import (DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW,
                              build_model, profile)
 from cantorext.geometry import build_tree
 from cantorext.hausdorff import (
-    FloatAtoms, IslandFamily, TreeAtoms, check_two_scale_gap,
-    compare_dimension_functions, content_dp, content_exhaustive,
-    density_scan_islands, density_scan_tree, ep_root_test,
-    lambda_level_estimate, q_rule_constant, q_rule_log,
+    FloatAtoms, IslandFamily, TreeAtoms, compare_dimension_functions,
+    content_dp, content_exhaustive, density_scan_islands, density_scan_tree,
+    ep_root_test, lambda_level_estimate, q_rule_constant, q_rule_log,
 )
 
 H_HALF = LogPower(alpha0=0.5)
@@ -93,11 +91,10 @@ class TestDimensionFunctions:
             LogPower(0.5, +1, m=2)
 
     def test_doubling_flag(self):
+        # h(t) <= 2 h(t^2) on the grid (the two-scale regularity flag)
         grid = np.geomspace(20, 1e6, 40)
-        assert check_doubling(H_HALF, grid)
-        assert check_doubling(H_LOG, grid)
-        assert check_doubling(LogPower(0.5, +1, 3), grid)
-        assert check_doubling(LogPower(1.0, -1, 3), grid)
+        for h in (H_HALF, H_LOG, LogPower(0.5, +1, 3), LogPower(1.0, -1, 3)):
+            assert np.all(h.h_ln(grid) <= 2.0 * h.h_ln(2.0 * grid) * (1 + 1e-12))
 
     def test_derivative_bound(self):
         ts = [math.exp(-L) for L in (25, 60, 200, 500)]
@@ -111,7 +108,7 @@ class TestDimensionFunctions:
         for t in (1e-12, 1e-30):
             dt = t * 1e-6
             fd = (h.h(t + dt) - h.h(t - dt)) / (2 * dt)
-            assert h.h_prime(t) == pytest.approx(fd, rel=1e-4)
+            assert h_prime(h, t) == pytest.approx(fd, rel=1e-4)
 
 
 class TestContentDP:
@@ -582,10 +579,14 @@ class TestDensities:
             assert table.liminf_estimate == pytest.approx(b ** -0.5, rel=0.10)
 
     def test_two_scale_gap_condition(self):
+        # h(C0 delta_k) < 2 h(delta_{k+1}) (one-interval optimality)
         for b in (2.0, 3.0):
             p = profile(build_model(DELTA_FORM, k_max=20, b=b))
-            c0 = p.model.c0
-            assert check_two_scale_gap(H_HALF, p, c0, range(4, 19))
+            ln_c0 = math.log(p.model.c0)
+            for k in range(4, 19):
+                L_k = float(p.ln_inv_delta(k))
+                L_k1 = float(p.ln_inv_delta(k + 1))
+                assert H_HALF.h_ln(L_k - ln_c0) < 2.0 * H_HALF.h_ln(L_k1)
 
     def test_tree_dp_never_splits_basic_interval(self):
         # one-interval covers beat the two-child covers at every level
