@@ -85,7 +85,7 @@ class BumpSpec:
 def merge_atoms(atom_bounds: Sequence[tuple], t, bits: int = 53) -> list:
     """Merge sorted disjoint atoms whose gaps are <= t/3."""
     with mp.workprec(bits):
-        margin = t / mp.mpf(3) if bits > 53 else t / 3.0
+        margin = t / mp.mpf(3)
         comps = []
         for lo, hi in atom_bounds:
             if comps and lo - comps[-1][1] <= margin:

@@ -197,7 +197,7 @@ def cmd_extend(cfg: dict) -> None:
                 err = abs(out.value - f(x))
                 per_f[name].append((name, _decimal(x, 30),
                                     _decimal(out.value, 30), _decimal(f(x), 30),
-                                    ln_double(err) if err > 0 else -math.inf,
+                                    ln_double(err),
                                     out.certified_bound.ln_mag))
     rows = [r for name in fns for r in per_f[name]]
     data = [{"f": r[0], "x": r[1], "W": r[2], "fx": r[3], "ln_err": r[4],

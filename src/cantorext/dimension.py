@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .gamma import GammaModel, Profile, profile as make_profile
+from .gamma import GammaModel, profile as make_profile
 
 LN2 = math.log(2.0)
 
@@ -36,13 +36,10 @@ def _iterated_log(x, times: int):
 class EtaProfile:
     """h(t) = 2^{-eta(t)}, eta piecewise linear in ln t with eta(delta_k) = k."""
 
-    def __init__(self, model_or_profile):
-        prof = model_or_profile
-        if isinstance(model_or_profile, GammaModel):
-            prof = make_profile(model_or_profile)
-        if not isinstance(prof, Profile):
-            raise ParameterError("EtaProfile needs a gamma model or its profile")
-        self.profile = prof
+    def __init__(self, model: GammaModel):
+        if not isinstance(model, GammaModel):
+            raise ParameterError("EtaProfile needs a gamma model")
+        prof = self.profile = make_profile(model)
         k_hi = prof.model.k_max
         # L_k = ln(1/delta_k), exact fractions rounded once
         self._L = np.array([float(prof.ln_inv_delta(k)) for k in range(k_hi + 1)])
@@ -61,10 +58,9 @@ class EtaProfile:
         if np.any(lnt_arr < -1e-9):
             raise DomainError("eta needs t <= 1 (ln(1/t) >= 0)")
         out = np.interp(lnt_arr, self._L, self._k)
-        if len(self._L) >= 2:
-            slope = (self._k[-1] - self._k[-2]) / (self._L[-1] - self._L[-2])
-            out = np.where(lnt_arr > self._L[-1],
-                           self._k[-1] + (lnt_arr - self._L[-1]) * slope, out)
+        slope = (self._k[-1] - self._k[-2]) / (self._L[-1] - self._L[-2])
+        out = np.where(lnt_arr > self._L[-1],
+                       self._k[-1] + (lnt_arr - self._L[-1]) * slope, out)
         return float(out) if np.isscalar(lnt) or lnt_arr.ndim == 0 else out
 
     def h_ln(self, lnt):

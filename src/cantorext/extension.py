@@ -162,7 +162,6 @@ class LocalInterpolant:
 
     def __init__(self, tree: CantorTree, j: int, s: int, n_nodes: int,
                  f_cache: dict, f: Callable):
-        self.interval = (j, s)
         node_set = select_nodes(tree, (j, s), n_nodes)
         self.points = node_set.points()
         vals = []
@@ -174,14 +173,10 @@ class LocalInterpolant:
             vals.append(v)
         self.coeffs = divided_differences(self.points, vals)
 
-    def partial(self, x, upto: int, omega: Optional[list] = None):
-        """L_upto(f, x): Newton partial sum using nodes 0..upto.
-
-        ``omega`` is x's row [1, Omega_1(x), ...] over these nodes, at least
-        upto + 1 long; without it the row is built here.
-        """
-        if omega is None:
-            omega = grow_omega([1], x, self.points, upto)
+    def partial(self, upto: int, omega: list):
+        """L_upto(f, x): Newton partial sum using nodes 0..upto, given x's
+        row ``omega`` = [1, Omega_1(x), ...] over these nodes, at least
+        upto + 1 long."""
         total = self.coeffs[0]
         for k in range(1, upto + 1):
             total = total + self.coeffs[k] * omega[k]
@@ -205,9 +200,6 @@ def grow_omega(row: list, x, points: Sequence, upto: int) -> list:
 @dataclass
 class WValue:
     value: object               # mpf
-    s_max: int
-    nonzero_A: list             # per level, indices j with a live A term
-    nonzero_T: list             # per level, indices k with a live T term
     certified_bound: Optional[LogReal] = None
 
 
@@ -215,8 +207,8 @@ class WValue:
 class _PointState:
     """Everything the operator needs at one x that does not depend on f.
 
-    ``stages[s]`` holds level s's live sets and nonzero cutoff values: (live
-    A indices, [(j, [(N, u_N(x)), ...])], live T indices, [(k, u_k(x))]).
+    ``stages[s]`` holds level s's nonzero cutoff values: ([(j, [(N, u_N(x)),
+    ...])], [(k, u_k(x))]) for its live A and T terms.
     ``omega[(j, s)]`` is the row [1, Omega_1(x), ...] over the nodes of
     I_{j,s}, grown on demand; node sets are prefix-stable, so every
     function's interpolant extends the same row.
@@ -267,8 +259,6 @@ class ExtensionOperator:
         # f -> (node values, interpolants); dropped with f
         self._per_f = weakref.WeakKeyDictionary()
         self._point: Optional[_PointState] = None
-        with mp.workprec(tree.bits):
-            self._root_bump = bump_for_interval(tree, 1, 0, mp.mpf(1))
 
     # -- caches ------------------------------------------------------------
 
@@ -332,20 +322,20 @@ class ExtensionOperator:
         """
         pt = self._point
         if pt is None or pt.x != x:
-            pt = self._point = _PointState(x, self._root_bump.value(x))
+            # delta_0 = 1: the root cutoff has width 1
+            pt = self._point = _PointState(x, self._bump(1, 0, 0).value(x))
         while len(pt.stages) < s_cap:
             pt.stages.append(self._stage(x, len(pt.stages)))
         return pt
 
     def _stage(self, x, s: int) -> tuple:
-        """Level s's live sets and nonzero cutoff values at x."""
+        """Level s's nonzero cutoff values at x."""
         sched = self.schedule
         # widest cutoff in the accumulation stage: N = M_s + 1,
         # i.e. n = n_{s-1} - 1 (n = 1 at the root stage)
         t_hi_A = s + (sched.n[s - 1] - 1 if s else 1)
-        live_A = self._live(s, t_hi_A, x, "accumulation", s)
         terms_A = []
-        for j in live_A:
+        for j in self._live(s, t_hi_A, x, "accumulation", s):
             terms = []
             for N in range(sched.M(s) + 1, sched.N(s) + 1):
                 n = N.bit_length() - 1  # 2^n <= N < 2^{n+1}
@@ -358,19 +348,19 @@ class ExtensionOperator:
                 terms_A.append((j, terms))
         # transition stage: cutoff width delta_{s + n_s - 1}
         t_T = s + sched.n[s] - 1
-        live_T = self._live(s + 1, t_T, x, "transition", s)
         terms_T = []
-        for k in live_T:
+        for k in self._live(s + 1, t_T, x, "transition", s):
             u = self._bump(k, s + 1, t_T).value(x)
             if u != 0:
                 terms_T.append((k, u))
-        return live_A, terms_A, live_T, terms_T
+        return terms_A, terms_T
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, f: Callable, x, norm_q: Optional[float] = None,
                  q: Optional[int] = None, s_max: Optional[int] = None) -> WValue:
-        """The truncated operator at x, with the locality audit.
+        """The truncated operator at x, with the locality audit: a second
+        live cutoff in either stage raises ``InvariantError``.
 
         ``norm_q``/``q`` (an upper bound of the order-q Whitney norm of f)
         switch on the certified truncation-error bound
@@ -388,13 +378,9 @@ class ExtensionOperator:
             x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
             pt = self._state(x, s_cap)
             root = self._interpolant(f, caches, 1, 0, 2)
-            total = root.partial(x, 1, pt.row(1, 0, root.points, 1)) \
-                * pt.root_u
-            nonzero_A, nonzero_T = [], []
+            total = root.partial(1, pt.row(1, 0, root.points, 1)) * pt.root_u
             for s in range(s_cap):
-                live_A, terms_A, live_T, terms_T = pt.stages[s]
-                nonzero_A.append(list(live_A))
-                nonzero_T.append(list(live_T))
+                terms_A, terms_T = pt.stages[s]
                 # increments L_N - L_{N-1} = [z_1..z_{N+1}]f * Omega_N(x)
                 for j, terms in terms_A:
                     itp = self._interpolant(f, caches, j, s, sched.N(s) + 1)
@@ -407,13 +393,12 @@ class ExtensionOperator:
                                              sched.M(s + 1) + 1)
                     coarse = self._interpolant(f, caches, j_parent, s,
                                                sched.N(s) + 1)
-                    diff = fine.partial(x, sched.M(s + 1), pt.row(
+                    diff = fine.partial(sched.M(s + 1), pt.row(
                         k, s + 1, fine.points, sched.M(s + 1))) \
-                        - coarse.partial(x, sched.N(s), pt.row(
+                        - coarse.partial(sched.N(s), pt.row(
                             j_parent, s, coarse.points, sched.N(s)))
                     total += diff * u
-            return WValue(value=total, s_max=s_cap, nonzero_A=nonzero_A,
-                          nonzero_T=nonzero_T, certified_bound=bound)
+            return WValue(value=total, certified_bound=bound)
 
     def certified_bound(self, S: int, norm_q: float, q: int) -> LogReal:
         """Telescoping truncation error bound at level S, for x in the set:
@@ -576,9 +561,9 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
     q = 2 ** m
     rows = []
     for r, s in zip(r_list, s_list):
-        n = int(math.log2(r))
-        if 2 ** n != r:
-            raise ParameterError(f"r={r} is not a power of two")
+        if r < 2 or r & (r - 1):
+            raise ParameterError(f"r={r} is not a power of two >= 2")
+        n = r.bit_length() - 1
         if m >= n:
             raise ParameterError(f"need q = 2^m < r = 2^n, got m={m}, n={n}")
         if s < 1:
@@ -634,11 +619,7 @@ def sorted_ln_distances(x, points: Sequence) -> list:
 
     Evaluates at the caller's working precision.
     """
-    vals = []
-    for z in points:
-        d = abs(x - z)
-        vals.append(-math.inf if d == 0 else ln_double(d))
-    return sorted(vals)
+    return sorted(ln_double(abs(x - z)) for z in points)
 
 
 def check_distance_product_bound(tree: CantorTree, interval: tuple,
@@ -676,34 +657,34 @@ def check_distance_product_bound(tree: CantorTree, interval: tuple,
     return True
 
 
-def chain_product_minimum(Z_sorted: Sequence, j: int, q: int, bits: int) -> float:
+def chain_product_minimum(Z_sorted: Sequence, j: int, q: int) -> float:
     """ln of the minimal chain product for the window [j, j+q] (1-based).
 
     Chains extend the index window one step left or right until it covers
     [1, N+1]; each step multiplies by (z_b - z_a) of the current window.
+    Evaluates at the caller's working precision.
     """
     N1 = len(Z_sorted)
-    with mp.workprec(bits):
-        memo = {}
+    memo = {}
 
-        def rec(a: int, b: int) -> float:
-            # minimal ln product to grow [a, b] (0-based, inclusive) to full
-            if (a, b) == (0, N1 - 1):
-                return 0.0
-            key = (a, b)
-            v = memo.get(key)
-            if v is None:
-                v = math.inf
-                if a > 0:
-                    v = min(v, ln_double(Z_sorted[b] - Z_sorted[a - 1])
-                            + rec(a - 1, b))
-                if b < N1 - 1:
-                    v = min(v, ln_double(Z_sorted[b + 1] - Z_sorted[a])
-                            + rec(a, b + 1))
-                memo[key] = v
-            return v
+    def rec(a: int, b: int) -> float:
+        # minimal ln product to grow [a, b] (0-based, inclusive) to full
+        if (a, b) == (0, N1 - 1):
+            return 0.0
+        key = (a, b)
+        v = memo.get(key)
+        if v is None:
+            v = math.inf
+            if a > 0:
+                v = min(v, ln_double(Z_sorted[b] - Z_sorted[a - 1])
+                        + rec(a - 1, b))
+            if b < N1 - 1:
+                v = min(v, ln_double(Z_sorted[b + 1] - Z_sorted[a])
+                        + rec(a, b + 1))
+            memo[key] = v
+        return v
 
-        return rec(j - 1, j - 1 + q)
+    return rec(j - 1, j - 1 + q)
 
 
 def check_chain_product_bound(tree: CantorTree, interval: tuple, N: int,
@@ -714,7 +695,7 @@ def check_chain_product_bound(tree: CantorTree, interval: tuple, N: int,
     Z = sorted(node_set.points())
     with mp.workprec(tree.bits):
         for j in range(1, N + 1 - q + 1):
-            pi_j = chain_product_minimum(Z, j, q, tree.bits)
+            pi_j = chain_product_minimum(Z, j, q)
             ok = False
             for z in Z[j - 1:j + q]:
                 ds = sorted_ln_distances(z, Z)

@@ -594,7 +594,7 @@ class DiagnosticsRow:
     recent_lhs: float           # B_{s+n}
     recent_rhs: float           # eps * (B_{s+n-m} + ... + B_{s+n-1})
     recent_holds: bool
-    product_margin_scaled: float  # [sum_{i=1..m} B_{s+n-i} - 2M B_{s+n}] * 2^{s+n+1}... stored per-2^{s+n+1}
+    product_margin_scaled: float  # sum_{i=1..m} B_{s+n-i} - 2M B_{s+n}
     product_holds: bool
     consistent: bool
 
@@ -616,20 +616,24 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
 
     For each grid point (s, n) the report carries the uniform ratio
     B_{s+n}/sum, the block and most-recent-window inequalities at (eps, m),
-    and the delta-product inequality at exponent M = 1/(2 eps), the exact
-    log-domain translation of the window form.  The ``consistent`` flag
-    asserts the provable pointwise implications between them; it is a
-    cross-check of the implementation, not of the model.
+    and the delta-product inequality at exponent M = 1/(2 eps),
+    prod_{i=1..m} delta_{s+n-i}^{2^{i-1}} < delta_{s+n}^M, i.e.
+    sum_{i=1..m} B_{s+n-i} > 2 M B_{s+n}.  Each is decided once, exactly, on
+    B_k = ln(1/delta_k) / 2^{k+1} with eps taken as the rational value of
+    its double; the sums are reported rounded to doubles.  The ``consistent``
+    flag asserts the provable pointwise implications of the uniform
+    inequality by the recent-window and the block ones; it is a cross-check
+    of the implementation, not of the model.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ParameterError("the diagnostics need a finite eps > 0, "
                              f"got {eps}")
-    M = 1.0 / (2.0 * eps)
-    B = prof.B
-    L = prof.ln_inv_deltas
-    k_max = prof.model.k_max
     if m < 0:
         raise ParameterError("m must be >= 0")
+    e = Fraction(eps)
+    M = 1 / (2 * e)
+    k_max = prof.model.k_max
+    B = [L / 2 ** (k + 1) for k, L in enumerate(prof.ln_inv_deltas)]
     rows = []
     for s in s_grid:
         for n in n_grid:
@@ -637,38 +641,25 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
                 raise HorizonError(f"grid point (s={s}, n={n}) beyond horizon {k_max}")
             if m > n:
                 raise ParameterError(f"window m={m} exceeds n={n}")
-            total = math.fsum(B[s:s + n + 1])
-            ratio = B[s + n] / total
-            block_lhs = math.fsum(B[s + n - m:s + n + 1])
-            block_rhs = eps * math.fsum(B[s:s + n - m])
-            recent_lhs = B[s + n]
-            recent_rhs = eps * math.fsum(B[s + n - m:s + n]) if m else 0.0
-            # delta-product inequality, exact translation:
-            #   prod_{i=1..m} delta_{s+n-i}^{2^{i-1}} < delta_{s+n}^M
-            #   <=> sum_{i=1..m} B_{s+n-i} > 2 M B_{s+n}
-            window = math.fsum(B[s + n - m:s + n])
-            margin_scaled = window - 2.0 * M * B[s + n]
-            product_holds = margin_scaled > 0.0
-            # cross-check on the exact logs
-            exact_holds = sum(2 ** (i - 1) * L[s + n - i]
-                              for i in range(1, m + 1)) > Fraction(M) * L[s + n]
-            recent_holds = recent_lhs < recent_rhs
+            last = B[s + n]
+            total = sum(B[s:s + n + 1])
+            window = sum(B[s + n - m:s + n])
+            block_lhs = window + last
+            block_rhs = e * sum(B[s:s + n - m])
+            recent_rhs = e * window
+            margin = window - 2 * M * last
+            uniform_holds = last < e * total
+            recent_holds = last < recent_rhs
             block_holds = block_lhs < block_rhs
-            uniform_holds_at_eps = B[s + n] < eps * total
-            consistent = (exact_holds == product_holds)
-            # pointwise implications (hold for any B >= 0)
-            if recent_holds and not uniform_holds_at_eps:
-                consistent = False
-            if block_holds and not uniform_holds_at_eps:
-                consistent = False
-            if m and recent_holds != product_holds:
-                consistent = False
             rows.append(DiagnosticsRow(
-                s=s, n=n, ratio_uniform=ratio,
-                block_lhs=block_lhs, block_rhs=block_rhs, block_holds=block_holds,
-                recent_lhs=recent_lhs, recent_rhs=recent_rhs, recent_holds=recent_holds,
-                product_margin_scaled=margin_scaled, product_holds=product_holds,
-                consistent=consistent))
-    return DiagnosticsReport(eps=eps, m=m, M=M, rows=tuple(rows),
+                s=s, n=n, ratio_uniform=float(last / total),
+                block_lhs=float(block_lhs), block_rhs=float(block_rhs),
+                block_holds=block_holds,
+                recent_lhs=float(last), recent_rhs=float(recent_rhs),
+                recent_holds=recent_holds,
+                product_margin_scaled=float(margin), product_holds=margin > 0,
+                # pointwise implications (hold for any B >= 0)
+                consistent=uniform_holds or not (recent_holds or block_holds)))
+    return DiagnosticsReport(eps=eps, m=m, M=float(M), rows=tuple(rows),
                              all_consistent=all(r.consistent for r in rows),
                              heuristic=(prof.model.family == CUSTOM))

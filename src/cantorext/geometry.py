@@ -39,8 +39,6 @@ GUARD_BITS = 96
 
 def required_bits(model: GammaModel, depth: int) -> int:
     """Mantissa bits needed to resolve level-``depth`` lengths."""
-    if depth == 0:
-        return GUARD_BITS
     ln_inv_delta = sum(model.ln_inv_gamma[:depth], Fraction(0))
     try:
         bits = float(ln_inv_delta) / math.log(2.0)
@@ -329,8 +327,6 @@ def select_nodes(tree: CantorTree, interval: tuple, N: int) -> NodeSet:
     else:
         pts = [Node(iv.right, iv.right_type), Node(iv.left, iv.left_type)]
     containers = [iv, iv]
-    if N <= 2:
-        return NodeSet(interval=interval, nodes=pts[:N])
     level = s
     while len(pts) < N:
         level += 1
@@ -349,7 +345,7 @@ def select_nodes(tree: CantorTree, interval: tuple, N: int) -> NodeSet:
             if len(pts) < N:
                 pts.append(Node(partner, ptype))
                 containers.append(child)
-    return NodeSet(interval=interval, nodes=pts)
+    return NodeSet(interval=interval, nodes=pts[:N])
 
 
 @dataclass

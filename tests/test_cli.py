@@ -87,11 +87,20 @@ def readme_body(command: str) -> tuple:
     return readme_run(command)[:2]
 
 
+def _extend_rows_above_bound(command: str) -> list:
+    """The rows of an ``extend`` body whose measured error exceeds its
+    certified bound."""
+    code, out = readme_body(command)
+    assert code == 0
+    return [row for row in json.loads(out)["data"]
+            if row["ln_err"] is not None and row["ln_err"] > row["ln_bound"]]
+
+
 # values at or past the edge of what each flag accepts
 BOUNDARY_VALUES = {
     "--k-max": ["0", "1", "2", "4"], "--depth": ["0", "1"],
     "--bits": ["1"], "--N": ["-1", "0", "1"], "--n": ["0", "1"],
-    "--r": ["0", "1"], "--s": ["0", "-1"], "--q": ["0", "-1"],
+    "--r": ["0", "1", "0,128"], "--s": ["0", "-1"], "--q": ["0", "-1"],
     "--s-max": ["0"], "--interval": ["0,0", "2,0"],
     "--epsilon": ["0", "-1", "nan", "inf"],
     "--m-window": ["-1"], "--alpha0": ["-1", "0"], "--eps-sign": ["2", "-1"],
@@ -387,6 +396,14 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and cause in err
 
+    def test_dn_r_not_a_power_of_two_is_rejected(self, capsys):
+        # r = 0 failed in math.log2 with "error: math domain error"
+        code = main(["dn", "--family", "example2", "--r", "0,128",
+                     "--s", "4,9"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "r=0" in err
+
     def test_extend_negative_order_is_rejected(self, capsys):
         # --q -2 exited 0 and printed a bound of e^-12.79 for square
         code = main(["extend", "--family", "example1", "--B", "1", "--bits",
@@ -428,6 +445,30 @@ class TestCLI:
                 if code not in (0, 2, 3):
                     bad.append(f"{' '.join(run)}: {code}")
         assert not bad, "\n".join(bad)
+
+    def test_extend_error_within_certified_bound(self):
+        # every row of the README extend command; ln_err is null where W
+        # reproduces f exactly
+        assert _extend_rows_above_bound(
+            "extend --family example1 --B 1 --bits 1024 --s-max 3") == []
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: the certified bound leaves out the rounding of the "
+        "Newton tables; 8 of 64 rows (5 square, 3 sin) lie above it"))
+    def test_extend_error_within_certified_bound_at_s_max_5(self):
+        assert _extend_rows_above_bound(
+            "extend --family example1 --B 1 --bits 1024 --s-max 5") == []
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the Chebyshev-basis LPs stall on a set with atoms "
+        "near 1e-12 wide, and the estimate prints null"))
+    def test_markov_estimate_lies_in_its_bracket_on_a_deep_tree(self):
+        code, out = readme_body(
+            "markov --family power_law --a 2 --depth 5 --n 32")
+        assert code == 0
+        row = json.loads(out)["data"][0]
+        assert row["numeric"] is not None and 0 < row["numeric"] < math.inf
+        assert row["ln_lower"] <= math.log(row["numeric"]) <= row["ln_upper"]
 
     def test_readme_bodies_are_strict_json(self):
         def reject(token):

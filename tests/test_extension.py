@@ -14,8 +14,8 @@ from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
                               ParameterError)
 from cantorext.extension import (
     ExtensionOperator, check_chain_product_bound, check_distance_product_bound,
-    divided_differences, dn_experiment, polynomial_jet, schedule_for,
-    whitney_norm,
+    divided_differences, dn_experiment, grow_omega, polynomial_jet,
+    schedule_for, whitney_norm,
 )
 from cantorext.gamma import EXAMPLE1, EXAMPLE2, POWER_LAW, build_model, profile
 from cantorext.geometry import build_tree, select_nodes
@@ -412,7 +412,8 @@ class TestOperatorIdentities:
                   if tree_ex1.interval(j, 3).left <= x <= tree_ex1.interval(j, 3).right)
         with mp.workprec(tree_ex1.bits):
             itp = op._interpolant(f, op._per_f[f], j3, 3, op.schedule.M(3) + 1)
-            direct = itp.partial(x, op.schedule.M(3))
+            M3 = op.schedule.M(3)
+            direct = itp.partial(M3, grow_omega([1], x, itp.points, M3))
             assert abs(out.value - direct) < mp.mpf(2) ** (-tree_ex1.bits + 64)
 
     def test_off_set_evaluation_finite(self, tree_ex1):
@@ -421,12 +422,13 @@ class TestOperatorIdentities:
         assert mp.isfinite(out.value)
 
     def test_locality_audit(self, tree_ex1):
+        # the audit raises InvariantError on a second live cutoff; on and
+        # off the set every point passes it
         op = ExtensionOperator(tree_ex1, s_max=3)
         rng = np.random.default_rng(7)
         for x in rng.uniform(-0.1, 1.1, size=40):
             out = op.evaluate(lambda v: mp.mpf(1), mp.mpf(float(x)))
-            assert all(len(a) <= 1 for a in out.nonzero_A)
-            assert all(len(t) <= 1 for t in out.nonzero_T)
+            assert mp.isfinite(out.value)
 
     def test_caches_go_with_their_function(self, tree_ex1):
         # a fresh lambda per call leaves no cache entry once it is collected
@@ -527,8 +529,13 @@ def _scratch_omega_W(op, f, x, s_cap):
     tree, sched = op.tree, op.schedule
     caches = op._per_f.setdefault(f, ({}, {}))
     interpolant = lambda j, s, n: op._interpolant(f, caches, j, s, n)
+
+    def partial(itp, upto):
+        return itp.partial(upto, grow_omega([1], x, itp.points, upto))
+
     with mp.workprec(tree.bits):
-        total = interpolant(1, 0, 2).partial(x, 1) * op._root_bump.value(x)
+        root = bump_for_interval(tree, 1, 0, mp.mpf(1))
+        total = partial(interpolant(1, 0, 2), 1) * root.value(x)
         for s in range(s_cap):
             t_A = s + (sched.n[s - 1] - 1 if s else 1)
             for j in range(1, 2 ** s + 1):
@@ -549,8 +556,8 @@ def _scratch_omega_W(op, f, x, s_cap):
                     continue
                 fine = interpolant(k, s + 1, sched.M(s + 1) + 1)
                 coarse = interpolant((k + 1) // 2, s, sched.N(s) + 1)
-                total += (fine.partial(x, sched.M(s + 1))
-                          - coarse.partial(x, sched.N(s))) * b.value(x)
+                total += (partial(fine, sched.M(s + 1))
+                          - partial(coarse, sched.N(s))) * b.value(x)
     return total
 
 
@@ -622,22 +629,6 @@ def test_second_function_at_a_point_evaluates_no_cutoff(tree_ex1_512,
         assert calls == {"value": 0, "support_hit": 0}
         op.evaluate(lambda v: v * v, tree.levels[7][38].right)
         assert calls["value"] > 0 and calls["support_hit"] > 0
-
-
-def test_returned_live_sets_are_fresh_lists(tree_ex1_512):
-    tree = tree_ex1_512
-    x = tree.levels[7][37].right
-    f = lambda v: v * v
-    want = ExtensionOperator(tree, s_max=4).evaluate(f, x)
-    op = ExtensionOperator(tree, s_max=4)
-    first = op.evaluate(f, x)
-    assert any(first.nonzero_A) and any(first.nonzero_T)
-    for lists in (first.nonzero_A, first.nonzero_T):
-        for live in lists:
-            live.append(99)
-        lists.append([7])
-    again = op.evaluate(f, x)
-    assert again == want
 
 
 def test_bisected_live_sets_match_full_scan(tree_ex1_512, probe_points_512):
@@ -735,6 +726,14 @@ class TestDNExperiment:
         with pytest.raises(ParameterError):
             dn_experiment(m, eps=0.25, m=0, r_list=[6], s_list=[2])  # not 2^n
 
+    @pytest.mark.parametrize("r", [0, -8, 6])
+    def test_r_not_a_power_of_two_is_rejected_before_any_log(self, r):
+        # r = 0 and r = -8 failed in math.log2 with a bare "math domain
+        # error" that named no parameter
+        m = build_model(EXAMPLE2, k_max=40, variant="A")
+        with pytest.raises(ParameterError, match=f"r={r} "):
+            dn_experiment(m, eps=0.25, m=0, r_list=[r, 128], s_list=[9, 9])
+
     @pytest.mark.parametrize("m_window,s", [(0, 0), (0, -1), (-1, 9)])
     def test_window_below_0_and_level_below_1_are_rejected(self, m_window, s):
         # s = 0 read the undefined B_0 (NaN), s = -1 wrapped to B[-1], and
@@ -771,7 +770,7 @@ class TestOffSetBehavior:
         with mp.workprec(tree_ex1.bits):
             for x in (mp.mpf("-0.4"), mp.mpf("0.5"), mp.mpf("1.3")):
                 out = op.evaluate(one, x)
-                want = op._root_bump.value(x)
+                want = bump_for_interval(tree_ex1, 1, 0, mp.mpf(1)).value(x)
                 assert abs(out.value - want) < mp.mpf(2) ** (-tree_ex1.bits + 64)
             assert op.evaluate(one, mp.mpf("-2")).value == 0
 

@@ -233,18 +233,30 @@ class TestDiagnostics:
         assert rep.all_consistent
 
     def test_exact_product_check_at_a_non_integral_M(self):
-        # M = 1/(2 eps) = 0.83...: the float margin rounds to 0, so the float
-        # check fails, while on the exact logs L_2 + 2 L_1 > M L_3.  The
-        # exact check ran only for an integral M and otherwise compared the
-        # float check with itself, reporting the row consistent.
+        # M = 1/(2 eps) = 0.83...: a float margin rounds to 0 and fails,
+        # while on the exact logs L_2 + 2 L_1 > M L_3, with M = 1/(2 eps)
+        # taken exactly.  The product and the recent-window inequalities
+        # are one inequality there, and both report the exact answer.
         g = [0.006737946999085467, 0.006737946999085467, 8.315287191035687e-07]
         p = profile(build_model(CUSTOM, k_max=3, gammas=g))
         rep = condition_diagnostics(p, [1], [2], eps=0.6, m=2)
         row = rep.rows[0]
         L = p.ln_inv_deltas
-        assert row.product_margin_scaled == 0.0 and not row.product_holds
-        assert L[2] + 2 * L[1] > Fraction(rep.M) * L[3]
-        assert not row.consistent and not rep.all_consistent
+        assert L[2] + 2 * L[1] > L[3] / (2 * Fraction(0.6))
+        assert row.product_margin_scaled > 0
+        assert row.product_holds and row.recent_holds
+        assert row.consistent and rep.all_consistent
+
+    def test_product_and_recent_agree_where_the_window_is_an_equality(self):
+        # delta_form b = 3: L_{k-1} = L_k / 3, so at eps = 1.5, m = 1 the
+        # recent-window inequality B_k < 1.5 B_{k-1} is an exact equality,
+        # and so is the product one at M = 1/3.  Checked at fl(1/3) < 1/3,
+        # the product inequality held and every row was flagged inconsistent.
+        p = profile(build_model(DELTA_FORM, k_max=20, b=3.0))
+        rep = condition_diagnostics(p, [1, 2, 3, 4], [2, 3, 4], eps=1.5, m=1)
+        assert rep.all_consistent
+        assert all(r.product_holds == r.recent_holds for r in rep.rows)
+        assert not any(r.product_holds for r in rep.rows)
 
 
 class TestClassifier:

@@ -19,22 +19,31 @@ def test_package_has_no_assert_statements():
 
 
 ROOT = SRC.parents[1]
-#: public names kept without a user: the set-basis Markov estimator of
-#: ROADMAP item 1 builds on certificate_lower_bound's chain rule
-KEEP = {"certificate_lower_bound"}
+#: public names kept without a user, and why
+KEEP = {
+    "certificate_lower_bound": "the set-basis Markov estimator of ROADMAP "
+                               "item 1 builds on its chain rule",
+    "whitney_norm": "the README's finite-sample Whitney norms",
+    "polynomial_jet": "the README's finite-sample Whitney norms",
+    "eval_P": "exported; ROADMAP item 8 keeps it",
+    "h_inverse": "exported; ROADMAP item 8 keeps it",
+    "condition_diagnostics": "the README's finite-horizon condition "
+                             "diagnostics",
+}
 
 
 def test_every_public_definition_has_a_user():
     """Each top-level public function or class of the package is named by the
     package itself, the benchmark, a script, an acceptance criterion or the
-    README; a definition only unit tests call belongs in tests/oracles.py."""
+    README; a definition only unit tests call belongs in tests/oracles.py.
+    A re-export in the package's __init__.py is not a user."""
     texts = {path: path.read_text() for pattern in
              ("src/**/*.py", "perfbench/**/*.py", "scripts/*.py")
-             for path in ROOT.glob(pattern)}
+             for path in ROOT.glob(pattern) if path != SRC / "__init__.py"}
     for name in ("tests/test_acceptance.py", "README.md"):
         texts[ROOT / name] = (ROOT / name).read_text()
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(p for p in SRC.rglob("*.py") if p in texts):
         lines = texts[path].splitlines()
         for node in ast.parse(texts[path], str(path)).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
