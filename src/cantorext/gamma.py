@@ -637,7 +637,10 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
     rows = []
     for s in s_grid:
         for n in n_grid:
-            if s < 1 or s + n > k_max:
+            if s < 1 or n < 0:
+                raise ParameterError(f"grid point (s={s}, n={n}) needs "
+                                     "s >= 1 and n >= 0")
+            if s + n > k_max:
                 raise HorizonError(f"grid point (s={s}, n={n}) beyond horizon {k_max}")
             if m > n:
                 raise ParameterError(f"window m={m} exceeds n={n}")

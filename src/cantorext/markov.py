@@ -13,8 +13,12 @@ model holds it and each candidate only changes the objective: the previous
 optimal basis stays primal feasible and the re-solve is warm, a few simplex
 iterations.  A solve that does not reach optimality is a stalled candidate:
 it adds nothing to the maximum, and the solver's state is dropped so the next
-candidate starts cold.  An independent lower-bound witness comes from the level
-polynomial P_{2^s} + r_s/2, which maps the level domain onto [-r_s/2, r_s/2].
+candidate starts cold.  Most candidates are never solved: n + 1 grid points
+bound |P'(x*)| by the Lagrange sum sum_b |l_b'(x*)|, and a candidate whose
+certified bound lies below the maximum so far cannot raise it.  On [0, 1] at
+n = 2 only the two endpoints are solved.  An independent lower-bound witness
+comes from the level polynomial P_{2^s} + r_s/2, which maps the level domain
+onto [-r_s/2, r_s/2].
 
 scipy is imported on the first LP, so importing the package does not load it.
 """
@@ -120,9 +124,9 @@ def _polytope_model(V: np.ndarray):
 
 def candidate_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
                   seed: int = 0) -> tuple:
-    """(V, dV, candidates) of the estimate: the Chebyshev-basis values and
-    derivatives on the grid, and the ascending grid indices of the candidate
-    extrema.
+    """(grid, V, dV, candidates) of the estimate: the grid, the
+    Chebyshev-basis values and derivatives on it, and the ascending grid
+    indices of the candidate extrema.
 
     Candidates where |P'| can peak are all grid points of the two extreme
     atoms plus a seeded stratified sample elsewhere.
@@ -158,7 +162,50 @@ def candidate_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
         take = min(EXTRA_CANDIDATES, len(rest))
         strata = np.array_split(rest, take)
         cand |= {int(rng.choice(s)) for s in strata if len(s)}
-    return V, dV, sorted(cand)
+    return grid, V, dV, sorted(cand)
+
+
+def _lagrange_derivative_bound(nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """At each x of ``xs``, an upper bound on sum_b |l_b'(x)| over the Lagrange
+    basis l_b of the distinct ``nodes``.
+
+    A polynomial P of degree < len(nodes) with |P| <= 1 on the nodes is
+    sum_b P(x_b) l_b, so |P'(x)| is at most that sum.  Off the nodes
+    l_b'(x) = l_b(x) sum_{c != b} 1/(x - x_c); at a node x_a,
+    |l_b'(x_a)| = prod_{c != a, b} |x_a - x_c| / prod_{c != b} |x_b - x_c| for
+    b != a and |l_a'(x_a)| = |sum_{c != a} 1/(x_a - x_c)|.  The products are
+    summed as logs, because differences of atoms 1e-12 wide underflow them.
+    Each sum is widened by k 2^-52 times the sum of its terms' magnitudes, so
+    rounding cannot make the bound understate, and the result by 1 + 1e-9.
+    A product too large for a double makes the bound inf.
+    """
+    N = len(nodes)
+    tol = (N + 4) * 2.0 ** -52
+    dz = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(dz, 1.0)
+    lz = np.log(np.abs(dz))                # 0 on the diagonal
+    w = lz.sum(axis=1)                     # ln prod_{c != b} |x_b - x_c|
+    wa = np.abs(lz).sum(axis=1)
+    inv_z = 1.0 / dz
+    np.fill_diagonal(inv_z, 0.0)
+    dx = xs[:, None] - nodes[None, :]
+    hit = dx == 0
+    dx[hit] = 1.0                          # those rows are replaced below
+    lx = np.log(np.abs(dx))
+    ln_l = lx.sum(axis=1)[:, None] - lx - w[None, :]     # ln |l_b(x)|
+    ln_l += tol * (2 * np.abs(lx).sum(axis=1)[:, None] + wa[None, :] + 2 * N)
+    inv = 1.0 / dx
+    s = inv.sum(axis=1)[:, None] - inv                   # sum_{c != b} 1/(x - x_c)
+    s = np.abs(s) + tol * np.abs(inv).sum(axis=1)[:, None]
+    with np.errstate(over="ignore"):
+        bound = (np.exp(ln_l) * s).sum(axis=1)
+        at_node = np.exp(w[:, None] - lz - w[None, :]
+                         + tol * (wa[:, None] + wa[None, :] + 2 * N))
+    np.fill_diagonal(at_node, np.abs(inv_z.sum(axis=1))
+                     + tol * np.abs(inv_z).sum(axis=1))
+    rows, cols = np.nonzero(hit)
+    bound[rows] = at_node[cols].sum(axis=1)
+    return bound * (1 + 1e-9)
 
 
 def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
@@ -169,22 +216,39 @@ def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
     The candidates are solved in ascending order on one shared, warm-started
     model, so they run one after another and ``workers`` must be 1; the
     keyword stays only because existing callers pass ``workers=1``.
+
+    A candidate whose certified bound U lies below the maximum so far,
+    U (1 + 1e-6) < best, is skipped: no polynomial with |P| <= 1 on the grid
+    has a larger derivative there, and the margin sits above HiGHS's 1e-7
+    feasibility tolerance.  U is the Lagrange bound on the n + 1 grid points
+    with the largest row duals of the best solution, recomputed whenever the
+    maximum rises.  A skipped candidate is never solved, so ``stalled`` means
+    that some solved candidate missed optimality.
     """
     if workers != 1:
         raise ParameterError("candidate LPs share one model; workers must be 1")
-    V, dV, order = candidate_lps(atoms, n, points_per_atom, seed)
+    grid, V, dV, order = candidate_lps(atoms, n, points_per_atom, seed)
     model = _polytope_model(V)
     optimal = _highs().HighsModelStatus.kOptimal
     cols = np.arange(n + 1)
+    bound = np.full(len(order), math.inf)
     best, stalled = -math.inf, False
-    for idx in order:
+    for pos, idx in enumerate(order):
+        if bound[pos] * (1 + 1e-6) < best:
+            continue
         model.changeColsCost(n + 1, cols, -dV[idx])
         model.run()
-        if model.getModelStatus() == optimal:
-            best = max(best, -model.getObjectiveValue())
-        else:
+        if model.getModelStatus() != optimal:
             model.clearSolver()   # the next candidate starts cold
             stalled = True
+            continue
+        value = -model.getObjectiveValue()
+        if value > best:
+            best = value
+            duals = np.abs(model.getSolution().row_dual)
+            basis = np.argsort(duals)[-(n + 1):]
+            bound[pos + 1:] = _lagrange_derivative_bound(
+                grid[basis], grid[order[pos + 1:]])
     return NumericMarkov(n=n, value=best, grid_size=len(V), stalled=stalled)
 
 

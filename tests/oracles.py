@@ -3,8 +3,9 @@
 Each one re-derives a quantity the package computes, or checks an inequality
 the construction relies on, by a second route: sign bisection for the
 algebraic endpoint chain, a float Taylor series of the cutoff u beside the
-mpf ``BumpSpec.value`` the operator runs, and an analytic h' for the
-log-power dimension functions.  Tests import them by name
+mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
+log-power dimension functions, and the Markov estimator's warm loop with
+every candidate solved.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
@@ -15,6 +16,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
+from cantorext import markov
 from cantorext.bump import BumpSpec, bump_for_interval
 from cantorext.dimension import LogPower
 from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
@@ -246,3 +248,30 @@ def check_derivative_bound(h: LogPower, t_grid: Sequence[float]) -> bool:
         if not hp <= bound * (1 + 1e-12):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# markov: the warm loop without the certified skip
+# ---------------------------------------------------------------------------
+
+def exhaustive_markov(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
+                      seed: int = 0) -> dict:
+    """``markov_numeric``'s loop before it skipped candidates: every candidate
+    solved in ascending order on the one warm-started model.  Maps each
+    candidate's grid index to (LP value, |row duals|), or to None where the
+    solve missed optimality."""
+    _, V, dV, order = markov.candidate_lps(atoms, n, points_per_atom, seed)
+    model = markov._polytope_model(V)
+    optimal = markov._highs().HighsModelStatus.kOptimal
+    cols = np.arange(n + 1)
+    out = {}
+    for idx in order:
+        model.changeColsCost(n + 1, cols, -dV[idx])
+        model.run()
+        if model.getModelStatus() == optimal:
+            out[idx] = (-model.getObjectiveValue(),
+                        np.abs(model.getSolution().row_dual))
+        else:
+            model.clearSolver()
+            out[idx] = None
+    return out

@@ -223,6 +223,20 @@ class TestDiagnostics:
         with pytest.raises(ParameterError):
             condition_diagnostics(p, [1], [4], eps=eps, m=1)
 
+    @pytest.mark.parametrize("s, n, m", [(0, 2, 1), (-1, 2, 1), (1, -1, 0)])
+    def test_level_below_1_and_negative_n_are_rejected(self, s, n, m):
+        # s <= 0 was reported as "beyond horizon 20", n = -1 as a window
+        # m = 0 exceeding n
+        p = profile(build_model(EXAMPLE1, k_max=20, B=1.0))
+        with pytest.raises(ParameterError, match="s >= 1 and n >= 0"):
+            condition_diagnostics(p, [s], [n], eps=0.25, m=m)
+
+    def test_grid_point_beyond_the_horizon_is_a_horizon_error(self):
+        p = profile(build_model(EXAMPLE1, k_max=20, B=1.0))
+        condition_diagnostics(p, [1], [19], eps=0.25, m=1)
+        with pytest.raises(HorizonError, match="beyond horizon 20"):
+            condition_diagnostics(p, [1], [20], eps=0.25, m=1)
+
     def test_product_check_is_exact_on_the_logs(self):
         # example1 B = 1: ln(1/delta_k) = 2^{k+1}, so the window sum
         # sum_{i=1..m} 2^{i-1} 2^{s+n-i+1} = m 2^{s+n} equals M ln(1/delta_{s+n})

@@ -12,9 +12,10 @@ from cantorext.gamma import (DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2, EXAMPLE
                              EXPONENTIAL, POWER_LAW, build_model, profile)
 from cantorext.geometry import build_tree
 from cantorext.markov import (
-    candidate_lps, certificate_lower_bound, markov_bounds, markov_numeric,
-    ratio_table, tree_atom_bounds,
+    candidate_lps, certificate_lower_bound, chebyshev_grid, markov_bounds,
+    markov_numeric, ratio_table, tree_atom_bounds,
 )
+from oracles import exhaustive_markov
 
 
 @functools.lru_cache(maxsize=None)
@@ -27,7 +28,7 @@ def _cold_reference(atoms, n, points_per_atom) -> dict:
     """The per-candidate loop the shared model replaced: one cold linprog
     over the 2G one-sided rows [V; -V] per candidate.  Maps each candidate
     to its value, or to None where the LP failed."""
-    V, dV, order = candidate_lps(atoms, n, points_per_atom)
+    _, V, dV, order = candidate_lps(atoms, n, points_per_atom)
     A_ub = np.vstack([V, -V])
     b_ub = np.ones(2 * len(V))
     out = {}
@@ -167,6 +168,11 @@ class TestNumeric:
             candidate_lps([(0.0, 0.25), (0.75, 1.0)], 1, points)
 
 
+def _atoms(family, params, depth=3):
+    return ((0.0, 1.0),) if family == "unit" else \
+        _tree_atoms(family, depth, **params)
+
+
 class TestWarmStartOracle:
     """The shared warm-started model against cold per-candidate linprog."""
 
@@ -217,13 +223,127 @@ class TestWarmStartOracle:
             markov, "linprog",
             lambda *a, **kw: lp_calls.append(1) or linprog_(*a, **kw))
         est = markov_numeric(atoms, n, points_per_atom=points)
-        order = candidate_lps(atoms, n, points)[2]
+        order = candidate_lps(atoms, n, points)[3]
         assert not lp_calls and len(runs) == len(order)
         failed = {idx for idx, ok in zip(order, runs) if not ok}
         ref_failed = {i for i, v in _cold_reference(atoms, n, points).items()
                       if v is None}
         assert failed and failed <= ref_failed
         assert est.stalled and est.value.hex() == want
+
+
+def _lagrange_derivative_sum(nodes, x) -> mp.mpf:
+    """sum_b |l_b'(x)| at 50 digits, by the product rule on the exact nodes."""
+    with mp.workdps(50):
+        z = [mp.mpf(float(v)) for v in nodes]
+        x = mp.mpf(float(x))
+        total = mp.mpf(0)
+        for b, zb in enumerate(z):
+            rest = [zc for c, zc in enumerate(z) if c != b]
+            num = mp.fsum(mp.fprod(x - zd for d, zd in enumerate(rest) if d != c)
+                          for c in range(len(rest)))
+            total += abs(num / mp.fprod(zb - zc for zc in rest))
+        return total
+
+
+class TestCertifiedSkip:
+    """The Lagrange bound that lets the estimator skip candidate LPs."""
+
+    def test_three_chebyshev_nodes_give_the_classical_value(self):
+        # T_2 on [0, 1] peaks at 0, 1/2, 1; |P'(0)| <= 2 n^2 = 8, before the
+        # bound's final 1 + 1e-9
+        got = markov._lagrange_derivative_bound(np.array([0.0, 0.5, 1.0]),
+                                                np.array([0.0]))
+        assert got[0] >= 8.0
+        assert got[0] / (1 + 1e-9) == pytest.approx(8.0, rel=1e-12)
+
+    @pytest.mark.parametrize("family, params, depth, N", [
+        ("unit", {}, 0, 3), ("unit", {}, 0, 9),
+        (POWER_LAW, {"a": 2.0}, 4, 5), (POWER_LAW, {"a": 2.0}, 4, 17),
+        (DELTA_FORM, {"b": 3.0}, 3, 9), (EXAMPLE2, {}, 4, 9),
+    ])
+    def test_bound_is_never_below_the_exact_sum(self, family, params, depth, N):
+        # the atoms of the delta_form b = 3 and example2 trees are 1.9e-12 and
+        # 1.2e-14 wide, where plain products of differences underflow
+        if family == "unit":
+            grid = chebyshev_grid([(0.0, 1.0)], 64)
+        else:
+            grid = chebyshev_grid(_tree_atoms(family, depth, **params), 8)
+        rng = np.random.default_rng(N + depth)
+        nodes = np.sort(rng.choice(grid, N, replace=False))
+        xs = np.concatenate([rng.choice(grid, 8, replace=False), nodes[:2],
+                             [grid[0], grid[-1]]])
+        got = markov._lagrange_derivative_bound(nodes, xs)
+        assert np.all(np.isfinite(got))
+        for x, u in zip(xs, got):
+            exact = _lagrange_derivative_sum(nodes, x)
+            assert exact <= u <= exact * (1 + 1e-6), (x, u, exact)
+
+    @pytest.mark.parametrize("family, params, n, points", [
+        ("unit", {}, 2, 128),
+        ("unit", {}, 3, 128),
+        *[(POWER_LAW, {"a": 2.0}, n, 24) for n in (2, 4, 8)],
+        *[(DELTA_FORM, {"b": 2.0}, n, 24) for n in (2, 4, 8)],
+    ])
+    def test_bound_covers_every_candidate_lp(self, family, params, n, points):
+        # [0, 1] and the README trees, on the basis of the best solution,
+        # which the estimator uses, and on each candidate's own, where the
+        # bound is tight by LP duality
+        atoms = _atoms(family, params)
+        grid, _, _, order = candidate_lps(atoms, n, points)
+        ref = exhaustive_markov(atoms, n, points)
+        assert None not in ref.values()
+        best = max(order, key=lambda i: ref[i][0])
+        values = np.array([ref[i][0] for i in order])
+        for duals in [ref[best][1]] + [ref[i][1] for i in order]:
+            nodes = grid[np.argsort(duals)[-(n + 1):]]
+            U = markov._lagrange_derivative_bound(nodes, grid[order])
+            assert np.all(U >= values / (1 + 1e-7))
+
+    @pytest.mark.parametrize("family, params, depth, n, points, seed", [
+        ("unit", {}, 0, 2, 512, 0), ("unit", {}, 0, 8, 128, 0),
+        ("unit", {}, 0, 32, 128, 0),
+        (POWER_LAW, {"a": 2.0}, 2, 4, 16, 1), (POWER_LAW, {"a": 2.0}, 3, 8, 24, 0),
+        (POWER_LAW, {"a": 2.0}, 4, 16, 16, 0), (DELTA_FORM, {"b": 2.0}, 4, 8, 8, 1),
+        (DELTA_FORM, {"b": 3.0}, 3, 8, 24, 0), (DELTA_FORM, {"b": 3.0}, 2, 4, 16, 1),
+        (EXAMPLE1, {"B": 1.0}, 3, 16, 24, 0), (EXAMPLE1, {"B": 1.0}, 2, 2, 8, 1),
+        (EXAMPLE2, {}, 4, 8, 16, 0), (EXAMPLE2, {}, 3, 16, 24, 1),
+    ])
+    def test_same_estimate_as_solving_every_candidate(
+            self, family, params, depth, n, points, seed):
+        atoms = _atoms(family, params, depth)
+        ref = exhaustive_markov(atoms, n, points, seed)
+        est = markov_numeric(atoms, n, points_per_atom=points, seed=seed)
+        assert est.stalled == (None in ref.values())
+        want = max((v[0] for v in ref.values() if v is not None),
+                   default=-math.inf)
+        if math.isfinite(want):
+            assert est.value == pytest.approx(want, rel=1e-7)
+        else:
+            assert est.value == want
+
+    def test_unit_interval_solves_only_the_endpoints(self, monkeypatch):
+        # 512 candidates; the bound of the first solution (at x = 0, nodes
+        # 0, 1/2, 1) is below 8 everywhere but at the two endpoints
+        runs = []
+
+        class Recorded:
+            def __init__(self, model):
+                self._model = model
+
+            def __getattr__(self, name):
+                return getattr(self._model, name)
+
+            def run(self):
+                runs.append(1)
+                self._model.run()
+
+        build = markov._polytope_model
+        monkeypatch.setattr(markov, "_polytope_model",
+                            lambda V: Recorded(build(V)))
+        est = markov_numeric([(0.0, 1.0)], 2, points_per_atom=512)
+        assert not est.stalled and est.value == pytest.approx(8.0, rel=1e-4)
+        assert len(runs) <= 4
 
 
 class TestRatioTable:
