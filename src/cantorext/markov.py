@@ -5,22 +5,32 @@ sup norm of K.  For the Cantor-type sets the dyadic degrees satisfy
 M_{2^k} ~ 2/delta_k, and monotonicity brackets every degree:
 1/delta_k < M_n < 4/delta_{k+1} for 2^k <= n < 2^{k+1}.
 
-The numeric estimator solves, per candidate extremum x*, the linear program
-max P'(x*) over |P(x_i)| <= 1 on a grid, in the Chebyshev basis of the grid's
-hull; the maximum over candidates estimates M_n of the grid.  All candidate
-LPs of one estimate share the polytope {a : -1 <= V a <= 1}, so one HiGHS
-model holds it and each candidate only changes the objective: the previous
-optimal basis stays primal feasible and the re-solve is warm, a few simplex
-iterations.  A solve that does not reach optimality is a stalled candidate:
-it adds nothing to the maximum, and the solver's state is dropped so the next
-candidate starts cold.  Most candidates are never solved: n + 1 grid points
-bound |P'(x*)| by the Lagrange sum sum_b |l_b'(x*)|, and a candidate whose
-certified bound lies below the maximum so far cannot raise it.  On [0, 1] at
-n = 2 only the two endpoints are solved.  An independent lower-bound witness
-comes from the level polynomial P_{2^s} + r_s/2, which maps the level domain
-onto [-r_s/2, r_s/2].
+The numeric estimator takes, per candidate extremum x*, the linear program
+max P'(x*) over |P(x_i)| <= 1 on a grid; the maximum over candidates
+estimates M_n of the grid.  It solves the LP's dual in Lagrange form by
+Stiefel's exchange: a basis is a set S of n + 1 grid points, its duals are
+y_b = l_b'(x*) for the Lagrange basis l_b of S, its value is
+U_S = sum_b |y_b|, an upper bound on the LP, and its polynomial
+P_S = sum_b sign(y_b) l_b has P_S'(x*) = U_S.  Each step enters the grid
+point where |P_S| is largest and the breakpoint ratio test picks the node
+that leaves; at |P_S| <= 1 on the grid S is optimal.  There is no basis
+matrix to ill-condition: the Lagrange values are products of differences of
+grid points, taken in float64 with their binary exponents apart, so atoms
+1e-12 wide neither underflow them nor lose the LPs.  Each candidate starts
+from the previous one's S, and Bland's smallest-index rule breaks ties.
 
-scipy is imported on the first LP, so importing the package does not load it.
+The reported value is a certified witness: P_S'(x*) bounded from below over
+max |P_S| on the grid bounded from above, every rounding widened into the
+bounds, a true lower bound on the grid's M_n.  A witness more than 1e-6
+below its U_S is a stalled candidate and adds nothing.  Most candidates are
+never solved: the best candidate's S bounds |P'(x)| at every other
+candidate by its Lagrange sum sum_b |l_b'(x)|, and a candidate whose bound
+lies below the maximum so far cannot raise it.  On [0, 1] at n = 2 only the
+two endpoints are solved.  An independent lower-bound witness comes from
+the level polynomial P_{2^s} + r_s/2, which maps the level domain onto
+[-r_s/2, r_s/2].
+
+The package does not use scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import DegreeError, HorizonError, ParameterError
 from .gamma import GammaModel, profile as make_profile
@@ -40,6 +49,7 @@ from .logreal import LN2_FRACTION, LogReal, ln_double
 
 LN2 = math.log(2.0)
 EXTRA_CANDIDATES = 24   # stratified interior candidates per estimate
+STEP_CAP = 1000         # exchange steps per candidate
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +92,7 @@ class NumericMarkov:
     n: int
     value: float
     grid_size: int
-    stalled: bool            # some candidate LP did not converge
+    stalled: bool            # some solved candidate gave no witness
 
 
 def chebyshev_grid(atoms: Sequence[tuple], points_per_atom: int) -> np.ndarray:
@@ -96,37 +106,17 @@ def chebyshev_grid(atoms: Sequence[tuple], points_per_atom: int) -> np.ndarray:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.  The package no
-    longer calls it; the benchmark's tracer still wraps this binding."""
+    """``scipy.optimize.linprog``, imported on the first call.  Nothing calls
+    it and scipy is not a dependency; the benchmark's tracer still wraps
+    this binding."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
 
-def _highs():
-    """scipy's private binding of the HiGHS solver that linprog(method="highs")
-    drives; linprog rebuilds the model per call, the estimator keeps one and
-    re-solves it."""
-    from scipy.optimize._highspy import _core
-    return _core
-
-
-def _polytope_model(V: np.ndarray):
-    """A HiGHS model of -1 <= V a <= 1 over free columns a, cost zero."""
-    G, m = V.shape
-    highs = _highs()
-    model = highs._Highs()
-    model.setOptionValue("output_flag", False)
-    model.addVars(m, np.full(m, -highs.kHighsInf), np.full(m, highs.kHighsInf))
-    model.addRows(G, np.full(G, -1.0), np.ones(G), G * m,
-                  np.arange(0, G * m, m), np.tile(np.arange(m), G), V.ravel())
-    return model
-
-
-def candidate_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
+def estimate_grid(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
                   seed: int = 0) -> tuple:
-    """(grid, V, dV, candidates) of the estimate: the grid, the
-    Chebyshev-basis values and derivatives on it, and the ascending grid
-    indices of the candidate extrema.
+    """(grid, candidates) of the estimate: the Chebyshev grid over the atoms
+    and the ascending grid indices of the candidate extrema.
 
     Candidates where |P'| can peak are all grid points of the two extreme
     atoms plus a seeded stratified sample elsewhere.
@@ -141,18 +131,6 @@ def candidate_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
     grid = chebyshev_grid(atoms, points_per_atom)
     if len(grid) < 4 * n:
         raise ParameterError(f"grid of {len(grid)} points is below 4n = {4 * n}")
-    lo, hi = grid[0], grid[-1]
-    y = (2.0 * grid - (lo + hi)) / (hi - lo)
-    V = C.chebvander(y, n)
-    dmat = np.zeros((n + 1, n + 1))
-    for j_ in range(n + 1):
-        e = np.zeros(n + 1)
-        e[j_] = 1.0
-        d = C.chebder(e)
-        dmat[j_, :len(d)] = d
-    dV = np.column_stack(
-        [C.chebval(y, dmat[j_]) for j_ in range(n + 1)]) * (2.0 / (hi - lo))
-
     first = np.where(grid <= atoms[0][1])[0]
     last = np.where(grid >= atoms[-1][0])[0]
     cand = set(first.tolist()) | set(last.tolist())
@@ -162,7 +140,71 @@ def candidate_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
         take = min(EXTRA_CANDIDATES, len(rest))
         strata = np.array_split(rest, take)
         cand |= {int(rng.choice(s)) for s in strata if len(s)}
-    return grid, V, dV, sorted(cand)
+    return grid, sorted(cand)
+
+
+def _lagrange_basis(nodes: np.ndarray, xs: np.ndarray) -> tuple:
+    """(l, rel, dx, hit): l[i, b] is l_b(xs[i]) for the Lagrange basis l_b of
+    the distinct ``nodes`` to within rel |l[i, b]| + 2^-1074, with the
+    differences x - x_c and the mask of those that are 0.
+
+    Where x is the node x_a its difference is taken as 1, so the row holds
+    prod_{c != a, b} (x_a - x_c) / prod_{c != b} (x_b - x_c), which is
+    l_b'(x_a) for b != a, and 1 at b = a.  The products multiply the
+    mantissas of the differences and add their binary exponents as integers
+    (``np.frexp``), because differences of atoms 1e-12 wide underflow a
+    plain product; a quotient takes at most 4N - 2 roundings of 2^-53 (the
+    differences, the two products and the two divisions) and is exact in
+    its exponent until the result leaves the normal doubles.
+    """
+    N = len(nodes)
+    dz = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(dz, 1.0)
+    mz, ez = np.frexp(dz)
+    dx = xs[:, None] - nodes[None, :]
+    hit = dx == 0
+    dx[hit] = 1.0
+    mx, ex = np.frexp(dx)
+    m = mx.prod(axis=1)[:, None] / mx / mz.prod(axis=1)[None, :]
+    e = ex.sum(axis=1)[:, None] - ex - ez.sum(axis=1)[None, :]
+    with np.errstate(over="ignore", under="ignore"):
+        l = np.ldexp(m, e)
+    return l, (4 * N + 4) * 2.0 ** -53, dx, hit
+
+
+def _lagrange_values(nodes: np.ndarray, xs: np.ndarray) -> tuple:
+    """(l, err): l[i, b] is l_b(xs[i]) to within err[i, b].  A node's row is
+    exactly its unit vector."""
+    l, rel, _, hit = _lagrange_basis(nodes, xs)
+    err = np.abs(l) * rel + 2.0 ** -1074
+    on_node = hit.any(axis=1)
+    l[on_node] = hit[on_node]
+    err[on_node] = 0.0
+    return l, err
+
+
+def _lagrange_derivatives(nodes: np.ndarray, xs: np.ndarray) -> tuple:
+    """(d, err): d[i, b] is l_b'(xs[i]) to within err[i, b].
+
+    Off the nodes l_b'(x) = l_b(x) sum_{c != b} 1/(x - x_c); at a node x_a
+    the basis rows already hold l_b'(x_a) for b != a, and l_a'(x_a) is
+    sum_{c != a} 1/(x_a - x_c).  Each sum leaves out its own term before
+    adding, since a 1/(x - x_b) that dwarfs the rest would otherwise cancel
+    away their digits.
+    """
+    N = len(nodes)
+    l, rel, dx, hit = _lagrange_basis(nodes, xs)
+    inv = np.where(np.eye(N, dtype=bool), 0.0, (1.0 / dx)[:, None, :])
+    s = inv.sum(axis=2)                    # sum_{c != b} 1/(x - x_c)
+    s_err = (N + 2) * 2.0 ** -52 * np.abs(inv).sum(axis=2)
+    on_node = hit.any(axis=1)[:, None] & ~hit
+    f = np.where(on_node, 1.0, s)
+    f_err = np.where(on_node, 0.0, s_err)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = l * f
+        err = (np.abs(l) + 2.0 ** -1074) * (f_err + (np.abs(f) + f_err) * rel) \
+            + np.abs(d) * 2.0 ** -52
+    return d, err
 
 
 def _lagrange_derivative_bound(nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -170,86 +212,124 @@ def _lagrange_derivative_bound(nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
     basis l_b of the distinct ``nodes``.
 
     A polynomial P of degree < len(nodes) with |P| <= 1 on the nodes is
-    sum_b P(x_b) l_b, so |P'(x)| is at most that sum.  Off the nodes
-    l_b'(x) = l_b(x) sum_{c != b} 1/(x - x_c); at a node x_a,
-    |l_b'(x_a)| = prod_{c != a, b} |x_a - x_c| / prod_{c != b} |x_b - x_c| for
-    b != a and |l_a'(x_a)| = |sum_{c != a} 1/(x_a - x_c)|.  The products are
-    summed as logs, because differences of atoms 1e-12 wide underflow them.
-    Each sum is widened by k 2^-52 times the sum of its terms' magnitudes, so
-    rounding cannot make the bound understate, and the result by 1 + 1e-9.
-    A product too large for a double makes the bound inf.
+    sum_b P(x_b) l_b, so |P'(x)| is at most that sum.  A product too large
+    for a double makes the bound inf.
     """
-    N = len(nodes)
-    tol = (N + 4) * 2.0 ** -52
-    dz = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(dz, 1.0)
-    lz = np.log(np.abs(dz))                # 0 on the diagonal
-    w = lz.sum(axis=1)                     # ln prod_{c != b} |x_b - x_c|
-    wa = np.abs(lz).sum(axis=1)
-    inv_z = 1.0 / dz
-    np.fill_diagonal(inv_z, 0.0)
-    dx = xs[:, None] - nodes[None, :]
-    hit = dx == 0
-    dx[hit] = 1.0                          # those rows are replaced below
-    lx = np.log(np.abs(dx))
-    ln_l = lx.sum(axis=1)[:, None] - lx - w[None, :]     # ln |l_b(x)|
-    ln_l += tol * (2 * np.abs(lx).sum(axis=1)[:, None] + wa[None, :] + 2 * N)
-    inv = 1.0 / dx
-    s = inv.sum(axis=1)[:, None] - inv                   # sum_{c != b} 1/(x - x_c)
-    s = np.abs(s) + tol * np.abs(inv).sum(axis=1)[:, None]
-    with np.errstate(over="ignore"):
-        bound = (np.exp(ln_l) * s).sum(axis=1)
-        at_node = np.exp(w[:, None] - lz - w[None, :]
-                         + tol * (wa[:, None] + wa[None, :] + 2 * N))
-    np.fill_diagonal(at_node, np.abs(inv_z.sum(axis=1))
-                     + tol * np.abs(inv_z).sum(axis=1))
-    rows, cols = np.nonzero(hit)
-    bound[rows] = at_node[cols].sum(axis=1)
-    return bound * (1 + 1e-9)
+    d, err = _lagrange_derivatives(nodes, xs)
+    with np.errstate(invalid="ignore"):
+        return (np.abs(d) + err).sum(axis=1) * (1 + 1e-9)
+
+
+def _state(grid: np.ndarray, j: int, basis: np.ndarray) -> tuple:
+    """The basis S's duals y_b = l_b'(x_j) and P_S = sum_b sign(y_b) l_b on
+    the grid: (y, y_err, L, P, P_err), where L[i, b] = l_b(x_i) and each
+    error bounds the difference from the exact value."""
+    nodes = grid[basis]
+    y, y_err = _lagrange_derivatives(nodes, grid[j:j + 1])
+    L, L_err = _lagrange_values(nodes, grid)
+    P = (L * np.where(y[0] < 0, -1.0, 1.0)).sum(axis=1)
+    # a sum of N terms rounds by at most N 2^-53 of their magnitudes
+    P_err = L_err.sum(axis=1) + np.abs(L).sum(axis=1) * len(basis) * 2.0 ** -52
+    return y[0], y_err[0], L, P, P_err
+
+
+def _certified(y: np.ndarray, y_err: np.ndarray, P: np.ndarray,
+               P_err: np.ndarray) -> tuple:
+    """(slope, peak, U) of a basis: P_S'(x_j) from below, max |P_S| on the
+    grid from above and U_S from above.  Each is widened by 1e-12, far above
+    the (N + 4) 2^-53 that the sums forming it can round by."""
+    slope = (np.abs(y).sum() - y_err.sum()) * (1 - 1e-12)
+    peak = np.max(np.abs(P) + P_err) * (1 + 1e-12)
+    U = (np.abs(y) + y_err).sum() * (1 + 1e-12)
+    return slope, peak, U
+
+
+def _exchange(grid: np.ndarray, j: int, basis: np.ndarray) -> tuple:
+    """Maximise P'(x_j) over |P| <= 1 on the grid by the exchange on the dual.
+
+    ``basis`` holds the grid indices of n + 1 points S and is updated in
+    place.  Its duals are y_b = l_b'(x_j), its value U_S = sum_b |y_b|, and
+    its polynomial P_S = sum_b sign(y_b) l_b has P_S'(x_j) = U_S.  While
+    some grid point has |P_S| above 1 + 1e-9 by more than its rounding, the
+    point where |P_S| is largest enters (after a step that did not lower
+    U_S, the eligible one of smallest index: Bland's rule).  The duals then
+    move along y_b - t sign(P_S(x_e)) l_b(x_e); the slope of the objective
+    starts at 1 - |P_S(x_e)| and rises by 2 |l_b(x_e)| at each breakpoint
+    where a y_b reaches 0, and the node whose breakpoint makes it
+    non-negative leaves, the smallest index among tied breakpoints.
+
+    Returns (witness, U): the certified P_S'(x_j) / max |P_S|, a true lower
+    bound on the grid's M_n, and the certified U_S, an upper bound on the
+    LP at x_j.  The witness is None when it lies more than 1e-6 relative
+    below U, when a Lagrange value overflows, or after STEP_CAP steps.
+    """
+    u_prev = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(STEP_CAP):
+            y, y_err, L, P, P_err = _state(grid, j, basis)
+            u = np.abs(y).sum()
+            if not (math.isfinite(u) and np.all(np.isfinite(P_err))):
+                return None, math.inf
+            eligible = np.nonzero(np.abs(P) - P_err > 1 + 1e-9)[0]
+            if not len(eligible):
+                slope, peak, U = _certified(y, y_err, P, P_err)
+                witness = slope / peak * (1 - 2.0 ** -52)
+                return (witness if witness >= U * (1 - 1e-6) else None), U
+            bland = not u < u_prev * (1 - 1e-12)
+            u_prev = u
+            e = eligible[0] if bland else int(np.argmax(np.abs(P)))
+            le = L[e]
+            sign_y = np.where(y < 0, -1.0, 1.0)
+            falling = np.nonzero(np.sign(P[e]) * sign_y * le > 0)[0]
+            tau = np.abs(y[falling]) / np.abs(le[falling])
+            rank = np.lexsort((basis[falling], tau))
+            slope = 1 - abs(P[e]) + 2 * np.cumsum(np.abs(le[falling[rank]]))
+            k = int(np.argmax(slope >= 0))
+            if not slope[k] >= 0:
+                return None, math.inf
+            k = int(np.argmax(tau[rank] == tau[rank][k]))   # first of its ties
+            basis[falling[rank[k]]] = e
+    return None, math.inf
 
 
 def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
                    seed: int = 0, workers: int = 1) -> NumericMarkov:
-    """Estimate M_n of the grid over the atoms by per-candidate LPs.
+    """Estimate M_n of the grid over the atoms by the exchange per candidate.
 
     By symmetry of the feasible set one maximization per candidate suffices.
-    The candidates are solved in ascending order on one shared, warm-started
-    model, so they run one after another and ``workers`` must be 1; the
-    keyword stays only because existing callers pass ``workers=1``.
+    The candidates are solved in ascending order, each starting from the
+    previous one's basis, so they run one after another and ``workers`` must
+    be 1; the keyword stays only because existing callers pass ``workers=1``.
 
-    A candidate whose certified bound U lies below the maximum so far,
-    U (1 + 1e-6) < best, is skipped: no polynomial with |P| <= 1 on the grid
-    has a larger derivative there, and the margin sits above HiGHS's 1e-7
-    feasibility tolerance.  U is the Lagrange bound on the n + 1 grid points
-    with the largest row duals of the best solution, recomputed whenever the
-    maximum rises.  A skipped candidate is never solved, so ``stalled`` means
-    that some solved candidate missed optimality.
+    The value is the largest certified witness, a true lower bound on the
+    grid's M_n.  A candidate whose certified Lagrange bound U lies below it
+    is skipped: no polynomial with |P| <= 1 on the grid has a larger
+    derivative there.  U is taken on the basis of the best candidate,
+    recomputed whenever the maximum rises.  ``stalled`` means that some
+    solved candidate gave no witness within 1e-6 of its U; it adds nothing
+    to the value, and the next candidate starts from the spread basis.
     """
     if workers != 1:
-        raise ParameterError("candidate LPs share one model; workers must be 1")
-    grid, V, dV, order = candidate_lps(atoms, n, points_per_atom, seed)
-    model = _polytope_model(V)
-    optimal = _highs().HighsModelStatus.kOptimal
-    cols = np.arange(n + 1)
+        raise ParameterError("candidates share one basis; workers must be 1")
+    grid, order = estimate_grid(atoms, n, points_per_atom, seed)
+    order = np.array(order)
+    spread = np.linspace(0, len(grid) - 1, n + 1).round().astype(np.intp)
+    basis = spread.copy()
     bound = np.full(len(order), math.inf)
     best, stalled = -math.inf, False
     for pos, idx in enumerate(order):
-        if bound[pos] * (1 + 1e-6) < best:
+        if bound[pos] < best:
             continue
-        model.changeColsCost(n + 1, cols, -dV[idx])
-        model.run()
-        if model.getModelStatus() != optimal:
-            model.clearSolver()   # the next candidate starts cold
+        witness, _ = _exchange(grid, idx, basis)
+        if witness is None:
             stalled = True
+            basis = spread.copy()
             continue
-        value = -model.getObjectiveValue()
-        if value > best:
-            best = value
-            duals = np.abs(model.getSolution().row_dual)
-            basis = np.argsort(duals)[-(n + 1):]
+        if witness > best:
+            best = witness
             bound[pos + 1:] = _lagrange_derivative_bound(
                 grid[basis], grid[order[pos + 1:]])
-    return NumericMarkov(n=n, value=best, grid_size=len(V), stalled=stalled)
+    return NumericMarkov(n=n, value=best, grid_size=len(grid), stalled=stalled)
 
 
 def tree_atom_bounds(tree: CantorTree) -> list:

@@ -4,8 +4,8 @@ Each one re-derives a quantity the package computes, or checks an inequality
 the construction relies on, by a second route: sign bisection for the
 algebraic endpoint chain, a float Taylor series of the cutoff u beside the
 mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
-log-power dimension functions, and the Markov estimator's warm loop with
-every candidate solved.  Tests import them by name
+log-power dimension functions, and the Markov estimator's Chebyshev-basis
+LPs on HiGHS, which the exchange replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
@@ -15,6 +15,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 from cantorext import markov
 from cantorext.bump import BumpSpec, bump_for_interval
@@ -251,18 +252,60 @@ def check_derivative_bound(h: LogPower, t_grid: Sequence[float]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# markov: the warm loop without the certified skip
+# markov: the Chebyshev-basis LPs on HiGHS
 # ---------------------------------------------------------------------------
+
+def chebyshev_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
+                  seed: int = 0) -> tuple:
+    """(grid, V, dV, candidates): the estimator's grid and candidates with
+    the Chebyshev-basis values V and derivatives dV on the grid, in the
+    variable of the grid's hull mapped onto [-1, 1].  The candidate LP at
+    x_j is max dV[j] a over -1 <= V a <= 1."""
+    grid, order = markov.estimate_grid(atoms, n, points_per_atom, seed)
+    lo, hi = grid[0], grid[-1]
+    y = (2.0 * grid - (lo + hi)) / (hi - lo)
+    V = C.chebvander(y, n)
+    dmat = np.zeros((n + 1, n + 1))
+    for j_ in range(n + 1):
+        e = np.zeros(n + 1)
+        e[j_] = 1.0
+        d = C.chebder(e)
+        dmat[j_, :len(d)] = d
+    dV = np.column_stack(
+        [C.chebval(y, dmat[j_]) for j_ in range(n + 1)]) * (2.0 / (hi - lo))
+    return grid, V, dV, order
+
+
+def highs():
+    """scipy's private binding of the HiGHS solver that linprog(method="highs")
+    drives; linprog rebuilds the model per call, the oracle keeps one and
+    re-solves it."""
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+def polytope_model(V: np.ndarray):
+    """A HiGHS model of -1 <= V a <= 1 over free columns a, cost zero."""
+    G, m = V.shape
+    core = highs()
+    model = core._Highs()
+    model.setOptionValue("output_flag", False)
+    model.addVars(m, np.full(m, -core.kHighsInf), np.full(m, core.kHighsInf))
+    model.addRows(G, np.full(G, -1.0), np.ones(G), G * m,
+                  np.arange(0, G * m, m), np.tile(np.arange(m), G), V.ravel())
+    return model
+
 
 def exhaustive_markov(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
                       seed: int = 0) -> dict:
-    """``markov_numeric``'s loop before it skipped candidates: every candidate
-    solved in ascending order on the one warm-started model.  Maps each
-    candidate's grid index to (LP value, |row duals|), or to None where the
-    solve missed optimality."""
-    _, V, dV, order = markov.candidate_lps(atoms, n, points_per_atom, seed)
-    model = markov._polytope_model(V)
-    optimal = markov._highs().HighsModelStatus.kOptimal
+    """The HiGHS estimator the exchange replaced, without its certified skip:
+    every candidate solved in ascending order on one warm-started model of
+    the Chebyshev-basis polytope.  Maps each candidate's grid index to
+    (LP value, |row duals|), or to None where the solve missed optimality
+    (the next solve then starts cold)."""
+    _, V, dV, order = chebyshev_lps(atoms, n, points_per_atom, seed)
+    model = polytope_model(V)
+    optimal = highs().HighsModelStatus.kOptimal
     cols = np.arange(n + 1)
     out = {}
     for idx in order:

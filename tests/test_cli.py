@@ -459,9 +459,6 @@ class TestCLI:
         assert _extend_rows_above_bound(
             "extend --family example1 --B 1 --bits 1024 --s-max 5") == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the Chebyshev-basis LPs stall on a set with atoms "
-        "near 1e-12 wide, and the estimate prints null"))
     def test_markov_estimate_lies_in_its_bracket_on_a_deep_tree(self):
         code, out = readme_body(
             "markov --family power_law --a 2 --depth 5 --n 32")

@@ -1,10 +1,10 @@
 """scipy stays off the import path.
 
-Only the Markov LP estimator calls scipy, so a fresh interpreter that builds
-trees (power_law and example2 models, whose analytic tails take mpmath's
-zeta and trigamma, among them), evaluates the extension operator, scans
-densities and runs the CLI's ``gamma`` command never loads it.  The first LP
-then imports it on demand.
+The package does not use scipy, so a fresh interpreter that builds trees
+(power_law and example2 models, whose analytic tails take mpmath's zeta and
+trigamma, among them), evaluates the extension operator, scans densities,
+estimates Markov factors and runs the CLI's ``gamma`` and ``markov`` commands
+never loads it.  Only the tests' oracles import scipy.
 """
 
 import subprocess
@@ -42,16 +42,23 @@ if code:
 print("scipy" in sys.modules)
 est = markov_numeric([(0.0, 1.0)], 2, points_per_atom=128)
 print(est.value, est.stalled)
+print("scipy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["markov", "--family", "power_law", "--a", "2",
+                     "--depth", "3", "--n", "2,4,8"])
+if code:
+    sys.exit(f"cantorext markov exited {code}")
+print("scipy" in sys.modules)
 print(repr(gamma.build_model(gamma.POWER_LAW, a=2).gamma_sum))
 """
 
 
-def test_scipy_loads_only_for_lps_and_tails():
+def test_scipy_never_loads():
     proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True,
                           text=True, timeout=120, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-3000:]
-    loaded, lp, gamma_sum = proc.stdout.splitlines()
-    assert loaded == "False"
+    before, lp, after_estimate, after_cli, gamma_sum = proc.stdout.splitlines()
+    assert before == after_estimate == after_cli == "False"
     value, stalled = lp.split()
     # M_2([0, 1]) = 2 n^2 = 8; a grid admits slightly more
     assert 8.0 <= float(value) < 8.01 and stalled == "False"
