@@ -31,14 +31,15 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_div, mpf_pos, mpf_sub, round_nearest
+from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_pos,
+                          mpf_sub, round_nearest)
 
 from .bump import BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
                      InvariantError, NodeCollisionError, ParameterError)
 from .gamma import GammaModel, Profile, profile as make_profile
 from .geometry import CantorTree, select_nodes
-from .logreal import LogReal, ln_double
+from .logreal import LN2_FRACTION, LogReal, ln_double
 
 LN2 = math.log(2.0)
 
@@ -91,6 +92,9 @@ def schedule_for(prof: Profile, s_cap: int) -> Schedule:
 
 _DD_GUARD = 64     # bits divided beyond those an entry still carries
 _DD_FLOOR = 128    # and never fewer bits than this (or p, where p is lower)
+_DD_SLACK = 12     # bits a returned error exponent adds to the running one
+_P_GUARD = 64      # bits a bounded W(f, x) runs beyond -log2 of its bound
+_RETRY_BITS = 32   # rerun at tree precision when R > 2^-32 T
 
 
 def _mag(t) -> float:
@@ -106,9 +110,12 @@ def _raw(v):
     return v._mpf_ if isinstance(v, mp.mpf) else mp.mpf(v)._mpf_
 
 
-def divided_differences(points: Sequence, values: Sequence) -> list:
+def divided_differences(points: Sequence, values: Sequence) -> tuple:
     """Newton coefficients [z_1..z_{k+1}]f, k = 0..N, in the given node order,
-    at the working precision p.
+    at the working precision p, and beside each an error exponent e_k:
+    coefficient k lies within 2^e_k of the divided difference of f's exact
+    values at the exact nodes, where each value is within about one unit in
+    its last place of f's.
 
     An order-k entry has already lost every bit that orders 1..k cancelled,
     so each division runs only at the bits its entry still carries
@@ -125,6 +132,16 @@ def divided_differences(points: Sequence, values: Sequence) -> list:
     the table is the full-precision one, bit for bit.  Non-finite entries
     divide at p bits.  The bounds are worst cases: where the inputs are
     exact far below them, the full-precision table can be more accurate.
+
+    Each e_k is the running exponent of the top entry plus _DD_SLACK bits.
+    The running exponents take the larger of two errors where they can
+    add, and a value's error as one unit in its last place: on criterion
+    3's sin tables they fall short of the actual error by up to 2^8.6 (at
+    8192 bits mp.sin errs by up to 13 units).  The tests check e_k against
+    tables at three times the precision.  Adding the two errors instead
+    would be a worst case, but it grows by about a bit per order (by 2^53
+    at order 63 of a 64-node table), which would push the rounding bound
+    of level-6 sums past 2^-32 of their truncation bound.
     """
     n = len(points)
     if n != len(values):
@@ -133,7 +150,7 @@ def divided_differences(points: Sequence, values: Sequence) -> list:
     z = [_raw(v) for v in points]
     table = [_raw(v) for v in values]
     err = [_mag(t) - prec for t in table]
-    coeffs = [table[0]]
+    coeffs, errs = [table[0]], [err[0] + _DD_SLACK]
     for order in range(1, n):
         for i in range(n - order):
             dz = mpf_sub(z[i + order], z[i], prec, rnd)
@@ -154,11 +171,14 @@ def divided_differences(points: Sequence, values: Sequence) -> list:
                 err[i] = e_d - _mag(dz) + 1
             table[i] = q
         coeffs.append(table[0])
-    return [mp.make_mpf(c) for c in coeffs]
+        errs.append(err[0] + _DD_SLACK)
+    return [mp.make_mpf(c) for c in coeffs], errs
 
 
 class LocalInterpolant:
-    """Newton-form interpolant on the increasing-type nodes of one interval."""
+    """Newton-form interpolant on the increasing-type nodes of one interval,
+    at the working precision: f is called there on the exact nodes, and
+    coefficient k lies within 2^errs[k] of the exact divided difference."""
 
     def __init__(self, tree: CantorTree, j: int, s: int, n_nodes: int,
                  f_cache: dict, f: Callable):
@@ -171,16 +191,7 @@ class LocalInterpolant:
                 v = f(z)
                 f_cache[z] = v
             vals.append(v)
-        self.coeffs = divided_differences(self.points, vals)
-
-    def partial(self, upto: int, omega: list):
-        """L_upto(f, x): Newton partial sum using nodes 0..upto, given x's
-        row ``omega`` = [1, Omega_1(x), ...] over these nodes, at least
-        upto + 1 long."""
-        total = self.coeffs[0]
-        for k in range(1, upto + 1):
-            total = total + self.coeffs[k] * omega[k]
-        return total
+        self.coeffs, self.errs = divided_differences(self.points, vals)
 
 
 def grow_omega(row: list, x, points: Sequence, upto: int) -> list:
@@ -201,6 +212,137 @@ def grow_omega(row: list, x, points: Sequence, upto: int) -> list:
 class WValue:
     value: object               # mpf
     certified_bound: Optional[LogReal] = None
+
+
+class _Sum:
+    """W's arithmetic: raw mpf operations at p bits, rounded to nearest, in
+    the order of mpf arithmetic at p bits.  Its hooks report each rounding
+    to ``_RoundedSum``; here they do nothing."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def _coefficient(self, e, mu) -> None:
+        pass
+
+    def _product(self, c, e, w, k: int, mu) -> None:
+        pass
+
+    def _rounded(self, r, mu=0) -> None:
+        pass
+
+    def newton(self, itp: LocalInterpolant, row: list, upto: int, mu):
+        """sum_{k<=upto} c_k Omega_k(x) (Newton's partial sum L_upto(f, x)),
+        to be multiplied by a cutoff below 2^mu."""
+        p = self.p
+        coeffs, errs = itp.coeffs, itp.errs
+        total = coeffs[0]._mpf_
+        self._coefficient(errs[0], mu)
+        for k in range(1, upto + 1):
+            c, w = coeffs[k]._mpf_, row[k]._mpf_
+            total = mpf_add(total, mpf_mul(c, w, p, round_nearest), p,
+                            round_nearest)
+            self._product(c, errs[k], w, k, mu)
+            self._rounded(total, mu)
+        return total
+
+    def term(self, itp: LocalInterpolant, N: int, w, u):
+        """c_N Omega_N(x) u."""
+        c, w = itp.coeffs[N]._mpf_, w._mpf_
+        self._product(c, itp.errs[N], w, N, _mag(u))
+        return mpf_mul(mpf_mul(c, w, self.p, round_nearest), u, self.p,
+                       round_nearest)
+
+    def add(self, a, b):
+        r = mpf_add(a, b, self.p, round_nearest)
+        self._rounded(r)
+        return r
+
+    def sub(self, a, b, mu):
+        """a - b, to be multiplied by a cutoff below 2^mu."""
+        r = mpf_sub(a, b, self.p, round_nearest)
+        self._rounded(r, mu)
+        return r
+
+    def mul(self, a, u):
+        r = mpf_mul(a, u, self.p, round_nearest)
+        self._rounded(r)
+        return r
+
+
+class _RoundedSum(_Sum):
+    """``_Sum`` that adds up a bound R on its error: its results differ from
+    the same sums over exact Newton coefficients, exact Omega_k(x) and
+    exact arithmetic by at most R.
+
+    R is a sum of parts 2^e, e an integer exponent (exp + bc of an mpf),
+    kept as a double times 2^-p.  With mag(v) the exponent of 2 just above
+    |v|, a term c_k Omega_k(x) u brings 2^(errs[k] + mag(Omega_k u)) from
+    its coefficient, 2^(mag(c) + mag(Omega_k u) - p) from the rounding of
+    its two products at p bits, and |c u| times the error of Omega_k(x), at
+    most 2k roundings at the tree's precision; each addition brings half a
+    unit in its last place.  The cutoff values u are taken as exact: on the
+    set, where the bound holds, each live cutoff is 1, since every point
+    lies on a plateau.
+    """
+
+    __slots__ = ("bits", "parts")
+
+    def __init__(self, p: int, bits: int):
+        super().__init__(p)
+        self.bits, self.parts = bits, 0.0
+
+    def _part(self, e) -> None:
+        if e != -math.inf:
+            d = e + self.p
+            # an underflowing part counts as the least double
+            self.parts += math.ldexp(1.0, max(d, -1074)) if d < 1000 \
+                else math.inf
+
+    def exponent(self):
+        """r with R < 2^r.  The factor 1 + 2^-36 covers the rounding of the
+        sum of doubles and the factors 1 + 2^(k + 1 - bits) by which the
+        exact |Omega_k| can exceed the rounded one."""
+        if self.parts == 0:
+            return -math.inf
+        if self.parts == math.inf:
+            return math.inf
+        return math.frexp(self.parts * (1 + 2.0 ** -36))[1] - self.p
+
+    def _coefficient(self, e, mu) -> None:
+        self._part(e + mu)
+
+    def _product(self, c, e, w, k: int, mu) -> None:
+        mw, mc = _mag(w), _mag(c)
+        self._part(e + mw + mu)
+        self._part(mc - self.p + mw + mu)
+        self._part(mc + (2 * k).bit_length() - self.bits + mw + mu)
+
+    def _rounded(self, r, mu=0) -> None:
+        self._part(_mag(r) - self.p - 1 + mu)
+
+
+def _plus(trunc: LogReal, r) -> LogReal:
+    """An upper bound of T + 2^r for T = ``trunc``, with ln 2 taken from
+    LN2_FRACTION +- 2^-86.  Where 2^r <= 2^-32 T it is T e^(2^-32), the
+    same for every such call, since ln(1 + y) <= y.  Elsewhere its log is
+    a + 2^-k, for a >= b upper bounds of ln T and r ln 2 and k ln 2 <=
+    a - b: ln(e^a + e^b) <= a + e^(b - a)."""
+    if r == -math.inf:
+        return LogReal(trunc.ln + Fraction(1, 1 << _RETRY_BITS))
+    if not math.isfinite(r):
+        raise ParameterError("W(f, x) is not finite: f has no finite value "
+                             "at some node")
+    ln2_hi = LN2_FRACTION + Fraction(1, 1 << 86)
+    ln_r = r * (ln2_hi if r >= 0 else LN2_FRACTION - Fraction(1, 1 << 86))
+    if ln_r + _RETRY_BITS * ln2_hi <= trunc.ln:
+        return LogReal(trunc.ln + Fraction(1, 1 << _RETRY_BITS))
+    a, b = max(trunc.ln, ln_r), min(trunc.ln, ln_r)
+    # past 2^-256 the added term no longer shows in any double
+    k = min(math.floor((a - b) / ln2_hi), 256)
+    return LogReal(a + Fraction(1, 1 << k))
 
 
 @dataclass
@@ -224,19 +366,29 @@ class _PointState:
                           points, upto)
 
 
+@dataclass
+class _Tables:
+    """One function's node values and interpolants at ``bits`` bits."""
+
+    bits: int
+    values: dict = field(default_factory=dict)
+    interps: dict = field(default_factory=dict)
+
+
 class ExtensionOperator:
     """Evaluator of the truncated operator on a fixed tree and schedule.
 
     W(f, x) pairs f's Newton coefficients with weights that depend on x and
     the tree alone: the live sets of both stages, the cutoff values u(x) and
-    the running products Omega_k(x).  Those weights are kept for the most
-    recent x only (one entry, replaced when x changes), so any number of
-    functions evaluated at one point before moving on share them.  Bump specs
+    the running products Omega_k(x).  Those weights are kept at the tree's
+    precision for the most recent x only (one entry, replaced when x
+    changes), so any number of functions evaluated at one point before
+    moving on share them, whatever precision each sum runs at.  Bump specs
     and their support hulls are cached per basic interval and width.
     Interpolants (per basic interval) and function values (per node) are
-    cached per function while the function object lives, so switching
-    between functions keeps each one's work: Newton coefficient k depends
-    only on nodes 0..k, and node sets are prefix-stable, so a cached
+    cached per function and precision while the function object lives, so
+    switching between functions keeps each one's work: Newton coefficient k
+    depends only on nodes 0..k, and node sets are prefix-stable, so a cached
     interpolant equals a rebuilt one.
     """
 
@@ -256,19 +408,29 @@ class ExtensionOperator:
                 f"tree depth is {tree.depth}")
         self._bumps: dict = {}
         self._hulls: dict = {}
-        # f -> (node values, interpolants); dropped with f
+        # f -> {precision: _Tables}; dropped with f
         self._per_f = weakref.WeakKeyDictionary()
         self._point: Optional[_PointState] = None
 
     # -- caches ------------------------------------------------------------
 
-    def _interpolant(self, f: Callable, caches: tuple, j: int, s: int,
+    def _tables(self, f: Callable, p: int) -> _Tables:
+        per_p = self._per_f.get(f)
+        if per_p is None:
+            per_p = self._per_f[f] = {}
+        tables = per_p.get(p)
+        if tables is None:
+            tables = per_p[p] = _Tables(p)
+        return tables
+
+    def _interpolant(self, f: Callable, tables: _Tables, j: int, s: int,
                      n_nodes: int) -> LocalInterpolant:
-        values, interps = caches
-        itp = interps.get((j, s))
+        itp = tables.interps.get((j, s))
         if itp is None or len(itp.points) < n_nodes:
-            itp = LocalInterpolant(self.tree, j, s, n_nodes, values, f)
-            interps[(j, s)] = itp
+            with mp.workprec(tables.bits):
+                itp = LocalInterpolant(self.tree, j, s, n_nodes,
+                                       tables.values, f)
+            tables.interps[(j, s)] = itp
         return itp
 
     def _bump(self, j: int, s: int, k_delta: int) -> BumpSpec:
@@ -363,42 +525,65 @@ class ExtensionOperator:
         live cutoff in either stage raises ``InvariantError``.
 
         ``norm_q``/``q`` (an upper bound of the order-q Whitney norm of f)
-        switch on the certified truncation-error bound
-        norm_q * 2^n * C0^{q-1} * (8 C0/7)^{2^n} * delta_{S+n} delta_S^{q-1},
-        n = n_{S-1} - 1, valid for points of the set.  ``s_max`` may lower the
-        truncation level per call (caches are shared across levels).
+        switch on the certified bound, valid for points of the set: the
+        truncation bound T (``certified_bound``) plus the rounding bound R
+        of the sum, rounded up.  Such a call runs at p = ceil(-log2 T) + 64
+        bits, at most the tree's: f is called at p bits on the exact nodes,
+        its Newton tables are built at p bits, and the sum runs at p bits
+        over the weights at tree precision.  R adds up the coefficients'
+        error exponents times |Omega_k(x) u(x)| and every rounding at p
+        bits; f(z) is taken to be within 2^(mag - p) of f at the node, one
+        unit in the last place.  If R exceeds 2^-32 T below the tree's
+        precision, the call runs once more at the tree's precision.  A call
+        without a bound runs at the tree's precision.  ``s_max`` may lower
+        the truncation level per call (caches are shared across levels).
         """
         s_cap = self._level(self.s_max if s_max is None else s_max)
-        bound = None
-        if norm_q is not None and q is not None:
-            bound = self.certified_bound(s_cap, norm_q, q)
-        caches = self._per_f.setdefault(f, ({}, {}))
+        bits = self.tree.bits
+        if norm_q is None or q is None:
+            return WValue(value=self._at(f, x, s_cap, _Sum(bits)))
+        trunc = self.certified_bound(s_cap, norm_q, q)
+        t2 = math.floor(trunc.ln / LN2_FRACTION)   # T is about 2^t2
+        acc = _RoundedSum(min(bits, max(-t2, 0) + _P_GUARD), bits)
+        value = self._at(f, x, s_cap, acc)
+        if acc.exponent() > t2 - _RETRY_BITS and acc.p < bits:
+            acc = _RoundedSum(bits, bits)
+            value = self._at(f, x, s_cap, acc)
+        bound = _plus(trunc, acc.exponent())
+        return WValue(value=value, certified_bound=bound)
+
+    def _at(self, f: Callable, x, s_cap: int, acc: _Sum):
+        """W(f, x) in ``acc``'s arithmetic, f's tables at its precision."""
+        tables = self._tables(f, acc.p)
         sched = self.schedule
         with mp.workprec(self.tree.bits):
             x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
             pt = self._state(x, s_cap)
-            root = self._interpolant(f, caches, 1, 0, 2)
-            total = root.partial(1, pt.row(1, 0, root.points, 1)) * pt.root_u
+            root = self._interpolant(f, tables, 1, 0, 2)
+            u = pt.root_u._mpf_
+            total = acc.mul(acc.newton(root, pt.row(1, 0, root.points, 1), 1,
+                                       _mag(u)), u)
             for s in range(s_cap):
                 terms_A, terms_T = pt.stages[s]
                 # increments L_N - L_{N-1} = [z_1..z_{N+1}]f * Omega_N(x)
                 for j, terms in terms_A:
-                    itp = self._interpolant(f, caches, j, s, sched.N(s) + 1)
+                    itp = self._interpolant(f, tables, j, s, sched.N(s) + 1)
                     omega = pt.row(j, s, itp.points, terms[-1][0])
                     for N, u in terms:
-                        total += itp.coeffs[N] * omega[N] * u
+                        total = acc.add(total, acc.term(itp, N, omega[N],
+                                                        u._mpf_))
                 for k, u in terms_T:
-                    j_parent = (k + 1) // 2
-                    fine = self._interpolant(f, caches, k, s + 1,
-                                             sched.M(s + 1) + 1)
-                    coarse = self._interpolant(f, caches, j_parent, s,
-                                               sched.N(s) + 1)
-                    diff = fine.partial(sched.M(s + 1), pt.row(
-                        k, s + 1, fine.points, sched.M(s + 1))) \
-                        - coarse.partial(sched.N(s), pt.row(
-                            j_parent, s, coarse.points, sched.N(s)))
-                    total += diff * u
-            return WValue(value=total, certified_bound=bound)
+                    u, M, N = u._mpf_, sched.M(s + 1), sched.N(s)
+                    mu, j_parent = _mag(u), (k + 1) // 2
+                    fine = self._interpolant(f, tables, k, s + 1, M + 1)
+                    coarse = self._interpolant(f, tables, j_parent, s, N + 1)
+                    diff = acc.sub(
+                        acc.newton(fine, pt.row(k, s + 1, fine.points, M),
+                                   M, mu),
+                        acc.newton(coarse, pt.row(j_parent, s, coarse.points,
+                                                  N), N, mu), mu)
+                    total = acc.add(total, acc.mul(diff, u))
+        return mp.make_mpf(total)
 
     def certified_bound(self, S: int, norm_q: float, q: int) -> LogReal:
         """Telescoping truncation error bound at level S, for x in the set:

@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import DegreeError, HorizonError, ParameterError
 from .gamma import GammaModel, profile as make_profile
-from .geometry import CantorTree, level_values
-from .logreal import LN2_FRACTION, LogReal, ln_double
+from .geometry import CantorTree
+from .logreal import LN2_FRACTION, LogReal
 
 LN2 = math.log(2.0)
 EXTRA_CANDIDATES = 24   # stratified interior candidates per estimate
@@ -334,30 +334,6 @@ def markov_numeric(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
 
 def tree_atom_bounds(tree: CantorTree) -> list:
     return [(float(iv.left), float(iv.right)) for iv in tree.atoms()]
-
-
-def certificate_lower_bound(tree: CantorTree, s: int) -> float:
-    """ln of a direct M_{2^s} witness: the scaled level polynomial.
-
-    Q = (P_{2^s} + r_s/2) / (r_s/2) has |Q| <= 1 on the level-s domain, so
-    max |Q'| over a grid of 8 equispaced points per level-s atom is a true
-    lower bound for that grid's M_{2^s}.
-    """
-    if not 0 <= s <= tree.depth:
-        raise HorizonError(f"certificate level {s} outside 0..{tree.depth}")
-    best = -mp.inf
-    r = tree.r_mpf
-    with mp.workprec(tree.bits):
-        for iv in tree.atoms(s):
-            width = iv.right - iv.left
-            for i in range(8):
-                x = iv.left + width * mp.mpf(i) / 7
-                # P'_{2^{i+1}} = P'_{2^i} (2 P_{2^i} + r_i), from P'_2 = 2x - 1
-                dv = 2 * x - 1
-                for lev, v in enumerate(level_values(x, r, s)[:-1], start=1):
-                    dv = dv * (2 * v + r[lev])
-                best = max(best, abs(dv) * 2 / r[s])
-        return ln_double(best)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each one re-derives a quantity the package computes, or checks an inequality
 the construction relies on, by a second route: sign bisection for the
 algebraic endpoint chain, a float Taylor series of the cutoff u beside the
 mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
-log-power dimension functions, and the Markov estimator's Chebyshev-basis
-LPs on HiGHS, which the exchange replaced.  Tests import them by name
+log-power dimension functions, a level-polynomial lower bound for the
+Markov factor of a grid, and the Markov estimator's Chebyshev-basis LPs on
+HiGHS, which the exchange replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
@@ -20,8 +21,10 @@ from numpy.polynomial import chebyshev as C
 from cantorext import markov
 from cantorext.bump import BumpSpec, bump_for_interval
 from cantorext.dimension import LogPower
+from cantorext.errors import HorizonError
 from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
                                 select_nodes)
+from cantorext.logreal import ln_double
 
 P_MAX = 3
 
@@ -249,6 +252,34 @@ def check_derivative_bound(h: LogPower, t_grid: Sequence[float]) -> bool:
         if not hp <= bound * (1 + 1e-12):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# markov: a level-polynomial witness
+# ---------------------------------------------------------------------------
+
+def certificate_lower_bound(tree: CantorTree, s: int) -> float:
+    """ln of a direct M_{2^s} witness: the scaled level polynomial.
+
+    Q = (P_{2^s} + r_s/2) / (r_s/2) has |Q| <= 1 on the level-s domain, so
+    max |Q'| over a grid of 8 equispaced points per level-s atom is a true
+    lower bound for that grid's M_{2^s}.
+    """
+    if not 0 <= s <= tree.depth:
+        raise HorizonError(f"certificate level {s} outside 0..{tree.depth}")
+    best = -mp.inf
+    r = tree.r_mpf
+    with mp.workprec(tree.bits):
+        for iv in tree.atoms(s):
+            width = iv.right - iv.left
+            for i in range(8):
+                x = iv.left + width * mp.mpf(i) / 7
+                # P'_{2^{i+1}} = P'_{2^i} (2 P_{2^i} + r_i), from P'_2 = 2x - 1
+                dv = 2 * x - 1
+                for lev, v in enumerate(level_values(x, r, s)[:-1], start=1):
+                    dv = dv * (2 * v + r[lev])
+                best = max(best, abs(dv) * 2 / r[s])
+        return ln_double(best)
 
 
 # ---------------------------------------------------------------------------

@@ -452,9 +452,6 @@ class TestCLI:
         assert _extend_rows_above_bound(
             "extend --family example1 --B 1 --bits 1024 --s-max 3") == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: the certified bound leaves out the rounding of the "
-        "Newton tables; 8 of 64 rows (5 square, 3 sin) lie above it"))
     def test_extend_error_within_certified_bound_at_s_max_5(self):
         assert _extend_rows_above_bound(
             "extend --family example1 --B 1 --bits 1024 --s-max 5") == []

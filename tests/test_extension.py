@@ -1,4 +1,6 @@
+import functools
 import gc
+import hashlib
 import math
 
 import mpmath as mp
@@ -19,6 +21,7 @@ from cantorext.extension import (
 )
 from cantorext.gamma import EXAMPLE1, EXAMPLE2, POWER_LAW, build_model, profile
 from cantorext.geometry import build_tree, select_nodes
+from cantorext.logreal import LN2_FRACTION
 
 
 @pytest.fixture(scope="module")
@@ -73,18 +76,18 @@ class TestSchedule:
 class TestDividedDifferences:
     def test_square_function(self):
         pts = [mp.mpf(0), mp.mpf(1), mp.mpf("0.5")]
-        coeffs = divided_differences(pts, [p * p for p in pts])
+        coeffs, _ = divided_differences(pts, [p * p for p in pts])
         assert [float(c) for c in coeffs] == [0.0, 1.0, 1.0]
 
     def test_degree_exactness(self):
         # a cubic at 5 nodes: fourth coefficient vanishes
         pts = [mp.mpf(v) for v in (0, 1, 0.3, 0.7, 0.5)]
-        coeffs = divided_differences(pts, [p ** 3 for p in pts])
+        coeffs, _ = divided_differences(pts, [p ** 3 for p in pts])
         assert abs(coeffs[4]) < 1e-13
 
     def test_constants(self):
         pts = [mp.mpf(v) for v in (0, 1, 0.25, 0.125)]
-        coeffs = divided_differences(pts, [mp.mpf(7)] * 4)
+        coeffs, _ = divided_differences(pts, [mp.mpf(7)] * 4)
         assert [float(c) for c in coeffs] == [7.0, 0.0, 0.0, 0.0]
 
     def test_collision(self):
@@ -100,7 +103,7 @@ class TestDividedDifferences:
                 with pytest.raises(NodeCollisionError, match="nodes 0 and 2"):
                     divided_differences(equal, vals)
             apart = [mp.mpf(1), mp.mpf(2) ** -40, 1 + mp.mpf(2) ** -250]
-        _assert_within_full_error(apart, mp.sin, 256, 768)
+        _assert_within_full_error(_tables(apart, mp.sin, 256, 768), 256, 768)
 
     @pytest.mark.parametrize("bits", [128, 1024, 8192])
     def test_exact_zeros_stay_exact(self, bits):
@@ -108,7 +111,7 @@ class TestDividedDifferences:
         with mp.workprec(bits):
             pts = [mp.mpf(v) for v in (0, 1, 0.25, 0.75, 0.5, 0.375)]
             for vals in ([mp.mpf(7)] * 6, [z * z for z in pts]):
-                got = divided_differences(pts, vals)
+                got, _ = divided_differences(pts, vals)
                 assert _bits(got) == _bits(_dd_full(pts, vals))
                 assert all(c == 0 for c in got[3:])
             assert got[:3] == [0, 1, 1]
@@ -120,7 +123,7 @@ class TestDividedDifferences:
             for at in (0, 3, 6):
                 vals = [mp.exp(z) for z in pts]
                 vals[at] = bad
-                got = divided_differences(pts, vals)
+                got, _ = divided_differences(pts, vals)
                 assert _bits(got) == _bits(_dd_full(pts, vals))
                 assert not all(mp.isfinite(c) for c in got)
 
@@ -171,20 +174,46 @@ def _clustered(data, prec, max_nodes):
     return nodes
 
 
-def _assert_within_full_error(points, f, prec, ref_prec):
-    """Every coefficient of the shortcut is within 2^4 times the full table's
-    own error (or the reference coefficient's ulp at ``prec`` bits) of a
-    reference table taken at ``ref_prec`` bits."""
+def _tables(points, f, prec, ref_prec):
+    """The shortcut's coefficients and error exponents and the full table at
+    ``prec`` bits, and a reference table at ``ref_prec`` bits."""
     with mp.workprec(prec):
         vals = [f(z) for z in points]
-        got = divided_differences(points, vals)
+        got, errs = divided_differences(points, vals)
         full = _dd_full(points, vals)
     with mp.workprec(ref_prec):
         ref = _dd_full(points, [f(z) for z in points])
+    return got, errs, full, ref
+
+
+@functools.cache
+def _c3_sin_tables(interval, n_nodes):
+    """C3's sin table on ``interval`` at 8192 bits, its reference at 3x."""
+    tree = ex1_tree_deep()
+    points = select_nodes(tree, interval, n_nodes).points()
+    return _tables(points, mp.sin, tree.bits, 3 * tree.bits)
+
+
+def _assert_within_full_error(tables, prec, ref_prec):
+    """Every coefficient of the shortcut is within 2^4 times the full table's
+    own error (or the reference coefficient's ulp at ``prec`` bits) of a
+    reference table taken at ``ref_prec`` bits."""
+    got, _, full, ref = tables
+    with mp.workprec(ref_prec):
         for k, (g, w, r) in enumerate(zip(got, full, ref)):
             _, man, exp, bc = r._mpf_
             ulp = mp.ldexp(1, exp + bc - prec) if man else 0
             assert abs(g - r) <= 16 * max(abs(w - r), ulp), k
+
+
+def _assert_exponents_cover(tables, ref_prec):
+    """Coefficient k of the shortcut and of the full table both lie within
+    2^errs[k] of the reference."""
+    got, errs, full, ref = tables
+    with mp.workprec(ref_prec):
+        for k, (g, e, w, r) in enumerate(zip(got, errs, full, ref)):
+            bound = 0 if e == -math.inf else mp.ldexp(1, e)
+            assert abs(g - r) <= bound and abs(w - r) <= bound, (k, e)
 
 
 class TestReducedPrecisionTable:
@@ -202,7 +231,7 @@ class TestReducedPrecisionTable:
             for vals in ([_DD_FUNCS[name](z) for z in points],
                          [mp.mpf(data.draw(st.floats(-1e6, 1e6)))
                           for _ in points]):
-                assert _bits(divided_differences(points, vals)) == \
+                assert _bits(divided_differences(points, vals)[0]) == \
                     _bits(_dd_full(points, vals))
 
     @settings(max_examples=60, deadline=None)
@@ -212,7 +241,8 @@ class TestReducedPrecisionTable:
                                                           data):
         with mp.workprec(prec):
             points = _clustered(data, prec, 14)
-        _assert_within_full_error(points, _DD_FUNCS[name], prec, 3 * prec)
+        _assert_within_full_error(_tables(points, _DD_FUNCS[name], prec,
+                                          3 * prec), prec, 3 * prec)
 
     @pytest.mark.parametrize("name,prec,nodes", [
         # the node next to 0.5 comes back after two nodes next to 0
@@ -230,8 +260,10 @@ class TestReducedPrecisionTable:
             exact = [mp.fsum(parts) for parts in nodes]
             shifted = [z + mp.sqrt(2) / 2 ** 60 for z in exact]
         with pytest.raises(AssertionError):
-            _assert_within_full_error(exact, _DD_FUNCS[name], prec, 3 * prec)
-        _assert_within_full_error(shifted, _DD_FUNCS[name], prec, 3 * prec)
+            _assert_within_full_error(_tables(exact, _DD_FUNCS[name], prec,
+                                              3 * prec), prec, 3 * prec)
+        _assert_within_full_error(_tables(shifted, _DD_FUNCS[name], prec,
+                                          3 * prec), prec, 3 * prec)
 
     @pytest.mark.parametrize("interval,n_nodes", [((3, 5), 64), ((2, 4), 32)])
     def test_c3_sin_tables_within_the_full_tables_error(self, interval,
@@ -239,8 +271,59 @@ class TestReducedPrecisionTable:
         # the S = 6 table of criterion 3, whose top coefficients carry no
         # correct bit at 8192 bits, and a level-4 table
         tree = ex1_tree_deep()
-        points = select_nodes(tree, interval, n_nodes).points()
-        _assert_within_full_error(points, mp.sin, tree.bits, 3 * tree.bits)
+        _assert_within_full_error(_c3_sin_tables(interval, n_nodes),
+                                  tree.bits, 3 * tree.bits)
+
+
+class TestErrorExponents:
+    """The error exponent ``divided_differences`` returns with coefficient k
+    bounds the distance of both the shortcut's and the full table's
+    coefficient from a reference at three times the precision."""
+
+    @pytest.mark.parametrize("interval,n_nodes", [((3, 5), 64), ((2, 4), 32)])
+    def test_c3_sin_tables(self, interval, n_nodes):
+        # at 8192 bits mp.sin itself errs by up to 13 units in the last
+        # place, beyond the one unit the running exponents start from
+        _assert_exponents_cover(_c3_sin_tables(interval, n_nodes),
+                                3 * ex1_tree_deep().bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(prec=st.integers(24, 1024),
+           name=st.sampled_from(["exp", "runge", "sin"]), data=st.data())
+    def test_clustered_nodes(self, prec, name, data):
+        # at or below the 128-bit floor every division runs at the working
+        # precision; above it the shortcut shortens them.  The exponents
+        # take each value to be within a few units in its last place, which
+        # v^5 - v, cancelling next to its roots -1, 0 and 1, is not
+        with mp.workprec(prec):
+            points = _clustered(data, prec, 24)
+        _assert_exponents_cover(_tables(points, _DD_FUNCS[name], prec,
+                                        3 * prec), 3 * prec)
+
+    @pytest.mark.parametrize("name,prec,nodes", [
+        ("exp", 459, ((0.5, 5.308404904911445e-67), (2.0 ** -67,),
+                      (2.0 ** -65,), (0.5,))),
+        ("runge", 294, ((-0.96875,), (2.0 ** -69,), (2.0 ** -70,))),
+    ])
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_exact_inputs(self, name, prec, nodes, shift):
+        # the cases of ``test_exact_inputs_can_beat_the_shortcut``: the
+        # exponents cover the shortcut, not only the full table's luck
+        with mp.workprec(prec):
+            points = [mp.fsum(parts) + shift * mp.sqrt(2) / 2 ** 60
+                      for parts in nodes]
+        _assert_exponents_cover(_tables(points, _DD_FUNCS[name], prec,
+                                        3 * prec), 3 * prec)
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    def test_exact_zeros_and_cancelling_orders(self, bits):
+        # x^2 at dyadic nodes divides exact zeros from order 3 on (the
+        # zero-difference branch); x^5 - x cancels every order above 5
+        with mp.workprec(bits):
+            pts = [mp.mpf(v) for v in (0, 1, 0.25, 0.75, 0.5, 0.375)] \
+                + [mp.sqrt(2) / 7, mp.pi / 5]
+        for f in (lambda v: v * v, _DD_FUNCS["quintic"]):
+            _assert_exponents_cover(_tables(pts, f, bits, 3 * bits), 3 * bits)
 
 
 class TestBump:
@@ -411,9 +494,9 @@ class TestOperatorIdentities:
         j3 = next(j for j in range(1, 9)
                   if tree_ex1.interval(j, 3).left <= x <= tree_ex1.interval(j, 3).right)
         with mp.workprec(tree_ex1.bits):
-            itp = op._interpolant(f, op._per_f[f], j3, 3, op.schedule.M(3) + 1)
-            M3 = op.schedule.M(3)
-            direct = itp.partial(M3, grow_omega([1], x, itp.points, M3))
+            itp = op._interpolant(f, op._tables(f, tree_ex1.bits), j3, 3,
+                                  op.schedule.M(3) + 1)
+            direct = _partial(itp, x, op.schedule.M(3))
             assert abs(out.value - direct) < mp.mpf(2) ** (-tree_ex1.bits + 64)
 
     def test_off_set_evaluation_finite(self, tree_ex1):
@@ -437,11 +520,15 @@ class TestOperatorIdentities:
             op.evaluate(lambda v: mp.mpf(1), mp.mpf(float(x)))
         gc.collect()
         assert len(op._per_f) == 0
-        # a function that lives keeps its entry and its interpolants
+        # a function that lives keeps its entry and its interpolants, one
+        # set per precision: the tree's, and the one a bound asks for
         f = lambda v: v * v
         op.evaluate(f, mp.mpf("0.3"))
+        op.evaluate(f, mp.mpf("0.3"), norm_q=2.0, q=5)
         gc.collect()
-        assert len(op._per_f) == 1 and op._per_f[f][1]
+        bits = tree_ex1.bits
+        assert len(op._per_f) == 1 and op._per_f[f][bits].interps
+        assert sorted(op._per_f[f]) == [_bounded_precision(op, 3), bits]
 
     @pytest.mark.parametrize("k_delta, stage", [(1, "transition"),
                                                  (2, "accumulation")])
@@ -524,14 +611,31 @@ class TestOperatorIdentities:
                 assert err <= out.certified_bound.to_mpf()
 
 
+def _partial(itp, x, upto):
+    """L_upto(f, x), Newton's partial sum, at the working precision."""
+    omega = grow_omega([1], x, itp.points, upto)
+    total = itp.coeffs[0]
+    for k in range(1, upto + 1):
+        total = total + itp.coeffs[k] * omega[k]
+    return total
+
+
+def _bounded_precision(op, S, norm_q=2.0):
+    """The precision a call with norm_q and q = 5 at level S runs at."""
+    ln_bound = op.certified_bound(S, norm_q=norm_q, q=5).ln
+    return min(op.tree.bits,
+               max(-math.floor(ln_bound / LN2_FRACTION), 0) + 64)
+
+
 def _scratch_omega_W(op, f, x, s_cap):
-    """The truncated operator with every Omega_N(x) rebuilt from its factors."""
+    """The truncated operator with every Omega_N(x) rebuilt from its factors,
+    in mpf arithmetic at the tree's precision."""
     tree, sched = op.tree, op.schedule
-    caches = op._per_f.setdefault(f, ({}, {}))
-    interpolant = lambda j, s, n: op._interpolant(f, caches, j, s, n)
+    tables = op._tables(f, tree.bits)
+    interpolant = lambda j, s, n: op._interpolant(f, tables, j, s, n)
 
     def partial(itp, upto):
-        return itp.partial(upto, grow_omega([1], x, itp.points, upto))
+        return _partial(itp, x, upto)
 
     with mp.workprec(tree.bits):
         root = bump_for_interval(tree, 1, 0, mp.mpf(1))
@@ -655,6 +759,118 @@ def test_bisected_live_sets_match_full_scan(tree_ex1_512, probe_points_512):
                         (stage, s, x)
                     live_seen += bool(scan)
     assert live_seen > 100
+
+
+@pytest.fixture(scope="module")
+def tree_ex1_2048():
+    # deep enough for truncation level 5 (types to 8)
+    return build_tree(build_model(EXAMPLE1, k_max=14, B=1.0), depth=8, bits=2048)
+
+
+def _sin_2_64(v):
+    return mp.ldexp(1, 64) + mp.sin(v)
+
+
+class TestPrecisionPerBound:
+    """A call with a bound runs at about -log2(bound) + 64 bits; its bound
+    adds the rounding to the truncation bound."""
+
+    # (f, norm_q): the functions and norms of ``cantorext extend``
+    FUNCS = {"one": (lambda v: mp.mpf(1), 1.0), "identity": (lambda v: v, 1.0),
+             "square": (lambda v: v * v, 2.0), "sin": (mp.sin, 2.0)}
+
+    def _check(self, op, f, x, out, ref_bits):
+        """|W - f(x)| within the bound, f(x) at ``ref_bits`` bits; the
+        error as a multiple of the truncation bound alone."""
+        with mp.workprec(ref_bits):
+            err = abs(out.value - f(x))
+            assert err <= out.certified_bound.to_mpf()
+            return err
+
+    def test_within_the_bound_of_a_3x_reference(self, tree_ex1_2048):
+        tree = tree_ex1_2048
+        op = ExtensionOperator(tree, s_max=5)
+        xs = [iv.right for iv in tree.levels[8][3::41]]
+        for S in (3, 4, 5):
+            for name, (f, norm_q) in self.FUNCS.items():
+                p = _bounded_precision(op, S, norm_q)
+                assert p < tree.bits
+                for x in xs:
+                    out = op.evaluate(f, x, norm_q=norm_q, q=5, s_max=S)
+                    self._check(op, f, x, out, 3 * tree.bits)
+                    # the rounding bound takes the live cutoffs as exact:
+                    # on the set each is 1
+                    pt = op._point
+                    assert {pt.root_u} | {u for A, T in pt.stages for _, us
+                                          in A for _, u in us} \
+                        | {u for A, T in pt.stages for _, u in T} == {1}
+                    # W was summed at p bits, and the rounding bound stays
+                    # below 2^-32 of the truncation bound
+                    assert out.value._mpf_[3] <= p
+                    gap = out.certified_bound.ln - op.certified_bound(
+                        S, norm_q=norm_q, q=5).ln
+                    assert 0 <= gap <= 2 ** -32, (S, name)
+        # one table set per level's precision, none at the tree's
+        assert sorted(op._per_f[mp.sin]) == [_bounded_precision(op, S)
+                                             for S in (3, 4, 5)]
+
+    def test_unbounded_calls_keep_the_tree_precision_bit_for_bit(
+            self, tree_ex1_2048):
+        # the digest of the same calls when every sum ran in mpf arithmetic
+        # at the tree's precision
+        tree = tree_ex1_2048
+        op = ExtensionOperator(tree, s_max=5)
+        fs = [lambda v: mp.mpf(1), lambda v: v, lambda v: v * v, mp.sin,
+              lambda v: 3 - 2 * v + v * v * v]
+        digest = hashlib.sha256()
+        with mp.workprec(tree.bits):
+            xs = [iv.right for iv in tree.levels[8][3::37]] \
+                + [mp.mpf(u) / 37 for u in range(-2, 40, 3)]
+            for S in (2, 3, 4, 5):
+                for x in xs:
+                    for f in fs:
+                        out = op.evaluate(f, x, s_max=S)
+                        assert out.certified_bound is None
+                        digest.update(repr(out.value._mpf_).encode())
+        assert digest.hexdigest() == ("4c84d9e5f4cece79973ea3917476719e"
+                                      "831a2d085016af36bdd043d8c300bf0d")
+
+    def test_capped_precision_reports_the_rounding(self):
+        # level 5 needs about 1886 bits; a 1024-bit tree caps the sums at
+        # 1024, where the rounding dominates the truncation bound and
+        # some errors exceed the truncation bound alone
+        tree = build_tree(build_model(EXAMPLE1, k_max=14, B=1.0), depth=8,
+                          bits=1024)
+        op = ExtensionOperator(tree, s_max=5)
+        assert _bounded_precision(op, 5) == tree.bits
+        above = 0
+        for name in ("square", "sin"):
+            f, norm_q = self.FUNCS[name]
+            trunc = op.certified_bound(5, norm_q=norm_q, q=5)
+            for iv in tree.levels[7][:32]:
+                out = op.evaluate(f, iv.right, norm_q=norm_q, q=5)
+                err = self._check(op, f, iv.right, out, 3 * tree.bits)
+                assert out.certified_bound.ln > trunc.ln + 100
+                with mp.workprec(3 * tree.bits):
+                    above += err > trunc.to_mpf()
+            assert list(op._per_f[f]) == [tree.bits]
+        assert above > 0
+
+    def test_rounding_near_the_bound_reruns_at_tree_precision(
+            self, tree_ex1_2048):
+        # W reproduces constants on the set, so sin's norm bounds the
+        # truncation error of 2^64 + sin; its values round at 2^64 times
+        # sin's, so at the chosen precision R exceeds 2^-32 of the bound
+        tree = tree_ex1_2048
+        op = ExtensionOperator(tree, s_max=5)
+        p = _bounded_precision(op, 3)
+        for iv in tree.levels[8][5::51]:
+            out = op.evaluate(_sin_2_64, iv.right, norm_q=2.0, q=5, s_max=3)
+            self._check(op, _sin_2_64, iv.right, out, 3 * tree.bits)
+            gap = out.certified_bound.ln - op.certified_bound(
+                3, norm_q=2.0, q=5).ln
+            assert 0 <= gap <= 2 ** -32
+        assert sorted(op._per_f[_sin_2_64]) == [p, tree.bits]
 
 
 class TestWhitneyNorms:

@@ -12,10 +12,10 @@ from cantorext.gamma import (DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2, EXAMPLE
                              EXPONENTIAL, POWER_LAW, build_model, profile)
 from cantorext.geometry import build_tree
 from cantorext.markov import (
-    certificate_lower_bound, chebyshev_grid, estimate_grid, markov_bounds,
-    markov_numeric, ratio_table, tree_atom_bounds,
+    chebyshev_grid, estimate_grid, markov_bounds, markov_numeric, ratio_table,
+    tree_atom_bounds,
 )
-from oracles import chebyshev_lps, exhaustive_markov
+from oracles import certificate_lower_bound, chebyshev_lps, exhaustive_markov
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,8 +21,6 @@ def test_package_has_no_assert_statements():
 ROOT = SRC.parents[1]
 #: public names kept without a user, and why
 KEEP = {
-    "certificate_lower_bound": "the set-basis Markov estimator of ROADMAP "
-                               "item 1 builds on its chain rule",
     "whitney_norm": "the README's finite-sample Whitney norms",
     "polynomial_jet": "the README's finite-sample Whitney norms",
     "eval_P": "exported; ROADMAP item 8 keeps it",
