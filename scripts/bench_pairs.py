@@ -15,7 +15,13 @@ The output holds the machine facts (Python, mpmath and its backend, numpy,
 scipy, CPU count), every run's last-line JSON, and per workload and
 end-to-end metric: each side's median and quartiles, the change against the
 parent, in how many pairs the change was lower, and whether the medians
-differ by more than the parent's interquartile range.  The file is rewritten
+differ by more than the parent's interquartile range.  Two verdicts sit
+beside them: ``gain_rule_met`` (the change is better in at least 9 of 10
+pairs, a tie counting for neither side, and the medians differ, in the
+change's favour, by more than the parent's interquartile range) and
+``within_bound`` (the change's median is worse than the parent's by no more
+than the metric's relative ``bound`` in the change checkout's
+``BENCHMARK.json``; null where it gives none).  The file is rewritten
 after every pair, so an interrupted session keeps what it measured.
 Standard library only.
 """
@@ -71,7 +77,29 @@ def quartiles(values: list) -> list:
     return [round(q[0], 4), round(q[2], 4)]
 
 
-def summarise(runs: list) -> dict:
+def metric_specs(checkout: str) -> dict:
+    """``BENCHMARK.json``'s end-to-end metrics of ``checkout``, by name."""
+    path = os.path.join(checkout, "BENCHMARK.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        return {m["name"]: m for m in json.load(fh).get("end_to_end", [])}
+
+
+def verdicts(par: list, chg: list, spec: dict) -> dict:
+    """The gain rule and the bound for one metric's pairs (see above)."""
+    sign = -1 if spec.get("better", "lower") == "higher" else 1
+    pm, cm = statistics.median(par), statistics.median(chg)
+    pq = quartiles(par)
+    better = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
+    gain = 10 * better >= 9 * len(par) and sign * (pm - cm) > pq[1] - pq[0]
+    bound = spec.get("bound")
+    within = None if bound is None else \
+        sign * (cm - pm) <= bound * abs(pm)
+    return {"gain_rule_met": gain, "within_bound": within}
+
+
+def summarise(runs: list, specs: dict) -> dict:
     """Per workload: the pairs' end-to-end metrics and failed shares."""
     out = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
@@ -92,6 +120,7 @@ def summarise(runs: list) -> dict:
                 "change_lower_in": f"{sum(c < p for p, c in zip(par, chg))} "
                                    f"of {pairs}",
                 "median_gap_exceeds_parent_iqr": abs(cm - pm) > pq[1] - pq[0],
+                **verdicts(par, chg, specs.get(m, {})),
             }
         for s, rs in sides.items():
             att = sum(r["attempted"] for r in rs)
@@ -116,6 +145,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
+    specs = metric_specs(dirs["change"])
     facts = subprocess.run([sys.executable, "-c", FACTS], capture_output=True,
                            text=True, check=True, cwd=dirs["change"])
     doc = {"machine": json.loads(facts.stdout),
@@ -126,7 +156,7 @@ def main(argv=None) -> int:
            "end_to_end_summary": {}, "runs": [], "traced_runs": []}
 
     def save():
-        doc["end_to_end_summary"] = summarise(doc["runs"])
+        doc["end_to_end_summary"] = summarise(doc["runs"], specs)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_pos,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import (MPZ_ONE, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_pos, mpf_sub, normalize1, round_nearest)
 
 from .bump import BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
@@ -110,12 +110,110 @@ def _raw(v):
     return v._mpf_ if isinstance(v, mp.mpf) else mp.mpf(v)._mpf_
 
 
-def divided_differences(points: Sequence, values: Sequence) -> tuple:
+def _quotient(d, dz, p: int):
+    """mpf_div(d, dz, p, round_nearest), bit for bit, for raw mpf d and dz.
+
+    Two exact cases skip work mpf_div does: equal mantissas give +-2^(exp_d
+    - exp_dz) without a division, and a zero remainder has its trailing
+    zeros stripped in one shift, where mpmath's pure-Python normalize
+    strips them 8 bits per step (about 1,000 big-integer shifts at 8192
+    bits).  Rounding the same exact value to nearest gives the same mpf
+    either way.  Zero, inf and nan operands and power-of-two divisors go
+    to mpf_div."""
+    sign, man, exp, bc = d
+    dsign, dman, dexp, dbc = dz
+    if not man or dman < 2:
+        return mpf_div(d, dz, p, round_nearest)
+    sign ^= dsign
+    if man == dman:
+        return sign, MPZ_ONE, exp - dexp, 1
+    extra = max(p - bc + dbc + 5, 5)
+    quot, rem = divmod(man << extra, dman)
+    if rem:
+        # mpf_div's sticky bit below the precision
+        quot = (quot << 1) + 1
+        extra += 1
+    else:
+        zeros = (quot & -quot).bit_length() - 1
+        quot >>= zeros
+        extra -= zeros
+    return normalize1(sign, quot, exp - dexp - extra, quot.bit_length(), p,
+                      round_nearest)
+
+
+class NewtonTable:
+    """A Newton divided-difference table at ``prec`` bits, grown in place one
+    node at a time (Stoer and Bulirsch, Introduction to Numerical Analysis,
+    2.1.3): the operator's local interpolant on one basic interval.
+
+    It keeps the nodes (``points``, in the given order), the coefficients
+    [z_0..z_k]f (``coeffs``) with their error exponents (``errs``), and the
+    bottom diagonal of entries [z_{n-1-k}..z_{n-1}]f with their running
+    error exponents.  Appending node n computes only the entries (n - k, k)
+    for k = 1..n, each with the operations and at the precisions that
+    ``divided_differences`` describes, so a grown table equals the table
+    built at once on all its nodes, bit for bit.
+    """
+
+    __slots__ = ("prec", "points", "coeffs", "errs", "_z", "_diag", "_err")
+
+    def __init__(self, prec: int):
+        self.prec = prec
+        self.points, self.coeffs, self.errs = [], [], []
+        self._z, self._diag, self._err = [], [], []
+
+    def grow(self, points: Sequence, values: Sequence) -> None:
+        """Append points[n:] with their values, n the nodes already held; a
+        node that coincides with an earlier one raises and is not added."""
+        if len(points) != len(values):
+            raise ParameterError("points and values must pair up")
+        prec, rnd = self.prec, round_nearest
+        held = len(self.points)
+        for zn, vn in zip(points[held:], values[held:]):
+            z_n, n = _raw(zn), len(self._z)
+            # diag[k] = [z_{n-k}..z_n]f, from diag[k-1] = [z_{n-k+1}..z_n]f
+            # and the old diagonal's [z_{n-k}..z_{n-1}]f
+            t = _raw(vn)
+            e = _mag(t) - prec
+            diag, err = [t], [e]
+            for k in range(1, n + 1):
+                i = n - k
+                dz = mpf_sub(z_n, self._z[i], prec, rnd)
+                if dz == fzero:
+                    raise NodeCollisionError(
+                        f"nodes {i} and {n} coincide at working precision")
+                d = mpf_sub(t, self._diag[k - 1], prec, rnd)
+                m = _mag(d)
+                e_d = max(e, self._err[k - 1], m - prec)
+                if d[1]:
+                    p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
+                    t = _quotient(d, mpf_pos(dz, p, rnd), p)
+                    mq = _mag(t)
+                    e = max(mq - (m - e_d), mq - p)
+                else:
+                    # zero, inf or nan: nothing to shorten
+                    t = mpf_div(d, dz, prec, rnd)
+                    e = e_d - _mag(dz) + 1
+                diag.append(t)
+                err.append(e)
+            self._z.append(z_n)
+            self._diag, self._err = diag, err
+            self.points.append(zn)
+            self.coeffs.append(mp.make_mpf(t))
+            self.errs.append(e + _DD_SLACK)
+
+
+def divided_differences(points: Sequence, values: Sequence,
+                        table: Optional[NewtonTable] = None, /) -> tuple:
     """Newton coefficients [z_1..z_{k+1}]f, k = 0..N, in the given node order,
     at the working precision p, and beside each an error exponent e_k:
     coefficient k lies within 2^e_k of the divided difference of f's exact
     values at the exact nodes, where each value is within about one unit in
-    its last place of f's.
+    its last place of f's.  Given a ``table`` that holds a prefix of the
+    points, it grows that table to all of them instead, at the table's
+    precision, and returns its coefficients and exponents: a grown table
+    equals one built at once, bit for bit.  Every table the operator builds
+    or grows goes through here, where the benchmark's traced runs time it.
 
     An order-k entry has already lost every bit that orders 1..k cancelled,
     so each division runs only at the bits its entry still carries
@@ -143,55 +241,10 @@ def divided_differences(points: Sequence, values: Sequence) -> tuple:
     at order 63 of a 64-node table), which would push the rounding bound
     of level-6 sums past 2^-32 of their truncation bound.
     """
-    n = len(points)
-    if n != len(values):
-        raise ParameterError("points and values must pair up")
-    prec, rnd = mp.mp.prec, round_nearest
-    z = [_raw(v) for v in points]
-    table = [_raw(v) for v in values]
-    err = [_mag(t) - prec for t in table]
-    coeffs, errs = [table[0]], [err[0] + _DD_SLACK]
-    for order in range(1, n):
-        for i in range(n - order):
-            dz = mpf_sub(z[i + order], z[i], prec, rnd)
-            if dz == fzero:
-                raise NodeCollisionError(
-                    f"nodes {i} and {i + order} coincide at working precision")
-            d = mpf_sub(table[i + 1], table[i], prec, rnd)
-            m = _mag(d)
-            e_d = max(err[i + 1], err[i], m - prec)
-            if d[1]:
-                p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
-                q = mpf_div(d, mpf_pos(dz, p, rnd), p, rnd)
-                mq = _mag(q)
-                err[i] = max(mq - (m - e_d), mq - p)
-            else:
-                # zero, inf or nan: nothing to shorten
-                q = mpf_div(d, dz, prec, rnd)
-                err[i] = e_d - _mag(dz) + 1
-            table[i] = q
-        coeffs.append(table[0])
-        errs.append(err[0] + _DD_SLACK)
-    return [mp.make_mpf(c) for c in coeffs], errs
-
-
-class LocalInterpolant:
-    """Newton-form interpolant on the increasing-type nodes of one interval,
-    at the working precision: f is called there on the exact nodes, and
-    coefficient k lies within 2^errs[k] of the exact divided difference."""
-
-    def __init__(self, tree: CantorTree, j: int, s: int, n_nodes: int,
-                 f_cache: dict, f: Callable):
-        node_set = select_nodes(tree, (j, s), n_nodes)
-        self.points = node_set.points()
-        vals = []
-        for z in self.points:
-            v = f_cache.get(z)
-            if v is None:
-                v = f(z)
-                f_cache[z] = v
-            vals.append(v)
-        self.coeffs, self.errs = divided_differences(self.points, vals)
+    if table is None:
+        table = NewtonTable(mp.mp.prec)
+    table.grow(points, values)
+    return table.coeffs, table.errs
 
 
 def grow_omega(row: list, x, points: Sequence, upto: int) -> list:
@@ -233,7 +286,7 @@ class _Sum:
     def _rounded(self, r, mu=0) -> None:
         pass
 
-    def newton(self, itp: LocalInterpolant, row: list, upto: int, mu):
+    def newton(self, itp: NewtonTable, row: list, upto: int, mu):
         """sum_{k<=upto} c_k Omega_k(x) (Newton's partial sum L_upto(f, x)),
         to be multiplied by a cutoff below 2^mu."""
         p = self.p
@@ -248,7 +301,7 @@ class _Sum:
             self._rounded(total, mu)
         return total
 
-    def term(self, itp: LocalInterpolant, N: int, w, u):
+    def term(self, itp: NewtonTable, N: int, w, u):
         """c_N Omega_N(x) u."""
         c, w = itp.coeffs[N]._mpf_, w._mpf_
         self._product(c, itp.errs[N], w, N, _mag(u))
@@ -387,9 +440,9 @@ class ExtensionOperator:
     and their support hulls are cached per basic interval and width.
     Interpolants (per basic interval) and function values (per node) are
     cached per function and precision while the function object lives, so
-    switching between functions keeps each one's work: Newton coefficient k
-    depends only on nodes 0..k, and node sets are prefix-stable, so a cached
-    interpolant equals a rebuilt one.
+    switching between functions keeps each one's work.  Node sets are
+    prefix-stable, so an interval that needs more nodes grows its Newton
+    table in place, and a grown table equals one built at once, bit for bit.
     """
 
     def __init__(self, tree: CantorTree, s_max: int):
@@ -424,13 +477,23 @@ class ExtensionOperator:
         return tables
 
     def _interpolant(self, f: Callable, tables: _Tables, j: int, s: int,
-                     n_nodes: int) -> LocalInterpolant:
+                     n_nodes: int) -> NewtonTable:
+        """f's Newton table on the first ``n_nodes`` increasing-type nodes
+        of I_{j,s} (or more), grown in place; f is called at the tables'
+        precision on the exact nodes it has not seen."""
         itp = tables.interps.get((j, s))
-        if itp is None or len(itp.points) < n_nodes:
+        if itp is None:
+            itp = tables.interps[(j, s)] = NewtonTable(tables.bits)
+        if len(itp.points) < n_nodes:
+            points = select_nodes(self.tree, (j, s), n_nodes).points()
+            values, cache = [], tables.values
             with mp.workprec(tables.bits):
-                itp = LocalInterpolant(self.tree, j, s, n_nodes,
-                                       tables.values, f)
-            tables.interps[(j, s)] = itp
+                for z in points:
+                    v = cache.get(z)
+                    if v is None:
+                        v = cache[z] = f(z)
+                    values.append(v)
+                divided_differences(points, values, itp)
         return itp
 
     def _bump(self, j: int, s: int, k_delta: int) -> BumpSpec:

@@ -5,7 +5,8 @@ the construction relies on, by a second route: sign bisection for the
 algebraic endpoint chain, a float Taylor series of the cutoff u beside the
 mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
 log-power dimension functions, a level-polynomial lower bound for the
-Markov factor of a grid, and the Markov estimator's Chebyshev-basis LPs on
+Markov factor of a grid, the whole Newton table built order by order, which
+the grown tables replaced, and the Markov estimator's Chebyshev-basis LPs on
 HiGHS, which the exchange replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
@@ -16,12 +17,14 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fzero, mpf_div, mpf_pos, mpf_sub, round_nearest
 from numpy.polynomial import chebyshev as C
 
 from cantorext import markov
 from cantorext.bump import BumpSpec, bump_for_interval
 from cantorext.dimension import LogPower
-from cantorext.errors import HorizonError
+from cantorext.errors import HorizonError, NodeCollisionError
+from cantorext.extension import _DD_FLOOR, _DD_GUARD, _DD_SLACK, _mag, _raw
 from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
                                 select_nodes)
 from cantorext.logreal import ln_double
@@ -71,6 +74,45 @@ def refine_endpoint_bisection(tree: CantorTree, iv: BasicInterval) -> tuple:
                 b = mid
         x = (a + b) / 2
         return x, abs(x - inner)
+
+
+# ---------------------------------------------------------------------------
+# extension: the whole Newton table, order by order
+# ---------------------------------------------------------------------------
+
+def order_major_divided_differences(points: Sequence, values: Sequence) -> tuple:
+    """``divided_differences`` as one table built order by order: for each
+    order k, every entry (i, k) from the entries (i, k - 1) and (i + 1, k - 1),
+    with the same running error exponents and division precisions, and
+    every division through mpf_div.  Returns the coefficients (mpf) and
+    their error exponents."""
+    n = len(points)
+    prec, rnd = mp.mp.prec, round_nearest
+    z = [_raw(v) for v in points]
+    table = [_raw(v) for v in values]
+    err = [_mag(t) - prec for t in table]
+    coeffs, errs = [table[0]], [err[0] + _DD_SLACK]
+    for order in range(1, n):
+        for i in range(n - order):
+            dz = mpf_sub(z[i + order], z[i], prec, rnd)
+            if dz == fzero:
+                raise NodeCollisionError(
+                    f"nodes {i} and {i + order} coincide at working precision")
+            d = mpf_sub(table[i + 1], table[i], prec, rnd)
+            m = _mag(d)
+            e_d = max(err[i + 1], err[i], m - prec)
+            if d[1]:
+                p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
+                q = mpf_div(d, mpf_pos(dz, p, rnd), p, rnd)
+                mq = _mag(q)
+                err[i] = max(mq - (m - e_d), mq - p)
+            else:
+                q = mpf_div(d, dz, prec, rnd)
+                err[i] = e_d - _mag(dz) + 1
+            table[i] = q
+        coeffs.append(table[0])
+        errs.append(err[0] + _DD_SLACK)
+    return [mp.make_mpf(c) for c in coeffs], errs
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import c_p_table, check_cutoff_product_bound, series, step_series
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_div,
+                          round_nearest)
+from oracles import (c_p_table, check_cutoff_product_bound,
+                     order_major_divided_differences, series, step_series)
 from test_acceptance import ex1_tree_deep
 
 from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
@@ -15,9 +18,9 @@ from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
 from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
                               ParameterError)
 from cantorext.extension import (
-    ExtensionOperator, check_chain_product_bound, check_distance_product_bound,
-    divided_differences, dn_experiment, grow_omega, polynomial_jet,
-    schedule_for, whitney_norm,
+    ExtensionOperator, NewtonTable, _quotient, check_chain_product_bound,
+    check_distance_product_bound, divided_differences, dn_experiment,
+    grow_omega, polynomial_jet, schedule_for, whitney_norm,
 )
 from cantorext.gamma import EXAMPLE1, EXAMPLE2, POWER_LAW, build_model, profile
 from cantorext.geometry import build_tree, select_nodes
@@ -324,6 +327,101 @@ class TestErrorExponents:
                 + [mp.sqrt(2) / 7, mp.pi / 5]
         for f in (lambda v: v * v, _DD_FUNCS["quintic"]):
             _assert_exponents_cover(_tables(pts, f, bits, 3 * bits), 3 * bits)
+
+
+def _grown(points, values, cuts):
+    """A table grown through ``divided_differences`` to each cut in turn;
+    after each, its coefficients and exponents equal the order-major
+    table's on that prefix."""
+    table = NewtonTable(mp.mp.prec)
+    for c in cuts:
+        got = divided_differences(points[:c], values[:c], table)
+        want = order_major_divided_differences(points[:c], values[:c])
+        assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1]), c
+    assert table.points == list(points[:cuts[-1]])
+    return table
+
+
+class TestGrownTables:
+    """A table grown in place equals the whole table built order by order
+    (``oracles.order_major_divided_differences``, every division through
+    mpf_div), in coefficients and error exponents, bit for bit."""
+
+    @pytest.mark.parametrize("interval,n_nodes,cuts", [
+        ((3, 5), 64, (1, 2, 4, 8, 16, 32, 64)),
+        ((3, 5), 64, (3, 17, 40, 64)),
+        ((2, 4), 32, (16, 32)),
+    ])
+    def test_c3_sin_tables(self, interval, n_nodes, cuts):
+        # the operator grows a table from 2^(n-1) to 2^n nodes when an
+        # interval's transition term comes before its accumulation term
+        tree = ex1_tree_deep()
+        points = select_nodes(tree, interval, n_nodes).points()
+        with mp.workprec(tree.bits):
+            _grown(points, [mp.sin(z) for z in points], cuts)
+
+    @settings(max_examples=80, deadline=None)
+    @given(prec=st.integers(24, 400), name=st.sampled_from(sorted(_DD_FUNCS)),
+           kind=st.sampled_from(["f", "constant", "mixed"]), data=st.data())
+    def test_random_prefixes_and_steps(self, prec, name, kind, data):
+        # at or below the 128-bit floor every division runs at the working
+        # precision; above it the divisions are shortened.  Constant and
+        # repeated values divide exact zeros; inf and nan stay non-finite
+        with mp.workprec(prec):
+            points = _clustered(data, prec, 16)
+            f = _DD_FUNCS[name]
+            if kind == "f":
+                values = [f(z) for z in points]
+            elif kind == "constant":
+                values = [mp.mpf(3)] * len(points)
+            else:
+                values = [data.draw(st.sampled_from(
+                    [f(z), mp.mpf(-1), mp.mpf(2), mp.inf, -mp.inf, mp.nan]))
+                    for z in points]
+            cuts = sorted(set(data.draw(st.lists(
+                st.integers(1, len(points)), max_size=4))) | {len(points)})
+            _grown(points, values, cuts)
+
+    def test_collision_leaves_the_table_as_it_was(self):
+        with mp.workprec(256):
+            points = [mp.mpf(1), mp.mpf(2) ** -40, mp.mpf(3), mp.mpf(1)]
+            values = [mp.mpf(v) for v in (1, 2, 3, 4)]
+            table = NewtonTable(256)
+            divided_differences(points[:3], values[:3], table)
+            before = _bits(table.coeffs), list(table.errs)
+            with pytest.raises(NodeCollisionError, match="nodes 0 and 3"):
+                divided_differences(points, values, table)
+            assert (_bits(table.coeffs), table.errs) == before
+            assert len(table.points) == 3
+
+
+def _raw_mpf(data, sign, man):
+    return from_man_exp((-1) ** sign * man, data.draw(st.integers(-3000, 3000)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(["equal", "multiple", "power of two", "inexact",
+                             "special"]),
+       bits=st.integers(1, 700), p=st.integers(2, 900), data=st.data())
+def test_quotient_is_mpf_div(case, bits, p, data):
+    # equal mantissas of either sign, exact multiples, power-of-two
+    # divisors and inexact quotients, at precisions below and above the
+    # operands' lengths
+    sign_d, sign_z = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    man = data.draw(st.integers(3, 2 ** bits + 3)) | 1
+    dz = _raw_mpf(data, sign_z, man)
+    if case == "equal":
+        d = _raw_mpf(data, sign_d, man)
+    elif case == "multiple":
+        d = _raw_mpf(data, sign_d, man * data.draw(st.integers(1, 2 ** bits)))
+    elif case == "power of two":
+        dz = _raw_mpf(data, sign_z, 1)
+        d = _raw_mpf(data, sign_d, data.draw(st.integers(1, 2 ** bits)))
+    elif case == "inexact":
+        d = _raw_mpf(data, sign_d, data.draw(st.integers(1, 2 ** bits)))
+    else:
+        d = data.draw(st.sampled_from([fzero, finf, fninf, fnan]))
+    assert _quotient(d, dz, p) == mpf_div(d, dz, p, round_nearest)
 
 
 class TestBump:
@@ -834,6 +932,23 @@ class TestPrecisionPerBound:
                         digest.update(repr(out.value._mpf_).encode())
         assert digest.hexdigest() == ("4c84d9e5f4cece79973ea3917476719e"
                                       "831a2d085016af36bdd043d8c300bf0d")
+
+    def test_bounded_calls_keep_their_values_and_bounds_bit_for_bit(
+            self, tree_ex1_2048):
+        # the digest of the same calls when every Newton table was built
+        # whole, order by order, and divided through mpf_div
+        tree = tree_ex1_2048
+        op = ExtensionOperator(tree, s_max=5)
+        digest = hashlib.sha256()
+        xs = [iv.right for iv in tree.levels[8][3::37]]
+        for S in (3, 4, 5):
+            for x in xs:
+                for f, norm_q in self.FUNCS.values():
+                    out = op.evaluate(f, x, norm_q=norm_q, q=5, s_max=S)
+                    digest.update(repr(out.value._mpf_).encode())
+                    digest.update(repr(out.certified_bound.ln).encode())
+        assert digest.hexdigest() == ("41d0479747a815b45e0e23203eda975f"
+                                      "9919f89dd44839b29e3db59985419da8")
 
     def test_capped_precision_reports_the_rounding(self):
         # level 5 needs about 1886 bits; a 1024-bit tree caps the sums at
