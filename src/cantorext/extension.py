@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (MPZ_ONE, fzero, mpf_add, mpf_div, mpf_mul,
-                          mpf_pos, mpf_sub, normalize1, round_nearest)
+                          mpf_pos, mpf_sub, round_nearest)
 
 from .bump import BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
@@ -113,32 +113,14 @@ def _raw(v):
 def _quotient(d, dz, p: int):
     """mpf_div(d, dz, p, round_nearest), bit for bit, for raw mpf d and dz.
 
-    Two exact cases skip work mpf_div does: equal mantissas give +-2^(exp_d
-    - exp_dz) without a division, and a zero remainder has its trailing
-    zeros stripped in one shift, where mpmath's pure-Python normalize
-    strips them 8 bits per step (about 1,000 big-integer shifts at 8192
-    bits).  Rounding the same exact value to nearest gives the same mpf
-    either way.  Zero, inf and nan operands and power-of-two divisors go
-    to mpf_div."""
+    Equal mantissas give +-2^(exp_d - exp_dz) without a division: the
+    order-1 entries of W(x), where d == dz, are the only exact quotients
+    the operator's tables meet.  Everything else goes to mpf_div."""
     sign, man, exp, bc = d
     dsign, dman, dexp, dbc = dz
-    if not man or dman < 2:
-        return mpf_div(d, dz, p, round_nearest)
-    sign ^= dsign
-    if man == dman:
-        return sign, MPZ_ONE, exp - dexp, 1
-    extra = max(p - bc + dbc + 5, 5)
-    quot, rem = divmod(man << extra, dman)
-    if rem:
-        # mpf_div's sticky bit below the precision
-        quot = (quot << 1) + 1
-        extra += 1
-    else:
-        zeros = (quot & -quot).bit_length() - 1
-        quot >>= zeros
-        extra -= zeros
-    return normalize1(sign, quot, exp - dexp - extra, quot.bit_length(), p,
-                      round_nearest)
+    if man and man == dman:
+        return sign ^ dsign, MPZ_ONE, exp - dexp, 1
+    return mpf_div(d, dz, p, round_nearest)
 
 
 class NewtonTable:
@@ -163,12 +145,17 @@ class NewtonTable:
         self._z, self._diag, self._err = [], [], []
 
     def grow(self, points: Sequence, values: Sequence) -> None:
-        """Append points[n:] with their values, n the nodes already held; a
-        node that coincides with an earlier one raises and is not added."""
+        """Append points[n:] with their values, n the nodes already held,
+        which must be points[:n]; a node that coincides with an earlier one
+        raises and is not added."""
         if len(points) != len(values):
             raise ParameterError("points and values must pair up")
         prec, rnd = self.prec, round_nearest
         held = len(self.points)
+        if len(points) < held or any(
+                a != b for a, b in zip(points, self.points)):
+            raise ParameterError(
+                "points must begin with the table's nodes")
         for zn, vn in zip(points[held:], values[held:]):
             z_n, n = _raw(zn), len(self._z)
             # diag[k] = [z_{n-k}..z_n]f, from diag[k-1] = [z_{n-k+1}..z_n]f
@@ -211,7 +198,8 @@ def divided_differences(points: Sequence, values: Sequence,
     values at the exact nodes, where each value is within about one unit in
     its last place of f's.  Given a ``table`` that holds a prefix of the
     points, it grows that table to all of them instead, at the table's
-    precision, and returns its coefficients and exponents: a grown table
+    precision, and returns its coefficients and exponents (points that do
+    not begin with the table's nodes raise ParameterError): a grown table
     equals one built at once, bit for bit.  Every table the operator builds
     or grows goes through here, where the benchmark's traced runs time it.
 

@@ -394,6 +394,22 @@ class TestGrownTables:
             assert (_bits(table.coeffs), table.errs) == before
             assert len(table.points) == 3
 
+    def test_points_must_extend_the_tables_nodes(self):
+        # a node list that does not begin with the held nodes, or is
+        # shorter than them, has no coefficients in this table
+        with mp.workprec(256):
+            points = [mp.mpf(v) for v in (1, 2, 3, 4)]
+            values = [mp.mpf(v) for v in (1, 4, 9, 16)]
+            table = NewtonTable(256)
+            divided_differences(points[:3], values[:3], table)
+            before = _bits(table.coeffs), list(table.errs)
+            other = [points[0], mp.mpf(5), points[2], points[3]]
+            for pts in (other, points[:2]):
+                with pytest.raises(ParameterError, match="table's nodes"):
+                    divided_differences(pts, values[:len(pts)], table)
+            assert (_bits(table.coeffs), table.errs) == before
+            assert table.points == points[:3]
+
 
 def _raw_mpf(data, sign, man):
     return from_man_exp((-1) ** sign * man, data.draw(st.integers(-3000, 3000)))
