@@ -19,9 +19,15 @@ and the central gap h_{j,s} > (1 - 4 gamma_{s+1}) l_{j,s} >= (7/8) l_{j,s}.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -261,6 +267,117 @@ def eval_P(s: int, x, model: GammaModel, bits: int = 256):
         return level_values(x, _r_chain(model, s - 1), s)[-1]
 
 
+#: 2^depth * bits^2 from which build_tree solves the deepest level in a
+#: forked child while it solves the others.  Whole builds of EXAMPLE1 and
+#: delta-form trees on 2 CPUs (mpmath's pure-Python backend; best of 15, of
+#: 3 at 8192 bits), serial -> forked, by (depth, bits):
+#:   (6, 1280) 2^26.6: 3.0 -> 3.9 ms      (8, 2048) 2^30: 16.2 -> 11.9 ms
+#:   (7, 1024) 2^27:   5.5 -> 5.5 ms      (9, 2048) 2^31: 32 -> 21 ms
+#:   (8, 1024) 2^28:  10.9 -> 8.8 ms      (10, 8192) 2^36: 394 -> 213 ms
+#:   (7, 2048) 2^29:   8.1 -> 6.9 ms
+#: A bare fork plus wait costs 1.3 ms from a 34 MB process and 4.4 ms from a
+#: 334 MB one, so the threshold sits where the gain covers the larger cost.
+_FORK_MIN_WORK = 2 ** 30
+
+
+def _forks(depth: int, bits: int) -> bool:
+    """Whether build_tree solves the deepest level in a second process: fork
+    exists, 2 CPUs are usable, this process runs one thread, and the level
+    is big enough to pay for the fork, with a level above it to overlap."""
+    if (not hasattr(os, "fork") or depth < 2
+            or (2 ** depth) * bits * bits < _FORK_MIN_WORK):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and threading.active_count() == 1
+
+
+def _solve_level(s: int, r: list, half_r: list, quarter_r_sq: list) -> tuple:
+    """(points, error): the type-s points of the level-s intervals in index
+    order (the solver's addresses in lexicographic order), up to the first
+    one that raised, and that exception or None."""
+    point = _level_points(s, r, half_r, quarter_r_sq)
+    pts = []
+    try:
+        for addr in product((LEFT, RIGHT), repeat=s):
+            pts.append(point(addr))
+    except Exception as exc:
+        return pts, exc
+    return pts, None
+
+
+def _fork_level(s: int, r: list, half_r: list,
+                quarter_r_sq: list) -> Optional[tuple]:
+    """(pid, fd): a forked child solving level s, and the pipe end from which
+    its pickled ([_mpf_ tuples], error) arrives; None if the system refuses
+    the fork, and this process solves the level itself.
+
+    The child imports nothing, touches no lock and runs no exit handler: it
+    solves, writes the pickle and leaves through ``os._exit``.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException as err:
+        os.close(rfd)
+        os.close(wfd)
+        if isinstance(err, OSError):
+            return None
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    try:
+        # no collection in the child: a finalizer of the parent's garbage
+        # could flush a buffer the parent still owns
+        gc.disable()
+        os.close(rfd)
+        pts, exc = _solve_level(s, r, half_r, quarter_r_sq)
+        data = pickle.dumps(([p._mpf_ for p in pts], exc),
+                            pickle.HIGHEST_PROTOCOL)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(wfd, view):]
+    finally:
+        os._exit(0)
+
+
+def _read_level(fd: int) -> tuple:
+    """The forked child's (points, error), read from its pipe to the end;
+    ChildProcessError if the child left without writing all of it (a
+    pickle cut short never loads)."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    try:
+        pts, exc = pickle.loads(b"".join(chunks))
+    except Exception as err:
+        raise ChildProcessError("the deepest level's solver exited without "
+                                "a whole result") from err
+    return [mp.make_mpf(t) for t in pts], exc
+
+
+def _nest(parents: list, s: int, pts: list) -> list:
+    """The level-s intervals from their parents and the type-s points, pairs
+    (c, d) in index order; PrecisionError unless l < c < d < r inside each
+    parent [l, r].  A trailing point without its pair is left out."""
+    cur = []
+    for iv, c, d in zip(parents, pts[0::2], pts[1::2]):
+        if not (iv.left < c < d < iv.right):
+            raise PrecisionError(
+                f"level-{s} points out of order inside I_{iv.index},{s - 1}; "
+                "raise the mantissa budget")
+        cur.append(BasicInterval(
+            level=s, index=2 * iv.index - 1, left=iv.left, right=c,
+            addr=iv.addr + (LEFT,), left_type=iv.left_type, right_type=s))
+        cur.append(BasicInterval(
+            level=s, index=2 * iv.index, left=d, right=iv.right,
+            addr=iv.addr + (RIGHT,), left_type=s, right_type=iv.right_type))
+    return cur
+
+
 def build_tree(model: GammaModel, depth: Optional[int] = None,
                bits: int = 512) -> CantorTree:
     """Materialize the basic-interval tree to the requested depth.
@@ -268,6 +385,13 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
     ``depth=None`` picks the largest depth (up to 10) whose level lengths are
     resolvable at ``bits``; an explicit depth beyond that budget raises
     DepthError.
+
+    The levels do not depend on each other's points.  When ``_forks`` holds,
+    a forked child solves the deepest level while this process solves the
+    others; the child runs the same arithmetic at the same precision, so the
+    tree is bit for bit the serial one, and it raises the same first error.
+    The child is reaped on every path, and killed first if this process
+    raises before its result is read.
     """
     if depth is None:
         depth = max_depth_for_bits(model, bits)
@@ -284,23 +408,26 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
         root = BasicInterval(level=0, index=1, left=mp.mpf(0), right=mp.mpf(1),
                              addr=(), left_type=0, right_type=0)
         levels = [[root]]
-        for s in range(1, depth + 1):
-            point = _level_points(s, r, half_r, quarter_r_sq)
-            cur = []
-            for iv in levels[s - 1]:
-                c = point(iv.addr + (LEFT,))
-                d = point(iv.addr + (RIGHT,))
-                if not (iv.left < c < d < iv.right):
-                    raise PrecisionError(
-                        f"level-{s} points out of order inside I_{iv.index},{s - 1}; "
-                        "raise the mantissa budget")
-                cur.append(BasicInterval(
-                    level=s, index=2 * iv.index - 1, left=iv.left, right=c,
-                    addr=iv.addr + (LEFT,), left_type=iv.left_type, right_type=s))
-                cur.append(BasicInterval(
-                    level=s, index=2 * iv.index, left=d, right=iv.right,
-                    addr=iv.addr + (RIGHT,), left_type=s, right_type=iv.right_type))
-            levels.append(cur)
+        child = (_fork_level(depth, r, half_r, quarter_r_sq)
+                 if _forks(depth, bits) else None)
+        read = False
+        try:
+            for s in range(1, depth + 1):
+                if s == depth and child is not None:
+                    pts, exc = _read_level(child[1])
+                    read = True
+                else:
+                    pts, exc = _solve_level(s, r, half_r, quarter_r_sq)
+                levels.append(_nest(levels[s - 1], s, pts))
+                if exc is not None:
+                    raise exc
+        finally:
+            if child is not None:
+                pid, fd = child
+                os.close(fd)
+                if not read:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         for lvl in levels:
             for iv in lvl:
                 iv.ln_length = ln_double(iv.right - iv.left)

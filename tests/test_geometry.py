@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
 import functools
+import io
 import math
+import os
+import signal
+import sys
 
 import mpmath as mp
 import pytest
 from mpmath.libmp import from_man_exp
 from oracles import refine_endpoint_bisection
 
-from cantorext import geometry
-from cantorext.errors import DepthError, HorizonError
+from cantorext import cli, geometry
+from cantorext.errors import BracketError, DepthError, HorizonError, PrecisionError
 from cantorext.gamma import CUSTOM, DELTA_FORM, EXAMPLE1, POWER_LAW, build_model
 from cantorext.geometry import (
     LevelGeometry, build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
@@ -455,3 +460,165 @@ def test_atoms_outside_the_built_depth_raise():
             tree.atoms(level)
         with pytest.raises(DepthError):
             TreeAtoms(tree, level=level)
+
+
+# -- the deepest level in a forked child ------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _tree_bits(tree) -> tuple:
+    """Everything build_tree decides, as exact values."""
+    return ([(iv.level, iv.index, iv.left._mpf_, iv.right._mpf_, iv.ln_length,
+              iv.addr, iv.left_type, iv.right_type)
+             for level in tree.levels for iv in level],
+            [r._mpf_ for r in tree.r_mpf])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned during the test.  Two usable CPUs are
+    reported so that the fork decision rests on the size alone."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_build(monkeypatch, model, depth, bits):
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return build_tree(model, depth=depth, bits=bits)
+
+
+@needs_fork
+def test_forked_build_is_the_serial_build_bit_for_bit(forks, monkeypatch):
+    model = build_model(EXAMPLE1, k_max=12, B=1.0)
+    assert geometry._forks(9, 2048)
+    forked = build_tree(model, depth=9, bits=2048)
+    assert len(forks) == 1
+    assert _tree_bits(forked) == _tree_bits(
+        _serial_build(monkeypatch, model, 9, 2048))
+    # criterion 3's depth-10, 8192-bit tree, when the acceptance tests built it
+    acceptance = sys.modules.get("test_acceptance")
+    deep = acceptance and acceptance._CACHE.get("ex1_deep")
+    if deep is not None:
+        assert _tree_bits(deep) == _tree_bits(
+            _serial_build(monkeypatch, deep.model, 10, 8192))
+
+
+def _planted(monkeypatch, depth, faults):
+    """Patch the level-``depth`` solver: ``faults`` maps an address to
+    "swap" (the point of its mirror sibling, which breaks the nesting) or to
+    "raise" (a BracketError).  Every other level is solved as usual."""
+    solve = geometry._level_points
+
+    def level_points(s, *args):
+        point = solve(s, *args)
+        if s != depth:
+            return point
+
+        def planted(addr):
+            fault = faults.get(tuple(addr))
+            if fault == "raise":
+                raise BracketError(f"planted at {tuple(addr)}")
+            if fault == "swap":
+                return point(tuple(addr[:-1]) + (1 - addr[-1],))
+            return point(addr)
+        return planted
+
+    monkeypatch.setattr(geometry, "_level_points", level_points)
+
+
+@needs_fork
+@pytest.mark.parametrize("faults,error,match", [
+    ({(1,) * 9: "raise"}, BracketError, r"planted at \(1, 1, 1, 1, 1, 1, 1, 1, 1\)"),
+    # the nesting of an earlier interval fails before the later point raises
+    ({(0,) * 8 + (1,): "swap", (1,) * 9: "raise"}, PrecisionError,
+     r"level-9 points out of order inside I_1,8"),
+], ids=["child-raises", "nesting-fails-first"])
+def test_a_deepest_level_error_is_the_serial_error(forks, monkeypatch, faults,
+                                                   error, match):
+    model = build_model(EXAMPLE1, k_max=12, B=1.0)
+    _planted(monkeypatch, 9, faults)
+    with pytest.raises(error, match=match) as forked:
+        build_tree(model, depth=9, bits=2048)
+    assert len(forks) == 1
+    with pytest.raises(error) as serial:
+        _serial_build(monkeypatch, model, 9, 2048)
+    assert str(forked.value) == str(serial.value)
+
+
+@needs_fork
+def test_a_parent_level_error_kills_and_reaps_the_child(forks, monkeypatch):
+    kills = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig))
+                        or kill(pid, sig))
+    _planted(monkeypatch, 3, {(0, 1, 1): "raise"})
+    with pytest.raises(BracketError, match=r"planted at \(0, 1, 1\)"):
+        build_tree(build_model(EXAMPLE1, k_max=12, B=1.0), depth=9, bits=2048)
+    assert kills == [(forks[0], signal.SIGKILL)]
+
+
+@needs_fork
+def test_a_child_without_a_result_is_an_error(forks, monkeypatch):
+    parent = os.getpid()
+    solve = geometry._solve_level
+
+    def solve_level(s, *args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return solve(s, *args)
+
+    monkeypatch.setattr(geometry, "_solve_level", solve_level)
+    with pytest.raises(ChildProcessError, match="without a whole result"):
+        build_tree(build_model(EXAMPLE1, k_max=12, B=1.0), depth=9, bits=2048)
+
+
+@needs_fork
+def test_a_refused_fork_builds_in_process(monkeypatch):
+    def refused():
+        raise BlockingIOError("no process slot")
+
+    model = build_model(EXAMPLE1, k_max=12, B=1.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", refused)
+        tree = build_tree(model, depth=8, bits=2048)
+    assert _tree_bits(tree) == _tree_bits(
+        _serial_build(monkeypatch, model, 8, 2048))
+
+
+def test_small_trees_never_fork(monkeypatch):
+    """The density, markov and ``cantorext examples`` trees, at the highest
+    precision the density workload draws (nominal bits + 32), stay in this
+    process however many CPUs there are."""
+    def no_fork():
+        raise AssertionError("a small tree forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    for family, kw, depth, bits in [(DELTA_FORM, {"b": 2.0}, 7, 1024),
+                                    (DELTA_FORM, {"b": 3.0}, 6, 1280),
+                                    (EXAMPLE1, {"B": 1.0}, 7, 512),
+                                    (POWER_LAW, {"a": 2.0}, 4, 512)]:
+        model = build_model(family, k_max=14, **kw)
+        for b in (bits, bits + 32):
+            assert not geometry._forks(depth, b)
+            build_tree(model, depth=depth, bits=b)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["examples"]) == 0

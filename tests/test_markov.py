@@ -161,6 +161,20 @@ class TestNumeric:
         with pytest.raises(ParameterError):
             markov_numeric([(0, 1)], 2, workers=2)  # one shared basis
 
+    def test_merged_atoms_are_named_in_the_grid_error(self):
+        # delta_4 = e^-81: each atom's points round to a few doubles
+        atoms = _tree_atoms("delta_form", 4, b=3.0)
+        with pytest.raises(ParameterError, match=(
+                r"grid of 23 distinct points is below 4n = 32; 16 atoms x 8 "
+                r"points asked for 128, and points of atoms narrower than the "
+                r"doubles' spacing merged")):
+            estimate_grid(atoms, 8, 8)
+        # above the floor the merge goes on without a word
+        assert len(estimate_grid(atoms, 8, 24)[0]) == 39
+        with pytest.raises(ParameterError, match=r"^grid of 8 distinct points "
+                           r"is below 4n = 32$"):
+            estimate_grid([(0.0, 1.0)], 8, 8)
+
     @pytest.mark.parametrize("points", [1, 0, -5])
     def test_fewer_than_two_points_per_atom_raise(self, points):
         # each used to be replaced by 2 points per atom
