@@ -319,12 +319,10 @@ def _fork_level(s: int, r: list, half_r: list,
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
-    except BaseException as err:
+    except OSError:
         os.close(rfd)
         os.close(wfd)
-        if isinstance(err, OSError):
-            return None
-        raise
+        return None
     if pid:
         os.close(wfd)
         return pid, rfd
