@@ -24,6 +24,7 @@ argument.
 from __future__ import annotations
 
 import math
+import time
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ import mpmath as mp
 from mpmath.libmp import (MPZ_ONE, fzero, mpf_add, mpf_div, mpf_mul,
                           mpf_pos, mpf_sub, round_nearest)
 
+from . import forking
 from .bump import BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InsufficientOrderError,
                      InvariantError, NodeCollisionError, ParameterError)
@@ -95,6 +97,23 @@ _DD_FLOOR = 128    # and never fewer bits than this (or p, where p is lower)
 _DD_SLACK = 12     # bits a returned error exponent adds to the running one
 _P_GUARD = 64      # bits a bounded W(f, x) runs beyond -log2 of its bound
 _RETRY_BITS = 32   # rerun at tree precision when R > 2^-32 T
+#: The precision from which an evaluation may grow its new tables in two
+#: processes (``ExtensionOperator._fill``): every 2048-bit ``extend_jets``
+#: call and every CLI-sized call stays in process whatever f costs.
+_FORK_MIN_BITS = 4096
+#: Seconds of f (its CPU time at one new node times the number of new
+#: nodes) from which ``_fill`` forks.  Single calls on the depth-10, 8192-bit
+#: EXAMPLE1 tree from a 52 MB process on 2 CPUs, every gate open, best of 3,
+#: serial -> forked, with f's estimate in brackets:
+#:   W(1), W(x) at S = 5 (0.5-0.9 ms):          6-45 -> 16-43 ms, to +181 %
+#:   W(x^2) at S = 5 (3.6-5.1 ms):              33-39 -> 32-41 ms
+#:   bounded W(sin) at S = 5, 1886 bits (11-17 ms):    30 -> 38-40 ms
+#:   W(x^9) at S = 6 (13-25 ms):                118-194 -> 104-149 ms
+#:   W(sqrt) at S = 6 (23-46 ms):               197-371 -> 186-325 ms
+#:   bounded W(sin) at S = 6, 6670 bits (116-253 ms): 197-379 -> 183-289 ms
+#: The two forks cost about 10 ms; below 30 ms of f, whether the tables pay
+#: for them depends on their precision and size.
+_FORK_MIN_F_S = 0.030
 
 
 def _mag(t) -> float:
@@ -188,6 +207,29 @@ class NewtonTable:
             self.points.append(zn)
             self.coeffs.append(mp.make_mpf(t))
             self.errs.append(e + _DD_SLACK)
+
+    def copy(self) -> NewtonTable:
+        """A table equal to this one that grows apart from it."""
+        t = NewtonTable(self.prec)
+        t.points, t.coeffs, t.errs = self.points[:], self.coeffs[:], self.errs[:]
+        # grow replaces the diagonal lists, never changes them
+        t._z, t._diag, t._err = self._z[:], self._diag, self._err
+        return t
+
+    def _tail(self, held: int) -> tuple:
+        """What growing past ``held`` nodes added, as picklable data: the new
+        coefficients' and nodes' raw mpf, the new exponents, the diagonal."""
+        return ([c._mpf_ for c in self.coeffs[held:]], self.errs[held:],
+                self._z[held:], self._diag, self._err)
+
+    def _append(self, points: Sequence, tail: tuple) -> None:
+        """Take on ``tail``, another process's growth of this table to
+        ``points``; the table keeps this process's node objects."""
+        coeffs, errs, z, self._diag, self._err = tail
+        self.points += points[len(self.points):]
+        self.coeffs += [mp.make_mpf(c) for c in coeffs]
+        self.errs += errs
+        self._z += z
 
 
 def divided_differences(points: Sequence, values: Sequence,
@@ -416,6 +458,67 @@ class _Tables:
     interps: dict = field(default_factory=dict)
 
 
+def _values_in_two(f: Callable, nodes: list) -> Optional[list]:
+    """f at the nodes: at every other one from the second in a forked child,
+    which sends the raw mpf back, and at the others here; None if either
+    side raised, the child left without a result or the fork was refused."""
+    try:
+        with forking.child(lambda: [f(z)._mpf_
+                                    for z in nodes[1::2]]) as result:
+            if result is None:
+                return None
+            values = nodes[:]
+            values[0::2] = [f(z) for z in nodes[0::2]]
+            values[1::2] = [mp.make_mpf(v) for v in result()]
+            return values
+    except Exception:
+        return None
+
+
+def _grown_in_two(tables: _Tables, grow: dict) -> Optional[dict]:
+    """Copies of the tables ``grow`` names ((j, s) -> nodes), each grown to
+    its nodes over the cached values; None on the failures
+    ``_values_in_two`` names.  The tables go, largest first, into two bins
+    by new entries (n^2 - held^2).  A forked child grows the bin without
+    the largest table and sends back each table's raw tail; this process
+    grows the other and takes the child's tails with its own node objects.
+    """
+    interps, cache = tables.interps, tables.values
+
+    def held(key) -> int:
+        return len(interps[key].points) if key in interps else 0
+
+    def base(key) -> NewtonTable:
+        itp = interps.get(key)
+        return itp.copy() if itp else NewtonTable(tables.bits)
+
+    def grown(key) -> NewtonTable:
+        t = base(key)
+        divided_differences(grow[key], [cache[z] for z in grow[key]], t)
+        return t
+
+    entries = {key: len(pts) ** 2 - held(key) ** 2
+               for key, pts in grow.items()}
+    bins, loads = ([], []), [0, 0]
+    for key in sorted(entries, key=entries.get, reverse=True):
+        i = loads[1] < loads[0]
+        bins[i].append(key)
+        loads[i] += entries[key]
+    mine, theirs = bins
+    try:
+        with forking.child(lambda: [grown(key)._tail(held(key))
+                                    for key in theirs]) as result:
+            if result is None:
+                return None
+            out = {key: grown(key) for key in mine}
+            for key, tail in zip(theirs, result(), strict=True):
+                out[key] = base(key)
+                out[key]._append(grow[key], tail)
+            return out
+    except Exception:
+        return None
+
+
 class ExtensionOperator:
     """Evaluator of the truncated operator on a fixed tree and schedule.
 
@@ -449,6 +552,7 @@ class ExtensionOperator:
                 f"tree depth is {tree.depth}")
         self._bumps: dict = {}
         self._hulls: dict = {}
+        self._nodes: dict = {}   # (j, s) -> the longest node list asked for
         # f -> {precision: _Tables}; dropped with f
         self._per_f = weakref.WeakKeyDictionary()
         self._point: Optional[_PointState] = None
@@ -473,7 +577,7 @@ class ExtensionOperator:
         if itp is None:
             itp = tables.interps[(j, s)] = NewtonTable(tables.bits)
         if len(itp.points) < n_nodes:
-            points = select_nodes(self.tree, (j, s), n_nodes).points()
+            points = self._points(j, s, n_nodes)
             values, cache = [], tables.values
             with mp.workprec(tables.bits):
                 for z in points:
@@ -483,6 +587,15 @@ class ExtensionOperator:
                     values.append(v)
                 divided_differences(points, values, itp)
         return itp
+
+    def _points(self, j: int, s: int, n: int) -> list:
+        """The first n increasing-type nodes of I_{j,s}.  Node sets are
+        prefix-stable, so the longest list asked for serves every count."""
+        pts = self._nodes.get((j, s))
+        if pts is None or len(pts) < n:
+            pts = self._nodes[(j, s)] = select_nodes(self.tree, (j, s),
+                                                     n).points()
+        return pts[:n]
 
     def _bump(self, j: int, s: int, k_delta: int) -> BumpSpec:
         """Cutoff of width t = delta_{k_delta} around I_{j,s}."""
@@ -603,13 +716,76 @@ class ExtensionOperator:
         bound = _plus(trunc, acc.exponent())
         return WValue(value=value, certified_bound=bound)
 
+    def _plan(self, pt: _PointState, s_cap: int):
+        """(j, s, n) for each Newton table ``_at``'s sum reads at ``pt``, in
+        the order it reads them, with the number of nodes it needs."""
+        sched = self.schedule
+        yield 1, 0, 2
+        for s in range(s_cap):
+            terms_A, terms_T = pt.stages[s]
+            for j, _ in terms_A:
+                yield j, s, sched.N(s) + 1
+            for k, _ in terms_T:
+                yield k, s + 1, sched.M(s + 1) + 1
+                yield (k + 1) // 2, s, sched.N(s) + 1
+
+    def _fill(self, f: Callable, tables: _Tables, pt: _PointState,
+              s_cap: int) -> None:
+        """Grow the tables of ``_plan`` in two processes, when the call is
+        big enough that the second CPU pays for two forks: p is at least
+        ``_FORK_MIN_BITS``, ``forking.usable()`` holds, at least two tables
+        grow, and f's CPU time at the last new node times the number of new
+        nodes reaches ``_FORK_MIN_F_S``.  That node is the probe, not the
+        first: the first is often an endpoint 0 or 1, where f can cost
+        nothing.  Its value is cached, as ``_at`` would cache it.
+
+        Then ``_values_in_two`` evaluates f at the other new nodes and
+        ``_grown_in_two`` grows the tables.  Each side runs the serial
+        arithmetic at the same precision, so every value and table is the
+        serial one, bit for bit.  If either step fails (either side raised,
+        the child left without a result or the system refused the fork),
+        this returns with no table changed, and ``_at`` grows the tables
+        itself, raising the serial error; new values are cached only after
+        both halves arrived.
+        """
+        if tables.bits < _FORK_MIN_BITS or not forking.usable():
+            return
+        cache, interps = tables.values, tables.interps
+        grow, new = {}, {}   # (j, s) -> nodes; the new nodes, in call order
+        for j, s, n in self._plan(pt, s_cap):
+            itp = interps.get((j, s))
+            if len(grow.get((j, s), itp.points if itp else ())) < n:
+                pts = grow[(j, s)] = self._points(j, s, n)
+                new.update((z, None) for z in pts if z not in cache)
+        if len(grow) < 2 or not new:
+            return
+        *rest, last = new
+        with mp.workprec(tables.bits):
+            t0 = time.process_time()
+            try:
+                cache[last] = f(last)
+            except Exception:
+                return
+            if (time.process_time() - t0) * len(new) < _FORK_MIN_F_S:
+                return
+            values = _values_in_two(f, rest)
+            if values is None:
+                return
+            cache.update(zip(rest, values))
+            grown = _grown_in_two(tables, grow)
+        if grown is not None:
+            for key in grow:
+                interps[key] = grown[key]
+
     def _at(self, f: Callable, x, s_cap: int, acc: _Sum):
-        """W(f, x) in ``acc``'s arithmetic, f's tables at its precision."""
+        """W(f, x) in ``acc``'s arithmetic, f's tables at its precision,
+        grown first by ``_fill`` where it forks."""
         tables = self._tables(f, acc.p)
         sched = self.schedule
         with mp.workprec(self.tree.bits):
             x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
             pt = self._state(x, s_cap)
+            self._fill(f, tables, pt, s_cap)
             root = self._interpolant(f, tables, 1, 0, 2)
             u = pt.root_u._mpf_
             total = acc.mul(acc.newton(root, pt.row(1, 0, root.points, 1), 1,

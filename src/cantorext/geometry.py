@@ -19,11 +19,8 @@ and the central gap h_{j,s} > (1 - 4 gamma_{s+1}) l_{j,s} >= (7/8) l_{j,s}.
 
 from __future__ import annotations
 
-import gc
 import math
-import os
-import pickle
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -32,6 +29,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 from mpmath.libmp import from_man_exp
 
+from . import forking
 from .errors import BracketError, DepthError, HorizonError, PrecisionError
 from .gamma import GammaModel, profile
 from .logreal import ln_double
@@ -280,17 +278,11 @@ _FORK_MIN_WORK = 2 ** 30
 
 
 def _forks(depth: int, bits: int) -> bool:
-    """Whether build_tree solves the deepest level in a second process: fork
-    exists, 2 CPUs are usable, this process runs one thread, and the level
-    is big enough to pay for the fork, with a level above it to overlap."""
-    if (not hasattr(os, "fork") or depth < 2
-            or (2 ** depth) * bits * bits < _FORK_MIN_WORK):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return cpus >= 2 and threading.active_count() == 1
+    """Whether build_tree solves the deepest level in a second process: the
+    level is big enough to pay for the fork, with a level above it to
+    overlap, and ``forking.usable`` holds."""
+    return (depth >= 2 and (2 ** depth) * bits * bits >= _FORK_MIN_WORK
+            and forking.usable())
 
 
 def _solve_level(s: int, r: list, half_r: list, quarter_r_sq: list) -> tuple:
@@ -307,53 +299,11 @@ def _solve_level(s: int, r: list, half_r: list, quarter_r_sq: list) -> tuple:
     return pts, None
 
 
-def _fork_level(s: int, r: list, half_r: list,
-                quarter_r_sq: list) -> Optional[tuple]:
-    """(pid, fd): a forked child solving level s, and the pipe end from which
-    its pickled ([_mpf_ tuples], error) arrives; None if the system refuses
-    the fork, and this process solves the level itself.
-
-    The child imports nothing, touches no lock and runs no exit handler: it
-    solves, writes the pickle and leaves through ``os._exit``.
-    """
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid:
-        os.close(wfd)
-        return pid, rfd
-    try:
-        # no collection in the child: a finalizer of the parent's garbage
-        # could flush a buffer the parent still owns
-        gc.disable()
-        os.close(rfd)
-        pts, exc = _solve_level(s, r, half_r, quarter_r_sq)
-        data = pickle.dumps(([p._mpf_ for p in pts], exc),
-                            pickle.HIGHEST_PROTOCOL)
-        view = memoryview(data)
-        while view:
-            view = view[os.write(wfd, view):]
-    finally:
-        os._exit(0)
-
-
-def _read_level(fd: int) -> tuple:
-    """The forked child's (points, error), read from its pipe to the end;
-    ChildProcessError if the child left without writing all of it (a
-    pickle cut short never loads)."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    try:
-        pts, exc = pickle.loads(b"".join(chunks))
-    except Exception as err:
-        raise ChildProcessError("the deepest level's solver exited without "
-                                "a whole result") from err
-    return [mp.make_mpf(t) for t in pts], exc
+def _solve_raw(s: int, r: list, half_r: list, quarter_r_sq: list) -> tuple:
+    """``_solve_level``'s result with the points as raw _mpf_ tuples: what
+    the forked child sends back."""
+    pts, exc = _solve_level(s, r, half_r, quarter_r_sq)
+    return [p._mpf_ for p in pts], exc
 
 
 def _nest(parents: list, s: int, pts: list) -> list:
@@ -405,27 +355,19 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
         root = BasicInterval(level=0, index=1, left=mp.mpf(0), right=mp.mpf(1),
                              addr=(), left_type=0, right_type=0)
         levels = [[root]]
-        child = (_fork_level(depth, r, half_r, quarter_r_sq)
-                 if _forks(depth, bits) else None)
-        read = False
-        try:
+        forked = (forking.child(lambda: _solve_raw(depth, r, half_r,
+                                                   quarter_r_sq))
+                  if _forks(depth, bits) else nullcontext())
+        with forked as result:
             for s in range(1, depth + 1):
-                if s == depth and child is not None:
-                    pts, exc = _read_level(child[1])
-                    read = True
+                if s == depth and result is not None:
+                    raw, exc = result()
+                    pts = [mp.make_mpf(t) for t in raw]
                 else:
                     pts, exc = _solve_level(s, r, half_r, quarter_r_sq)
                 levels.append(_nest(levels[s - 1], s, pts))
                 if exc is not None:
                     raise exc
-        finally:
-            if child is not None:
-                pid, fd = child
-                os.close(fd)
-                if not read:
-                    import signal     # only here: it costs 0.4 ms to import
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
         for lvl in levels:
             for iv in lvl:
                 iv.ln_length = ln_double(iv.right - iv.left)

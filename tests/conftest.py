@@ -1,5 +1,8 @@
+import os
 import time
 from contextlib import contextmanager
+
+import pytest
 
 # one line per acceptance criterion, printed at the end of the session
 CRITERIA: dict = {}
@@ -19,6 +22,21 @@ def criterion(cid: str, budget: float = None, note: str = ""):
         CRITERIA[cid] = ("FAIL", dt, f"runtime over the {budget:.0f}s budget")
         raise AssertionError(f"criterion {cid} took {dt:.1f}s (budget {budget}s)")
     CRITERIA[cid] = ("PASS", dt, note)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After every test, this process has no child left unreaped: the
+    package forks in ``build_tree`` and ``ExtensionOperator``, and must
+    reap every child on every path."""
+    yield
+    if hasattr(os, "waitpid") and hasattr(os, "WNOHANG"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        raise AssertionError(f"a child process was left unreaped "
+                             f"(waitpid found pid {pid})")
 
 
 def pytest_terminal_summary(terminalreporter):

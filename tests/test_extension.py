@@ -1,7 +1,11 @@
+import contextlib
 import functools
 import gc
 import hashlib
+import io
 import math
+import os
+import signal
 
 import mpmath as mp
 import numpy as np
@@ -11,8 +15,10 @@ from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_div,
                           round_nearest)
 from oracles import (c_p_table, check_cutoff_product_bound,
                      order_major_divided_differences, series, step_series)
+import test_acceptance
 from test_acceptance import ex1_tree_deep
 
+from cantorext import cli, extension
 from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
                             step_value_mpf)
 from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
@@ -1127,3 +1133,266 @@ class TestOffSetBehavior:
         L_max = h.lnt_max
         # beyond the table the last slope continues: monotone, finite
         assert 0 < h.h_ln(L_max * 1.5) < h.h_ln(L_max)
+
+
+# ---------------------------------------------------------------------------
+# a large evaluation's new tables in two processes
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@pytest.fixture(scope="module")
+def tree_jets():
+    # extend_jets' tree: deep enough for truncation level 5
+    return build_tree(build_model(EXAMPLE1, k_max=16, B=1.0), depth=9,
+                      bits=2048)
+
+
+def _inner(tree) -> list:
+    """The endpoint each deepest interval gets at its own level."""
+    return [iv.right if iv.index % 2 else iv.left
+            for iv in tree.levels[tree.depth]]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned during the test.  Every evaluation may
+    fork: the precision gate and the f-time threshold are 0, and two usable
+    CPUs are reported."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(extension, "_FORK_MIN_BITS", 0)
+    monkeypatch.setattr(extension, "_FORK_MIN_F_S", 0)
+    return pids
+
+
+def _serially(monkeypatch, call):
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return call()
+
+
+def _poly(v):
+    return 3 - 2 * v + v * v * v
+
+
+def _cached_bits(op, fs) -> list:
+    """Every value and Newton table the operator holds for ``fs``, exact
+    (the values as a mapping: a forked call caches its last node first)."""
+    return [(p, {z._mpf_: v._mpf_ for z, v in t.values.items()},
+             [(key, [z._mpf_ for z in itp.points], _bits(itp.coeffs),
+               itp.errs, itp._z, itp._diag, itp._err)
+              for key, itp in t.interps.items()])
+            for f in fs for p, t in op._per_f[f].items()]
+
+
+def _sweep(tree, xs, levels):
+    """Bounded sin at each level of ``levels`` and unbounded polynomials at
+    S = 5, on a fresh operator: every value, bound and cached table."""
+    op = ExtensionOperator(tree, s_max=max(levels))
+    out = []
+    with mp.workprec(tree.bits):
+        for S in levels:
+            for x in xs:
+                w = op.evaluate(mp.sin, x, norm_q=2.0, q=5, s_max=S)
+                out.append((w.value._mpf_, w.certified_bound.ln))
+        for f in (lambda v: v * v, _poly):
+            for x in xs:
+                out.append(op.evaluate(f, x, s_max=5).value._mpf_)
+    return out, _cached_bits(op, [mp.sin])
+
+
+@needs_fork
+def test_forked_tables_are_the_serial_tables_bit_for_bit(forks, monkeypatch,
+                                                         tree_jets):
+    xs = _inner(tree_jets)[37::150]
+    forked = _sweep(tree_jets, xs, (3, 4, 5))
+    assert len(forks) >= 2 * len(xs)
+    assert forked == _serially(monkeypatch,
+                               lambda: _sweep(tree_jets, xs, (3, 4, 5)))
+    # criterion 3's depth-10, 8192-bit tree, when the acceptance tests built
+    # it: S = 6 runs at 6670 bits, where the gates let sin fork unpatched
+    deep = test_acceptance._CACHE.get("ex1_deep")
+    if deep is not None:
+        xs = _inner(deep)[300::400]
+        n = len(forks)
+        forked = _sweep(deep, xs, (3, 4, 5, 6))
+        assert len(forks) > n
+        assert forked == _serially(monkeypatch,
+                                   lambda: _sweep(deep, xs, (3, 4, 5, 6)))
+
+
+def test_plan_lists_the_tables_the_sum_reads(monkeypatch, tree_jets):
+    op = ExtensionOperator(tree_jets, s_max=5)
+    reads, longest = [], 0
+    interpolant = op._interpolant
+    monkeypatch.setattr(op, "_interpolant", lambda f, tables, j, s, n: (
+        reads.append((j, s, n)) or interpolant(f, tables, j, s, n)))
+    with mp.workprec(tree_jets.bits):
+        for x in _inner(tree_jets)[::101] + [mp.mpf("0.3"), mp.mpf("0.71")]:
+            for S in (1, 3, 5):
+                reads.clear()
+                op.evaluate(_poly, x, s_max=S)
+                assert reads == list(op._plan(op._point, S))
+                longest = max(longest, len(reads))
+    assert longest >= 16
+
+
+def _call_order(monkeypatch, tree, x) -> list:
+    """The nodes at which a fresh operator's serial W(sin, x) calls f."""
+    order = []
+    _serially(monkeypatch, lambda: ExtensionOperator(tree, s_max=5).evaluate(
+        lambda z: order.append(z) or mp.sin(z), x))
+    return order
+
+
+def _raising_at(z0, here: list):
+    """sin, raising at the node z0; ``here`` gets one entry for each time
+    it raised in this process."""
+    def f(z):
+        if z == z0:
+            here.append(z0)
+            raise ValueError(f"planted at {mp.nstr(z0, 12)}")
+        return mp.sin(z)
+    return f
+
+
+@needs_fork
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_an_f_error_is_the_serial_error(forks, monkeypatch, tree_jets, side):
+    # f runs at the last new node first; the child takes every other one
+    # of the rest from the second, this process the others from the first
+    tree = tree_jets
+    x = _inner(tree)[200]
+    z0 = _call_order(monkeypatch, tree, x)[1 if side == "child" else 2]
+    kills, here = [], []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig))
+                        or kill(pid, sig))
+    with pytest.raises(ValueError, match="planted at") as forked:
+        ExtensionOperator(tree, s_max=5).evaluate(_raising_at(z0, here), x)
+    assert len(forks) == 1
+    # the serial path raised here once; this process's half raised before it
+    # and killed the child, which was still running or not yet read
+    if side == "child":
+        assert here == [z0] and kills == []
+    else:
+        assert here == [z0, z0] and kills == [(forks[0], signal.SIGKILL)]
+    with pytest.raises(ValueError) as serial:
+        _serially(monkeypatch, lambda: ExtensionOperator(
+            tree, s_max=5).evaluate(_raising_at(z0, []), x))
+    assert str(forked.value) == str(serial.value)
+
+
+@needs_fork
+@pytest.mark.parametrize("interval,side", [((7, 4), "parent"),
+                                           ((4, 3), "child")])
+def test_a_node_collision_is_the_serial_error(forks, monkeypatch, tree_jets,
+                                              interval, side):
+    # the call's largest new table, (7, 4) with 32 nodes, fills this
+    # process's bin alone; the child grows the other five
+    tree = tree_jets
+    iv = tree.interval(*interval)
+    here = []
+    dd = extension.divided_differences
+
+    def planted(points, values, table):
+        if len(points) > 1 and {points[0], points[1]} == {iv.left, iv.right}:
+            here.append(interval)
+            raise NodeCollisionError(f"planted on I_{interval}")
+        return dd(points, values, table)
+
+    monkeypatch.setattr(extension, "divided_differences", planted)
+    x = _inner(tree)[200]
+    with pytest.raises(NodeCollisionError, match="planted on") as forked:
+        ExtensionOperator(tree, s_max=5).evaluate(mp.sin, x)
+    assert len(forks) == 2
+    assert len(here) == (2 if side == "parent" else 1)
+    with pytest.raises(NodeCollisionError) as serial:
+        _serially(monkeypatch, lambda: ExtensionOperator(
+            tree, s_max=5).evaluate(mp.sin, x))
+    assert str(forked.value) == str(serial.value)
+
+
+@needs_fork
+def test_a_child_without_a_result_leaves_the_call_serial(forks, monkeypatch,
+                                                         tree_jets):
+    parent = os.getpid()
+
+    def f(z):
+        if os.getpid() != parent:
+            os._exit(3)
+        return mp.sin(z)
+
+    x = _inner(tree_jets)[200]
+    op = ExtensionOperator(tree_jets, s_max=5)
+    got = op.evaluate(f, x, norm_q=2.0, q=5).value
+    assert len(forks) == 1
+    serial = ExtensionOperator(tree_jets, s_max=5)
+    want = _serially(monkeypatch, lambda: serial.evaluate(
+        f, x, norm_q=2.0, q=5).value)
+    assert got._mpf_ == want._mpf_
+    assert _cached_bits(op, [f]) == _cached_bits(serial, [f])
+
+
+@needs_fork
+def test_a_refused_fork_evaluates_in_process(forks, monkeypatch, tree_jets):
+    tried = []
+
+    def refused():
+        tried.append(1)
+        raise BlockingIOError("no process slot")
+
+    x = _inner(tree_jets)[200]
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", refused)
+        got = ExtensionOperator(tree_jets, s_max=5).evaluate(mp.sin, x)
+    assert tried == [1]
+    want = _serially(monkeypatch, lambda: ExtensionOperator(
+        tree_jets, s_max=5).evaluate(mp.sin, x))
+    assert got.value._mpf_ == want.value._mpf_
+
+
+def test_cheap_and_small_calls_never_fork(monkeypatch, tree_jets):
+    """Cheap functions at 8192 bits, an ``extend_jets``-shaped round at 2048
+    bits and the README ``extend`` command stay in this process however
+    many CPUs there are."""
+    deep = build_tree(build_model(EXAMPLE1, k_max=16, B=1.0), depth=8,
+                      bits=8192)
+    tried = []
+
+    def no_fork():
+        tried.append(1)
+        raise AssertionError("an evaluation forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    op = ExtensionOperator(deep, s_max=5)
+    ends5 = sorted({z for iv in deep.levels[5] for z in (iv.left, iv.right)})
+    with mp.workprec(deep.bits):
+        for f in (lambda v: mp.mpf(1), lambda v: v, lambda v: v * v):
+            for x in ends5[3::16]:
+                op.evaluate(f, x, s_max=5)
+    op = ExtensionOperator(tree_jets, s_max=5)
+    with mp.workprec(tree_jets.bits):
+        for x in _inner(tree_jets)[70:73] + [mp.mpf("0.3"), mp.mpf("0.72")]:
+            for f in (lambda v: mp.mpf(1), lambda v: v, lambda v: v * v,
+                      lambda v: v * v * v, _poly):
+                op.evaluate(f, x)
+            op.evaluate(mp.sin, x, norm_q=2.0, q=5)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["extend", "--family", "example1", "--B", "1",
+                         "--bits", "1024", "--s-max", "3"]) == 0
+    assert tried == []
