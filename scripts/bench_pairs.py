@@ -23,17 +23,27 @@ change's favour, by more than the parent's interquartile range) and
 than the metric's relative ``bound`` in the change checkout's
 ``BENCHMARK.json``; null where it gives none).  The file is rewritten
 after every pair, so an interrupted session keeps what it measured.
-Standard library only.
+
+``--cli REPS`` also times each README command (the keys of the change
+checkout's ``tests/golden/readme_cli.json``) REPS times per side, each run
+``python -m cantorext`` in a fresh interpreter with the checkout's ``src/``
+on its path, the two sides alternating which runs first.  A run is correct
+when its stdout hashes to the command's golden hash.  Per command the output
+holds each side's median and quartiles of the wall times, with the same
+comparison as the end-to-end metrics.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 
@@ -70,6 +80,18 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def run_cli(checkout: str, command: str) -> tuple:
+    """One README command from ``checkout`` in a fresh interpreter: its wall
+    seconds, start-up included, and the sha256 of its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               PYTHONHASHSEED="0")
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "cantorext",
+                          *shlex.split(command)], cwd=checkout, env=env,
+                         capture_output=True, check=True)
+    return time.perf_counter() - t0, hashlib.sha256(out.stdout).hexdigest()
+
+
 def quartiles(values: list) -> list:
     if len(values) < 2:
         return [values[0], values[0]]
@@ -99,6 +121,22 @@ def verdicts(par: list, chg: list, spec: dict) -> dict:
     return {"gain_rule_met": gain, "within_bound": within}
 
 
+def compare(par: list, chg: list, spec: dict) -> dict:
+    """One metric's pairs: each side's median and quartiles, the change
+    against the parent, and the verdicts."""
+    pm, cm = statistics.median(par), statistics.median(chg)
+    pq = quartiles(par)
+    return {
+        "parent_median": round(pm, 4), "change_median": round(cm, 4),
+        "change_vs_parent": f"{100 * (cm - pm) / pm:+.1f} %",
+        "parent_quartiles": pq, "change_quartiles": quartiles(chg),
+        "change_lower_in": f"{sum(c < p for p, c in zip(par, chg))} "
+                           f"of {len(par)}",
+        "median_gap_exceeds_parent_iqr": abs(cm - pm) > pq[1] - pq[0],
+        **verdicts(par, chg, spec),
+    }
+
+
 def summarise(runs: list, specs: dict) -> dict:
     """Per workload: the pairs' end-to-end metrics and failed shares."""
     out = {}
@@ -109,19 +147,9 @@ def summarise(runs: list, specs: dict) -> dict:
         entry = {"pairs": pairs,
                  "seeds": [r["seed"] for r in sides["parent"][:pairs]]}
         for m in END_TO_END if pairs else ():
-            par = [r[m] for r in sides["parent"][:pairs]]
-            chg = [r[m] for r in sides["change"][:pairs]]
-            pm, cm = statistics.median(par), statistics.median(chg)
-            pq = quartiles(par)
-            entry[m] = {
-                "parent_median": round(pm, 4), "change_median": round(cm, 4),
-                "change_vs_parent": f"{100 * (cm - pm) / pm:+.1f} %",
-                "parent_quartiles": pq, "change_quartiles": quartiles(chg),
-                "change_lower_in": f"{sum(c < p for p, c in zip(par, chg))} "
-                                   f"of {pairs}",
-                "median_gap_exceeds_parent_iqr": abs(cm - pm) > pq[1] - pq[0],
-                **verdicts(par, chg, specs.get(m, {})),
-            }
+            entry[m] = compare([r[m] for r in sides["parent"][:pairs]],
+                               [r[m] for r in sides["change"][:pairs]],
+                               specs.get(m, {}))
         for s, rs in sides.items():
             att = sum(r["attempted"] for r in rs)
             fail = sum(r["failed"] for r in rs)
@@ -132,12 +160,34 @@ def summarise(runs: list, specs: dict) -> dict:
     return out
 
 
+def summarise_cli(runs: list) -> dict:
+    """Per README command: the pairs' wall times and whether every run's
+    body was the golden one."""
+    out = {}
+    for c in dict.fromkeys(r["command"] for r in runs):
+        sides = {s: [r for r in runs if r["command"] == c and r["side"] == s]
+                 for s in ("parent", "change")}
+        pairs = min(len(v) for v in sides.values())
+        entry = {"pairs": pairs}
+        if pairs:
+            entry["wall_s"] = compare(
+                [r["wall_s"] for r in sides["parent"][:pairs]],
+                [r["wall_s"] for r in sides["change"][:pairs]],
+                {"better": "lower"})
+        for s, rs in sides.items():
+            entry[f"all_correct_{s}"] = all(r["correct"] for r in rs)
+        out[c] = entry
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--pairs", type=workload_arg, action="append", default=[])
     ap.add_argument("--traced", type=workload_arg, action="append", default=[])
+    ap.add_argument("--cli", type=int, default=0, metavar="REPS",
+                    help="time each README command REPS times per side")
     ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--out", required=True)
     ap.add_argument("--method", default="",
@@ -154,9 +204,18 @@ def main(argv=None) -> int:
                       "runs); end-to-end metrics as the run prints them. "
                       + args.method).strip(),
            "end_to_end_summary": {}, "runs": [], "traced_runs": []}
+    if args.cli:
+        doc.update(cli_method=(
+            "python -m cantorext COMMAND from each checkout with its src/ "
+            "on PYTHONPATH and PYTHONHASHSEED=0, wall time from the launching "
+            "process's perf_counter, start-up included; the side "
+            "that runs first alternates per command from rep to rep"),
+            cli_summary={}, cli_runs=[])
 
     def save():
         doc["end_to_end_summary"] = summarise(doc["runs"], specs)
+        if args.cli:
+            doc["cli_summary"] = summarise_cli(doc["cli_runs"])
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
@@ -178,6 +237,23 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{r['side']} {r['wall_s']:.3f} s" for r in doc["runs"][-2:]),
                 file=sys.stderr)
+    golden = {}
+    if args.cli:
+        with open(os.path.join(dirs["change"], "tests", "golden",
+                               "readme_cli.json")) as fh:
+            golden = json.load(fh)
+    for rep in range(args.cli):
+        for i, (command, digest) in enumerate(golden.items()):
+            order = ("parent", "change") if (rep + i) % 2 == 0 \
+                else ("change", "parent")
+            for pos, side in enumerate(order):
+                wall_s, out = run_cli(dirs[side], command)
+                doc["cli_runs"].append({
+                    "side": side, "command": command, "rep": rep,
+                    "order": pos, "wall_s": round(wall_s, 4),
+                    "correct": out == digest})
+        save()
+        print(f"cli rep {rep + 1} of {args.cli}", file=sys.stderr)
     for workload, seeds in args.traced:
         for seed in seeds:
             for side in ("parent", "change"):

@@ -4,6 +4,9 @@ Subcommands map one-to-one onto library operations; every run resolves its
 configuration (config file overridden by flags), embeds it verbatim in the
 output header, and writes deterministic JSON or CSV.  Exit codes: 0 success,
 2 usage or other library error, 3 precision/depth/horizon error.
+
+The numpy side (``dimension``, ``hausdorff``, ``markov``) is imported inside
+the commands that run it, so the others never load numpy.
 """
 
 from __future__ import annotations
@@ -18,19 +21,12 @@ import sys
 import mpmath as mp
 
 from . import __version__
-from .dimension import EtaProfile, LogPower
 from .errors import (CantorExtError, DepthError, HorizonError,
                      ParameterError, PrecisionError, ValidationError)
 from .extension import ExtensionOperator, dn_experiment
 from .gamma import build_model, classify_ep, family_spec, profile
 from .geometry import build_tree, select_nodes, verify_geometry
-from .hausdorff import (IslandFamily, TreeAtoms, compare_dimension_functions,
-                        content_dp, density_scan_islands, density_scan_tree,
-                        ep_root_test, lambda_level_estimate, q_rule_constant,
-                        q_rule_log)
 from .logreal import ln_double
-from .markov import (markov_bounds, markov_numeric, ratio_table,
-                     tree_atom_bounds)
 
 BUDGET_ERRORS = (DepthError, PrecisionError, HorizonError)
 
@@ -219,11 +215,15 @@ def cmd_dn(cfg: dict) -> None:
 
 
 def _dimension_from(cfg: dict):
+    from .dimension import LogPower
     m = 3 if cfg["m"] is None else cfg["m"]
     return LogPower(cfg["alpha0"], cfg["eps_sign"], m=m)
 
 
 def cmd_hausdorff(cfg: dict) -> None:
+    from .dimension import EtaProfile
+    from .hausdorff import (TreeAtoms, content_dp, ep_root_test,
+                            lambda_level_estimate)
     model = _model_from(cfg)
     tree = build_tree(model, depth=cfg.get("depth"), bits=cfg["bits"])
     h = EtaProfile(model)
@@ -242,6 +242,8 @@ def cmd_hausdorff(cfg: dict) -> None:
 
 
 def cmd_density(cfg: dict) -> None:
+    from .hausdorff import (IslandFamily, density_scan_islands,
+                            density_scan_tree, q_rule_constant, q_rule_log)
     if cfg["k_range"] is None:
         raise ParameterError("density needs --k-range: the levels to scan "
                              "depend on the family")
@@ -269,6 +271,7 @@ def cmd_density(cfg: dict) -> None:
 
 
 def cmd_markov(cfg: dict) -> None:
+    from .markov import markov_bounds, markov_numeric, tree_atom_bounds
     model = _model_from(cfg)
     tree = build_tree(model, depth=cfg["depth"], bits=cfg["bits"])
     atoms = tree_atom_bounds(tree)
@@ -290,6 +293,11 @@ def cmd_markov(cfg: dict) -> None:
 
 def cmd_examples(cfg: dict) -> None:
     """Reproduce the worked examples at desk scale in one run."""
+    from .dimension import EtaProfile, LogPower
+    from .hausdorff import (IslandFamily, compare_dimension_functions,
+                            density_scan_islands, density_scan_tree,
+                            q_rule_constant, q_rule_log)
+    from .markov import ratio_table
     out = {}
     # constant weights: polar, satisfies the uniform condition
     m1 = build_model("example1", k_max=40, B=1.0)

@@ -30,3 +30,34 @@ LOWER = {"better": "lower", "bound": 0.24}
 def test_gain_rule_and_bound(parent, change, spec, gain, within):
     assert bench_pairs.verdicts(parent, change, spec) == {
         "gain_rule_met": gain, "within_bound": within}
+
+
+def test_cli_summary_per_command():
+    # two commands, four reps each; the last change run of `dn` printed a
+    # body other than the golden one
+    walls = {"gamma": ([0.30, 0.32, 0.34, 0.36], [0.18, 0.17, 0.19, 0.20]),
+             "dn": ([0.24, 0.25, 0.26, 0.27], [0.25, 0.24, 0.27, 0.28])}
+    runs = [{"side": side, "command": command, "rep": rep,
+             "wall_s": walls[command][s][rep],
+             "correct": not (command == "dn" and side == "change"
+                             and rep == 3)}
+            for rep in range(4) for command in walls
+            for s, side in enumerate(("parent", "change"))]
+    out = bench_pairs.summarise_cli(runs)
+    assert list(out) == ["gamma", "dn"]
+    assert out["gamma"] == {
+        "pairs": 4,
+        "wall_s": {
+            "parent_median": 0.33, "change_median": 0.185,
+            "change_vs_parent": "-43.9 %",
+            "parent_quartiles": [0.315, 0.345],
+            "change_quartiles": [0.1775, 0.1925],
+            "change_lower_in": "4 of 4",
+            "median_gap_exceeds_parent_iqr": True,
+            "gain_rule_met": True, "within_bound": None},
+        "all_correct_parent": True, "all_correct_change": True}
+    dn = out["dn"]
+    assert dn["wall_s"]["change_median"] == 0.26
+    assert dn["wall_s"]["change_lower_in"] == "1 of 4"
+    assert dn["wall_s"]["gain_rule_met"] is False
+    assert dn["all_correct_parent"] and not dn["all_correct_change"]

@@ -1,19 +1,29 @@
-"""scipy stays off the import path.
+"""What a fresh interpreter loads.
 
 The package does not use scipy, so a fresh interpreter that builds trees
 (power_law and example2 models, whose analytic tails take mpmath's zeta and
 trigamma, among them), evaluates the extension operator, scans densities,
 estimates Markov factors and runs the CLI's ``gamma`` and ``markov`` commands
 never loads it.  Only the tests' oracles import scipy.
+
+numpy and the three modules that import it (``dimension``, ``hausdorff``,
+``markov``) load on first use: ``import cantorext`` and the CLI commands that
+run only the extension operator's side never load them, and every old
+re-export of the package still resolves.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import cantorext
 from cantorext.gamma import POWER_LAW, build_model
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "readme_cli.json"
 
 CHILD = """
 import contextlib, io, sys
@@ -63,3 +73,99 @@ def test_scipy_never_loads():
     # M_2([0, 1]) = 2 n^2 = 8; a grid admits slightly more
     assert 8.0 <= float(value) < 8.01 and stalled == "False"
     assert gamma_sum == repr(build_model(POWER_LAW, a=2).gamma_sum)
+
+
+NUMPY_SIDE = ("numpy", "cantorext.dimension", "cantorext.hausdorff",
+              "cantorext.markov")
+
+LOADED = """
+import contextlib, io, json, shlex, sys
+sys.path.insert(0, "src")
+numpy_side = json.loads(sys.argv[1])
+def loaded():
+    print(json.dumps([m for m in numpy_side if m in sys.modules]))
+import cantorext
+loaded()
+from cantorext import cli
+for command in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(shlex.split(command))
+    if code:
+        sys.exit(f"cantorext {command} exited {code}")
+    loaded()
+"""
+
+
+def test_numpy_loads_only_with_the_commands_that_run_it():
+    commands = list(json.loads(GOLDEN.read_text()))
+    light = [c for c in commands if c.split()[0] in
+             ("gamma", "geometry", "nodes", "extend", "dn")]
+    assert len(light) == 5
+    heavy = [c for name in ("hausdorff", "markov") for c in commands
+             if c.split()[0] == name]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, json.dumps(NUMPY_SIDE),
+         json.dumps(light + heavy)],
+        capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    *before, hausdorff, markov = [json.loads(line)
+                                  for line in proc.stdout.splitlines()]
+    assert before == [[]] * 6
+    # the hausdorff command has no use for the Markov module
+    assert hausdorff == list(NUMPY_SIDE[:3])
+    assert markov == list(NUMPY_SIDE)
+
+
+#: every name the package exported before its numpy side loaded lazily, by
+#: the module that defines it
+EXPORTS = {
+    "logreal": ["LogReal"],
+    "gamma": ["GammaModel", "Profile", "build_model", "classify_ep",
+              "condition_diagnostics", "profile"],
+    "geometry": ["BasicInterval", "CantorTree", "NodeSet", "build_tree",
+                 "eval_P", "select_nodes", "verify_geometry"],
+    "dimension": ["EtaProfile", "LogPower", "h_inverse"],
+    "hausdorff": ["ContentResult", "DensityTable", "FloatAtoms",
+                  "IslandFamily", "TreeAtoms", "compare_dimension_functions",
+                  "content_dp", "density_scan_islands", "density_scan_tree",
+                  "ep_root_test", "lambda_level_estimate"],
+    "bump": ["BumpSpec", "bump_for_interval"],
+    "extension": ["ExtensionOperator", "JetSample", "Schedule",
+                  "divided_differences", "dn_experiment", "polynomial_jet",
+                  "schedule_for", "whitney_norm"],
+    "markov": ["MarkovEstimate", "markov_bounds", "markov_numeric",
+               "ratio_table"],
+}
+
+RESOLVED = """
+import importlib, json, sys
+sys.path.insert(0, "src")
+differ = []
+for module, names in json.loads(sys.argv[1]).items():
+    for name in names:
+        ns = {}
+        exec(f"from cantorext import {name}", ns)
+        defining = importlib.import_module(f"cantorext.{module}")
+        if ns[name] is not getattr(defining, name):
+            differ.append(name)
+print(json.dumps(differ))
+"""
+
+
+def test_every_old_export_resolves_to_its_defining_object():
+    # in a fresh interpreter, so that each name resolves on first use
+    proc = subprocess.run([sys.executable, "-c", RESOLVED,
+                           json.dumps(EXPORTS)],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert json.loads(proc.stdout) == []
+
+
+def test_dir_lists_every_export_and_unknown_names_raise():
+    listed = dir(cantorext)
+    assert [n for names in EXPORTS.values() for n in names
+            if n not in listed] == []
+    assert {"dimension", "hausdorff", "markov"} <= set(listed)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cantorext.no_such_name

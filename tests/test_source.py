@@ -23,8 +23,8 @@ ROOT = SRC.parents[1]
 KEEP = {
     "whitney_norm": "the README's finite-sample Whitney norms",
     "polynomial_jet": "the README's finite-sample Whitney norms",
-    "eval_P": "exported; ROADMAP item 8 keeps it",
-    "h_inverse": "exported; ROADMAP item 8 keeps it",
+    "eval_P": "exported; ROADMAP item 13 decides it",
+    "h_inverse": "exported; ROADMAP item 13 decides it",
     "condition_diagnostics": "the README's finite-horizon condition "
                              "diagnostics",
 }
