@@ -29,8 +29,10 @@ checkout's ``tests/golden/readme_cli.json``) REPS times per side, each run
 ``python -m cantorext`` in a fresh interpreter with the checkout's ``src/``
 on its path, the two sides alternating which runs first.  A run is correct
 when its stdout hashes to the command's golden hash.  Per command the output
-holds each side's median and quartiles of the wall times, with the same
-comparison as the end-to-end metrics.  Standard library only.
+holds each side's median and quartiles of the wall times and of the CPU
+times (user + system of the child, all its threads: the
+``resource.RUSAGE_CHILDREN`` delta around the run), with the same comparison
+as the end-to-end metrics.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import shlex
 import statistics
 import subprocess
@@ -82,14 +85,19 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
 
 def run_cli(checkout: str, command: str) -> tuple:
     """One README command from ``checkout`` in a fresh interpreter: its wall
-    seconds, start-up included, and the sha256 of its stdout."""
+    seconds, start-up included, its CPU seconds (user + system, every thread
+    of the child), and the sha256 of its stdout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                PYTHONHASHSEED="0")
+    r0 = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "cantorext",
                           *shlex.split(command)], cwd=checkout, env=env,
                          capture_output=True, check=True)
-    return time.perf_counter() - t0, hashlib.sha256(out.stdout).hexdigest()
+    wall_s = time.perf_counter() - t0
+    r1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu_s = (r1.ru_utime - r0.ru_utime) + (r1.ru_stime - r0.ru_stime)
+    return wall_s, cpu_s, hashlib.sha256(out.stdout).hexdigest()
 
 
 def quartiles(values: list) -> list:
@@ -161,19 +169,19 @@ def summarise(runs: list, specs: dict) -> dict:
 
 
 def summarise_cli(runs: list) -> dict:
-    """Per README command: the pairs' wall times and whether every run's
-    body was the golden one."""
+    """Per README command: the pairs' wall and CPU times (where the runs
+    record them) and whether every run's body was the golden one."""
     out = {}
     for c in dict.fromkeys(r["command"] for r in runs):
         sides = {s: [r for r in runs if r["command"] == c and r["side"] == s]
                  for s in ("parent", "change")}
         pairs = min(len(v) for v in sides.values())
         entry = {"pairs": pairs}
-        if pairs:
-            entry["wall_s"] = compare(
-                [r["wall_s"] for r in sides["parent"][:pairs]],
-                [r["wall_s"] for r in sides["change"][:pairs]],
-                {"better": "lower"})
+        for m in ("wall_s", "cpu_s") if pairs else ():
+            par, chg = sides["parent"][:pairs], sides["change"][:pairs]
+            if all(m in r for r in par + chg):
+                entry[m] = compare([r[m] for r in par], [r[m] for r in chg],
+                                   {"better": "lower"})
         for s, rs in sides.items():
             entry[f"all_correct_{s}"] = all(r["correct"] for r in rs)
         out[c] = entry
@@ -208,7 +216,8 @@ def main(argv=None) -> int:
         doc.update(cli_method=(
             "python -m cantorext COMMAND from each checkout with its src/ "
             "on PYTHONPATH and PYTHONHASHSEED=0, wall time from the launching "
-            "process's perf_counter, start-up included; the side "
+            "process's perf_counter, start-up included, CPU time the "
+            "RUSAGE_CHILDREN user + system delta around the run; the side "
             "that runs first alternates per command from rep to rep"),
             cli_summary={}, cli_runs=[])
 
@@ -247,11 +256,11 @@ def main(argv=None) -> int:
             order = ("parent", "change") if (rep + i) % 2 == 0 \
                 else ("change", "parent")
             for pos, side in enumerate(order):
-                wall_s, out = run_cli(dirs[side], command)
+                wall_s, cpu_s, out = run_cli(dirs[side], command)
                 doc["cli_runs"].append({
                     "side": side, "command": command, "rep": rep,
                     "order": pos, "wall_s": round(wall_s, 4),
-                    "correct": out == digest})
+                    "cpu_s": round(cpu_s, 4), "correct": out == digest})
         save()
         print(f"cli rep {rep + 1} of {args.cli}", file=sys.stderr)
     for workload, seeds in args.traced:

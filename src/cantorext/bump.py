@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath as mp
 
@@ -82,28 +82,30 @@ class BumpSpec:
         return bisect_right(hi_t, x) < bisect_left(lo_t, x)
 
 
-def merge_atoms(atom_bounds: Sequence[tuple], t, bits: int = 53) -> list:
-    """Merge sorted disjoint atoms whose gaps are <= t/3."""
-    with mp.workprec(bits):
-        margin = t / mp.mpf(3)
-        comps = []
-        for lo, hi in atom_bounds:
-            if comps and lo - comps[-1][1] <= margin:
-                comps[-1] = (comps[-1][0], hi)
-            else:
-                comps.append((lo, hi))
-    return comps
-
-
 def bump_for_interval(tree, j: int, s: int, t) -> BumpSpec:
     """Cutoff around I_{j,s} intersected with the set, at tree resolution.
 
-    The deepest-level atoms inside I_{j,s} are its descendants, a contiguous
-    run of 2^(depth - s) atoms.
+    Its components are the deepest-level atoms inside I_{j,s} joined across
+    every gap <= t/3.  They come from a walk down from I_{j,s}: a subtree
+    whose atoms span at most t/3 (a rounded length, and rounding is
+    monotone) has no larger gap inside and is one plateau; the walk goes
+    below it only otherwise, and each plateau joins the one before it when
+    the atoms' gap between them is <= t/3.
     """
     tree.interval(j, s)  # validates (j, s)
-    span = 2 ** (tree.depth - s)
-    atoms = [(iv.left, iv.right)
-             for iv in tree.levels[tree.depth][(j - 1) * span:j * span]]
-    comps = merge_atoms(atoms, t, bits=tree.bits)
+    atoms = tree.levels[tree.depth]
+    comps = []
+    with mp.workprec(tree.bits):
+        margin = t / mp.mpf(3)
+        todo = [(j, s)]
+        while todo:
+            i, level = todo.pop()
+            span = 2 ** (tree.depth - level)
+            lo, hi = atoms[(i - 1) * span].left, atoms[i * span - 1].right
+            if span > 1 and hi - lo > margin:
+                todo += ((2 * i, level + 1), (2 * i - 1, level + 1))
+            elif comps and lo - comps[-1][1] <= margin:
+                comps[-1] = (comps[-1][0], hi)
+            else:
+                comps.append((lo, hi))
     return BumpSpec(t=t, components=comps, bits=tree.bits)

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import mpmath as mp
@@ -416,6 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # importing numpy starts OpenBLAS's pool, a spinning thread per further
+    # CPU, and no command calls BLAS: one thread, unless the caller set it
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv:

@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (MPZ_ONE, fzero, mpf_add, mpf_div, mpf_mul,
-                          mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_sub,
+                          round_nearest)
 
 from . import forking
 from .bump import BumpSpec, bump_for_interval
@@ -129,17 +129,65 @@ def _raw(v):
     return v._mpf_ if isinstance(v, mp.mpf) else mp.mpf(v)._mpf_
 
 
-def _quotient(d, dz, p: int):
-    """mpf_div(d, dz, p, round_nearest), bit for bit, for raw mpf d and dz.
+def _rounded(sign, man, exp, prec: int):
+    """The raw mpf of (-1)^sign man 2^exp, man > 0, rounded once to prec
+    bits, to nearest with ties to even, odd mantissa: mpmath's normalize."""
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        exp += z
+    return sign, man, exp, man.bit_length()
 
-    Equal mantissas give +-2^(exp_d - exp_dz) without a division: the
-    order-1 entries of W(x), where d == dz, are the only exact quotients
-    the operator's tables meet.  Everything else goes to mpf_div."""
+
+def _sub(a, b, prec: int):
+    """mpf_sub(a, b, prec, round_nearest), bit for bit: for finite nonzero
+    raw mpf a and b the exact difference of the aligned mantissas, rounded
+    once.  Zero, inf and nan operands and mpf_add's far-offset shortcut go
+    to mpf_sub: where the exponents differ by more than 100 and the leading
+    bits by more than prec + 4, mpf_add replaces the smaller operand by a
+    one-unit nudge prec + 4 bits below the larger one's last bit."""
+    asign, aman, aexp, abc = a
+    bsign, bman, bexp, bbc = b
+    off = aexp - bexp
+    if not (aman and bman) or off > 100 and abc + off - bbc > prec + 4 \
+            or off < -100 and bbc - off - abc > prec + 4:
+        return mpf_sub(a, b, prec, round_nearest)
+    if off > 0:
+        aman <<= off
+        aexp = bexp
+    elif off:
+        bman <<= -off
+    man = aman + bman if asign != bsign else aman - bman
+    if man < 0:
+        man, asign = -man, asign ^ 1
+    return _rounded(asign, man, aexp, prec) if man else fzero
+
+
+def _div(d, dz, p: int):
+    """mpf_div(d, dz, p, round_nearest), bit for bit: for finite nonzero raw
+    mpf d and dz the mantissas' quotient to at least p + 4 bits and below
+    it a sticky bit, set by a remainder, rounded once.  Equal mantissas give
+    +-2^(exp_d - exp_dz) without a division: the order-1 entries of W(x),
+    where d == dz, are the only exact quotients the operator's tables meet.
+    Zero, inf and nan operands go to mpf_div."""
     sign, man, exp, bc = d
-    dsign, dman, dexp, dbc = dz
-    if man and man == dman:
-        return sign ^ dsign, MPZ_ONE, exp - dexp, 1
-    return mpf_div(d, dz, p, round_nearest)
+    zsign, zman, zexp, zbc = dz
+    if not (man and zman):
+        return mpf_div(d, dz, p, round_nearest)
+    if man == zman:
+        return sign ^ zsign, 1, exp - zexp, 1
+    extra = max(p - bc + zbc + 5, 5)
+    q, r = divmod(man << extra, zman)
+    return _rounded(sign ^ zsign, (q << 1) | bool(r), exp - zexp - extra - 1,
+                    p)
 
 
 class NewtonTable:
@@ -154,6 +202,15 @@ class NewtonTable:
     for k = 1..n, each with the operations and at the precisions that
     ``divided_differences`` describes, so a grown table equals the table
     built at once on all its nodes, bit for bit.
+
+    The subtractions, roundings and divisions run on ``_sub``, ``_rounded``
+    and ``_div``, an integer kernel that returns mpmath's bits: mpmath
+    rounds these operations correctly, and a correctly rounded result is
+    unique (Brent and Zimmermann, Modern Computer Arithmetic, 2010, 3.1),
+    so only the cost changes: no bitcount by logarithm, no generic
+    normalisation.  The one exception, mpf_add's far-offset shortcut (not
+    correctly rounded for an operand longer than the precision), and every
+    zero, inf or nan operand stay with mpmath.
     """
 
     __slots__ = ("prec", "points", "coeffs", "errs", "_z", "_diag", "_err")
@@ -169,40 +226,43 @@ class NewtonTable:
         raises and is not added."""
         if len(points) != len(values):
             raise ParameterError("points and values must pair up")
-        prec, rnd = self.prec, round_nearest
-        held = len(self.points)
+        prec, held = self.prec, len(self.points)
         if len(points) < held or any(
                 a != b for a, b in zip(points, self.points)):
             raise ParameterError(
                 "points must begin with the table's nodes")
+        z = self._z
         for zn, vn in zip(points[held:], values[held:]):
-            z_n, n = _raw(zn), len(self._z)
+            z_n, n = _raw(zn), len(z)
+            old, e_old = self._diag, self._err
             # diag[k] = [z_{n-k}..z_n]f, from diag[k-1] = [z_{n-k+1}..z_n]f
             # and the old diagonal's [z_{n-k}..z_{n-1}]f
             t = _raw(vn)
             e = _mag(t) - prec
             diag, err = [t], [e]
             for k in range(1, n + 1):
-                i = n - k
-                dz = mpf_sub(z_n, self._z[i], prec, rnd)
+                dz = _sub(z_n, z[n - k], prec)
                 if dz == fzero:
                     raise NodeCollisionError(
-                        f"nodes {i} and {n} coincide at working precision")
-                d = mpf_sub(t, self._diag[k - 1], prec, rnd)
-                m = _mag(d)
-                e_d = max(e, self._err[k - 1], m - prec)
+                        f"nodes {n - k} and {n} coincide at working precision")
+                d = _sub(t, old[k - 1], prec)
                 if d[1]:
+                    m = d[2] + d[3]
+                    e_d = max(e, e_old[k - 1], m - prec)
                     p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
-                    t = _quotient(d, mpf_pos(dz, p, rnd), p)
-                    mq = _mag(t)
+                    if dz[3] > p:
+                        dz = _rounded(dz[0], dz[1], dz[2], p)
+                    t = _div(d, dz, p)
+                    mq = t[2] + t[3]
                     e = max(mq - (m - e_d), mq - p)
                 else:
                     # zero, inf or nan: nothing to shorten
-                    t = mpf_div(d, dz, prec, rnd)
+                    e_d = max(e, e_old[k - 1], _mag(d) - prec)
+                    t = _div(d, dz, prec)
                     e = e_d - _mag(dz) + 1
                 diag.append(t)
                 err.append(e)
-            self._z.append(z_n)
+            z.append(z_n)
             self._diag, self._err = diag, err
             self.points.append(zn)
             self.coeffs.append(mp.make_mpf(t))

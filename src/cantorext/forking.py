@@ -22,7 +22,13 @@ from typing import Callable
 def usable() -> bool:
     """Whether a second process can run beside this one: fork exists, 2 CPUs
     are usable, and this process runs one thread (a fork copies no other
-    thread, nor releases the locks they hold)."""
+    thread, nor releases the locks they hold).
+
+    Only Python's threads are counted.  A thread started in C is not: after
+    ``import numpy`` the process has a second task, OpenBLAS's pool (one
+    thread per further CPU), while ``threading.active_count()`` stays 1.
+    The CLI sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1,
+    unless they are set, so that no such pool starts."""
     if not hasattr(os, "fork"):
         return False
     if hasattr(os, "sched_getaffinity"):

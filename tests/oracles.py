@@ -5,9 +5,11 @@ the construction relies on, by a second route: sign bisection for the
 algebraic endpoint chain, a float Taylor series of the cutoff u beside the
 mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
 log-power dimension functions, a level-polynomial lower bound for the
-Markov factor of a grid, the whole Newton table built order by order, which
-the grown tables replaced, and the Markov estimator's Chebyshev-basis LPs on
-HiGHS, which the exchange replaced.  Tests import them by name
+Markov factor of a grid, the whole Newton table built order by order on
+mpmath's operations, which the grown tables and their integer kernel
+replaced, the cutoff's components merged atom by atom, which the tree walk
+replaced, and the Markov estimator's Chebyshev-basis LPs on HiGHS, which the
+exchange replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
@@ -118,6 +120,20 @@ def order_major_divided_differences(points: Sequence, values: Sequence) -> tuple
 # ---------------------------------------------------------------------------
 # cutoffs: float Taylor series of u and its shoulder constants
 # ---------------------------------------------------------------------------
+
+def merge_atoms(atom_bounds: Sequence[tuple], t, bits: int = 53) -> list:
+    """Merge sorted disjoint atoms whose gaps are <= t/3, atom by atom: the
+    reference for the components of ``bump_for_interval``'s tree walk."""
+    with mp.workprec(bits):
+        margin = t / mp.mpf(3)
+        comps = []
+        for lo, hi in atom_bounds:
+            if comps and lo - comps[-1][1] <= margin:
+                comps[-1] = (comps[-1][0], hi)
+            else:
+                comps.append((lo, hi))
+    return comps
+
 
 def step_series(y: float, order: int = P_MAX) -> tuple:
     """Taylor coefficients (f, f', f''/2!, f'''/3!) of the step at y (floats).

@@ -61,3 +61,24 @@ def test_cli_summary_per_command():
     assert dn["wall_s"]["change_lower_in"] == "1 of 4"
     assert dn["wall_s"]["gain_rule_met"] is False
     assert dn["all_correct_parent"] and not dn["all_correct_change"]
+
+
+def test_cli_summary_compares_cpu_time_beside_wall_time():
+    # a command whose wall time holds while its child's CPU time falls,
+    # as when a spinning thread pool no longer starts
+    walls = ([0.25, 0.26, 0.24], [0.25, 0.25, 0.25])
+    cpus = ([0.36, 0.35, 0.37], [0.25, 0.24, 0.26])
+    runs = [{"side": side, "command": "hausdorff", "rep": rep,
+             "wall_s": walls[s][rep], "cpu_s": cpus[s][rep], "correct": True}
+            for rep in range(3) for s, side in enumerate(("parent", "change"))]
+    out = bench_pairs.summarise_cli(runs)["hausdorff"]
+    assert out["cpu_s"] == {
+        "parent_median": 0.36, "change_median": 0.25,
+        "change_vs_parent": "-30.6 %",
+        "parent_quartiles": [0.355, 0.365],
+        "change_quartiles": [0.245, 0.255],
+        "change_lower_in": "3 of 3",
+        "median_gap_exceeds_parent_iqr": True,
+        "gain_rule_met": True, "within_bound": None}
+    assert out["wall_s"]["change_lower_in"] == "1 of 3"
+    assert out["wall_s"]["gain_rule_met"] is False

@@ -9,10 +9,13 @@ never loads it.  Only the tests' oracles import scipy.
 numpy and the three modules that import it (``dimension``, ``hausdorff``,
 ``markov``) load on first use: ``import cantorext`` and the CLI commands that
 run only the extension operator's side never load them, and every old
-re-export of the package still resolves.
+re-export of the package still resolves.  When they do load, the CLI keeps
+OpenBLAS's thread pool from starting.
 """
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +117,36 @@ def test_numpy_loads_only_with_the_commands_that_run_it():
     # the hausdorff command has no use for the Markov module
     assert hausdorff == list(NUMPY_SIDE[:3])
     assert markov == list(NUMPY_SIDE)
+
+
+POOL = """
+import contextlib, io, json, os, shlex, sys
+sys.path.insert(0, "src")
+from cantorext import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(shlex.split(sys.argv[1]))
+print(json.dumps([code, len(os.listdir("/proc/self/task")), out.getvalue()]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the process's tasks in /proc")
+def test_the_cli_starts_no_blas_thread():
+    # threading.active_count() cannot see OpenBLAS's pool (forking.usable);
+    # /proc can.  With neither variable set, the command that loads numpy
+    # still runs in one task and prints its golden body
+    command = "hausdorff --family example1 --B 1 --depth 6"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", POOL, command],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=ROOT, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    code, tasks, body = json.loads(proc.stdout)
+    assert (code, tasks) == (0, 1)
+    golden = json.loads(GOLDEN.read_text())[command]
+    assert hashlib.sha256(body.encode()).hexdigest() == golden
 
 
 #: every name the package exported before its numpy side loaded lazily, by

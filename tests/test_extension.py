@@ -12,23 +12,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_div,
-                          round_nearest)
-from oracles import (c_p_table, check_cutoff_product_bound,
+                          mpf_pos, mpf_sub, round_nearest)
+from oracles import (c_p_table, check_cutoff_product_bound, merge_atoms,
                      order_major_divided_differences, series, step_series)
 import test_acceptance
 from test_acceptance import ex1_tree_deep
 
 from cantorext import cli, extension
-from cantorext.bump import (BumpSpec, bump_for_interval, merge_atoms,
-                            step_value_mpf)
+from cantorext.bump import BumpSpec, bump_for_interval, step_value_mpf
 from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
                               ParameterError)
 from cantorext.extension import (
-    ExtensionOperator, NewtonTable, _quotient, check_chain_product_bound,
-    check_distance_product_bound, divided_differences, dn_experiment,
-    grow_omega, polynomial_jet, schedule_for, whitney_norm,
+    ExtensionOperator, NewtonTable, _div, _rounded, _sub,
+    check_chain_product_bound, check_distance_product_bound,
+    divided_differences, dn_experiment, grow_omega, polynomial_jet,
+    schedule_for, whitney_norm,
 )
-from cantorext.gamma import EXAMPLE1, EXAMPLE2, POWER_LAW, build_model, profile
+from cantorext.gamma import (DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW,
+                             build_model, profile)
 from cantorext.geometry import build_tree, select_nodes
 from cantorext.logreal import LN2_FRACTION
 
@@ -57,6 +58,12 @@ def probe_points_512(tree_ex1_512):
                     for iv in tree.levels[7][9::40] for k in (3, 4, 5, 6)
                     for c in (mp.mpf("0.4"), mp.mpf("0.8"))]
     return on_set + off_set + shoulder
+
+
+@pytest.fixture(scope="module")
+def tree_delta():
+    return build_tree(build_model(DELTA_FORM, k_max=12, b=2.0), depth=7,
+                      bits=512)
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +395,22 @@ class TestGrownTables:
                 st.integers(1, len(points)), max_size=4))) | {len(points)})
             _grown(points, values, cuts)
 
+    @settings(max_examples=10, deadline=None)
+    @given(prec=st.integers(2048, 8192), name=st.sampled_from(sorted(_DD_FUNCS)),
+           data=st.data())
+    def test_nodes_next_to_a_tiny_one(self, prec, name, data):
+        # extend_jets' inner depth-9 endpoint lies near 2^-1477: beside
+        # nodes of order one, its differences align mantissas more than
+        # 1000 bits apart, yet short of mpf_add's far-offset shortcut
+        with mp.workprec(prec):
+            tiny = mp.mpf(2) ** -1477 * (1 + mp.sqrt(3) / 7)
+            points = [tiny * (1 + mp.mpf(k) / 5) for k in range(4)] \
+                + [mp.mpf(v) + mp.sqrt(2) / 2 ** 60
+                   for v in (0.125, 0.25, 0.5, 0.75, 1)]
+            points = data.draw(st.permutations(points))
+            values = [_DD_FUNCS[name](z) for z in points]
+            _grown(points, values, (3, 6, len(points)))
+
     def test_collision_leaves_the_table_as_it_was(self):
         with mp.workprec(256):
             points = [mp.mpf(1), mp.mpf(2) ** -40, mp.mpf(3), mp.mpf(1)]
@@ -421,18 +444,35 @@ def _raw_mpf(data, sign, man):
     return from_man_exp((-1) ** sign * man, data.draw(st.integers(-3000, 3000)))
 
 
+_SPECIAL = [fzero, finf, fninf, fnan]
+
+
+def _mantissa(data, bits):
+    """A positive integer of exactly ``bits`` bits, odd or even."""
+    return data.draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=st.sampled_from(["equal", "multiple", "power of two", "inexact",
-                             "special"]),
+                             "past a tie", "special"]),
        bits=st.integers(1, 700), p=st.integers(2, 900), data=st.data())
-def test_quotient_is_mpf_div(case, bits, p, data):
+def test_kernel_division_is_mpf_div(case, bits, p, data):
     # equal mantissas of either sign, exact multiples, power-of-two
     # divisors and inexact quotients, at precisions below and above the
-    # operands' lengths
+    # operands' lengths; quotients just past a tie, which only the sticky
+    # bit of a remainder rounds away from it; zero, inf and nan go to
+    # mpf_div itself
     sign_d, sign_z = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     man = data.draw(st.integers(3, 2 ** bits + 3)) | 1
     dz = _raw_mpf(data, sign_z, man)
-    if case == "equal":
+    if case == "past a tie":
+        # d / dz = (2 M + 1) 2^k + 1 / (man | 33), M of p bits: the
+        # quotient's first p + 5 bits end in a tie, the remainder is not 0
+        dz = _raw_mpf(data, sign_z, man | 33)
+        tie = 2 * _mantissa(data, p) + 1
+        d = _raw_mpf(data, sign_d, (tie * (man | 33) << data.draw(
+            st.integers(0, 50))) + 1)
+    elif case == "equal":
         d = _raw_mpf(data, sign_d, man)
     elif case == "multiple":
         d = _raw_mpf(data, sign_d, man * data.draw(st.integers(1, 2 ** bits)))
@@ -442,8 +482,92 @@ def test_quotient_is_mpf_div(case, bits, p, data):
     elif case == "inexact":
         d = _raw_mpf(data, sign_d, data.draw(st.integers(1, 2 ** bits)))
     else:
-        d = data.draw(st.sampled_from([fzero, finf, fninf, fnan]))
-    assert _quotient(d, dz, p) == mpf_div(d, dz, p, round_nearest)
+        d = data.draw(st.sampled_from(_SPECIAL))
+    assert _div(d, dz, p) == mpf_div(d, dz, p, round_nearest)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(["any", "offset", "far", "cancel", "tie", "one",
+                             "special"]),
+       prec=st.integers(2, 10_000), data=st.data())
+def test_kernel_subtraction_is_mpf_sub(case, prec, data):
+    # mantissas shorter and longer than prec; exponent offsets either side
+    # of 100 with the operands' leading bits either side of prec + 4 apart
+    # (mpf_add's far-offset shortcut, which is not correctly rounded where
+    # the longer operand has more than prec bits); a difference of exactly
+    # zero; a difference half an ulp above a prec-bit number (a tie);
+    # mantissa-1 operands; zero, inf and nan
+    sa, sb = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    ea = data.draw(st.integers(-20_000, 20_000))
+    abits = data.draw(st.integers(1, prec + 64))
+    bbits = data.draw(st.integers(1, prec + 64))
+    a = from_man_exp((-1) ** sa * _mantissa(data, abits), ea)
+    if case == "any":
+        off = data.draw(st.integers(-prec - 200, prec + 200))
+        b = from_man_exp((-1) ** sb * _mantissa(data, bbits), ea - off)
+    elif case == "offset":
+        # off = exp_a - exp_b; odd mantissas keep it through normalisation.
+        # The operand with the higher leading bit has ``big`` bits, so the
+        # leading bits lie ``lead`` apart
+        off = data.draw(st.sampled_from([99, 100, 101, 102]))
+        off = off if data.draw(st.booleans()) else -off
+        lead = prec + 4 + data.draw(st.integers(-2, 2))
+        small = data.draw(st.integers(1, prec + 64))
+        big = lead - abs(off) + small
+        assume(big >= 1)
+        abits, bbits = (big, small) if off > 0 else (small, big)
+        a = from_man_exp((-1) ** sa * (_mantissa(data, abits) | 1), ea)
+        b = from_man_exp((-1) ** sb * (_mantissa(data, bbits) | 1), ea - off)
+    elif case == "far":
+        # past mpf_add's shortcut, with a longer than prec and its bits
+        # below prec one unit short of a tie: b moves the exact difference
+        # past the tie, the shortcut's one-unit perturbation does not
+        g = data.draw(st.integers(10, 40))
+        off = data.draw(st.integers(101, 300))
+        a = from_man_exp((-1) ** sa * (((2 * _mantissa(data, prec) + 1) << g)
+                                       - 1), ea)
+        b = from_man_exp((-1) ** (1 - sa) * (_mantissa(data, off + 2) | 1),
+                         ea - off)
+        if data.draw(st.booleans()):
+            a, b = (1 - b[0],) + b[1:], (1 - a[0],) + a[1:]
+    elif case == "cancel":
+        b = a
+    elif case == "tie":
+        # a - b = (2 M + 1) 2^e with M of exactly prec bits
+        m = 2 * _mantissa(data, prec) + 1
+        bman = _mantissa(data, bbits)
+        e = data.draw(st.integers(-20_000, 20_000))
+        b = from_man_exp((-1) ** sb * bman, e)
+        a = from_man_exp((-1) ** sb * (bman + m), e)
+    elif case == "one":
+        a = (sa, 1, ea, 1)
+        b = data.draw(st.sampled_from([
+            (sb, 1, ea - data.draw(st.integers(-300, 300)), 1),
+            from_man_exp((-1) ** sb * _mantissa(data, bbits),
+                         ea - data.draw(st.integers(-prec - 200, prec + 200)))]))
+        if data.draw(st.booleans()):
+            a, b = b, a
+    else:
+        b = data.draw(st.sampled_from(_SPECIAL))
+        a = data.draw(st.sampled_from([a, *_SPECIAL]))
+        if data.draw(st.booleans()):
+            a, b = b, a
+    assert _sub(a, b, prec) == mpf_sub(a, b, prec, round_nearest)
+
+
+@settings(max_examples=400, deadline=None)
+@given(prec=st.integers(2, 10_000), tie=st.booleans(), data=st.data())
+def test_kernel_rounding_is_mpf_pos(prec, tie, data):
+    # odd and even mantissas, shorter and longer than prec; ties: the bits
+    # below prec are exactly one half of its last place
+    sign = data.draw(st.integers(0, 1))
+    if tie:
+        man = (2 * _mantissa(data, prec) + 1) << data.draw(st.integers(0, 70))
+    else:
+        man = _mantissa(data, data.draw(st.integers(1, prec + 80)))
+    exp = data.draw(st.integers(-20_000, 20_000))
+    x = from_man_exp((-1) ** sign * man, exp)
+    assert _rounded(sign, man, exp, prec) == mpf_pos(x, prec, round_nearest)
 
 
 class TestBump:
@@ -575,6 +699,34 @@ class TestBump:
                     assert spec.support_hit(x) == hit, (spec.t, x)
                     overlaps += live >= 2
         assert overlaps > 0  # the shoulder-overlap case was exercised
+
+    @pytest.mark.parametrize("tree_name", ["tree_ex1_512", "tree_delta"])
+    def test_tree_walk_is_the_atom_merge(self, tree_name, request):
+        # every (j, s), at widths from one plateau over the whole set down
+        # to none, and at three times the atom gaps (a gap next to t/3):
+        # the same components as merging the descendant atoms one by one,
+        # the same endpoint objects included
+        tree = request.getfixturevalue(tree_name)
+        atoms = tree.levels[tree.depth]
+        with mp.workprec(tree.bits):
+            gaps = sorted(b.left - a.right for a, b in zip(atoms, atoms[1:]))
+            widths = [tree.delta_mpf(k) for k in range(tree.depth + 2)] \
+                + [3 * g for g in gaps[::len(gaps) // 8]]
+        plateaus = set()
+        for s in range(tree.depth + 1):
+            span = 2 ** (tree.depth - s)
+            for j in range(1, 2 ** s + 1):
+                bounds = [(iv.left, iv.right)
+                          for iv in atoms[(j - 1) * span:j * span]]
+                for t in widths:
+                    got = bump_for_interval(tree, j, s, t).components
+                    want = merge_atoms(bounds, t, bits=tree.bits)
+                    assert len(got) == len(want), (j, s, t)
+                    assert all(g[0] is w[0] and g[1] is w[1]
+                               for g, w in zip(got, want)), (j, s, t)
+                    plateaus.add(len(got))
+        assert 1 in plateaus and 2 ** tree.depth in plateaus
+        assert len(plateaus) > tree.depth
 
     def test_gap_interior_zero(self, tree_ex1):
         # the cutoff of width delta_{s+1} dies inside the central gap
