@@ -6,19 +6,17 @@ __version__ = "0.1.0"
 from .logreal import LogReal
 from .gamma import (GammaModel, Profile, build_model, classify_ep,
                     condition_diagnostics, profile)
-from .geometry import (BasicInterval, CantorTree, NodeSet, build_tree, eval_P,
+from .geometry import (BasicInterval, CantorTree, NodeSet, build_tree,
                        select_nodes, verify_geometry)
 from .bump import BumpSpec, bump_for_interval
-from .extension import (ExtensionOperator, JetSample, Schedule,
-                        divided_differences, dn_experiment, polynomial_jet,
-                        schedule_for, whitney_norm)
+from .extension import (ExtensionOperator, Schedule, divided_differences,
+                        dn_experiment, schedule_for)
 
 #: the numpy side's submodules and re-exports, each by the submodule that
 #: defines it: they load on first use, so the extension operator alone never
 #: imports numpy
 _LAZY = {
-    **dict.fromkeys(("dimension", "EtaProfile", "LogPower", "h_inverse"),
-                    "dimension"),
+    **dict.fromkeys(("dimension", "EtaProfile", "LogPower"), "dimension"),
     **dict.fromkeys(("hausdorff", "ContentResult", "DensityTable",
                      "FloatAtoms", "IslandFamily", "TreeAtoms",
                      "compare_dimension_functions", "content_dp",

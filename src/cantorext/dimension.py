@@ -255,10 +255,3 @@ class LogPower:
             return math.inf
         return 2.0 ** (1.0 / self.alpha0)
 
-
-def h_inverse(h, tau: float) -> float:
-    """Functional inverse of h (bisection at 1e-14 relative for log-power)."""
-    if isinstance(h, EtaProfile):
-        L = h.inverse_ln(-math.log(tau))
-        return math.exp(-L) if L < 745.0 else 0.0
-    return h.inverse(tau)

@@ -37,10 +37,6 @@ class NodeCollisionError(CantorExtError):
     """Two interpolation nodes coincide at working precision."""
 
 
-class InsufficientOrderError(CantorExtError):
-    """A jet sample does not carry derivatives up to the requested order."""
-
-
 class DegreeError(CantorExtError):
     """Polynomial degree outside the supported range of the numeric estimator."""
 

@@ -14,15 +14,15 @@ smooth cutoffs localize every term: for any x and s at most one A term and
 one T term are alive, and on the set itself the series telescopes to
 L_{M_s}(f, x, I_{j,s}) for the basic intervals containing x.
 
-The module also carries the machinery for the dominating-norm experiment:
-finite-sample Whitney norms, the certified three-factor bound on the norm
-ratio of the localized node polynomials, and brute-force checkers for the
-distance-product and chain-product inequalities that drive the boundedness
-argument.
+The module also carries the dominating-norm experiment, the certified
+three-factor bound on the norm ratio of the localized node polynomials, and
+brute-force checkers for the distance-product and chain-product inequalities
+that drive the boundedness argument.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import weakref
@@ -37,9 +37,10 @@ from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_sub,
 
 from . import forking
 from .bump import BumpSpec, bump_for_interval
-from .errors import (DepthError, HorizonError, InsufficientOrderError,
-                     InvariantError, NodeCollisionError, ParameterError)
-from .gamma import GammaModel, Profile, profile as make_profile
+from .errors import (DepthError, HorizonError, InvariantError,
+                     NodeCollisionError, ParameterError)
+from .gamma import (GammaModel, Profile, condition_diagnostics,
+                    profile as make_profile)
 from .geometry import CantorTree, select_nodes
 from .logreal import LN2_FRACTION, LogReal, ln_double
 
@@ -98,13 +99,13 @@ _DD_SLACK = 12     # bits a returned error exponent adds to the running one
 _P_GUARD = 64      # bits a bounded W(f, x) runs beyond -log2 of its bound
 _RETRY_BITS = 32   # rerun at tree precision when R > 2^-32 T
 #: The precision from which an evaluation may grow its new tables in two
-#: processes (``ExtensionOperator._fill``): every 2048-bit ``extend_jets``
+#: processes (``ExtensionOperator._grow``): every 2048-bit ``extend_jets``
 #: call and every CLI-sized call stays in process whatever f costs.
 _FORK_MIN_BITS = 4096
 #: Seconds of f (its CPU time at one new node times the number of new
-#: nodes) from which ``_fill`` forks.  Single calls on the depth-10, 8192-bit
-#: EXAMPLE1 tree from a 52 MB process on 2 CPUs, every gate open, best of 3,
-#: serial -> forked, with f's estimate in brackets:
+#: nodes) from which ``_grown_in_two`` forks.  Single calls on the
+#: depth-10, 8192-bit EXAMPLE1 tree from a 52 MB process on 2 CPUs, every
+#: gate open, best of 3, serial -> forked, with f's estimate in brackets:
 #:   W(1), W(x) at S = 5 (0.5-0.9 ms):          6-45 -> 16-43 ms, to +181 %
 #:   W(x^2) at S = 5 (3.6-5.1 ms):              33-39 -> 32-41 ms
 #:   bounded W(sin) at S = 5, 1886 bits (11-17 ms):    30 -> 38-40 ms
@@ -535,15 +536,41 @@ def _values_in_two(f: Callable, nodes: list) -> Optional[list]:
         return None
 
 
-def _grown_in_two(tables: _Tables, grow: dict) -> Optional[dict]:
-    """Copies of the tables ``grow`` names ((j, s) -> nodes), each grown to
-    its nodes over the cached values; None on the failures
-    ``_values_in_two`` names.  The tables go, largest first, into two bins
-    by new entries (n^2 - held^2).  A forked child grows the bin without
-    the largest table and sends back each table's raw tail; this process
-    grows the other and takes the child's tails with its own node objects.
+def _grown_in_two(f: Callable, tables: _Tables, grow: dict) -> bool:
+    """Whether the tables ``grow`` names ((j, s) -> nodes) grew to their
+    nodes in two processes.  f runs first at the last new node, the probe
+    (the first is often an endpoint 0 or 1, where f can cost nothing), and
+    its value is cached.  If f's CPU time there times the number of new
+    nodes reaches ``_FORK_MIN_F_S``, ``_values_in_two`` evaluates f at the
+    other new nodes, and the tables go, largest first, into two bins by new
+    entries (n^2 - held^2).  A forked child grows the bin without the
+    largest table and sends back each table's raw tail; this process grows
+    the other and takes the child's tails with its own node objects.  Each
+    side runs the serial arithmetic at the same precision, so every value
+    and table is the serial one, bit for bit.
+
+    False leaves every table unchanged, below the threshold or if either
+    side raised, the child left without a result or the system refused the
+    fork.  Values other than the probe's are cached only once both halves
+    arrived.
     """
     interps, cache = tables.interps, tables.values
+    new = list(dict.fromkeys(z for pts in grow.values() for z in pts
+                             if z not in cache))
+    if not new:
+        return False
+    *rest, last = new
+    t0 = time.process_time()
+    try:
+        cache[last] = f(last)
+    except Exception:
+        return False
+    if (time.process_time() - t0) * len(new) < _FORK_MIN_F_S:
+        return False
+    values = _values_in_two(f, rest)
+    if values is None:
+        return False
+    cache.update(zip(rest, values))
 
     def held(key) -> int:
         return len(interps[key].points) if key in interps else 0
@@ -569,14 +596,15 @@ def _grown_in_two(tables: _Tables, grow: dict) -> Optional[dict]:
         with forking.child(lambda: [grown(key)._tail(held(key))
                                     for key in theirs]) as result:
             if result is None:
-                return None
+                return False
             out = {key: grown(key) for key in mine}
             for key, tail in zip(theirs, result(), strict=True):
                 out[key] = base(key)
                 out[key]._append(grow[key], tail)
-            return out
     except Exception:
-        return None
+        return False
+    interps.update((key, out[key]) for key in grow)
+    return True
 
 
 class ExtensionOperator:
@@ -627,26 +655,6 @@ class ExtensionOperator:
         if tables is None:
             tables = per_p[p] = _Tables(p)
         return tables
-
-    def _interpolant(self, f: Callable, tables: _Tables, j: int, s: int,
-                     n_nodes: int) -> NewtonTable:
-        """f's Newton table on the first ``n_nodes`` increasing-type nodes
-        of I_{j,s} (or more), grown in place; f is called at the tables'
-        precision on the exact nodes it has not seen."""
-        itp = tables.interps.get((j, s))
-        if itp is None:
-            itp = tables.interps[(j, s)] = NewtonTable(tables.bits)
-        if len(itp.points) < n_nodes:
-            points = self._points(j, s, n_nodes)
-            values, cache = [], tables.values
-            with mp.workprec(tables.bits):
-                for z in points:
-                    v = cache.get(z)
-                    if v is None:
-                        v = cache[z] = f(z)
-                    values.append(v)
-                divided_differences(points, values, itp)
-        return itp
 
     def _points(self, j: int, s: int, n: int) -> list:
         """The first n increasing-type nodes of I_{j,s}.  Node sets are
@@ -789,64 +797,49 @@ class ExtensionOperator:
                 yield k, s + 1, sched.M(s + 1) + 1
                 yield (k + 1) // 2, s, sched.N(s) + 1
 
-    def _fill(self, f: Callable, tables: _Tables, pt: _PointState,
+    def _grow(self, f: Callable, tables: _Tables, pt: _PointState,
               s_cap: int) -> None:
-        """Grow the tables of ``_plan`` in two processes, when the call is
-        big enough that the second CPU pays for two forks: p is at least
-        ``_FORK_MIN_BITS``, ``forking.usable()`` holds, at least two tables
-        grow, and f's CPU time at the last new node times the number of new
-        nodes reaches ``_FORK_MIN_F_S``.  That node is the probe, not the
-        first: the first is often an endpoint 0 or 1, where f can cost
-        nothing.  Its value is cached, as ``_at`` would cache it.
+        """Grow f's tables to the node counts ``_plan`` lists: each table
+        once, to the most nodes the plan asks of it, in the order the plan
+        first names them.
 
-        Then ``_values_in_two`` evaluates f at the other new nodes and
-        ``_grown_in_two`` grows the tables.  Each side runs the serial
-        arithmetic at the same precision, so every value and table is the
-        serial one, bit for bit.  If either step fails (either side raised,
-        the child left without a result or the system refused the fork),
-        this returns with no table changed, and ``_at`` grows the tables
-        itself, raising the serial error; new values are cached only after
-        both halves arrived.
+        A call big enough that the second CPU pays for two forks grows them
+        in two processes (``_grown_in_two``): p is at least
+        ``_FORK_MIN_BITS``, ``forking.usable()`` holds and at least two
+        tables grow.  Otherwise, or if that step declines or fails, they
+        grow here, f called at the tables' precision on the exact nodes it
+        has not seen, which raises the serial error.
         """
-        if tables.bits < _FORK_MIN_BITS or not forking.usable():
-            return
         cache, interps = tables.values, tables.interps
-        grow, new = {}, {}   # (j, s) -> nodes; the new nodes, in call order
+        grow = {}   # (j, s) -> the nodes its table grows to
         for j, s, n in self._plan(pt, s_cap):
             itp = interps.get((j, s))
             if len(grow.get((j, s), itp.points if itp else ())) < n:
-                pts = grow[(j, s)] = self._points(j, s, n)
-                new.update((z, None) for z in pts if z not in cache)
-        if len(grow) < 2 or not new:
-            return
-        *rest, last = new
+                grow[(j, s)] = self._points(j, s, n)
         with mp.workprec(tables.bits):
-            t0 = time.process_time()
-            try:
-                cache[last] = f(last)
-            except Exception:
+            if (tables.bits >= _FORK_MIN_BITS and len(grow) >= 2
+                    and forking.usable() and _grown_in_two(f, tables, grow)):
                 return
-            if (time.process_time() - t0) * len(new) < _FORK_MIN_F_S:
-                return
-            values = _values_in_two(f, rest)
-            if values is None:
-                return
-            cache.update(zip(rest, values))
-            grown = _grown_in_two(tables, grow)
-        if grown is not None:
-            for key in grow:
-                interps[key] = grown[key]
+            for key, points in grow.items():
+                values = []
+                for z in points:
+                    v = cache.get(z)
+                    if v is None:
+                        v = cache[z] = f(z)
+                    values.append(v)
+                divided_differences(points, values, interps.setdefault(
+                    key, NewtonTable(tables.bits)))
 
     def _at(self, f: Callable, x, s_cap: int, acc: _Sum):
-        """W(f, x) in ``acc``'s arithmetic, f's tables at its precision,
-        grown first by ``_fill`` where it forks."""
+        """W(f, x) in ``acc``'s arithmetic over f's tables at its precision,
+        grown first by ``_grow``."""
         tables = self._tables(f, acc.p)
-        sched = self.schedule
+        interps, sched = tables.interps, self.schedule
         with mp.workprec(self.tree.bits):
             x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
             pt = self._state(x, s_cap)
-            self._fill(f, tables, pt, s_cap)
-            root = self._interpolant(f, tables, 1, 0, 2)
+            self._grow(f, tables, pt, s_cap)
+            root = interps[(1, 0)]
             u = pt.root_u._mpf_
             total = acc.mul(acc.newton(root, pt.row(1, 0, root.points, 1), 1,
                                        _mag(u)), u)
@@ -854,7 +847,7 @@ class ExtensionOperator:
                 terms_A, terms_T = pt.stages[s]
                 # increments L_N - L_{N-1} = [z_1..z_{N+1}]f * Omega_N(x)
                 for j, terms in terms_A:
-                    itp = self._interpolant(f, tables, j, s, sched.N(s) + 1)
+                    itp = interps[(j, s)]
                     omega = pt.row(j, s, itp.points, terms[-1][0])
                     for N, u in terms:
                         total = acc.add(total, acc.term(itp, N, omega[N],
@@ -862,8 +855,7 @@ class ExtensionOperator:
                 for k, u in terms_T:
                     u, M, N = u._mpf_, sched.M(s + 1), sched.N(s)
                     mu, j_parent = _mag(u), (k + 1) // 2
-                    fine = self._interpolant(f, tables, k, s + 1, M + 1)
-                    coarse = self._interpolant(f, tables, j_parent, s, N + 1)
+                    fine, coarse = interps[(k, s + 1)], interps[(j_parent, s)]
                     diff = acc.sub(
                         acc.newton(fine, pt.row(k, s + 1, fine.points, M),
                                    M, mu),
@@ -892,96 +884,6 @@ class ExtensionOperator:
 
 
 # ---------------------------------------------------------------------------
-# finite-sample Whitney norms
-# ---------------------------------------------------------------------------
-
-@dataclass
-class JetSample:
-    """Function and derivative values on a finite subset of the set."""
-
-    points: list                 # mpf
-    derivs: list                 # derivs[p][i] = f^(p)(points[i]), mpf
-
-    @property
-    def order(self) -> int:
-        return len(self.derivs) - 1
-
-
-def polynomial_jet(tree: CantorTree, roots: Sequence, level: int,
-                   support: tuple, order: int) -> JetSample:
-    """Jet of the localized node polynomial prod (x - z): the polynomial on
-    the points inside the support interval, the zero jet elsewhere."""
-    j, s = support
-    base = tree.interval(j, s)
-    with mp.workprec(tree.bits):
-        pts = []
-        for iv in tree.levels[level]:
-            for z in (iv.left, iv.right):
-                if not pts or z != pts[-1]:
-                    pts.append(z)
-        coeffs = [mp.mpf(1)]
-        for z in roots:
-            coeffs = [mp.mpf(0)] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= z * coeffs[i + 1]
-        derivs = []
-        for p in range(order + 1):
-            row = []
-            for z in pts:
-                if base.left <= z <= base.right:
-                    acc = mp.mpf(0)
-                    for i in range(p, len(coeffs)):
-                        fall = 1
-                        for q_ in range(p):
-                            fall *= (i - q_)
-                        acc += coeffs[i] * fall * z ** (i - p)
-                    row.append(acc)
-                else:
-                    row.append(mp.mpf(0))
-            derivs.append(row)
-    return JetSample(points=pts, derivs=derivs)
-
-
-def whitney_norm(jet: JetSample, q: int, bits: int = 256) -> float:
-    """Finite-sample Whitney norm of order q (a lower bound of the true norm).
-
-    max derivative size plus the worst Taylor-remainder quotient
-    |(R_y^q f)^(k)(x)| / |x-y|^{q-k} over sample pairs.  The remainders cancel
-    catastrophically for polynomial jets, so the subtraction runs at ``bits``
-    working precision before the division by the tiny distance powers.
-    """
-    if jet.order < q:
-        raise InsufficientOrderError(
-            f"jet carries derivatives to {jet.order}, norm needs {q}")
-    pts, D = jet.points, jet.derivs
-    m = len(pts)
-    with mp.workprec(bits):
-        best = max(abs(D[p][i]) for p in range(q + 1) for i in range(m))
-        # remainders below the precision floor of the jet values are noise
-        floor = best * mp.mpf(2) ** (16 - bits)
-        for i in range(m):
-            for j_ in range(m):
-                if i == j_:
-                    continue
-                dx = pts[i] - pts[j_]
-                for k in range(q + 1):
-                    # (R_y^q f)^(k)(x) = f^(k)(x) - sum_i f^(k+i)(y) dx^i / i!
-                    taylor = mp.mpf(0)
-                    fact = 1
-                    for i2 in range(q - k + 1):
-                        if i2:
-                            fact *= i2
-                        taylor += D[k + i2][j_] * dx ** i2 / fact
-                    rem = abs(D[k][i] - taylor)
-                    if rem <= floor:
-                        continue
-                    quot = rem / abs(dx) ** (q - k)
-                    if quot > best:
-                        best = quot
-        return float(best)
-
-
-# ---------------------------------------------------------------------------
 # the dominating-norm experiment
 # ---------------------------------------------------------------------------
 
@@ -992,8 +894,8 @@ class DNRow:
     r: int
     brace: float             # 2B_{n+s} + sum_{i<=m} B_{n+s-i} - eps * window
     threshold: float         # B_{n+s}; the bound clears 1/2 ln(1/delta) iff brace >= this
-    fires: bool
-    ln_bound_scaled: float   # brace * 2^{n+s} (inf-safe)
+    fires: bool              # decided exactly: the block inequality fails
+    ln_bound_scaled: float   # brace * 2^{n+s}, +-inf past the doubles
     ln_bound_full: float     # including the constant factors of the three bounds
     ln_f0_direct: Optional[float] = None   # direct grid max of ln|f|, if computed
     ln_f0_upper: Optional[float] = None
@@ -1016,9 +918,11 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
     q = 2^m and r = 2^n; the three closed-form bounds (sup bound, derivative
     lower bound at 0, Whitney-norm bound 2 r!) combine into a lower bound of
     |f|_q^{1+eps} |f|_0^{-1} ||f||_r^{-eps} whose exponential part is
-    2^{n+s} * brace.  When a tree of sufficient depth is available the sup
-    |f|_0 is also maximized directly on the deepest grid and compared with its
-    closed-form upper bound.
+    2^{n+s} * brace.  The witness fires when brace >= B_{n+s}, which is the
+    block inequality of ``condition_diagnostics`` failing; that decides it,
+    on exact Fractions.  When a tree of sufficient depth is available the
+    sup |f|_0 is also maximized directly on the deepest grid and compared
+    with its closed-form upper bound.
     """
     prof = make_profile(model)
     B = prof.B
@@ -1045,12 +949,16 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
         window_hi = math.fsum(B[s + n - i] for i in range(1, m + 1))
         window_lo = math.fsum(B[s + n - i] for i in range(m + 1, n + 1))
         brace = 2.0 * B[s + n] + window_hi - eps * window_lo
-        ln_scaled = brace * 2.0 ** (s + n) if abs(brace) < 1e290 else math.copysign(math.inf, brace)
+        ln_scaled = math.copysign(math.inf, brace)
+        if abs(brace) < 1e290:
+            with contextlib.suppress(OverflowError):
+                ln_scaled = math.ldexp(brace, s + n)
         # constants: |f^(q)(0)| >= q! (7/8)^{r-q} Pi2;  |f|_0 <= C0^r Pi1;
         # ||f||_r <= 2 r!
         ln_const = (1 + eps) * (math.lgamma(q + 1) + (r - q) * math.log(7 / 8)) \
             - r * math.log(c0) - eps * (LN2 + math.lgamma(r + 1))
-        fires = brace >= B[s + n]
+        fires = not condition_diagnostics(prof, [s], [n], eps,
+                                          m).rows[0].block_holds
         rows.append(DNRow(s=s, n=n, r=r, brace=brace, threshold=B[s + n],
                           fires=fires, ln_bound_scaled=ln_scaled,
                           ln_bound_full=ln_scaled + ln_const))

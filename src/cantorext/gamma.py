@@ -632,8 +632,7 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
         raise ParameterError("m must be >= 0")
     e = Fraction(eps)
     M = 1 / (2 * e)
-    k_max = prof.model.k_max
-    B = [L / 2 ** (k + 1) for k, L in enumerate(prof.ln_inv_deltas)]
+    k_max, L = prof.model.k_max, prof.ln_inv_deltas
     rows = []
     for s in s_grid:
         for n in n_grid:
@@ -644,11 +643,12 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
                 raise HorizonError(f"grid point (s={s}, n={n}) beyond horizon {k_max}")
             if m > n:
                 raise ParameterError(f"window m={m} exceeds n={n}")
-            last = B[s + n]
-            total = sum(B[s:s + n + 1])
-            window = sum(B[s + n - m:s + n])
+            # B_s, ..., B_{s+n}
+            B = [L[k] / 2 ** (k + 1) for k in range(s, s + n + 1)]
+            last, total = B[n], sum(B)
+            window = sum(B[n - m:n])
             block_lhs = window + last
-            block_rhs = e * sum(B[s:s + n - m])
+            block_rhs = e * sum(B[:n - m])
             recent_rhs = e * window
             margin = window - 2 * M * last
             uniform_holds = last < e * total

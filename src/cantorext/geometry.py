@@ -242,10 +242,10 @@ def level_values(x: mp.mpf, r: Sequence, s: int) -> list:
     """[P_2(x), P_4(x), ..., P_{2^s}(x)] at the working precision.
 
     The forward recursion P_2 = x(x - 1), P_{2^{i+1}} = P_{2^i}(P_{2^i} + r_i),
-    with r_i = ``r[i]`` (the tree's ``r_mpf`` or a ``_r_chain``).  An
-    intermediate sum v + r_i may cancel below the mantissa budget, losing the
-    value's relative accuracy: residual measurements at endpoints evaluate
-    exactly there, where the tiny result is the point.
+    with r_i = ``r[i]`` (the tree's ``r_mpf``).  An intermediate sum v + r_i
+    may cancel below the mantissa budget, losing the value's relative
+    accuracy: residual measurements at endpoints evaluate exactly there,
+    where the tiny result is the point.
     """
     v = x * (x - 1)
     out = [v]
@@ -253,15 +253,6 @@ def level_values(x: mp.mpf, r: Sequence, s: int) -> list:
         v = v * (v + r[i])
         out.append(v)
     return out
-
-
-def eval_P(s: int, x, model: GammaModel, bits: int = 256):
-    """P_{2^s}(x) by the quadratic recursion (s >= 1), at ``bits`` precision."""
-    if s < 1:
-        raise ValueError("levels start at P_2 (s = 1)")
-    with mp.workprec(bits):
-        x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
-        return level_values(x, _r_chain(model, s - 1), s)[-1]
 
 
 #: 2^depth * bits^2 from which build_tree solves the deepest level in a

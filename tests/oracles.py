@@ -7,14 +7,18 @@ mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
 log-power dimension functions, a level-polynomial lower bound for the
 Markov factor of a grid, the whole Newton table built order by order on
 mpmath's operations, which the grown tables and their integer kernel
-replaced, the cutoff's components merged atom by atom, which the tree walk
-replaced, and the Markov estimator's Chebyshev-basis LPs on HiGHS, which the
-exchange replaced.  Tests import them by name
+replaced, finite-sample Whitney norms of the localized node polynomials, the
+uniform-smallness block inequality on the profile's exact logs, the
+cutoff's components merged atom by atom, which the tree walk replaced, and
+the Markov estimator's Chebyshev-basis LPs on HiGHS, which the exchange
+replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
@@ -27,6 +31,7 @@ from cantorext.bump import BumpSpec, bump_for_interval
 from cantorext.dimension import LogPower
 from cantorext.errors import HorizonError, NodeCollisionError
 from cantorext.extension import _DD_FLOOR, _DD_GUARD, _DD_SLACK, _mag, _raw
+from cantorext.gamma import Profile
 from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
                                 select_nodes)
 from cantorext.logreal import ln_double
@@ -115,6 +120,112 @@ def order_major_divided_differences(points: Sequence, values: Sequence) -> tuple
         coeffs.append(table[0])
         errs.append(err[0] + _DD_SLACK)
     return [mp.make_mpf(c) for c in coeffs], errs
+
+
+# ---------------------------------------------------------------------------
+# extension: finite-sample Whitney norms of the localized node polynomials
+# ---------------------------------------------------------------------------
+
+@dataclass
+class JetSample:
+    """Function and derivative values on a finite subset of the set."""
+
+    points: list                 # mpf
+    derivs: list                 # derivs[p][i] = f^(p)(points[i]), mpf
+
+    @property
+    def order(self) -> int:
+        return len(self.derivs) - 1
+
+
+def polynomial_jet(tree: CantorTree, roots: Sequence, level: int,
+                   support: tuple, order: int) -> JetSample:
+    """Jet of the localized node polynomial prod (x - z): the polynomial on
+    the points inside the support interval, the zero jet elsewhere."""
+    j, s = support
+    base = tree.interval(j, s)
+    with mp.workprec(tree.bits):
+        pts = []
+        for iv in tree.levels[level]:
+            for z in (iv.left, iv.right):
+                if not pts or z != pts[-1]:
+                    pts.append(z)
+        coeffs = [mp.mpf(1)]
+        for z in roots:
+            coeffs = [mp.mpf(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= z * coeffs[i + 1]
+        derivs = []
+        for p in range(order + 1):
+            row = []
+            for z in pts:
+                if base.left <= z <= base.right:
+                    acc = mp.mpf(0)
+                    for i in range(p, len(coeffs)):
+                        fall = 1
+                        for q_ in range(p):
+                            fall *= (i - q_)
+                        acc += coeffs[i] * fall * z ** (i - p)
+                    row.append(acc)
+                else:
+                    row.append(mp.mpf(0))
+            derivs.append(row)
+    return JetSample(points=pts, derivs=derivs)
+
+
+def whitney_norm(jet: JetSample, q: int, bits: int = 256) -> float:
+    """Finite-sample Whitney norm of order q (a lower bound of the true norm):
+    the check of the 2 r! Whitney-norm bound in ``dn_experiment``.
+
+    max derivative size plus the worst Taylor-remainder quotient
+    |(R_y^q f)^(k)(x)| / |x-y|^{q-k} over sample pairs.  The remainders cancel
+    catastrophically for polynomial jets, so the subtraction runs at ``bits``
+    working precision before the division by the tiny distance powers.
+    """
+    if jet.order < q:
+        raise ValueError(f"jet carries derivatives to {jet.order}, "
+                         f"norm needs {q}")
+    pts, D = jet.points, jet.derivs
+    m = len(pts)
+    with mp.workprec(bits):
+        best = max(abs(D[p][i]) for p in range(q + 1) for i in range(m))
+        # remainders below the precision floor of the jet values are noise
+        floor = best * mp.mpf(2) ** (16 - bits)
+        for i in range(m):
+            for j_ in range(m):
+                if i == j_:
+                    continue
+                dx = pts[i] - pts[j_]
+                for k in range(q + 1):
+                    # (R_y^q f)^(k)(x) = f^(k)(x) - sum_i f^(k+i)(y) dx^i / i!
+                    taylor = mp.mpf(0)
+                    fact = 1
+                    for i2 in range(q - k + 1):
+                        if i2:
+                            fact *= i2
+                        taylor += D[k + i2][j_] * dx ** i2 / fact
+                    rem = abs(D[k][i] - taylor)
+                    if rem <= floor:
+                        continue
+                    quot = rem / abs(dx) ** (q - k)
+                    if quot > best:
+                        best = quot
+        return float(best)
+
+
+# ---------------------------------------------------------------------------
+# gamma: the block inequality on the exact logs
+# ---------------------------------------------------------------------------
+
+def block_inequality_fails(prof: Profile, eps: float, m: int, s: int,
+                           n: int) -> bool:
+    """Whether B_{s+n-m} + ... + B_{s+n} >= eps (B_s + ... + B_{s+n-m-1}),
+    B_k = ln(1/delta_k) / 2^{k+1}, decided on the profile's exact logs
+    scaled by 2^{s+n+1}, so that every term is an integer multiple of a log.
+    It is ``dn_experiment``'s firing condition."""
+    L, top = prof.ln_inv_deltas, s + n
+    scaled = lambda lo, hi: sum(L[k] * 2 ** (top - k) for k in range(lo, hi))
+    return scaled(top - m, top + 1) >= Fraction(eps) * scaled(s, top - m)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +476,7 @@ def chebyshev_lps(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
     return grid, V, dV, order
 
 
-def highs():
+def _highs():
     """scipy's private binding of the HiGHS solver that linprog(method="highs")
     drives; linprog rebuilds the model per call, the oracle keeps one and
     re-solves it."""
@@ -373,10 +484,10 @@ def highs():
     return _core
 
 
-def polytope_model(V: np.ndarray):
+def _polytope_model(V: np.ndarray):
     """A HiGHS model of -1 <= V a <= 1 over free columns a, cost zero."""
     G, m = V.shape
-    core = highs()
+    core = _highs()
     model = core._Highs()
     model.setOptionValue("output_flag", False)
     model.addVars(m, np.full(m, -core.kHighsInf), np.full(m, core.kHighsInf))
@@ -400,8 +511,8 @@ def exhaustive_markov(atoms: Sequence[tuple], n: int, points_per_atom: int = 16,
     with a failed candidate such values run up to 30 times too low.  Compare
     per candidate only in estimates where every candidate is optimal."""
     _, V, dV, order = chebyshev_lps(atoms, n, points_per_atom, seed)
-    model = polytope_model(V)
-    optimal = highs().HighsModelStatus.kOptimal
+    model = _polytope_model(V)
+    optimal = _highs().HighsModelStatus.kOptimal
     cols = np.arange(n + 1)
     out = {}
     for idx in order:

@@ -404,6 +404,16 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and "r=0" in err
 
+    def test_dn_bound_past_the_doubles_is_null(self, capsys):
+        # 2^(s+n) = 2^1025 has no double: this exited 1 on an OverflowError
+        code, out = run_cli(["dn", "--family", "example1", "--B", "1",
+                             "--k-max", "1100", "--s", "1020", "--r", "32"],
+                            capsys)
+        assert code == 0
+        row, = json.loads(out)["data"]["rows"]
+        assert (row["brace"], row["fires"]) == (0.75, False)
+        assert row["ln_bound_scaled"] is None and row["ln_bound_full"] is None
+
     def test_extend_negative_order_is_rejected(self, capsys):
         # --q -2 exited 0 and printed a bound of e^-12.79 for square
         code = main(["extend", "--family", "example1", "--B", "1", "--bits",

@@ -149,23 +149,21 @@ def test_the_cli_starts_no_blas_thread():
     assert hashlib.sha256(body.encode()).hexdigest() == golden
 
 
-#: every name the package exported before its numpy side loaded lazily, by
-#: the module that defines it
+#: every name the package exports, by the module that defines it
 EXPORTS = {
     "logreal": ["LogReal"],
     "gamma": ["GammaModel", "Profile", "build_model", "classify_ep",
               "condition_diagnostics", "profile"],
     "geometry": ["BasicInterval", "CantorTree", "NodeSet", "build_tree",
-                 "eval_P", "select_nodes", "verify_geometry"],
-    "dimension": ["EtaProfile", "LogPower", "h_inverse"],
+                 "select_nodes", "verify_geometry"],
+    "dimension": ["EtaProfile", "LogPower"],
     "hausdorff": ["ContentResult", "DensityTable", "FloatAtoms",
                   "IslandFamily", "TreeAtoms", "compare_dimension_functions",
                   "content_dp", "density_scan_islands", "density_scan_tree",
                   "ep_root_test", "lambda_level_estimate"],
     "bump": ["BumpSpec", "bump_for_interval"],
-    "extension": ["ExtensionOperator", "JetSample", "Schedule",
-                  "divided_differences", "dn_experiment", "polynomial_jet",
-                  "schedule_for", "whitney_norm"],
+    "extension": ["ExtensionOperator", "Schedule", "divided_differences",
+                  "dn_experiment", "schedule_for"],
     "markov": ["MarkovEstimate", "markov_bounds", "markov_numeric",
                "ratio_table"],
 }

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_div,
                           mpf_pos, mpf_sub, round_nearest)
-from oracles import (c_p_table, check_cutoff_product_bound, merge_atoms,
-                     order_major_divided_differences, series, step_series)
+from oracles import (JetSample, block_inequality_fails, c_p_table,
+                     check_cutoff_product_bound, merge_atoms,
+                     order_major_divided_differences, polynomial_jet, series,
+                     step_series, whitney_norm)
 import test_acceptance
 from test_acceptance import ex1_tree_deep
 
@@ -25,11 +27,11 @@ from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
 from cantorext.extension import (
     ExtensionOperator, NewtonTable, _div, _rounded, _sub,
     check_chain_product_bound, check_distance_product_bound,
-    divided_differences, dn_experiment, grow_omega, polynomial_jet,
-    schedule_for, whitney_norm,
+    divided_differences, dn_experiment, grow_omega, schedule_for,
 )
-from cantorext.gamma import (DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW,
-                             build_model, profile)
+from cantorext.gamma import (DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2,
+                             EXAMPLE3, EXPONENTIAL, POWER_LAW, build_model,
+                             profile)
 from cantorext.geometry import build_tree, select_nodes
 from cantorext.logreal import LN2_FRACTION
 
@@ -766,8 +768,7 @@ class TestOperatorIdentities:
         j3 = next(j for j in range(1, 9)
                   if tree_ex1.interval(j, 3).left <= x <= tree_ex1.interval(j, 3).right)
         with mp.workprec(tree_ex1.bits):
-            itp = op._interpolant(f, op._tables(f, tree_ex1.bits), j3, 3,
-                                  op.schedule.M(3) + 1)
+            itp = _direct_table(op, f, j3, 3, op.schedule.M(3) + 1)
             direct = _partial(itp, x, op.schedule.M(3))
             assert abs(out.value - direct) < mp.mpf(2) ** (-tree_ex1.bits + 64)
 
@@ -883,6 +884,18 @@ class TestOperatorIdentities:
                 assert err <= out.certified_bound.to_mpf()
 
 
+@functools.lru_cache(maxsize=256)
+def _direct_table(op, f, j, s, n):
+    """f's Newton table on the first n nodes of I_{j,s}, built at once by
+    ``divided_differences`` at the tree's precision, apart from the
+    operator's own tables."""
+    points = op._points(j, s, n)
+    table = NewtonTable(op.tree.bits)
+    with mp.workprec(op.tree.bits):
+        divided_differences(points, [f(z) for z in points], table)
+    return table
+
+
 def _partial(itp, x, upto):
     """L_upto(f, x), Newton's partial sum, at the working precision."""
     omega = grow_omega([1], x, itp.points, upto)
@@ -903,8 +916,7 @@ def _scratch_omega_W(op, f, x, s_cap):
     """The truncated operator with every Omega_N(x) rebuilt from its factors,
     in mpf arithmetic at the tree's precision."""
     tree, sched = op.tree, op.schedule
-    tables = op._tables(f, tree.bits)
-    interpolant = lambda j, s, n: op._interpolant(f, tables, j, s, n)
+    interpolant = lambda j, s, n: _direct_table(op, f, j, s, n)
 
     def partial(itp, upto):
         return _partial(itp, x, upto)
@@ -1169,7 +1181,6 @@ class TestWhitneyNorms:
         assert whitney_norm(jet, 2, bits=tree_ex1.bits) == pytest.approx(1.0)
 
     def test_linear_function_norm(self):
-        from cantorext.extension import JetSample
         jet = JetSample(points=[mp.mpf(0), mp.mpf(1)],
                         derivs=[[mp.mpf(0), mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]])
         # |f|_1 = 1 and the first-order Taylor remainders vanish
@@ -1184,8 +1195,7 @@ class TestWhitneyNorms:
 
     def test_insufficient_order(self, tree_ex1):
         jet = polynomial_jet(tree_ex1, [], level=2, support=(1, 0), order=1)
-        from cantorext.errors import InsufficientOrderError
-        with pytest.raises(InsufficientOrderError):
+        with pytest.raises(ValueError, match="norm needs 3"):
             whitney_norm(jet, 3)
 
 
@@ -1215,6 +1225,35 @@ class TestDNExperiment:
         for row in rep.rows:
             want = 1.0 * (2.0 - row.n / 4.0)
             assert row.brace == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("family,kw", [
+        (EXAMPLE1, {"B": 1.0}), (EXAMPLE1, {"B": 0.3}),
+        (EXAMPLE2, {"variant": "A"}), (EXAMPLE2, {"variant": "B"}),
+        (EXAMPLE3, {"m": 3, "k_max": 60}), (POWER_LAW, {"a": 2.0}),
+        (EXPONENTIAL, {"a": 2.0}), (DOUBLY_EXP, {"a": 1.5}),
+        (DELTA_FORM, {"b": 2.0})])
+    def test_fires_is_the_exact_block_test(self, family, kw):
+        model = build_model(family, **{"k_max": 24, **kw})
+        prof = profile(model)
+        for eps in (0.1, 0.25, 0.5, 1.0, 3.0):
+            for m in range(4):
+                ns = [(n, s) for n in range(m + 1, 8) for s in range(1, 25 - n)]
+                rep = dn_experiment(model, eps, m, [2 ** n for n, _ in ns],
+                                    [s for _, s in ns])
+                assert [row.fires for row in rep.rows] == [
+                    block_inequality_fails(prof, eps, m, s, n) for n, s in ns]
+
+    @pytest.mark.parametrize("eps,n,fires", [(0.25, 4, True), (0.1, 10, False)])
+    def test_fires_on_an_exact_tie(self, eps, n, fires):
+        # constant weights B_k = 1 and m = 0: the brace is 2 - eps n against
+        # B_{s+n} = 1.  At eps = 0.25 the two sides tie exactly; at eps = 0.1
+        # the double 0.1 lies above 1/10, so the block inequality holds,
+        # though the brace's doubles round to a tie
+        model = build_model(EXAMPLE1, k_max=20, B=1.0)
+        row = dn_experiment(model, eps, 0, [2 ** n], [3]).rows[0]
+        assert row.brace - row.threshold == 0.0
+        assert row.fires is fires
+        assert block_inequality_fails(profile(model), eps, 0, 3, n) is fires
 
     def test_direct_sup_below_closed_form(self, tree_ex1):
         m = tree_ex1.model
@@ -1385,20 +1424,25 @@ def test_forked_tables_are_the_serial_tables_bit_for_bit(forks, monkeypatch,
                                    lambda: _sweep(deep, xs, (3, 4, 5, 6)))
 
 
-def test_plan_lists_the_tables_the_sum_reads(monkeypatch, tree_jets):
+def test_plan_lists_the_tables_the_sum_reads(tree_jets):
+    # the sum reads f's tables by key alone, so after each call they must
+    # be the plan's: a fresh function's tables are exactly the planned
+    # ones, each with the most nodes the plan asks of it
     op = ExtensionOperator(tree_jets, s_max=5)
-    reads, longest = [], 0
-    interpolant = op._interpolant
-    monkeypatch.setattr(op, "_interpolant", lambda f, tables, j, s, n: (
-        reads.append((j, s, n)) or interpolant(f, tables, j, s, n)))
+    longest = 0
     with mp.workprec(tree_jets.bits):
         for x in _inner(tree_jets)[::101] + [mp.mpf("0.3"), mp.mpf("0.71")]:
             for S in (1, 3, 5):
-                reads.clear()
-                op.evaluate(_poly, x, s_max=S)
-                assert reads == list(op._plan(op._point, S))
-                longest = max(longest, len(reads))
-    assert longest >= 16
+                f = lambda v: _poly(v)
+                op.evaluate(f, x, s_max=S)
+                plan = {}
+                for j, s, n in op._plan(op._point, S):
+                    plan[(j, s)] = max(n, plan.get((j, s), 0))
+                tables = op._tables(f, tree_jets.bits).interps
+                assert {key: len(itp.points)
+                        for key, itp in tables.items()} == plan
+                longest = max(longest, len(plan))
+    assert longest >= 6
 
 
 def _call_order(monkeypatch, tree, x) -> list:

@@ -16,7 +16,7 @@ from cantorext import cli, geometry
 from cantorext.errors import BracketError, DepthError, HorizonError, PrecisionError
 from cantorext.gamma import CUSTOM, DELTA_FORM, EXAMPLE1, POWER_LAW, build_model
 from cantorext.geometry import (
-    LevelGeometry, build_tree, endpoint_residuals, eval_P, max_depth_for_bits,
+    LevelGeometry, build_tree, endpoint_residuals, max_depth_for_bits,
     required_bits, select_nodes, verify_geometry,
 )
 from cantorext.hausdorff import TreeAtoms
@@ -36,32 +36,6 @@ def tree_ex1():
 @pytest.fixture(scope="module")
 def tree_plaw():
     return build_tree(build_model(POWER_LAW, k_max=12, a=2.0), depth=6, bits=512)
-
-
-class TestEvalP:
-    def test_p2_midpoint(self):
-        m = build_model(CUSTOM, gammas=[1 / 32])
-        assert eval_P(1, 0.5, m) == mp.mpf("-0.25")
-
-    def test_zero_stays_zero(self, tree_ex1):
-        for s in (1, 2, 3):
-            assert eval_P(s, 0, tree_ex1.model, bits=256) == 0
-
-    def test_quadratic_formula_endpoint(self):
-        # gamma_1 = 1/32: l_{1,1} = (1 - sqrt(7/8))/2, and P_2 there is -1/32
-        m = build_model(CUSTOM, gammas=[1 / 32])
-        with mp.workprec(256):
-            l11 = (1 - mp.sqrt(mp.mpf(7) / 8)) / 2
-            assert float(l11) == pytest.approx(0.0322929, abs=1e-7)
-            res = eval_P(1, l11, m, bits=256) + mp.mpf(1) / 32
-            assert abs(res) < mp.mpf(2) ** -240
-
-    def test_past_the_horizon_raises(self):
-        # P_8 needs r_2, and so gamma_2; the model stops at gamma_1
-        m = build_model(CUSTOM, gammas=[1 / 32])
-        assert float(eval_P(2, 0.5, m)) == pytest.approx(-0.25 * (-0.25 + 1 / 32))
-        with pytest.raises(HorizonError):
-            eval_P(3, 0.5, m)
 
 
 class TestBuildTree:
@@ -435,7 +409,6 @@ def test_level_values_is_the_forward_recursion(family, kw, depth, bits):
                 for i in range(1, s):
                     v = v * (v + r[i])
                 assert got[s - 1]._mpf_ == v._mpf_
-                assert eval_P(s, x, model, bits=bits)._mpf_ == v._mpf_
 
 
 def test_delta_mpf_past_the_horizon_raises():

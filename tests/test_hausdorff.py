@@ -11,7 +11,7 @@ from oracles import check_derivative_bound, h_prime
 
 from cantorext import hausdorff
 from cantorext.cli import main
-from cantorext.dimension import EtaProfile, LogPower, h_inverse
+from cantorext.dimension import EtaProfile, LogPower
 from cantorext.errors import DomainError, ParameterError
 from cantorext.gamma import (DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW,
                              build_model, profile)
@@ -31,10 +31,6 @@ class TestDimensionFunctions:
         # (ln 1/t)^-1 at t = e^-10 is 0.1
         assert H_LOG.h(math.exp(-10)) == pytest.approx(0.1, rel=1e-14)
         assert H_LOG.h_ln(10.0) == pytest.approx(0.1, rel=1e-14)
-
-    def test_inverse_of_h0(self):
-        # alpha == 1: h^{-1}(tau) = exp(-1/tau)
-        assert h_inverse(H_LOG, 0.1) == pytest.approx(math.exp(-10), rel=1e-12)
 
     def test_frozen_exponent_warns_nothing(self):
         # ln(1/t) < 1 and ln ln(1/t) <= 0 lie outside the iterated logs'

@@ -19,15 +19,7 @@ def test_package_has_no_assert_statements():
 
 
 ROOT = SRC.parents[1]
-#: public names kept without a user, and why
-KEEP = {
-    "whitney_norm": "the README's finite-sample Whitney norms",
-    "polynomial_jet": "the README's finite-sample Whitney norms",
-    "eval_P": "exported; ROADMAP item 13 decides it",
-    "h_inverse": "exported; ROADMAP item 13 decides it",
-    "condition_diagnostics": "the README's finite-horizon condition "
-                             "diagnostics",
-}
+TESTS = ROOT / "tests"
 
 
 def test_every_public_definition_has_a_user():
@@ -45,7 +37,7 @@ def test_every_public_definition_has_a_user():
         lines = texts[path].splitlines()
         for node in ast.parse(texts[path], str(path)).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_") or node.name in KEEP:
+                    or node.name.startswith("_"):
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
@@ -54,3 +46,21 @@ def test_every_public_definition_has_a_user():
                        for p, text in texts.items()):
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_every_oracle_has_a_test():
+    """Each top-level public function or class of tests/oracles.py is
+    imported and used by a test module, so that no oracle outlives the test
+    that used it."""
+    used = set()
+    for path in TESTS.glob("test_*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "oracles" for alias in node.names}
+        used |= imported & {node.id for node in ast.walk(tree)
+                            if isinstance(node, ast.Name)}
+    oracles = TESTS / "oracles.py"
+    assert [node.name for node in ast.parse(oracles.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used] == []
