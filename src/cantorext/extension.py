@@ -385,16 +385,23 @@ class _Sum:
         total = coeffs[0]._mpf_
         self._coefficient(errs[0], mu)
         for k in range(1, upto + 1):
-            c, w = coeffs[k]._mpf_, row[k]._mpf_
-            total = mpf_add(total, mpf_mul(c, w, p, round_nearest), p,
-                            round_nearest)
-            self._product(c, errs[k], w, k, mu)
+            w, t = row[k]._mpf_, fzero
+            # past x's node Omega_k(x) = 0 and the table may end there: the
+            # term is 0 and adds no error, but adding it still rounds total
+            if w != fzero:
+                c = coeffs[k]._mpf_
+                t = mpf_mul(c, w, p, round_nearest)
+                self._product(c, errs[k], w, k, mu)
+            total = mpf_add(total, t, p, round_nearest)
             self._rounded(total, mu)
         return total
 
     def term(self, itp: NewtonTable, N: int, w, u):
-        """c_N Omega_N(x) u."""
-        c, w = itp.coeffs[N]._mpf_, w._mpf_
+        """c_N Omega_N(x) u; 0 past x's node, where the table may end."""
+        w = w._mpf_
+        if w == fzero:
+            return fzero
+        c = itp.coeffs[N]._mpf_
         self._product(c, itp.errs[N], w, N, _mag(u))
         return mpf_mul(mpf_mul(c, w, self.p, round_nearest), u, self.p,
                        round_nearest)
@@ -495,19 +502,32 @@ class _PointState:
 
     ``stages[s]`` holds level s's nonzero cutoff values: ([(j, [(N, u_N(x)),
     ...])], [(k, u_k(x))]) for its live A and T terms.
-    ``omega[(j, s)]`` is the row [1, Omega_1(x), ...] over the nodes of
-    I_{j,s}, grown on demand; node sets are prefix-stable, so every
-    function's interpolant extends the same row.
+    ``omega[(j, s)]`` is the row [1, Omega_1(x), ...] over the operator's
+    nodes of I_{j,s}, grown on demand; node sets are prefix-stable, so
+    every function's interpolant extends the same row.  ``zero[(j, s)]``
+    is the index m of the row's first exact zero at the tree's precision,
+    noted once as the row grows: x is then node m of I_{j,s}, Omega_k(x) =
+    0 for every k >= m, and no table needs a node past x.  ``plans[S]`` is
+    ``ExtensionOperator._plan``'s list for truncation level S.
     """
 
     x: object
     root_u: object
     stages: list = field(default_factory=list)
     omega: dict = field(default_factory=dict)
+    zero: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
 
-    def row(self, j: int, s: int, points: Sequence, upto: int) -> list:
-        return grow_omega(self.omega.setdefault((j, s), [1]), self.x,
-                          points, upto)
+    def grow(self, j: int, s: int, points: Sequence) -> None:
+        """Grow the row of I_{j,s} through Omega_k(x) over its first k nodes
+        ``points``, noting the row's first zero."""
+        row = self.omega.setdefault((j, s), [1])
+        held = len(row)
+        grow_omega(row, self.x, points, len(points))
+        # a running product: once 0, every later entry is 0
+        if (j, s) not in self.zero and not row[-1]:
+            self.zero[(j, s)] = next(k for k in range(held, len(row))
+                                     if not row[k])
 
 
 @dataclass
@@ -784,18 +804,36 @@ class ExtensionOperator:
         bound = _plus(trunc, acc.exponent())
         return WValue(value=value, certified_bound=bound)
 
-    def _plan(self, pt: _PointState, s_cap: int):
+    def _plan(self, pt: _PointState, s_cap: int) -> list:
         """(j, s, n) for each Newton table ``_at``'s sum reads at ``pt``, in
-        the order it reads them, with the number of nodes it needs."""
-        sched = self.schedule
-        yield 1, 0, 2
+        the order it reads them, with the number of nodes it needs; made
+        once per point and level, as it does not depend on f.
+
+        Each entry first grows its row through the last Omega_k(x) the sum
+        reads.  Where that row holds a zero at m, x is node m and n is at
+        most m: the terms past it are 0 whatever the coefficients, so
+        neither f nor the table goes past x.  Elsewhere n is the degree's.
+        """
+        plan = pt.plans.get(s_cap)
+        if plan is not None:
+            return plan
+        sched, plan = self.schedule, []
+
+        def read(j, s, upto, n):
+            pt.grow(j, s, self._points(j, s, upto))
+            plan.append((j, s, min(n, pt.zero.get((j, s), n))))
+
+        read(1, 0, 1, 2)
         for s in range(s_cap):
             terms_A, terms_T = pt.stages[s]
-            for j, _ in terms_A:
-                yield j, s, sched.N(s) + 1
+            N, M = sched.N(s), sched.M(s + 1)
+            for j, terms in terms_A:
+                read(j, s, terms[-1][0], N + 1)
             for k, _ in terms_T:
-                yield k, s + 1, sched.M(s + 1) + 1
-                yield (k + 1) // 2, s, sched.N(s) + 1
+                read(k, s + 1, M, M + 1)
+                read((k + 1) // 2, s, N, N + 1)
+        pt.plans[s_cap] = plan
+        return plan
 
     def _grow(self, f: Callable, tables: _Tables, pt: _PointState,
               s_cap: int) -> None:
@@ -832,35 +870,33 @@ class ExtensionOperator:
 
     def _at(self, f: Callable, x, s_cap: int, acc: _Sum):
         """W(f, x) in ``acc``'s arithmetic over f's tables at its precision,
-        grown first by ``_grow``."""
+        grown first by ``_grow``, which also grows every row the sum reads."""
         tables = self._tables(f, acc.p)
         interps, sched = tables.interps, self.schedule
         with mp.workprec(self.tree.bits):
             x = mp.mpf(x) if not isinstance(x, mp.mpf) else x
             pt = self._state(x, s_cap)
             self._grow(f, tables, pt, s_cap)
-            root = interps[(1, 0)]
+            omega = pt.omega
             u = pt.root_u._mpf_
-            total = acc.mul(acc.newton(root, pt.row(1, 0, root.points, 1), 1,
+            total = acc.mul(acc.newton(interps[(1, 0)], omega[(1, 0)], 1,
                                        _mag(u)), u)
             for s in range(s_cap):
                 terms_A, terms_T = pt.stages[s]
                 # increments L_N - L_{N-1} = [z_1..z_{N+1}]f * Omega_N(x)
                 for j, terms in terms_A:
-                    itp = interps[(j, s)]
-                    omega = pt.row(j, s, itp.points, terms[-1][0])
+                    itp, row = interps[(j, s)], omega[(j, s)]
                     for N, u in terms:
-                        total = acc.add(total, acc.term(itp, N, omega[N],
+                        total = acc.add(total, acc.term(itp, N, row[N],
                                                         u._mpf_))
                 for k, u in terms_T:
                     u, M, N = u._mpf_, sched.M(s + 1), sched.N(s)
                     mu, j_parent = _mag(u), (k + 1) // 2
-                    fine, coarse = interps[(k, s + 1)], interps[(j_parent, s)]
                     diff = acc.sub(
-                        acc.newton(fine, pt.row(k, s + 1, fine.points, M),
+                        acc.newton(interps[(k, s + 1)], omega[(k, s + 1)],
                                    M, mu),
-                        acc.newton(coarse, pt.row(j_parent, s, coarse.points,
-                                                  N), N, mu), mu)
+                        acc.newton(interps[(j_parent, s)],
+                                   omega[(j_parent, s)], N, mu), mu)
                     total = acc.add(total, acc.mul(diff, u))
         return mp.make_mpf(total)
 

@@ -24,6 +24,7 @@ sequences with beta_k -> beta > 0 and the irregular dip families do not.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, takewhile
@@ -259,8 +260,8 @@ def _example2(k_max: int, variant: str, kj):
         for k, dA in dips.items():
             if k <= p:
                 continue
-            dA = float(dA)
-            eps_j = math.exp(-dA) if dA < 700 else 0.0
+            # compared exactly: float() of a dip past 2^1024 raises
+            eps_j = math.exp(-float(dA)) if dA < 700 else 0.0
             s -= (1.0 - eps_j) * (k + 5) ** -2
         if callable(rule):
             j = len(kj) + 1
@@ -289,7 +290,7 @@ def _example2_ep(model: GammaModel, prof: Optional[Profile]) -> EPVerdict:
     A = model.meta["A"]
     ratios = []
     for j in range(1, len(kj)):
-        if float(A[j - 1]) == math.inf:
+        if A[j - 1] > sys.float_info.max:
             break
         ratios.append(kj[j] ** 2 / float(A[j - 1]))
     shrinking = len(ratios) >= 2 and ratios[-1] < ratios[0] and ratios[-1] < 1.0

@@ -414,6 +414,18 @@ class TestCLI:
         assert (row["brace"], row["fires"]) == (0.75, False)
         assert row["ln_bound_scaled"] is None and row["ln_bound_full"] is None
 
+    @pytest.mark.parametrize("k_max", [1000, 2000])
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_gamma_dips_past_the_doubles(self, capsys, variant, k_max):
+        # a dip A_j - A_{j-1} or an A_j past 2^1024 has no double: k_max 1000
+        # exited 1 on an OverflowError in the tail, 2000 in the verdict
+        code, out = run_cli(["gamma", "--family", "example2", "--variant",
+                             variant, "--k-max", str(k_max)], capsys)
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data["model"]["k_max"] == k_max and data["ep"] == "no"
+        assert len(data["B"]) == k_max
+
     def test_extend_negative_order_is_rejected(self, capsys):
         # --q -2 exited 0 and printed a bound of e^-12.79 for square
         code = main(["extend", "--family", "example1", "--B", "1", "--bits",

@@ -11,8 +11,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_div,
-                          mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_add,
+                          mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest)
 from oracles import (JetSample, block_inequality_fails, c_p_table,
                      check_cutoff_product_bound, merge_atoms,
                      order_major_divided_differences, polynomial_jet, series,
@@ -25,7 +25,7 @@ from cantorext.bump import BumpSpec, bump_for_interval, step_value_mpf
 from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
                               ParameterError)
 from cantorext.extension import (
-    ExtensionOperator, NewtonTable, _div, _rounded, _sub,
+    ExtensionOperator, NewtonTable, _div, _mag, _rounded, _sub,
     check_chain_product_bound, check_distance_product_bound,
     divided_differences, dn_experiment, grow_omega, schedule_for,
 )
@@ -50,11 +50,15 @@ def tree_ex1_512():
 @pytest.fixture(scope="module")
 def probe_points_512(tree_ex1_512):
     """On-set endpoints, uniform off-set points, and points inside the
-    narrow shoulders (distance c delta_k from an atom), at tree precision."""
+    narrow shoulders (distance c delta_k from an atom), at tree precision.
+    The endpoints of levels 2-5 (0 and 1 among them) are nodes of the
+    tables the sums read, which stop there."""
     tree = tree_ex1_512
     rng = np.random.default_rng(3)
     with mp.workprec(tree.bits):
         on_set = [z for iv in tree.levels[7][5::23] for z in (iv.left, iv.right)]
+        on_set += sorted({z for iv in tree.levels[5]
+                          for z in (iv.left, iv.right)})
         off_set = [mp.mpf(float(u)) for u in rng.uniform(-0.05, 1.05, size=12)]
         shoulder = [iv.right + tree.delta_mpf(k) * c
                     for iv in tree.levels[7][9::40] for k in (3, 4, 5, 6)
@@ -884,14 +888,15 @@ class TestOperatorIdentities:
                 assert err <= out.certified_bound.to_mpf()
 
 
-@functools.lru_cache(maxsize=256)
-def _direct_table(op, f, j, s, n):
+@functools.lru_cache(maxsize=1024)
+def _direct_table(op, f, j, s, n, prec=None):
     """f's Newton table on the first n nodes of I_{j,s}, built at once by
-    ``divided_differences`` at the tree's precision, apart from the
-    operator's own tables."""
+    ``divided_differences`` at ``prec`` bits (the tree's by default), apart
+    from the operator's own tables."""
+    prec = prec or op.tree.bits
     points = op._points(j, s, n)
-    table = NewtonTable(op.tree.bits)
-    with mp.workprec(op.tree.bits):
+    table = NewtonTable(prec)
+    with mp.workprec(prec):
         divided_differences(points, [f(z) for z in points], table)
     return table
 
@@ -957,6 +962,125 @@ def test_running_omega_matches_scratch_products(tree_ex1_512, probe_points_512):
                 for x in probe_points_512:
                     got = op.evaluate(f, x, s_max=S).value
                     assert got == _scratch_omega_W(op, f, x, S), (S, x)
+
+
+def _uncapped_counts(op, S) -> dict:
+    """(j, s) -> the nodes of each table the sum reads at the operator's
+    point, as the degrees ask them, wherever x lies."""
+    sched, counts = op.schedule, {(1, 0): 2}
+    for s in range(S):
+        terms_A, terms_T = op._point.stages[s]
+        want = [((j, s), sched.N(s) + 1) for j, _ in terms_A]
+        for k, _ in terms_T:
+            want += [((k, s + 1), sched.M(s + 1) + 1),
+                     (((k + 1) // 2, s), sched.N(s) + 1)]
+        for key, n in want:
+            counts[key] = max(n, counts.get(key, 0))
+    return counts
+
+
+def _every_newton(acc, itp, row, upto, mu):
+    """``_Sum.newton`` multiplying every coefficient by its Omega_k(x), 0
+    or not: the sum over tables that do not stop at x."""
+    p = acc.p
+    total = itp.coeffs[0]._mpf_
+    acc._coefficient(itp.errs[0], mu)
+    for k in range(1, upto + 1):
+        c, w = itp.coeffs[k]._mpf_, row[k]._mpf_
+        total = mpf_add(total, mpf_mul(c, w, p, round_nearest), p,
+                        round_nearest)
+        acc._product(c, itp.errs[k], w, k, mu)
+        acc._rounded(total, mu)
+    return total
+
+
+def _every_term(acc, itp, N, w, u):
+    """``_Sum.term`` with the coefficient read whatever Omega_N(x) is."""
+    c, w = itp.coeffs[N]._mpf_, w._mpf_
+    acc._product(c, itp.errs[N], w, N, _mag(u))
+    return mpf_mul(mpf_mul(c, w, acc.p, round_nearest), u, acc.p,
+                   round_nearest)
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+def test_tables_stop_at_x_bit_for_bit(tree_ex1_512, monkeypatch, S):
+    # x runs over the endpoints of levels 0-5, 0 and 1 among them.  Where x
+    # is a node of a table the sum reads, a fresh function's table ends at
+    # x and f is called at no node past it, yet value, bound and every part
+    # of the rounding bound are those of tables grown as the degrees ask,
+    # summed with every coefficient read
+    tree = tree_ex1_512
+    parts = []
+    exponent = extension._RoundedSum.exponent
+    monkeypatch.setattr(extension._RoundedSum, "exponent",
+                        lambda acc: parts.append(acc.parts) or exponent(acc))
+    op, ref = (ExtensionOperator(tree, s_max=4) for _ in range(2))
+    ends = sorted({z for iv in tree.levels[5] for z in (iv.left, iv.right)})
+    stopped = 0
+    with mp.workprec(tree.bits):
+        for x in ends:
+            for bound in ({}, {"norm_q": 2.0, "q": 5}):
+                calls = []
+                f = lambda z: calls.append(z) or mp.sin(z)
+                parts.clear()
+                got = op.evaluate(f, x, s_max=S, **bound)
+                mine = parts[:]
+                tables = {(p, key): itp for p, t in op._per_f[f].items()
+                          for key, itp in t.interps.items()}
+                assert all(x not in itp.points[:-1]
+                           for itp in tables.values()), x
+                assert {z._mpf_ for z in calls} == {
+                    z._mpf_ for itp in tables.values() for z in itp.points}
+                counts = _uncapped_counts(op, S)
+                stopped += any(len(itp.points) < counts[key]
+                               for (_, key), itp in tables.items())
+                for p in {tree.bits, _bounded_precision(op, S)}:
+                    ref._tables(mp.sin, p).interps.update(
+                        (key, _direct_table(op, mp.sin, *key, n, p))
+                        for key, n in counts.items())
+                parts.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(extension._Sum, "newton", _every_newton)
+                    m.setattr(extension._Sum, "term", _every_term)
+                    want = ref.evaluate(mp.sin, x, s_max=S, **bound)
+                assert got.value._mpf_ == want.value._mpf_, (x, bound)
+                if bound:
+                    assert got.certified_bound.ln == want.certified_bound.ln
+                assert mine == parts
+    # calls in which some table stopped short: at S = 4 every one
+    assert stopped == {1: 6, 2: 12, 3: 56, 4: 2 * len(ends)}[S]
+
+
+@pytest.mark.parametrize("bad", ["raise", "inf", "nan"])
+def test_f_past_x_is_never_called(tree_ex1_512, bad):
+    # x, the left end of I_{2,2}, is the second node of I_{2,2}'s table and
+    # the first of I_{3,3}'s and I_{5,4}'s.  An f that raises or has no
+    # finite value only at nodes past x in them is never called there, and
+    # W is that of a good f.  Grown as the degrees ask, the tables took
+    # those values in: the call raised, gave nan or, with a bound, raised
+    # ParameterError
+    tree = tree_ex1_512
+    x = tree.interval(2, 2).left
+    good_op, op = (ExtensionOperator(tree, s_max=4) for _ in range(2))
+    with mp.workprec(tree.bits):
+        good = [good_op.evaluate(mp.sin, x, **b)
+                for b in ({}, {"norm_q": 2.0, "q": 5})]
+        read = {z._mpf_ for t in good_op._per_f[mp.sin].values()
+                for itp in t.interps.values() for z in itp.points}
+        past = {z._mpf_ for key, n in _uncapped_counts(good_op, 4).items()
+                for z in good_op._points(*key, n)} - read
+        assert len(past) >= 10
+
+        def f(z):
+            if z._mpf_ in past:
+                if bad == "raise":
+                    raise ValueError("f called past x")
+                return mp.mpf(bad)
+            return mp.sin(z)
+
+        got = [op.evaluate(f, x, **b) for b in ({}, {"norm_q": 2.0, "q": 5})]
+    assert [w.value._mpf_ for w in got] == [w.value._mpf_ for w in good]
+    assert got[1].certified_bound.ln == good[1].certified_bound.ln
 
 
 _JET_FUNCS = (lambda v: mp.mpf(1), lambda v: v, lambda v: v * v, mp.sin,
@@ -1426,23 +1550,33 @@ def test_forked_tables_are_the_serial_tables_bit_for_bit(forks, monkeypatch,
 
 def test_plan_lists_the_tables_the_sum_reads(tree_jets):
     # the sum reads f's tables by key alone, so after each call they must
-    # be the plan's: a fresh function's tables are exactly the planned
-    # ones, each with the most nodes the plan asks of it
-    op = ExtensionOperator(tree_jets, s_max=5)
-    longest = 0
+    # be the plan's: a fresh operator's tables are exactly the planned
+    # ones, each with the most nodes the plan asks of it.  At the endpoints
+    # of levels 2-5, 0 and 1 among them, x is a node, and no table is
+    # longer than the nonzero prefix of x's row over the interval's nodes
+    ends = sorted({z for iv in tree_jets.levels[5] for z in (iv.left, iv.right)})
+    longest = stopped = 0
     with mp.workprec(tree_jets.bits):
-        for x in _inner(tree_jets)[::101] + [mp.mpf("0.3"), mp.mpf("0.71")]:
+        for x in (_inner(tree_jets)[::101] + [mp.mpf("0.3"), mp.mpf("0.71")]
+                  + ends[::3]):
             for S in (1, 3, 5):
-                f = lambda v: _poly(v)
-                op.evaluate(f, x, s_max=S)
+                op = ExtensionOperator(tree_jets, s_max=5)
+                op.evaluate(_poly, x, s_max=S)
                 plan = {}
                 for j, s, n in op._plan(op._point, S):
                     plan[(j, s)] = max(n, plan.get((j, s), 0))
-                tables = op._tables(f, tree_jets.bits).interps
+                tables = op._tables(_poly, tree_jets.bits).interps
                 assert {key: len(itp.points)
                         for key, itp in tables.items()} == plan
+                for (j, s), itp in tables.items():
+                    nodes = op._points(j, s, len(itp.points))
+                    row = grow_omega([1], x, nodes, len(nodes))
+                    assert len(itp.points) <= next(
+                        (k for k, w in enumerate(row) if not w), len(row))
+                stopped += S == 5 and plan != _uncapped_counts(op, S)
                 longest = max(longest, len(plan))
-    assert longest >= 6
+    # at S = 5 every endpoint stops some table short
+    assert longest >= 6 and stopped == len(ends[::3])
 
 
 def _call_order(monkeypatch, tree, x) -> list:
