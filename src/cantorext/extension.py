@@ -32,8 +32,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import fzero
 
 from . import forking
 from .bump import BumpSpec, bump_for_interval
@@ -42,6 +41,7 @@ from .errors import (DepthError, HorizonError, InvariantError,
 from .gamma import (GammaModel, Profile, condition_diagnostics,
                     profile as make_profile)
 from .geometry import CantorTree, select_nodes
+from .kernel import _add, _div, _mag, _mul, _sub
 from .logreal import LN2_FRACTION, LogReal, ln_double
 
 LN2 = math.log(2.0)
@@ -117,78 +117,8 @@ _FORK_MIN_BITS = 4096
 _FORK_MIN_F_S = 0.030
 
 
-def _mag(t) -> float:
-    """m with 2^(m-1) <= |t| < 2^m for a finite nonzero raw mpf t; -inf for
-    zero and +inf for inf and nan, which also have a zero mantissa."""
-    man = t[1]
-    if man:
-        return t[2] + t[3]
-    return -math.inf if t == fzero else math.inf
-
-
 def _raw(v):
     return v._mpf_ if isinstance(v, mp.mpf) else mp.mpf(v)._mpf_
-
-
-def _rounded(sign, man, exp, prec: int):
-    """The raw mpf of (-1)^sign man 2^exp, man > 0, rounded once to prec
-    bits, to nearest with ties to even, odd mantissa: mpmath's normalize."""
-    n = man.bit_length() - prec
-    if n > 0:
-        t = man >> (n - 1)
-        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-            man = (t >> 1) + 1
-        else:
-            man = t >> 1
-        exp += n
-    if not man & 1:
-        z = (man & -man).bit_length() - 1
-        man >>= z
-        exp += z
-    return sign, man, exp, man.bit_length()
-
-
-def _sub(a, b, prec: int):
-    """mpf_sub(a, b, prec, round_nearest), bit for bit: for finite nonzero
-    raw mpf a and b the exact difference of the aligned mantissas, rounded
-    once.  Zero, inf and nan operands and mpf_add's far-offset shortcut go
-    to mpf_sub: where the exponents differ by more than 100 and the leading
-    bits by more than prec + 4, mpf_add replaces the smaller operand by a
-    one-unit nudge prec + 4 bits below the larger one's last bit."""
-    asign, aman, aexp, abc = a
-    bsign, bman, bexp, bbc = b
-    off = aexp - bexp
-    if not (aman and bman) or off > 100 and abc + off - bbc > prec + 4 \
-            or off < -100 and bbc - off - abc > prec + 4:
-        return mpf_sub(a, b, prec, round_nearest)
-    if off > 0:
-        aman <<= off
-        aexp = bexp
-    elif off:
-        bman <<= -off
-    man = aman + bman if asign != bsign else aman - bman
-    if man < 0:
-        man, asign = -man, asign ^ 1
-    return _rounded(asign, man, aexp, prec) if man else fzero
-
-
-def _div(d, dz, p: int):
-    """mpf_div(d, dz, p, round_nearest), bit for bit: for finite nonzero raw
-    mpf d and dz the mantissas' quotient to at least p + 4 bits and below
-    it a sticky bit, set by a remainder, rounded once.  Equal mantissas give
-    +-2^(exp_d - exp_dz) without a division: the order-1 entries of W(x),
-    where d == dz, are the only exact quotients the operator's tables meet.
-    Zero, inf and nan operands go to mpf_div."""
-    sign, man, exp, bc = d
-    zsign, zman, zexp, zbc = dz
-    if not (man and zman):
-        return mpf_div(d, dz, p, round_nearest)
-    if man == zman:
-        return sign ^ zsign, 1, exp - zexp, 1
-    extra = max(p - bc + zbc + 5, 5)
-    q, r = divmod(man << extra, zman)
-    return _rounded(sign ^ zsign, (q << 1) | bool(r), exp - zexp - extra - 1,
-                    p)
 
 
 class NewtonTable:
@@ -204,14 +134,13 @@ class NewtonTable:
     ``divided_differences`` describes, so a grown table equals the table
     built at once on all its nodes, bit for bit.
 
-    The subtractions, roundings and divisions run on ``_sub``, ``_rounded``
-    and ``_div``, an integer kernel that returns mpmath's bits: mpmath
-    rounds these operations correctly, and a correctly rounded result is
-    unique (Brent and Zimmermann, Modern Computer Arithmetic, 2010, 3.1),
-    so only the cost changes: no bitcount by logarithm, no generic
-    normalisation.  The one exception, mpf_add's far-offset shortcut (not
-    correctly rounded for an operand longer than the precision), and every
-    zero, inf or nan operand stay with mpmath.
+    The subtractions, roundings and divisions are the integer kernel's
+    (``kernel``: ``_sub``, ``_rounded``, ``_div``), which returns mpmath's
+    bits, written out in one loop body for finite nonzero operands: an
+    entry costs no call.  The two differences keep the trailing zeros of
+    a rounded mantissa, since only their values and magnitudes are read.
+    A zero, inf or nan operand and mpf_add's far-offset shortcut take the
+    kernel's calls, and inf and nan operands mpmath's.
     """
 
     __slots__ = ("prec", "points", "coeffs", "errs", "_z", "_diag", "_err")
@@ -228,13 +157,16 @@ class NewtonTable:
         if len(points) != len(values):
             raise ParameterError("points and values must pair up")
         prec, held = self.prec, len(self.points)
+        # the operator passes its own node lists: held nodes are mostly the
+        # very objects, and only the others compare through mpmath
         if len(points) < held or any(
-                a != b for a, b in zip(points, self.points)):
+                a is not b and a != b for a, b in zip(points, self.points)):
             raise ParameterError(
                 "points must begin with the table's nodes")
-        z = self._z
+        z, near = self._z, prec + 4
         for zn, vn in zip(points[held:], values[held:]):
             z_n, n = _raw(zn), len(z)
+            ns, nm, nx, nb = z_n
             old, e_old = self._diag, self._err
             # diag[k] = [z_{n-k}..z_n]f, from diag[k-1] = [z_{n-k+1}..z_n]f
             # and the old diagonal's [z_{n-k}..z_{n-1}]f
@@ -242,25 +174,126 @@ class NewtonTable:
             e = _mag(t) - prec
             diag, err = [t], [e]
             for k in range(1, n + 1):
-                dz = _sub(z_n, z[n - k], prec)
-                if dz == fzero:
+                # dz = z_n - z_{n-k} at prec bits: _sub written out for
+                # finite nonzero operands short of mpf_add's far-offset
+                # shortcut; a mantissa rounded here keeps its trailing
+                # zeros, since only its value and magnitude are read
+                zs, zm, zx, zb = zi = z[n - k]
+                off = nx - zx
+                if nm and zm and not (
+                        off > 100 and nb + off - zb > near
+                        or off < -100 and zb - off - nb > near):
+                    if off >= 0:
+                        a, b, gx = nm << off, zm, zx
+                    else:
+                        a, b, gx = nm, zm << -off, nx
+                    gm, gs = a - b if ns == zs else a + b, ns
+                    if gm < 0:
+                        gm, gs = -gm, gs ^ 1
+                    gb = gm.bit_length()
+                    if gb > prec:
+                        sh = gb - prec
+                        r = gm >> (sh - 1)
+                        gm = (r >> 1) + 1 if r & 1 and (
+                            r & 2 or gm & ((1 << (sh - 1)) - 1)) else r >> 1
+                        gx += sh
+                        gb = gm.bit_length()
+                else:
+                    gs, gm, gx, gb = _sub(z_n, zi, prec)
+                if not (gm or gb):
+                    # 0, where inf and nan have a nonzero bit count
                     raise NodeCollisionError(
                         f"nodes {n - k} and {n} coincide at working precision")
-                d = _sub(t, old[k - 1], prec)
-                if d[1]:
-                    m = d[2] + d[3]
-                    e_d = max(e, e_old[k - 1], m - prec)
-                    p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
-                    if dz[3] > p:
-                        dz = _rounded(dz[0], dz[1], dz[2], p)
-                    t = _div(d, dz, p)
-                    mq = t[2] + t[3]
-                    e = max(mq - (m - e_d), mq - p)
+                # d = t - old[k - 1] at prec bits, the same way
+                o, eo = old[k - 1], e_old[k - 1]
+                ts, tm, tx, tb = t
+                os_, om, ox, ob = o
+                off = tx - ox
+                if tm and om and not (
+                        off > 100 and tb + off - ob > near
+                        or off < -100 and ob - off - tb > near):
+                    if off >= 0:
+                        a, b, dx = tm << off, om, ox
+                    else:
+                        a, b, dx = tm, om << -off, tx
+                    dm, ds = a - b if ts == os_ else a + b, ts
+                    if dm < 0:
+                        dm, ds = -dm, ds ^ 1
+                    db = dm.bit_length()
+                    if not dm:
+                        ds = dx = 0
+                    elif db > prec:
+                        sh = db - prec
+                        r = dm >> (sh - 1)
+                        dm = (r >> 1) + 1 if r & 1 and (
+                            r & 2 or dm & ((1 << (sh - 1)) - 1)) else r >> 1
+                        dx += sh
+                        db = dm.bit_length()
+                elif t == fzero == o:
+                    ds = dm = dx = db = 0
                 else:
-                    # zero, inf or nan: nothing to shorten
-                    e_d = max(e, e_old[k - 1], _mag(d) - prec)
-                    t = _div(d, dz, prec)
-                    e = e_d - _mag(dz) + 1
+                    ds, dm, dx, db = _sub(t, o, prec)
+                if dm and gm:
+                    # shorten dz to p bits and divide at p bits (_rounded
+                    # and _div written out); e = max(mq - bits, mq - p)
+                    # is mq - bits, since p >= bits
+                    m = dx + db
+                    e_d = m - prec
+                    if e > e_d:
+                        e_d = e
+                    if eo > e_d:
+                        e_d = eo
+                    bits = m - e_d
+                    p = bits + _DD_GUARD
+                    if p < _DD_FLOOR:
+                        p = _DD_FLOOR
+                    if p > prec:
+                        p = prec
+                    if gb > p:
+                        sh = gb - p
+                        r = gm >> (sh - 1)
+                        gm = (r >> 1) + 1 if r & 1 and (
+                            r & 2 or gm & ((1 << (sh - 1)) - 1)) else r >> 1
+                        gx += sh
+                        gb = gm.bit_length()
+                    if dm == gm:
+                        t, e = (ds ^ gs, 1, dx - gx, 1), dx - gx + 1 - bits
+                    else:
+                        extra = p - db + gb + 5
+                        if extra < 5:
+                            extra = 5
+                        q, r = divmod(dm << extra, gm)
+                        q = q << 1 | (r != 0)
+                        qx = dx - gx - extra - 1
+                        sh = q.bit_length() - p
+                        r = q >> (sh - 1)
+                        q = (r >> 1) + 1 if r & 1 and (
+                            r & 2 or q & ((1 << (sh - 1)) - 1)) else r >> 1
+                        qx += sh
+                        if not q & 1:
+                            sh = (q & -q).bit_length() - 1
+                            q >>= sh
+                            qx += sh
+                        qb = q.bit_length()
+                        t, e = (ds ^ gs, q, qx, qb), qx + qb - bits
+                elif gm and not db:
+                    # d == 0: the quotient is 0
+                    t = fzero
+                    e = (e if e > eo else eo) - (gx + gb) + 1
+                else:
+                    # inf or nan: the helpers, as in divided_differences
+                    d, dz = (ds, dm, dx, db), (gs, gm, gx, gb)
+                    if dm:
+                        m = dx + db
+                        e_d = max(e, eo, m - prec)
+                        p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
+                        t = _div(d, dz, p)
+                        mq = t[2] + t[3]
+                        e = max(mq - (m - e_d), mq - p)
+                    else:
+                        e_d = max(e, eo, _mag(d) - prec)
+                        t = _div(d, dz, prec)
+                        e = e_d - _mag(dz) + 1
                 diag.append(t)
                 err.append(e)
             z.append(z_n)
@@ -360,8 +393,9 @@ class WValue:
 
 class _Sum:
     """W's arithmetic: raw mpf operations at p bits, rounded to nearest, in
-    the order of mpf arithmetic at p bits.  Its hooks report each rounding
-    to ``_RoundedSum``; here they do nothing."""
+    the order of mpf arithmetic at p bits, each on the integer kernel
+    (``_mul`` and ``_add``), which returns mpmath's bits.  Its hooks report
+    each rounding to ``_RoundedSum``; here they do nothing."""
 
     __slots__ = ("p",)
 
@@ -390,9 +424,9 @@ class _Sum:
             # term is 0 and adds no error, but adding it still rounds total
             if w != fzero:
                 c = coeffs[k]._mpf_
-                t = mpf_mul(c, w, p, round_nearest)
+                t = _mul(c, w, p)
                 self._product(c, errs[k], w, k, mu)
-            total = mpf_add(total, t, p, round_nearest)
+            total = _add(total, t, p)
             self._rounded(total, mu)
         return total
 
@@ -403,22 +437,21 @@ class _Sum:
             return fzero
         c = itp.coeffs[N]._mpf_
         self._product(c, itp.errs[N], w, N, _mag(u))
-        return mpf_mul(mpf_mul(c, w, self.p, round_nearest), u, self.p,
-                       round_nearest)
+        return _mul(_mul(c, w, self.p), u, self.p)
 
     def add(self, a, b):
-        r = mpf_add(a, b, self.p, round_nearest)
+        r = _add(a, b, self.p)
         self._rounded(r)
         return r
 
     def sub(self, a, b, mu):
         """a - b, to be multiplied by a cutoff below 2^mu."""
-        r = mpf_sub(a, b, self.p, round_nearest)
+        r = _add(a, b, self.p, 1)
         self._rounded(r, mu)
         return r
 
     def mul(self, a, u):
-        r = mpf_mul(a, u, self.p, round_nearest)
+        r = _mul(a, u, self.p)
         self._rounded(r)
         return r
 

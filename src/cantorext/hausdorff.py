@@ -27,6 +27,7 @@ from mpmath.libmp import from_float, to_float
 from .errors import DepthError, DomainError, ParameterError
 from .dimension import LogPower
 from .geometry import CantorTree
+from .kernel import _add, _sub
 from .logreal import ln_double, ln_double_fixed
 
 LN2 = math.log(2.0)
@@ -150,6 +151,11 @@ class _Atoms:
     def key(v) -> tuple:
         return v, v
 
+    @staticmethod
+    def window(x, r) -> tuple:
+        """The ends x - r and x + r of the window of radius r around x."""
+        return x - r, x + r
+
     @property
     def count(self) -> int:
         return len(self.lefts)
@@ -223,6 +229,14 @@ class TreeAtoms(_Atoms):
 
     def key(self, v) -> tuple:
         return _scaled(v, self.scale)
+
+    def window(self, x, r) -> tuple:
+        """x - r and x + r at the tree's precision, on the integer kernel:
+        the mpf operators' values, bit for bit, so a clamped end and the
+        window's key are theirs."""
+        a, b = x._mpf_, r._mpf_
+        return (mp.make_mpf(_sub(a, b, self.bits)),
+                mp.make_mpf(_add(a, b, self.bits)))
 
     def _column(self, starts, j: int) -> np.ndarray:
         lefts, rights = self.keys
@@ -464,7 +478,7 @@ def _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows) -> DensityTable
     for ln_inv_r, r_native in r_items:
         phis = []
         for label, x in x_items:
-            lo, hi = x - r_native, x + r_native
+            lo, hi = atoms.window(x, r_native)
             key = _run(atoms, lo, hi)
             if key is None:
                 continue

@@ -7,11 +7,12 @@ mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
 log-power dimension functions, a level-polynomial lower bound for the
 Markov factor of a grid, the whole Newton table built order by order on
 mpmath's operations, which the grown tables and their integer kernel
-replaced, finite-sample Whitney norms of the localized node polynomials, the
-uniform-smallness block inequality on the profile's exact logs, the
-cutoff's components merged atom by atom, which the tree walk replaced, and
-the Markov estimator's Chebyshev-basis LPs on HiGHS, which the exchange
-replaced.  Tests import them by name
+replaced, the grown table's loop with one kernel call per operation, which
+the inlined loop replaced, finite-sample Whitney norms of the localized
+node polynomials, the uniform-smallness block inequality on the profile's
+exact logs, the cutoff's components merged atom by atom, which the tree
+walk replaced, and the Markov estimator's Chebyshev-basis LPs on HiGHS,
+which the exchange replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
@@ -29,11 +30,14 @@ from numpy.polynomial import chebyshev as C
 from cantorext import markov
 from cantorext.bump import BumpSpec, bump_for_interval
 from cantorext.dimension import LogPower
-from cantorext.errors import HorizonError, NodeCollisionError
-from cantorext.extension import _DD_FLOOR, _DD_GUARD, _DD_SLACK, _mag, _raw
+from cantorext.errors import (HorizonError, NodeCollisionError,
+                              ParameterError)
+from cantorext.extension import (_DD_FLOOR, _DD_GUARD, _DD_SLACK, NewtonTable,
+                                  _raw)
 from cantorext.gamma import Profile
 from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
                                 select_nodes)
+from cantorext.kernel import _div, _mag, _rounded, _sub
 from cantorext.logreal import ln_double
 
 P_MAX = 3
@@ -120,6 +124,54 @@ def order_major_divided_differences(points: Sequence, values: Sequence) -> tuple
         coeffs.append(table[0])
         errs.append(err[0] + _DD_SLACK)
     return [mp.make_mpf(c) for c in coeffs], errs
+
+
+def helper_grow(table: NewtonTable, points: Sequence,
+                values: Sequence) -> None:
+    """``NewtonTable.grow`` with one kernel call per operation: for each new
+    node n and order k, dz = z_n - z_{n-k} and d = t - old[k - 1] through
+    ``_sub``, the shortening of dz through ``_rounded`` and the quotient
+    through ``_div``, with ``max``/``min`` for the running exponents.  Same
+    prefix check, same collision error, same fields."""
+    if len(points) != len(values):
+        raise ParameterError("points and values must pair up")
+    prec, held = table.prec, len(table.points)
+    if len(points) < held or any(
+            a != b for a, b in zip(points, table.points)):
+        raise ParameterError("points must begin with the table's nodes")
+    z = table._z
+    for zn, vn in zip(points[held:], values[held:]):
+        z_n, n = _raw(zn), len(z)
+        old, e_old = table._diag, table._err
+        t = _raw(vn)
+        e = _mag(t) - prec
+        diag, err = [t], [e]
+        for k in range(1, n + 1):
+            dz = _sub(z_n, z[n - k], prec)
+            if dz == fzero:
+                raise NodeCollisionError(
+                    f"nodes {n - k} and {n} coincide at working precision")
+            d = _sub(t, old[k - 1], prec)
+            if d[1]:
+                m = d[2] + d[3]
+                e_d = max(e, e_old[k - 1], m - prec)
+                p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
+                if dz[3] > p:
+                    dz = _rounded(dz[0], dz[1], dz[2], p)
+                t = _div(d, dz, p)
+                mq = t[2] + t[3]
+                e = max(mq - (m - e_d), mq - p)
+            else:
+                e_d = max(e, e_old[k - 1], _mag(d) - prec)
+                t = _div(d, dz, prec)
+                e = e_d - _mag(dz) + 1
+            diag.append(t)
+            err.append(e)
+        z.append(z_n)
+        table._diag, table._err = diag, err
+        table.points.append(zn)
+        table.coeffs.append(mp.make_mpf(t))
+        table.errs.append(e + _DD_SLACK)
 
 
 # ---------------------------------------------------------------------------

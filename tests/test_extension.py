@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_add,
-                          mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest)
+                          mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_sub,
+                          round_nearest)
 from oracles import (JetSample, block_inequality_fails, c_p_table,
-                     check_cutoff_product_bound, merge_atoms,
+                     check_cutoff_product_bound, helper_grow, merge_atoms,
                      order_major_divided_differences, polynomial_jet, series,
                      step_series, whitney_norm)
 import test_acceptance
@@ -25,14 +26,15 @@ from cantorext.bump import BumpSpec, bump_for_interval, step_value_mpf
 from cantorext.errors import (HorizonError, InvariantError, NodeCollisionError,
                               ParameterError)
 from cantorext.extension import (
-    ExtensionOperator, NewtonTable, _div, _mag, _rounded, _sub,
-    check_chain_product_bound, check_distance_product_bound,
-    divided_differences, dn_experiment, grow_omega, schedule_for,
+    ExtensionOperator, NewtonTable, check_chain_product_bound,
+    check_distance_product_bound, divided_differences, dn_experiment,
+    grow_omega, schedule_for,
 )
 from cantorext.gamma import (DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2,
                              EXAMPLE3, EXPONENTIAL, POWER_LAW, build_model,
                              profile)
 from cantorext.geometry import build_tree, select_nodes
+from cantorext.kernel import _add, _div, _mag, _mul, _rounded, _sub
 from cantorext.logreal import LN2_FRACTION
 
 
@@ -417,6 +419,65 @@ class TestGrownTables:
             values = [_DD_FUNCS[name](z) for z in points]
             _grown(points, values, (3, 6, len(points)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(prec=st.integers(24, 2200), name=st.sampled_from(sorted(_DD_FUNCS)),
+           kind=st.sampled_from(["f", "x", "cubic", "mixed"]), data=st.data())
+    def test_inlined_loop_is_the_helper_loop(self, prec, name, kind, data):
+        # NewtonTable.grow, its kernel written out, against the loop that
+        # calls the kernel once per operation (oracles.helper_grow): after
+        # every step the same nodes, coefficients, exponents, diagonal and
+        # running exponents, or the same collision at the same node.  Extra
+        # nodes: 0, one far below the others (mpf_add's far-offset
+        # shortcut), a repeat (a collision) and inf.  x divides equal
+        # mantissas at order 1, a cubic exact zeros from order 4; mixed
+        # values hold 0, inf and nan
+        with mp.workprec(prec):
+            points = _clustered(data, prec, 12)
+            tiny = mp.ldexp(1 + mp.sqrt(3) / 7, -prec - data.draw(
+                st.integers(110, 400)))
+            for extra in data.draw(st.lists(st.sampled_from(
+                    ["zero", "tiny", "repeat", "inf"]), max_size=3)):
+                node = {"zero": mp.mpf(0), "tiny": tiny, "inf": mp.inf,
+                        "repeat": data.draw(st.sampled_from(points))}[extra]
+                points.insert(data.draw(st.integers(0, len(points))), node)
+            f = _DD_FUNCS[name]
+            special = [mp.mpf(0), mp.mpf(-1), mp.inf, -mp.inf, mp.nan]
+            values = []
+            for z in points:
+                if not mp.isfinite(z):
+                    values.append(data.draw(st.sampled_from(special)))
+                elif kind == "mixed":
+                    values.append(data.draw(st.sampled_from([f(z),
+                                                             *special])))
+                elif kind == "x":
+                    values.append(z)
+                elif kind == "cubic":
+                    values.append(z ** 3 - 2 * z)
+                else:
+                    values.append(f(z))
+            cuts = sorted(set(data.draw(st.lists(
+                st.integers(1, len(points)), max_size=4))) | {len(points)})
+            new, old = NewtonTable(prec), NewtonTable(prec)
+            for i, c in enumerate(cuts):
+                # equal nodes that are other objects pass the prefix check
+                pts = points[:c] if i % 2 else [+z for z in points[:c]]
+                raised = []
+                for table, grow in ((new, NewtonTable.grow),
+                                    (old, helper_grow)):
+                    try:
+                        grow(table, pts, values[:c])
+                        raised.append(None)
+                    except NodeCollisionError as exc:
+                        raised.append(str(exc))
+                assert raised[0] == raised[1]
+                assert new.points == old.points
+                # repr: an exponent can be nan, which equals no other nan
+                assert repr((_bits(new.coeffs), new.errs, new._z, new._diag,
+                             new._err)) == repr((_bits(old.coeffs), old.errs,
+                                                 old._z, old._diag, old._err))
+                if raised[0]:
+                    break
+
     def test_collision_leaves_the_table_as_it_was(self):
         with mp.workprec(256):
             points = [mp.mpf(1), mp.mpf(2) ** -40, mp.mpf(3), mp.mpf(1)]
@@ -492,17 +553,16 @@ def test_kernel_division_is_mpf_div(case, bits, p, data):
     assert _div(d, dz, p) == mpf_div(d, dz, p, round_nearest)
 
 
-@settings(max_examples=600, deadline=None)
-@given(case=st.sampled_from(["any", "offset", "far", "cancel", "tie", "one",
-                             "special"]),
-       prec=st.integers(2, 10_000), data=st.data())
-def test_kernel_subtraction_is_mpf_sub(case, prec, data):
-    # mantissas shorter and longer than prec; exponent offsets either side
-    # of 100 with the operands' leading bits either side of prec + 4 apart
-    # (mpf_add's far-offset shortcut, which is not correctly rounded where
-    # the longer operand has more than prec bits); a difference of exactly
-    # zero; a difference half an ulp above a prec-bit number (a tie);
-    # mantissa-1 operands; zero, inf and nan
+def _difference_operands(case, prec, data):
+    """Operands a, b whose difference a - b falls in ``case``: mantissas
+    shorter and longer than prec; exponent offsets either side of 100 with
+    the operands' leading bits either side of prec + 4 apart (mpf_add's
+    far-offset shortcut, which is not correctly rounded where the longer
+    operand has more than prec bits), with either direction of its nudge
+    deciding a tie; a difference of exactly zero; a difference half an ulp
+    above a prec-bit number (a tie); mantissa-1 operands; a zero beside
+    operands shorter and longer than prec; zero, inf and nan.  Both signs
+    of each operand."""
     sa, sb = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     ea = data.draw(st.integers(-20_000, 20_000))
     abits = data.draw(st.integers(1, prec + 64))
@@ -536,6 +596,16 @@ def test_kernel_subtraction_is_mpf_sub(case, prec, data):
                          ea - off)
         if data.draw(st.booleans()):
             a, b = (1 - b[0],) + b[1:], (1 - a[0],) + a[1:]
+    elif case == "far tie":
+        # past mpf_add's shortcut, a a tie at prec bits and b of either
+        # sign: the direction of the shortcut's one-unit nudge alone
+        # decides the rounding
+        a = from_man_exp((-1) ** sa * (2 * _mantissa(data, prec) + 1), ea)
+        off = data.draw(st.integers(101, 300))
+        b = from_man_exp((-1) ** sb * _mantissa(data, data.draw(
+            st.integers(1, off - 4))), ea - off)
+        if data.draw(st.booleans()):
+            a, b = b, a
     elif case == "cancel":
         b = a
     elif case == "tie":
@@ -553,12 +623,79 @@ def test_kernel_subtraction_is_mpf_sub(case, prec, data):
                          ea - data.draw(st.integers(-prec - 200, prec + 200)))]))
         if data.draw(st.booleans()):
             a, b = b, a
+    elif case == "zero":
+        # beside a zero the other operand is rounded: one bit longer than
+        # prec is the shortest that rounds
+        long = from_man_exp((-1) ** sa * (_mantissa(data, prec + 1) | 1), ea)
+        a, b = data.draw(st.sampled_from([a, long])), fzero
+        if data.draw(st.booleans()):
+            a, b = b, a
     else:
         b = data.draw(st.sampled_from(_SPECIAL))
         a = data.draw(st.sampled_from([a, *_SPECIAL]))
         if data.draw(st.booleans()):
             a, b = b, a
+    return a, b
+
+
+_SUM_CASES = ["any", "offset", "far", "far tie", "cancel", "tie", "one",
+              "zero", "special"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(_SUM_CASES), prec=st.integers(2, 10_000),
+       data=st.data())
+def test_kernel_subtraction_is_mpf_sub(case, prec, data):
+    a, b = _difference_operands(case, prec, data)
     assert _sub(a, b, prec) == mpf_sub(a, b, prec, round_nearest)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(_SUM_CASES), prec=st.integers(2, 10_000),
+       data=st.data())
+def test_kernel_addition_is_mpf_add(case, prec, data):
+    # the differences' cases as sums: a + (-b) = a - b
+    a, b = _difference_operands(case, prec, data)
+    b = mpf_neg(b)
+    assert _add(a, b, prec) == mpf_add(a, b, prec, round_nearest)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(["any", "exact", "tie", "far", "one",
+                             "special"]),
+       prec=st.integers(2, 10_000), data=st.data())
+def test_kernel_multiplication_is_mpf_mul(case, prec, data):
+    # products shorter and longer than prec; odd mantissas whose product
+    # has exactly prec + 1 bits, so that its last bit is a tie; exponents
+    # far apart; mantissa-1 operands; zero, inf and nan; every sign pair
+    sa, sb = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    ea, eb = (data.draw(st.integers(-20_000, 20_000)) for _ in range(2))
+    aman = _mantissa(data, data.draw(st.integers(1, prec + 64)))
+    bman = _mantissa(data, data.draw(st.integers(1, prec + 64)))
+    if case == "exact":
+        abits = data.draw(st.integers(1, prec))
+        aman = _mantissa(data, abits)
+        bman = _mantissa(data, data.draw(st.integers(1, max(prec - abits,
+                                                             1))))
+    elif case == "tie":
+        aman = _mantissa(data, data.draw(st.integers(1, prec))) | 1
+        lo, hi = -(-(1 << prec) // aman), ((1 << prec + 1) - 1) // aman
+        assume(lo <= hi)
+        bman = data.draw(st.integers(lo, hi)) | 1
+        assume((aman * bman).bit_length() == prec + 1)
+    elif case == "far":
+        eb = ea + data.draw(st.sampled_from([-1, 1])) * data.draw(
+            st.integers(prec, prec + 30_000))
+    elif case == "one":
+        aman = 1
+    a = from_man_exp((-1) ** sa * aman, ea)
+    b = from_man_exp((-1) ** sb * bman, eb)
+    if case == "special":
+        b = data.draw(st.sampled_from(_SPECIAL))
+        a = data.draw(st.sampled_from([a, *_SPECIAL]))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    assert _mul(a, b, prec) == mpf_mul(a, b, prec, round_nearest)
 
 
 @settings(max_examples=400, deadline=None)

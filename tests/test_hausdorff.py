@@ -766,6 +766,25 @@ class TestIntegerKeys:
         assert len(runs) == (tree.depth - 1) * 2 ** tree.depth
         assert all(got == want for got, want in runs)
 
+    @pytest.mark.parametrize("b", [2.0, 3.0])
+    def test_scan_window_ends_are_the_mpf_operators(self, b, monkeypatch):
+        # the kernel forms x - r and x + r at the tree's precision: every
+        # window of the scan has the ends the mpf operators give, bit for bit
+        ends = []
+        window = TreeAtoms.window
+
+        def recorded(atoms, x, r):
+            ends.append((x, r, window(atoms, x, r)))
+            return ends[-1][2]
+
+        monkeypatch.setattr(TreeAtoms, "window", recorded)
+        tree = _delta_tree(b)
+        density_scan_tree(tree, H_HALF, range(2, tree.depth + 1))
+        assert len(ends) == (tree.depth - 1) * 2 ** tree.depth
+        with mp.workprec(tree.bits):
+            for x, r, (lo, hi) in ends:
+                assert (lo._mpf_, hi._mpf_) == ((x - r)._mpf_, (x + r)._mpf_)
+
     @pytest.mark.parametrize("clamp", ["left", "right", "both"])
     def test_clamped_view_windows_match_mpf_bisection(self, clamp):
         root = TreeAtoms(_memo_tree())
