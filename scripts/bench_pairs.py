@@ -9,7 +9,8 @@ unchanged ``perfbench/run.py`` of one checkout, started with that checkout as
 its working directory, so it imports the package from that checkout's
 ``src/``.  ``--pairs WORKLOAD:SEEDS`` runs one untraced pair per seed (SEEDS
 is ``a-b`` or a comma list); the side that runs first alternates from pair
-to pair.  ``--traced WORKLOAD:SEED`` adds one ``--trace 1`` run per side.
+to pair.  ``--traced WORKLOAD:SEEDS`` adds one ``--trace 1`` pair per seed,
+its sides alternating the same way.
 
 The output holds the machine facts (Python, mpmath and its backend, numpy,
 scipy, CPU count), every run's last-line JSON, and per workload and
@@ -70,6 +71,12 @@ def workload_arg(text: str) -> tuple:
     if not name or not seeds:
         raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS, got {text!r}")
     return name, seeds_of(seeds)
+
+
+def sides(i: int) -> tuple:
+    """The order in which pair i runs its sides: the parent first in even
+    pairs, the change first in odd ones."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
@@ -232,7 +239,7 @@ def main(argv=None) -> int:
     k = 0
     for workload, seeds in args.pairs:
         for seed in seeds:
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            order = sides(k)
             k += 1
             for pos, side in enumerate(order):
                 res = run_once(dirs[side], workload, seed, args.seconds, 0)
@@ -253,9 +260,7 @@ def main(argv=None) -> int:
             golden = json.load(fh)
     for rep in range(args.cli):
         for i, (command, digest) in enumerate(golden.items()):
-            order = ("parent", "change") if (rep + i) % 2 == 0 \
-                else ("change", "parent")
-            for pos, side in enumerate(order):
+            for pos, side in enumerate(sides(rep + i)):
                 wall_s, cpu_s, out = run_cli(dirs[side], command)
                 doc["cli_runs"].append({
                     "side": side, "command": command, "rep": rep,
@@ -263,13 +268,16 @@ def main(argv=None) -> int:
                     "cpu_s": round(cpu_s, 4), "correct": out == digest})
         save()
         print(f"cli rep {rep + 1} of {args.cli}", file=sys.stderr)
+    k = 0
     for workload, seeds in args.traced:
         for seed in seeds:
-            for side in ("parent", "change"):
+            order = sides(k)
+            k += 1
+            for pos, side in enumerate(order):
                 res = run_once(dirs[side], workload, seed, args.seconds, 1)
                 doc["traced_runs"].append({
                     "side": side, "workload": workload, "seed": seed,
-                    "trace": 1, "correct": res["correct"],
+                    "trace": 1, "order": pos, "correct": res["correct"],
                     "attempted": res["attempted"], "failed": res["failed"],
                     "metrics": {m: v["value"]
                                 for m, v in res["metrics"].items()}})

@@ -52,10 +52,11 @@ class BumpSpec:
         if self._edges is None:
             with mp.workprec(self.bits):
                 m = mp.mpf(self.t) / 3
+                m2 = 2 * m   # exact: doubling keeps the mantissa
                 lo = [c[0] for c in self.components]
                 hi = [c[1] for c in self.components]
                 self._edges = (m, lo, hi,
-                               [a - 2 * m for a in lo], [b + 2 * m for b in hi],
+                               [a - m2 for a in lo], [b + m2 for b in hi],
                                [a - self.t for a in lo], [b + self.t for b in hi])
         return self._edges
 

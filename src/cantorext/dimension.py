@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .gamma import GammaModel, profile as make_profile
+from .errors import DomainError, HorizonError, ParameterError
+from .gamma import GammaModel, _float_or_inf, profile as make_profile
 
 LN2 = math.log(2.0)
 
@@ -42,7 +42,11 @@ class EtaProfile:
         prof = self.profile = make_profile(model)
         k_hi = prof.model.k_max
         # L_k = ln(1/delta_k), exact fractions rounded once
-        self._L = np.array([float(prof.ln_inv_delta(k)) for k in range(k_hi + 1)])
+        self._L = np.array([_float_or_inf(v) for v in prof.ln_inv_deltas])
+        if self._L[-1] == math.inf:
+            k = int(np.argmax(self._L == math.inf))
+            raise HorizonError(f"eta needs ln(1/delta_k) as a double, and it "
+                               f"has none at k={k}; --k-max must be below {k}")
         self._k = np.arange(k_hi + 1, dtype=float)
         self.lnt_min = 0.0
         self.lnt_max = float(self._L[-1])

@@ -541,7 +541,12 @@ class _PointState:
     is the index m of the row's first exact zero at the tree's precision,
     noted once as the row grows: x is then node m of I_{j,s}, Omega_k(x) =
     0 for every k >= m, and no table needs a node past x.  ``plans[S]`` is
-    ``ExtensionOperator._plan``'s list for truncation level S.
+    ``ExtensionOperator._plan``'s list for truncation level S.  ``entries``
+    counts the rows' entries Omega_k(x), k >= 1: the operator keeps a state
+    per point until all its states hold more than 2^(depth + 1), then drops
+    the least recently used first.  A stage or row grown over several calls
+    is the one grown in a single call, bit for bit: each level and each
+    running product is computed the same way whenever it is reached.
     """
 
     x: object
@@ -550,6 +555,7 @@ class _PointState:
     omega: dict = field(default_factory=dict)
     zero: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
+    entries: int = 0
 
     def grow(self, j: int, s: int, points: Sequence) -> None:
         """Grow the row of I_{j,s} through Omega_k(x) over its first k nodes
@@ -557,6 +563,7 @@ class _PointState:
         row = self.omega.setdefault((j, s), [1])
         held = len(row)
         grow_omega(row, self.x, points, len(points))
+        self.entries += len(row) - held
         # a running product: once 0, every later entry is 0
         if (j, s) not in self.zero and not row[-1]:
             self.zero[(j, s)] = next(k for k in range(held, len(row))
@@ -666,14 +673,17 @@ class ExtensionOperator:
     W(f, x) pairs f's Newton coefficients with weights that depend on x and
     the tree alone: the live sets of both stages, the cutoff values u(x) and
     the running products Omega_k(x).  Those weights are kept at the tree's
-    precision for the most recent x only (one entry, replaced when x
-    changes), so any number of functions evaluated at one point before
-    moving on share them, whatever precision each sum runs at.  Bump specs
-    and their support hulls are cached per basic interval and width.
-    Interpolants (per basic interval) and function values (per node) are
-    cached per function and precision while the function object lives, so
-    switching between functions keeps each one's work.  Node sets are
-    prefix-stable, so an interval that needs more nodes grows its Newton
+    precision per x, most recently used last, so every function evaluated
+    at a kept point shares them, whatever precision its sum runs at and
+    whether it sweeps its points or a point's functions come together.
+    Once the kept Omega rows hold more than 2^(depth + 1) entries in all,
+    as many as the deepest level has endpoints, the least recently used
+    points are dropped first; the current call's point is never dropped.
+    Bump specs and their support hulls are cached per basic interval and
+    width.  Interpolants (per basic interval) and function values (per
+    node) are cached per function and precision while the function object
+    lives, so switching between functions keeps each one's work.  Node sets
+    are prefix-stable, so an interval that needs more nodes grows its Newton
     table in place, and a grown table equals one built at once, bit for bit.
     """
 
@@ -696,7 +706,11 @@ class ExtensionOperator:
         self._nodes: dict = {}   # (j, s) -> the longest node list asked for
         # f -> {precision: _Tables}; dropped with f
         self._per_f = weakref.WeakKeyDictionary()
-        self._point: Optional[_PointState] = None
+        # x's raw mpf -> its _PointState, most recently used last; their
+        # rows hold ``_entries`` entries, kept within ``_budget``
+        self._states: dict = {}
+        self._entries = 0
+        self._budget = 2 ** (tree.depth + 1)
 
     # -- caches ------------------------------------------------------------
 
@@ -762,15 +776,17 @@ class ExtensionOperator:
     # -- the point state -----------------------------------------------------
 
     def _state(self, x, s_cap: int) -> _PointState:
-        """x's state through level s_cap - 1; a new x replaces the old one.
+        """x's state through level s_cap - 1, kept or made, and now the most
+        recently used.
 
         A level is stored only once both its audits have passed, so a broken
         locality raises again on every call.
         """
-        pt = self._point
-        if pt is None or pt.x != x:
+        pt = self._states.pop(x._mpf_, None)
+        if pt is None:
             # delta_0 = 1: the root cutoff has width 1
-            pt = self._point = _PointState(x, self._bump(1, 0, 0).value(x))
+            pt = _PointState(x, self._bump(1, 0, 0).value(x))
+        self._states[x._mpf_] = pt
         while len(pt.stages) < s_cap:
             pt.stages.append(self._stage(x, len(pt.stages)))
         return pt
@@ -850,7 +866,7 @@ class ExtensionOperator:
         plan = pt.plans.get(s_cap)
         if plan is not None:
             return plan
-        sched, plan = self.schedule, []
+        sched, plan, before = self.schedule, [], pt.entries
 
         def read(j, s, upto, n):
             pt.grow(j, s, self._points(j, s, upto))
@@ -866,6 +882,12 @@ class ExtensionOperator:
                 read(k, s + 1, M, M + 1)
                 read((k + 1) // 2, s, N, N + 1)
         pt.plans[s_cap] = plan
+        # only a plan grows rows: drop the least recently used points, never
+        # pt, the last, until the rows fit the budget
+        self._entries += pt.entries - before
+        states = self._states
+        while self._entries > self._budget and len(states) > 1:
+            self._entries -= states.pop(next(iter(states))).entries
         return plan
 
     def _grow(self, f: Callable, tables: _Tables, pt: _PointState,

@@ -141,10 +141,19 @@ def _exp_tail(exps, s: float = 0.0) -> float:
     return s
 
 
+def _float_or_inf(q: Fraction) -> float:
+    """q as a double, +-inf past the doubles (printed as null)."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _listed_tail(ln_inv: list) -> Callable[[int], float]:
     """tail(p) = sum_{k>p} gamma_k over the formula's own list, leaving out
     each gamma_k below e^-700."""
-    return lambda p: _exp_tail(v for v in map(float, ln_inv[p:]) if v < 700)
+    return lambda p: _exp_tail(v for v in map(_float_or_inf, ln_inv[p:])
+                               if v < 700)
 
 
 def _floats(values) -> list:
@@ -158,7 +167,14 @@ def _power_law(k_max: int, a: float):
     """gamma_k = k^-a, a > 1."""
     if a <= 1.0:
         raise ValidationError("power_law needs a > 1 for a summable tail")
-    ln_inv = [Fraction(a * math.log(k)) for k in range(1, k_max + 1)]
+    ln_inv = []
+    for k in range(1, k_max + 1):
+        v = a * math.log(k)
+        if v == math.inf:
+            raise ParameterError(f"power_law: a ln k has no double at k={k} "
+                                 f"for --a {a}; lower --a, or --k-max below "
+                                 f"{k}")
+        ln_inv.append(Fraction(v))
 
     def tail(p):
         # the Hurwitz zeta sum_{k>p} k^-a is the tail itself: nothing cancels
@@ -184,8 +200,14 @@ def _doubly_exp(k_max: int, a: float):
     """gamma_k = exp(-a^k), a > 1."""
     if a <= 1.0:
         raise ValidationError("doubly_exp needs a > 1")
-    ln_inv = [Fraction(a) ** k if a == int(a) else Fraction(a ** k)
-              for k in range(1, k_max + 1)]
+    ln_inv = []
+    for k in range(1, k_max + 1):
+        try:
+            ln_inv.append(Fraction(a) ** k if a == int(a)
+                          else Fraction(a ** k))
+        except OverflowError:
+            raise HorizonError(f"doubly_exp: a^k has no double at k={k} for "
+                               f"a={a}; --k-max must be below {k}") from None
 
     def tail(p):
         # stops at the first a^k >= 700: an a^k of exactly 700 is left out
@@ -570,7 +592,7 @@ def profile(model: GammaModel) -> Profile:
     for k in range(1, model.k_max + 1):
         cum += model.ln_inv_gamma[k - 1]
         sums.append(cum)
-        b = float(cum / 2 ** (k + 1))
+        b = _float_or_inf(cum / 2 ** (k + 1))
         B.append(b)
         beta.append(math.log(b) / k if 0 < b < math.inf else math.nan)
         acc += b
@@ -621,10 +643,10 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
     prod_{i=1..m} delta_{s+n-i}^{2^{i-1}} < delta_{s+n}^M, i.e.
     sum_{i=1..m} B_{s+n-i} > 2 M B_{s+n}.  Each is decided once, exactly, on
     B_k = ln(1/delta_k) / 2^{k+1} with eps taken as the rational value of
-    its double; the sums are reported rounded to doubles.  The ``consistent``
-    flag asserts the provable pointwise implications of the uniform
-    inequality by the recent-window and the block ones; it is a cross-check
-    of the implementation, not of the model.
+    its double; the sums are reported rounded to doubles, +-inf past them.
+    The ``consistent`` flag asserts the provable pointwise implications of
+    the uniform inequality by the recent-window and the block ones; it is a
+    cross-check of the implementation, not of the model.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ParameterError("the diagnostics need a finite eps > 0, "
@@ -657,11 +679,14 @@ def condition_diagnostics(prof: Profile, s_grid: Sequence[int],
             block_holds = block_lhs < block_rhs
             rows.append(DiagnosticsRow(
                 s=s, n=n, ratio_uniform=float(last / total),
-                block_lhs=float(block_lhs), block_rhs=float(block_rhs),
+                block_lhs=_float_or_inf(block_lhs),
+                block_rhs=_float_or_inf(block_rhs),
                 block_holds=block_holds,
-                recent_lhs=float(last), recent_rhs=float(recent_rhs),
+                recent_lhs=_float_or_inf(last),
+                recent_rhs=_float_or_inf(recent_rhs),
                 recent_holds=recent_holds,
-                product_margin_scaled=float(margin), product_holds=margin > 0,
+                product_margin_scaled=_float_or_inf(margin),
+                product_holds=margin > 0,
                 # pointwise implications (hold for any B >= 0)
                 consistent=uniform_holds or not (recent_holds or block_holds)))
     return DiagnosticsReport(eps=eps, m=m, M=float(M), rows=tuple(rows),

@@ -1,5 +1,7 @@
 """The verdicts ``scripts/bench_pairs.py`` writes beside each metric."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +84,34 @@ def test_cli_summary_compares_cpu_time_beside_wall_time():
         "gain_rule_met": True, "within_bound": None}
     assert out["wall_s"]["change_lower_in"] == "1 of 3"
     assert out["wall_s"]["gain_rule_met"] is False
+
+
+def test_traced_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
+    # the traced runs once always ran the parent first, so a layer's time
+    # in the change run carried whatever the machine did second
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((Path(checkout).name, seed, trace))
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {m: {"value": 1.0} for m in bench_pairs.END_TO_END}}
+
+    def facts(*args, **kwargs):
+        return subprocess.CompletedProcess(args, 0, stdout='{"python": "3"}')
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", facts)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--pairs", "density:1-3",
+                             "--traced", "extend_jets:7,11,13",
+                             "--traced", "density:5",
+                             "--out", str(out)]) == 0
+    traced = [(side, seed) for side, seed, trace in calls if trace]
+    assert traced == [("parent", 7), ("change", 7), ("change", 11),
+                      ("parent", 11), ("parent", 13), ("change", 13),
+                      ("change", 5), ("parent", 5)]
+    runs = json.loads(out.read_text())["traced_runs"]
+    assert [(r["side"], r["seed"], r["order"]) for r in runs] == [
+        (side, seed, i % 2) for i, (side, seed) in enumerate(traced)]

@@ -426,6 +426,41 @@ class TestCLI:
         assert data["model"]["k_max"] == k_max and data["ep"] == "no"
         assert len(data["B"]) == k_max
 
+    @pytest.mark.parametrize("args,code,cause", [
+        ("gamma --family doubly_exp --a 1.5 --k-max 3000", 3,
+         "--k-max must be below 1751"),
+        ("dn --family doubly_exp --a 1.5 --k-max 2000 --s 1900 --r 64", 3,
+         "--k-max must be below 1751"),
+        ("gamma --family power_law --a 1e308 --k-max 50", 2,
+         "no double at k=7 for --a 1e+308"),
+        ("hausdorff --family delta_form --b 700 --k-max 400", 3,
+         "--k-max must be below 109"),
+        ("hausdorff --family example3 --k-max 400", 3,
+         "--k-max must be below 282"),
+        ("gamma --family delta_form --b 700 --k-max 3000", 0, None),
+        ("dn --family delta_form --b 700 --k-max 2000 --s 1900 --r 64", 0,
+         None),
+    ], ids=["gamma-doubly_exp", "dn-doubly_exp", "gamma-power_law",
+            "hausdorff-delta_form", "hausdorff-example3",
+            "gamma-delta_form", "dn-delta_form"])
+    def test_values_past_the_doubles_exit_cleanly(self, capsys, args, code,
+                                                  cause):
+        # each exited 1 on an OverflowError: a value past the doubles that
+        # only prints saturates to null, any other names the flag to change
+        assert main(args.split()) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and cause in err
+            return
+        data = json.loads(out, parse_constant=pytest.fail)["data"]
+        if args.startswith("gamma"):
+            # B_k = 700^k / 2^(k+1) leaves the doubles at k = 122
+            B = data["B"]
+            assert None not in B[:121] and B[121:] == [None] * (3000 - 121)
+        else:
+            row, = data["rows"]
+            assert row["fires"] and row["brace"] is None
+
     def test_extend_negative_order_is_rejected(self, capsys):
         # --q -2 exited 0 and printed a bound of e^-12.79 for square
         code = main(["extend", "--family", "example1", "--B", "1", "--bits",

@@ -1101,12 +1101,12 @@ def test_running_omega_matches_scratch_products(tree_ex1_512, probe_points_512):
                     assert got == _scratch_omega_W(op, f, x, S), (S, x)
 
 
-def _uncapped_counts(op, S) -> dict:
-    """(j, s) -> the nodes of each table the sum reads at the operator's
-    point, as the degrees ask them, wherever x lies."""
+def _uncapped_counts(op, x, S) -> dict:
+    """(j, s) -> the nodes of each table the sum reads at x, as the degrees
+    ask them, wherever x lies."""
     sched, counts = op.schedule, {(1, 0): 2}
     for s in range(S):
-        terms_A, terms_T = op._point.stages[s]
+        terms_A, terms_T = op._states[x._mpf_].stages[s]
         want = [((j, s), sched.N(s) + 1) for j, _ in terms_A]
         for k, _ in terms_T:
             want += [((k, s + 1), sched.M(s + 1) + 1),
@@ -1168,7 +1168,7 @@ def test_tables_stop_at_x_bit_for_bit(tree_ex1_512, monkeypatch, S):
                            for itp in tables.values()), x
                 assert {z._mpf_ for z in calls} == {
                     z._mpf_ for itp in tables.values() for z in itp.points}
-                counts = _uncapped_counts(op, S)
+                counts = _uncapped_counts(op, x, S)
                 stopped += any(len(itp.points) < counts[key]
                                for (_, key), itp in tables.items())
                 for p in {tree.bits, _bounded_precision(op, S)}:
@@ -1204,7 +1204,7 @@ def test_f_past_x_is_never_called(tree_ex1_512, bad):
                 for b in ({}, {"norm_q": 2.0, "q": 5})]
         read = {z._mpf_ for t in good_op._per_f[mp.sin].values()
                 for itp in t.interps.values() for z in itp.points}
-        past = {z._mpf_ for key, n in _uncapped_counts(good_op, 4).items()
+        past = {z._mpf_ for key, n in _uncapped_counts(good_op, x, 4).items()
                 for z in good_op._points(*key, n)} - read
         assert len(past) >= 10
 
@@ -1280,6 +1280,101 @@ def test_second_function_at_a_point_evaluates_no_cutoff(tree_ex1_512,
         assert calls["value"] > 0 and calls["support_hit"] > 0
 
 
+@pytest.fixture(scope="module")
+def tree_deep():
+    # criterion 3's tree at half its precision: truncation levels to 6
+    return build_tree(build_model(EXAMPLE1, k_max=16, B=1.0), depth=10,
+                      bits=4096)
+
+
+def test_kept_point_states_are_fresh_operators_bit_for_bit(tree_deep):
+    # criterion 3's order: each function over every point before the next
+    # function, so every point's state is met again by the next function;
+    # a fresh operator per call builds each from nothing
+    tree = tree_deep
+    inner = _inner(tree)[37::250]
+    ends = [tree.levels[5][9].left, tree.levels[5][22].right]
+    op = ExtensionOperator(tree, s_max=6)
+    calls = [(f, {"s_max": 5}) for f in (lambda v: mp.mpf(1), lambda v: v,
+                                         lambda v: v * v)]
+    calls += [(mp.sin, {"norm_q": 2.0, "q": 5, "s_max": S})
+              for S in (3, 4, 5, 6)]
+    with mp.workprec(tree.bits):
+        for f, kw in calls:
+            for x in inner + ends:
+                got = op.evaluate(f, x, **kw)
+                want = ExtensionOperator(tree, s_max=6).evaluate(f, x, **kw)
+                assert got.value._mpf_ == want.value._mpf_, (kw, x)
+                if "norm_q" in kw:
+                    assert got.certified_bound.ln == want.certified_bound.ln
+    # the budget never bound: every point's state was kept
+    assert len(op._states) == len(inner + ends)
+    assert op._entries <= op._budget == 2 ** 11
+
+
+def _row_entries(op) -> int:
+    """Omega_k(x), k >= 1, in every kept row."""
+    return sum(len(row) - 1 for pt in op._states.values()
+               for row in pt.omega.values())
+
+
+def test_a_revisited_point_builds_no_state_and_no_row(tree_ex1_512,
+                                                      probe_points_512,
+                                                      monkeypatch):
+    made = []
+
+    class Counted(extension._PointState):
+        def __init__(self, x, *args):
+            made.append(x)
+            super().__init__(x, *args)
+
+    monkeypatch.setattr(extension, "_PointState", Counted)
+    op = ExtensionOperator(tree_ex1_512, s_max=4)
+    xs = probe_points_512[::20]
+    with mp.workprec(tree_ex1_512.bits):
+        for x in xs:
+            op.evaluate(mp.sin, x)
+        entries = _row_entries(op)
+        assert len(made) == len(op._states) == len(xs)
+        assert op._entries == entries <= op._budget
+        # other functions, other precisions, equal mpf that are other
+        # objects: every state and row is reused as it stands
+        for f, kw in ((mp.cos, {}), (lambda v: v * v, {"s_max": 2}),
+                      (mp.sin, {"norm_q": 2.0, "q": 5})):
+            for x in reversed(xs):
+                op.evaluate(f, +x, **kw)
+        assert len(made) == len(xs)
+        assert op._entries == _row_entries(op) == entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.sampled_from((1, 2, 4))),
+                      min_size=1, max_size=30),
+       budget=st.sampled_from((None, 1, 60, 300)))
+def test_states_past_the_budget_go_oldest_first(tree_ex1_512,
+                                                probe_points_512, calls,
+                                                budget):
+    # the policy told step by step: x's state moves last; then, while the
+    # rows hold more entries than the budget, the first state goes, unless
+    # it is the only one.  None leaves the tree's budget, 2^8 entries
+    op = ExtensionOperator(tree_ex1_512, s_max=4)
+    if budget is not None:
+        op._budget = budget
+    kept: dict = {}
+    with mp.workprec(tree_ex1_512.bits):
+        for i, S in calls:
+            x = probe_points_512[i % len(probe_points_512)]
+            op.evaluate(mp.sin, x, s_max=S)
+            kept.pop(x._mpf_, None)
+            kept[x._mpf_] = op._states[x._mpf_].entries
+            while sum(kept.values()) > op._budget and len(kept) > 1:
+                del kept[next(iter(kept))]
+            assert list(op._states) == list(kept)
+            assert {key: pt.entries for key, pt in op._states.items()} == kept
+            assert op._entries == _row_entries(op) == sum(kept.values())
+
+
 def test_bisected_live_sets_match_full_scan(tree_ex1_512, probe_points_512):
     # the cutoffs both stages audit, at every level the operator reaches;
     # x runs over each hull's exact ends, the shoulders and the plateaus
@@ -1345,7 +1440,7 @@ class TestPrecisionPerBound:
                     self._check(op, f, x, out, 3 * tree.bits)
                     # the rounding bound takes the live cutoffs as exact:
                     # on the set each is 1
-                    pt = op._point
+                    pt = op._states[x._mpf_]
                     assert {pt.root_u} | {u for A, T in pt.stages for _, us
                                           in A for _, u in us} \
                         | {u for A, T in pt.stages for _, u in T} == {1}
@@ -1700,7 +1795,7 @@ def test_plan_lists_the_tables_the_sum_reads(tree_jets):
                 op = ExtensionOperator(tree_jets, s_max=5)
                 op.evaluate(_poly, x, s_max=S)
                 plan = {}
-                for j, s, n in op._plan(op._point, S):
+                for j, s, n in op._plan(op._states[x._mpf_], S):
                     plan[(j, s)] = max(n, plan.get((j, s), 0))
                 tables = op._tables(_poly, tree_jets.bits).interps
                 assert {key: len(itp.points)
@@ -1710,7 +1805,7 @@ def test_plan_lists_the_tables_the_sum_reads(tree_jets):
                     row = grow_omega([1], x, nodes, len(nodes))
                     assert len(itp.points) <= next(
                         (k for k, w in enumerate(row) if not w), len(row))
-                stopped += S == 5 and plan != _uncapped_counts(op, S)
+                stopped += S == 5 and plan != _uncapped_counts(op, x, S)
                 longest = max(longest, len(plan))
     # at S = 5 every endpoint stops some table short
     assert longest >= 6 and stopped == len(ends[::3])
