@@ -41,7 +41,7 @@ from .errors import (DepthError, HorizonError, InvariantError,
 from .gamma import (GammaModel, Profile, condition_diagnostics,
                     profile as make_profile)
 from .geometry import CantorTree, select_nodes
-from .kernel import _add, _div, _mag, _mul, _sub
+from .kernel import _add, _mag, _mul, _sub
 from .logreal import LN2_FRACTION, LogReal, ln_double
 
 LN2 = math.log(2.0)
@@ -134,13 +134,19 @@ class NewtonTable:
     ``divided_differences`` describes, so a grown table equals the table
     built at once on all its nodes, bit for bit.
 
+    Nodes and values must be finite, as a Whitney jet's are: an inf or
+    nan among the new ones raises ``ParameterError`` before any entry is
+    computed.  (Before this check, a table took them in and returned
+    non-finite coefficients.)  Every entry is then finite, as mpf
+    exponents do not overflow.
+
     The subtractions, roundings and divisions are the integer kernel's
-    (``kernel``: ``_sub``, ``_rounded``, ``_div``), which returns mpmath's
-    bits, written out in one loop body for finite nonzero operands: an
-    entry costs no call.  The two differences keep the trailing zeros of
-    a rounded mantissa, since only their values and magnitudes are read.
-    A zero, inf or nan operand and mpf_add's far-offset shortcut take the
-    kernel's calls, and inf and nan operands mpmath's.
+    (``kernel``: ``_sub``, ``_rounded``, and a division by ``divmod`` with
+    a sticky bit), which returns mpmath's bits, written out in one loop
+    body for nonzero operands: an entry costs no call.  The two
+    differences keep the trailing zeros of a rounded mantissa, since only
+    their values and magnitudes are read.  A zero operand and mpf_add's
+    far-offset shortcut take ``_sub``.
     """
 
     __slots__ = ("prec", "points", "coeffs", "errs", "_z", "_diag", "_err")
@@ -152,8 +158,9 @@ class NewtonTable:
 
     def grow(self, points: Sequence, values: Sequence) -> None:
         """Append points[n:] with their values, n the nodes already held,
-        which must be points[:n]; a node that coincides with an earlier one
-        raises and is not added."""
+        which must be points[:n].  An inf or nan node or value raises before
+        any is added; a node that coincides with an earlier one raises and
+        is not added."""
         if len(points) != len(values):
             raise ParameterError("points and values must pair up")
         prec, held = self.prec, len(self.points)
@@ -163,19 +170,26 @@ class NewtonTable:
                 a is not b and a != b for a, b in zip(points, self.points)):
             raise ParameterError(
                 "points must begin with the table's nodes")
+        new = [(_raw(zn), _raw(vn))
+               for zn, vn in zip(points[held:], values[held:])]
+        for i, (z_n, t) in enumerate(new, held):
+            # inf and nan have a zero mantissa and are not 0
+            if not (z_n[1] or z_n == fzero):
+                raise ParameterError(f"node {i} is not finite")
+            if not (t[1] or t == fzero):
+                raise ParameterError(f"f has no finite value at node {i}")
         z, near = self._z, prec + 4
-        for zn, vn in zip(points[held:], values[held:]):
-            z_n, n = _raw(zn), len(z)
+        for zn, (z_n, t) in zip(points[held:], new):
+            n = len(z)
             ns, nm, nx, nb = z_n
             old, e_old = self._diag, self._err
             # diag[k] = [z_{n-k}..z_n]f, from diag[k-1] = [z_{n-k+1}..z_n]f
             # and the old diagonal's [z_{n-k}..z_{n-1}]f
-            t = _raw(vn)
             e = _mag(t) - prec
             diag, err = [t], [e]
             for k in range(1, n + 1):
                 # dz = z_n - z_{n-k} at prec bits: _sub written out for
-                # finite nonzero operands short of mpf_add's far-offset
+                # nonzero operands short of mpf_add's far-offset
                 # shortcut; a mantissa rounded here keeps its trailing
                 # zeros, since only its value and magnitude are read
                 zs, zm, zx, zb = zi = z[n - k]
@@ -200,8 +214,7 @@ class NewtonTable:
                         gb = gm.bit_length()
                 else:
                     gs, gm, gx, gb = _sub(z_n, zi, prec)
-                if not (gm or gb):
-                    # 0, where inf and nan have a nonzero bit count
+                if not gm:
                     raise NodeCollisionError(
                         f"nodes {n - k} and {n} coincide at working precision")
                 # d = t - old[k - 1] at prec bits, the same way
@@ -233,9 +246,9 @@ class NewtonTable:
                     ds = dm = dx = db = 0
                 else:
                     ds, dm, dx, db = _sub(t, o, prec)
-                if dm and gm:
+                if dm:
                     # shorten dz to p bits and divide at p bits (_rounded
-                    # and _div written out); e = max(mq - bits, mq - p)
+                    # and mpf_div written out); e = max(mq - bits, mq - p)
                     # is mq - bits, since p >= bits
                     m = dx + db
                     e_d = m - prec
@@ -276,24 +289,10 @@ class NewtonTable:
                             qx += sh
                         qb = q.bit_length()
                         t, e = (ds ^ gs, q, qx, qb), qx + qb - bits
-                elif gm and not db:
+                else:
                     # d == 0: the quotient is 0
                     t = fzero
                     e = (e if e > eo else eo) - (gx + gb) + 1
-                else:
-                    # inf or nan: the helpers, as in divided_differences
-                    d, dz = (ds, dm, dx, db), (gs, gm, gx, gb)
-                    if dm:
-                        m = dx + db
-                        e_d = max(e, eo, m - prec)
-                        p = min(prec, max(m - e_d + _DD_GUARD, _DD_FLOOR))
-                        t = _div(d, dz, p)
-                        mq = t[2] + t[3]
-                        e = max(mq - (m - e_d), mq - p)
-                    else:
-                        e_d = max(e, eo, _mag(d) - prec)
-                        t = _div(d, dz, prec)
-                        e = e_d - _mag(dz) + 1
                 diag.append(t)
                 err.append(e)
             z.append(z_n)
@@ -351,9 +350,13 @@ def divided_differences(points: Sequence, values: Sequence,
     mag(q) - p'); an exact zero d gives q = 0 with error 2^e_d / |dz|.  The
     64 guard bits keep the added rounding 2^-64 below the error d already
     carries; below the 128-bit floor nothing is shortened, so at p <= 128
-    the table is the full-precision one, bit for bit.  Non-finite entries
-    divide at p bits.  The bounds are worst cases: where the inputs are
-    exact far below them, the full-precision table can be more accurate.
+    the table is the full-precision one, bit for bit.  The bounds are worst
+    cases: where the inputs are exact far below them, the full-precision
+    table can be more accurate.
+
+    Nodes and values must be finite: an inf or nan raises
+    ``ParameterError`` before any entry is computed.  (Before, it gave
+    non-finite coefficients, and an unbounded W(f, x) over them nan.)
 
     Each e_k is the running exponent of the top entry plus _DD_SLACK bits.
     The running exponents take the larger of two errors where they can
@@ -462,38 +465,37 @@ class _RoundedSum(_Sum):
     exact arithmetic by at most R.
 
     R is a sum of parts 2^e, e an integer exponent (exp + bc of an mpf),
-    kept as a double times 2^-p.  With mag(v) the exponent of 2 just above
-    |v|, a term c_k Omega_k(x) u brings 2^(errs[k] + mag(Omega_k u)) from
-    its coefficient, 2^(mag(c) + mag(Omega_k u) - p) from the rounding of
-    its two products at p bits, and |c u| times the error of Omega_k(x), at
-    most 2k roundings at the tree's precision; each addition brings half a
-    unit in its last place.  The cutoff values u are taken as exact: on the
-    set, where the bound holds, each live cutoff is 1, since every point
-    lies on a plateau.
+    kept exactly as a count of units 2^-(p + 1074), so that it is finite
+    however large f is; a part below one unit counts as one.  With mag(v)
+    the exponent of 2 just above |v|, a term c_k Omega_k(x) u brings
+    2^(errs[k] + mag(Omega_k u)) from its coefficient,
+    2^(mag(c) + mag(Omega_k u) - p) from the rounding of its two products
+    at p bits, and |c u| times the error of Omega_k(x), at most 2k
+    roundings at the tree's precision; each addition brings half a unit in
+    its last place.  The cutoff values u are taken as exact: on the set,
+    where the bound holds, each live cutoff is 1, since every point lies
+    on a plateau.
     """
 
-    __slots__ = ("bits", "parts")
+    __slots__ = ("bits", "units")
 
     def __init__(self, p: int, bits: int):
         super().__init__(p)
-        self.bits, self.parts = bits, 0.0
+        self.bits, self.units = bits, 0
 
     def _part(self, e) -> None:
         if e != -math.inf:
-            d = e + self.p
-            # an underflowing part counts as the least double
-            self.parts += math.ldexp(1.0, max(d, -1074)) if d < 1000 \
-                else math.inf
+            d = e + self.p + 1074
+            self.units += 1 << d if d > 0 else 1
 
     def exponent(self):
-        """r with R < 2^r.  The factor 1 + 2^-36 covers the rounding of the
-        sum of doubles and the factors 1 + 2^(k + 1 - bits) by which the
-        exact |Omega_k| can exceed the rounded one."""
-        if self.parts == 0:
+        """r with R < 2^r.  The factor 1 + 2^-36 covers the factors
+        1 + 2^(k + 1 - bits) by which the exact |Omega_k| can exceed the
+        rounded one."""
+        if not self.units:
             return -math.inf
-        if self.parts == math.inf:
-            return math.inf
-        return math.frexp(self.parts * (1 + 2.0 ** -36))[1] - self.p
+        return ((self.units * ((1 << 36) + 1)).bit_length() - 36 - 1074
+                - self.p)
 
     def _coefficient(self, e, mu) -> None:
         self._part(e + mu)
@@ -516,9 +518,6 @@ def _plus(trunc: LogReal, r) -> LogReal:
     a - b: ln(e^a + e^b) <= a + e^(b - a)."""
     if r == -math.inf:
         return LogReal(trunc.ln + Fraction(1, 1 << _RETRY_BITS))
-    if not math.isfinite(r):
-        raise ParameterError("W(f, x) is not finite: f has no finite value "
-                             "at some node")
     ln2_hi = LN2_FRACTION + Fraction(1, 1 << 86)
     ln_r = r * (ln2_hi if r >= 0 else LN2_FRACTION - Fraction(1, 1 << 86))
     if ln_r + _RETRY_BITS * ln2_hi <= trunc.ln:
@@ -838,6 +837,8 @@ class ExtensionOperator:
         precision, the call runs once more at the tree's precision.  A call
         without a bound runs at the tree's precision.  ``s_max`` may lower
         the truncation level per call (caches are shared across levels).
+        An f that is inf or nan at a node the call reads raises
+        ``ParameterError``, with or without a bound.
         """
         s_cap = self._level(self.s_max if s_max is None else s_max)
         bits = self.tree.bits
@@ -988,8 +989,6 @@ class DNRow:
     fires: bool              # decided exactly: the block inequality fails
     ln_bound_scaled: float   # brace * 2^{n+s}, +-inf past the doubles
     ln_bound_full: float     # including the constant factors of the three bounds
-    ln_f0_direct: Optional[float] = None   # direct grid max of ln|f|, if computed
-    ln_f0_upper: Optional[float] = None
 
 
 @dataclass
@@ -1000,9 +999,17 @@ class DNReport:
     diverges: bool   # scaled bounds strictly increase along the row order
 
 
+def _fsum_or_inf(weights) -> float:
+    """The sum of positive weights B_k, +inf past the doubles, as a B_k
+    past them is (printed as null)."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf
+
+
 def dn_experiment(model: GammaModel, eps: float, m: int,
-                  r_list: Sequence[int], s_list: Sequence[int],
-                  tree: Optional[CantorTree] = None) -> DNReport:
+                  r_list: Sequence[int], s_list: Sequence[int]) -> DNReport:
     """Certified lower bounds of the dominating-norm ratio for the localized
     node polynomials, per pair (r, s) of the equal-length lists.
 
@@ -1011,9 +1018,7 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
     |f|_q^{1+eps} |f|_0^{-1} ||f||_r^{-eps} whose exponential part is
     2^{n+s} * brace.  The witness fires when brace >= B_{n+s}, which is the
     block inequality of ``condition_diagnostics`` failing; that decides it,
-    on exact Fractions.  When a tree of sufficient depth is available the
-    sup |f|_0 is also maximized directly on the deepest grid and compared
-    with its closed-form upper bound.
+    on exact Fractions.
     """
     prof = make_profile(model)
     B = prof.B
@@ -1037,8 +1042,8 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
             raise ParameterError(f"need s >= 1, got s={s}")
         if s + n > model.k_max:
             raise HorizonError(f"(s={s}, n={n}) beyond horizon {model.k_max}")
-        window_hi = math.fsum(B[s + n - i] for i in range(1, m + 1))
-        window_lo = math.fsum(B[s + n - i] for i in range(m + 1, n + 1))
+        window_hi = _fsum_or_inf(B[s + n - i] for i in range(1, m + 1))
+        window_lo = _fsum_or_inf(B[s + n - i] for i in range(m + 1, n + 1))
         brace = 2.0 * B[s + n] + window_hi - eps * window_lo
         ln_scaled = math.copysign(math.inf, brace)
         if abs(brace) < 1e290:
@@ -1053,32 +1058,9 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
         rows.append(DNRow(s=s, n=n, r=r, brace=brace, threshold=B[s + n],
                           fires=fires, ln_bound_scaled=ln_scaled,
                           ln_bound_full=ln_scaled + ln_const))
-        if tree is not None and s + n <= tree.depth:
-            rows[-1].ln_f0_direct, rows[-1].ln_f0_upper = \
-                _direct_sup_check(tree, s, n)
     vals = [row.ln_bound_scaled for row in rows]
     diverges = len(vals) >= 2 and all(a < b for a, b in zip(vals, vals[1:]))
     return DNReport(eps=eps, m=m, rows=rows, diverges=diverges)
-
-
-def _direct_sup_check(tree: CantorTree, s: int, n: int) -> tuple:
-    """max ln|f| over the depth grid vs the closed-form upper bound."""
-    with mp.workprec(tree.bits):
-        nodes = select_nodes(tree, (1, s), 2 ** n).points()
-        base = tree.interval(1, s)
-        best = -math.inf
-        for iv in tree.levels[min(tree.depth, s + n)]:
-            if not (base.left <= iv.left and iv.right <= base.right):
-                continue
-            for x in (iv.left, iv.right):
-                if any(x == z for z in nodes):
-                    continue
-                val = math.fsum(ln_double(abs(x - z)) for z in nodes)
-                best = max(best, val)
-        L = tree.profile.ln_inv_deltas
-        ln_upper = 2 ** n * math.log(tree.model.c0) - float(
-            L[n + s] + sum(2 ** (i - 1) * L[n + s - i] for i in range(1, n + 1)))
-    return best, ln_upper
 
 
 # ---------------------------------------------------------------------------

@@ -541,10 +541,19 @@ def build_model(family: str, k_max: int = 40, **params) -> GammaModel:
                     f"{family}: no finite clamp prefix makes gamma_k <= 1/32 by k={k_max}")
             for k in range(1, prefix + 1):
                 ln_inv[k - 1] = ln32
+    gamma_sum = prefix / 32.0 + tail(prefix)
+    try:
+        math.exp(16.0 * gamma_sum)
+    except OverflowError:
+        flags = ", ".join(f"--{name}" for name, (kind, _) in
+                          spec.params.items() if kind is not None)
+        raise ParameterError(
+            f"{family}: C0 = exp(16 sum gamma_k) has no double for sum "
+            f"gamma_k = {gamma_sum:.6g}; change {flags}") from None
     return GammaModel(family=family, params=stored, k_max=k_max,
                       ln_inv_gamma=tuple(ln_inv), clamp_prefix=prefix,
-                      eq2_exceptions=exceptions,
-                      gamma_sum=prefix / 32.0 + tail(prefix), meta=meta)
+                      eq2_exceptions=exceptions, gamma_sum=gamma_sum,
+                      meta=meta)
 
 
 def classify_ep(model: GammaModel, prof: Optional[Profile] = None) -> EPVerdict:

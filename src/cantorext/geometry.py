@@ -43,11 +43,11 @@ GUARD_BITS = 96
 def required_bits(model: GammaModel, depth: int) -> int:
     """Mantissa bits needed to resolve level-``depth`` lengths."""
     ln_inv_delta = sum(model.ln_inv_gamma[:depth], Fraction(0))
-    try:
-        bits = float(ln_inv_delta) / math.log(2.0)
-    except OverflowError:
+    # past 2^61 nats no precision resolves the lengths, and float() of a
+    # sum near the doubles' edge, over ln 2, overflows
+    if ln_inv_delta >= 1 << 61:
         return 1 << 62
-    return int(bits) + GUARD_BITS
+    return int(float(ln_inv_delta) / math.log(2.0)) + GUARD_BITS
 
 
 def max_depth_for_bits(model: GammaModel, bits: int) -> int:

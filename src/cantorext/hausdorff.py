@@ -413,11 +413,14 @@ class LevelSum:
     level: int
     value: float
     lower: float   # 1, by h(delta_k) = 2^-k and l > delta_k
-    upper: float   # 2^k h(C0 delta_k)
+    upper: float   # 2^k h(min(C0 delta_k, 1))
 
 
 def lambda_level_estimate(tree: CantorTree, h, k: int) -> LevelSum:
-    """sum_j h(l_{j,k}) with its bracketing constants."""
+    """sum_j h(l_{j,k}) with its bracketing constants.  Each length is at
+    most C0 delta_k and below 1, and h does not decrease, so the upper one
+    takes h at min(C0 delta_k, 1): C0 delta_k passes 1 where C0 is large
+    (example3's, at the first levels)."""
     if k > tree.depth:
         raise DepthError(f"level {k} beyond tree depth {tree.depth}")
     if k == 0:
@@ -426,7 +429,7 @@ def lambda_level_estimate(tree: CantorTree, h, k: int) -> LevelSum:
     vals = np.array([-iv.ln_length for iv in tree.levels[k]])
     total = float(np.sum(h.h_ln(vals)))
     L_k = float(tree.profile.ln_inv_delta(k))
-    upper = 2.0 ** k * h.h_ln(L_k - math.log(tree.model.c0))
+    upper = 2.0 ** k * h.h_ln(max(L_k - math.log(tree.model.c0), 0.0))
     return LevelSum(level=k, value=total, lower=1.0, upper=float(upper))
 
 

@@ -8,28 +8,27 @@ exponent, bit count) for the same operands and precision, bit for bit, so
 only the cost changes: one exact integer operation and one rounding, with
 no bitcount by logarithm and no generic normalisation.
 
-Finite operands run here, zero among them, and so does mpf_add's
-far-offset shortcut, which is not correctly rounded for an operand longer
-than the precision: it is mpmath's own formula, written out.  inf and nan
-operands go to mpmath itself.  The Newton tables (which write the kernel
-out in their loop) and W's sums (``extension``) and the tree scans' window
-ends (``hausdorff``) run on them.
+Operands must be finite, zero among them.  No caller has an inf or nan:
+``NewtonTable.grow`` checks every node and value where it enters a table,
+and an mpf exponent does not overflow.  (Before that check, inf and nan
+operands went to mpmath.)  mpf_add's far-offset shortcut, which is not
+correctly rounded for an operand longer than the precision, is mpmath's
+own formula, written out.  The Newton tables (which write the kernel and
+a division out in their loop), W's sums (``extension``) and the tree
+scans' window ends (``hausdorff``) run on them.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import fzero
 
 
 def _mag(t) -> float:
     """m with 2^(m-1) <= |t| < 2^m for a finite nonzero raw mpf t; -inf for
-    zero and +inf for inf and nan, which also have a zero mantissa."""
-    man = t[1]
-    if man:
-        return t[2] + t[3]
-    return -math.inf if t == fzero else math.inf
+    zero."""
+    return t[2] + t[3] if t[1] else -math.inf
 
 
 def _rounded(sign, man, exp, prec: int):
@@ -57,16 +56,14 @@ def _add(a, b, prec: int, neg: int = 0):
     other one rounded.  Where the exponents differ by more than 100 and the
     leading bits by more than prec + 4, mpf_add replaces the smaller
     operand by a one-unit nudge prec + 4 bits below the larger one's last
-    bit, and so does this.  inf and nan operands go to mpf_add."""
+    bit, and so does this."""
     asign, aman, aexp, abc = a
     bsign, bman, bexp, bbc = b
     bsign ^= neg
-    if not (aman and bman):
-        if b == fzero:
-            return a if abc <= prec else _rounded(asign, aman, aexp, prec)
-        if a == fzero and bman:
-            return _rounded(bsign, bman, bexp, prec)
-        return mpf_add(a, b, prec, round_nearest, neg)
+    if not bman:
+        return a if abc <= prec else _rounded(asign, aman, aexp, prec)
+    if not aman:
+        return _rounded(bsign, bman, bexp, prec)
     off = aexp - bexp
     if off > 100 and abc + off - bbc > prec + 4:
         return _rounded(asign, (aman << prec + 4) + (
@@ -92,30 +89,9 @@ def _sub(a, b, prec: int):
 
 
 def _mul(a, b, prec: int):
-    """mpf_mul(a, b, prec, round_nearest), bit for bit: for finite nonzero a
-    and b the exact product of the mantissas, rounded once.  Zero, inf and
-    nan operands go to mpf_mul."""
+    """mpf_mul(a, b, prec, round_nearest), bit for bit: for nonzero a and b
+    the exact product of the mantissas, rounded once; 0 for a zero one."""
     if a[1] and b[1]:
         return _rounded(a[0] ^ b[0], a[1] * b[1], a[2] + b[2], prec)
-    if (a[1] or a == fzero) and (b[1] or b == fzero):
-        return fzero
-    return mpf_mul(a, b, prec, round_nearest)
+    return fzero
 
-
-def _div(d, dz, p: int):
-    """mpf_div(d, dz, p, round_nearest), bit for bit: for finite nonzero d
-    and dz the mantissas' quotient to at least p + 4 bits and below it a
-    sticky bit, set by a remainder, rounded once.  Equal mantissas give
-    +-2^(exp_d - exp_dz) without a division: the order-1 entries of W(x),
-    where d == dz, are the only exact quotients the operator's tables meet.
-    Zero, inf and nan operands go to mpf_div."""
-    sign, man, exp, bc = d
-    zsign, zman, zexp, zbc = dz
-    if not (man and zman):
-        return mpf_div(d, dz, p, round_nearest)
-    if man == zman:
-        return sign ^ zsign, 1, exp - zexp, 1
-    extra = max(p - bc + zbc + 5, 5)
-    q, r = divmod(man << extra, zman)
-    return _rounded(sign ^ zsign, (q << 1) | bool(r), exp - zexp - extra - 1,
-                    p)

@@ -8,11 +8,13 @@ log-power dimension functions, a level-polynomial lower bound for the
 Markov factor of a grid, the whole Newton table built order by order on
 mpmath's operations, which the grown tables and their integer kernel
 replaced, the grown table's loop with one kernel call per operation, which
-the inlined loop replaced, finite-sample Whitney norms of the localized
-node polynomials, the uniform-smallness block inequality on the profile's
-exact logs, the cutoff's components merged atom by atom, which the tree
-walk replaced, and the Markov estimator's Chebyshev-basis LPs on HiGHS,
-which the exchange replaced.  Tests import them by name
+the inlined loop replaced, with the division the loop writes out,
+finite-sample Whitney norms of the localized node polynomials, the direct
+grid maximum of a node polynomial beside its closed-form bound, the
+uniform-smallness block inequality on the profile's exact logs, the
+cutoff's components merged atom by atom, which the tree walk replaced, and
+the Markov estimator's Chebyshev-basis LPs on HiGHS, which the exchange
+replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
@@ -37,7 +39,7 @@ from cantorext.extension import (_DD_FLOOR, _DD_GUARD, _DD_SLACK, NewtonTable,
 from cantorext.gamma import Profile
 from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
                                 select_nodes)
-from cantorext.kernel import _div, _mag, _rounded, _sub
+from cantorext.kernel import _mag, _rounded, _sub
 from cantorext.logreal import ln_double
 
 P_MAX = 3
@@ -126,19 +128,43 @@ def order_major_divided_differences(points: Sequence, values: Sequence) -> tuple
     return [mp.make_mpf(c) for c in coeffs], errs
 
 
+def _div(d, dz, p: int):
+    """mpf_div(d, dz, p, round_nearest), bit for bit: for nonzero d and dz
+    the mantissas' quotient to at least p + 4 bits and below it a sticky
+    bit, set by a remainder, rounded once.  Equal mantissas give
+    +-2^(exp_d - exp_dz) without a division: the order-1 entries of W(x),
+    where d == dz, are the only exact quotients the operator's tables meet.
+    A zero operand goes to mpf_div.  ``NewtonTable.grow`` writes it out."""
+    sign, man, exp, bc = d
+    zsign, zman, zexp, zbc = dz
+    if not (man and zman):
+        return mpf_div(d, dz, p, round_nearest)
+    if man == zman:
+        return sign ^ zsign, 1, exp - zexp, 1
+    extra = max(p - bc + zbc + 5, 5)
+    q, r = divmod(man << extra, zman)
+    return _rounded(sign ^ zsign, (q << 1) | bool(r), exp - zexp - extra - 1,
+                    p)
+
+
 def helper_grow(table: NewtonTable, points: Sequence,
                 values: Sequence) -> None:
     """``NewtonTable.grow`` with one kernel call per operation: for each new
     node n and order k, dz = z_n - z_{n-k} and d = t - old[k - 1] through
     ``_sub``, the shortening of dz through ``_rounded`` and the quotient
     through ``_div``, with ``max``/``min`` for the running exponents.  Same
-    prefix check, same collision error, same fields."""
+    prefix check, same finiteness and collision errors, same fields."""
     if len(points) != len(values):
         raise ParameterError("points and values must pair up")
     prec, held = table.prec, len(table.points)
     if len(points) < held or any(
             a != b for a, b in zip(points, table.points)):
         raise ParameterError("points must begin with the table's nodes")
+    for i in range(held, len(points)):
+        if not mp.isfinite(points[i]):
+            raise ParameterError(f"node {i} is not finite")
+        if not mp.isfinite(values[i]):
+            raise ParameterError(f"f has no finite value at node {i}")
     z = table._z
     for zn, vn in zip(points[held:], values[held:]):
         z_n, n = _raw(zn), len(z)
@@ -263,6 +289,28 @@ def whitney_norm(jet: JetSample, q: int, bits: int = 256) -> float:
                     if quot > best:
                         best = quot
         return float(best)
+
+
+def direct_sup_check(tree: CantorTree, s: int, n: int) -> tuple:
+    """max ln|f| over the depth grid vs the closed-form upper bound, for
+    f = prod (x - z) over the first 2^n nodes of I_{1,s}: the sup bound
+    |f|_0 <= C0^r Pi1 of ``dn_experiment``."""
+    with mp.workprec(tree.bits):
+        nodes = select_nodes(tree, (1, s), 2 ** n).points()
+        base = tree.interval(1, s)
+        best = -math.inf
+        for iv in tree.levels[min(tree.depth, s + n)]:
+            if not (base.left <= iv.left and iv.right <= base.right):
+                continue
+            for x in (iv.left, iv.right):
+                if any(x == z for z in nodes):
+                    continue
+                val = math.fsum(ln_double(abs(x - z)) for z in nodes)
+                best = max(best, val)
+        L = tree.profile.ln_inv_deltas
+        ln_upper = 2 ** n * math.log(tree.model.c0) - float(
+            L[n + s] + sum(2 ** (i - 1) * L[n + s - i] for i in range(1, n + 1)))
+    return best, ln_upper
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,81 @@ BOUNDARY_VALUES = {
 }
 
 
+_MAX = repr(sys.float_info.max)
+# each family parameter at the edges of what its family accepts, and at the
+# largest double; from_dimension_function's h has no flag
+FAMILY_EXTREMES = {
+    "power_law": [["--a", repr(math.nextafter(1.0, 2.0))], ["--a", _MAX]],
+    "exponential": [["--a", repr(math.nextafter(1.0, 2.0))], ["--a", _MAX]],
+    "doubly_exp": [["--a", repr(math.nextafter(1.0, 2.0))], ["--a", _MAX]],
+    "example1": [["--B", "5e-324"], ["--B", _MAX]],
+    "example2": [["--variant", "A"], ["--variant", "B"]],
+    "example3": [["--m", "3"], ["--m", "1000"]],
+    "delta_form": [["--b", repr(math.nextafter(math.log(4.0), 2.0))],
+                   ["--b", _MAX]],
+    "custom": [["--gammas", "0.03125"], ["--gammas", "5e-324"]],
+    "from_dimension_function": [[]],
+}
+SWEEP_K_MAX = (1, 50, 400, 3000)
+# sweep cases left out for their time, in seconds of one run on a 2-CPU
+# machine; each that ran to its end exited 0, 2 or 3, and those marked
+# "> 15" were stopped at 15 s.  The others take about 3 s together
+SLOW_SWEEP_CASES = {
+    "gamma --family doubly_exp --k-max 400 --a " + _MAX: 0.53,
+    "dn --family doubly_exp --k-max 400 --a " + _MAX: 0.70,
+    "hausdorff --family doubly_exp --k-max 400 --a " + _MAX: 0.95,
+    "gamma --family doubly_exp --k-max 3000 --a " + _MAX: 63,
+    "dn --family doubly_exp --k-max 3000 --a " + _MAX: "> 15",
+    "hausdorff --family doubly_exp --k-max 3000 --a " + _MAX: "> 15",
+    "hausdorff --family example2 --k-max 50 --variant B": 1.48,
+    "hausdorff --family example2 --k-max 400 --variant B": 1.29,
+    "hausdorff --family example3 --k-max 50 --m 3": 1.25,
+    "gamma --family delta_form --k-max 3000 --b 1.3862943611198908": 2.54,
+    "dn --family delta_form --k-max 3000 --b 1.3862943611198908": 3.04,
+    "hausdorff --family delta_form --k-max 3000 --b 1.3862943611198908":
+        2.73,
+    "gamma --family delta_form --k-max 400 --b " + _MAX: 0.64,
+    "dn --family delta_form --k-max 400 --b " + _MAX: 0.60,
+    "hausdorff --family delta_form --k-max 400 --b " + _MAX: 0.79,
+    "gamma --family delta_form --k-max 3000 --b " + _MAX: 78,
+    "dn --family delta_form --k-max 3000 --b " + _MAX: "> 15",
+    "hausdorff --family delta_form --k-max 3000 --b " + _MAX: "> 15",
+}
+
+
+def test_every_family_and_horizon_exits_cleanly():
+    # gamma, dn and hausdorff over every family, k_max in SWEEP_K_MAX and
+    # each family parameter's extreme values, in process: exit 0, 2 or 3,
+    # and strict JSON on exit 0.  power_law's --a next to 1 (C0 past the
+    # doubles) and dn with example1's --B at the largest double exited 1
+    # on an OverflowError, and so did hausdorff with doubly_exp's --a or
+    # delta_form's --b there
+    bad, ran = [], 0
+    for family, extremes in FAMILY_EXTREMES.items():
+        for flags in extremes:
+            for k_max in SWEEP_K_MAX:
+                for command in ("gamma", "dn", "hausdorff"):
+                    args = [command, "--family", family, "--k-max",
+                            str(k_max), *flags]
+                    if " ".join(args) in SLOW_SWEEP_CASES:
+                        continue
+                    ran += 1
+                    out = io.StringIO()
+                    try:
+                        with contextlib.redirect_stdout(out), \
+                                contextlib.redirect_stderr(io.StringIO()):
+                            code = exit_code(args)
+                        if code == 0:
+                            json.loads(out.getvalue(),
+                                       parse_constant=pytest.fail)
+                    except Exception as exc:
+                        code = repr(exc)
+                    if code not in (0, 2, 3):
+                        bad.append(f"{' '.join(args)}: {code}")
+    assert not bad, "\n".join(bad)
+    assert ran + len(SLOW_SWEEP_CASES) == 3 * len(SWEEP_K_MAX) * sum(
+        map(len, FAMILY_EXTREMES.values()))
+
 class TestCLI:
     def test_no_subcommand_usage(self, capsys):
         assert main([]) == 2

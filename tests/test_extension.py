@@ -11,11 +11,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_add,
-                          mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_sub,
-                          round_nearest)
-from oracles import (JetSample, block_inequality_fails, c_p_table,
-                     check_cutoff_product_bound, helper_grow, merge_atoms,
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_neg, mpf_pos, mpf_sub, round_nearest)
+from oracles import (JetSample, _div, block_inequality_fails, c_p_table,
+                     check_cutoff_product_bound, direct_sup_check,
+                     helper_grow, merge_atoms,
                      order_major_divided_differences, polynomial_jet, series,
                      step_series, whitney_norm)
 import test_acceptance
@@ -34,7 +34,7 @@ from cantorext.gamma import (DELTA_FORM, DOUBLY_EXP, EXAMPLE1, EXAMPLE2,
                              EXAMPLE3, EXPONENTIAL, POWER_LAW, build_model,
                              profile)
 from cantorext.geometry import build_tree, select_nodes
-from cantorext.kernel import _add, _div, _mag, _mul, _rounded, _sub
+from cantorext.kernel import _add, _mag, _mul, _rounded, _sub
 from cantorext.logreal import LN2_FRACTION
 
 
@@ -123,7 +123,7 @@ class TestDividedDifferences:
         # 256 bits do not, though the entries above them carry few bits
         with mp.workprec(256):
             equal = [mp.mpf(1), mp.mpf(2) ** -40, mp.mpf(1)]
-            for vals in ([mp.mpf(3)] * 3, [mp.mpf(1), mp.mpf(2), mp.inf]):
+            for vals in ([mp.mpf(3)] * 3, [mp.mpf(1), mp.mpf(2), mp.mpf(0)]):
                 with pytest.raises(NodeCollisionError, match="nodes 0 and 2"):
                     divided_differences(equal, vals)
             apart = [mp.mpf(1), mp.mpf(2) ** -40, 1 + mp.mpf(2) ** -250]
@@ -141,15 +141,30 @@ class TestDividedDifferences:
             assert got[:3] == [0, 1, 1]
 
     @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan])
-    def test_non_finite_values_match_the_full_table(self, bad):
+    def test_non_finite_nodes_and_values_raise(self, bad):
+        # a Whitney jet is finite: an inf or nan node or value raises
+        # ParameterError naming its node before any entry is computed, from
+        # divided_differences, NewtonTable.grow and oracles.helper_grow
+        # alike, and a grown table keeps what it held
         with mp.workprec(2048):
             pts = [mp.mpf(1) / k for k in range(1, 8)]
+            vals = [mp.exp(z) for z in pts]
             for at in (0, 3, 6):
-                vals = [mp.exp(z) for z in pts]
-                vals[at] = bad
-                got, _ = divided_differences(pts, vals)
-                assert _bits(got) == _bits(_dd_full(pts, vals))
-                assert not all(mp.isfinite(c) for c in got)
+                for i, match in ((0, f"node {at} is not finite"),
+                                 (1, f"f has no finite value at node {at}")):
+                    args = [pts[:], vals[:]]
+                    args[i][at] = bad
+                    with pytest.raises(ParameterError, match=match):
+                        divided_differences(*args)
+                    held = min(at, 2)
+                    for grow in (NewtonTable.grow, helper_grow):
+                        table = NewtonTable(2048)
+                        divided_differences(pts[:held], vals[:held], table)
+                        before = _bits(table.coeffs), table.errs[:]
+                        with pytest.raises(ParameterError, match=match):
+                            grow(table, *args)
+                        assert (_bits(table.coeffs), table.errs) == before
+                        assert table.points == pts[:held]
 
 
 def _dd_full(points, values):
@@ -387,7 +402,7 @@ class TestGrownTables:
     def test_random_prefixes_and_steps(self, prec, name, kind, data):
         # at or below the 128-bit floor every division runs at the working
         # precision; above it the divisions are shortened.  Constant and
-        # repeated values divide exact zeros; inf and nan stay non-finite
+        # repeated values divide exact zeros
         with mp.workprec(prec):
             points = _clustered(data, prec, 16)
             f = _DD_FUNCS[name]
@@ -397,7 +412,7 @@ class TestGrownTables:
                 values = [mp.mpf(3)] * len(points)
             else:
                 values = [data.draw(st.sampled_from(
-                    [f(z), mp.mpf(-1), mp.mpf(2), mp.inf, -mp.inf, mp.nan]))
+                    [f(z), mp.mpf(-1), mp.mpf(2), mp.mpf(0)]))
                     for z in points]
             cuts = sorted(set(data.draw(st.lists(
                 st.integers(1, len(points)), max_size=4))) | {len(points)})
@@ -428,27 +443,25 @@ class TestGrownTables:
         # every step the same nodes, coefficients, exponents, diagonal and
         # running exponents, or the same collision at the same node.  Extra
         # nodes: 0, one far below the others (mpf_add's far-offset
-        # shortcut), a repeat (a collision) and inf.  x divides equal
-        # mantissas at order 1, a cubic exact zeros from order 4; mixed
-        # values hold 0, inf and nan
+        # shortcut) and a repeat (a collision).  x divides equal mantissas
+        # at order 1, a cubic exact zeros from order 4; mixed values hold 0
+        # and -1.  Non-finite inputs raise before the loop
+        # (test_non_finite_nodes_and_values_raise)
         with mp.workprec(prec):
             points = _clustered(data, prec, 12)
             tiny = mp.ldexp(1 + mp.sqrt(3) / 7, -prec - data.draw(
                 st.integers(110, 400)))
             for extra in data.draw(st.lists(st.sampled_from(
-                    ["zero", "tiny", "repeat", "inf"]), max_size=3)):
-                node = {"zero": mp.mpf(0), "tiny": tiny, "inf": mp.inf,
+                    ["zero", "tiny", "repeat"]), max_size=3)):
+                node = {"zero": mp.mpf(0), "tiny": tiny,
                         "repeat": data.draw(st.sampled_from(points))}[extra]
                 points.insert(data.draw(st.integers(0, len(points))), node)
             f = _DD_FUNCS[name]
-            special = [mp.mpf(0), mp.mpf(-1), mp.inf, -mp.inf, mp.nan]
             values = []
             for z in points:
-                if not mp.isfinite(z):
-                    values.append(data.draw(st.sampled_from(special)))
-                elif kind == "mixed":
-                    values.append(data.draw(st.sampled_from([f(z),
-                                                             *special])))
+                if kind == "mixed":
+                    values.append(data.draw(st.sampled_from(
+                        [f(z), mp.mpf(0), mp.mpf(-1)])))
                 elif kind == "x":
                     values.append(z)
                 elif kind == "cubic":
@@ -471,10 +484,9 @@ class TestGrownTables:
                         raised.append(str(exc))
                 assert raised[0] == raised[1]
                 assert new.points == old.points
-                # repr: an exponent can be nan, which equals no other nan
-                assert repr((_bits(new.coeffs), new.errs, new._z, new._diag,
-                             new._err)) == repr((_bits(old.coeffs), old.errs,
-                                                 old._z, old._diag, old._err))
+                assert (_bits(new.coeffs), new.errs, new._z, new._diag,
+                        new._err) == (_bits(old.coeffs), old.errs, old._z,
+                                      old._diag, old._err)
                 if raised[0]:
                     break
 
@@ -511,9 +523,6 @@ def _raw_mpf(data, sign, man):
     return from_man_exp((-1) ** sign * man, data.draw(st.integers(-3000, 3000)))
 
 
-_SPECIAL = [fzero, finf, fninf, fnan]
-
-
 def _mantissa(data, bits):
     """A positive integer of exactly ``bits`` bits, odd or even."""
     return data.draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
@@ -521,14 +530,15 @@ def _mantissa(data, bits):
 
 @settings(max_examples=400, deadline=None)
 @given(case=st.sampled_from(["equal", "multiple", "power of two", "inexact",
-                             "past a tie", "special"]),
+                             "past a tie", "zero"]),
        bits=st.integers(1, 700), p=st.integers(2, 900), data=st.data())
 def test_kernel_division_is_mpf_div(case, bits, p, data):
     # equal mantissas of either sign, exact multiples, power-of-two
     # divisors and inexact quotients, at precisions below and above the
     # operands' lengths; quotients just past a tie, which only the sticky
-    # bit of a remainder rounds away from it; zero, inf and nan go to
-    # mpf_div itself
+    # bit of a remainder rounds away from it; a zero d goes to mpf_div
+    # itself.  The oracle's _div is the division NewtonTable.grow writes
+    # out
     sign_d, sign_z = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     man = data.draw(st.integers(3, 2 ** bits + 3)) | 1
     dz = _raw_mpf(data, sign_z, man)
@@ -549,7 +559,7 @@ def test_kernel_division_is_mpf_div(case, bits, p, data):
     elif case == "inexact":
         d = _raw_mpf(data, sign_d, data.draw(st.integers(1, 2 ** bits)))
     else:
-        d = data.draw(st.sampled_from(_SPECIAL))
+        d = fzero
     assert _div(d, dz, p) == mpf_div(d, dz, p, round_nearest)
 
 
@@ -561,8 +571,8 @@ def _difference_operands(case, prec, data):
     operand has more than prec bits), with either direction of its nudge
     deciding a tie; a difference of exactly zero; a difference half an ulp
     above a prec-bit number (a tie); mantissa-1 operands; a zero beside
-    operands shorter and longer than prec; zero, inf and nan.  Both signs
-    of each operand."""
+    operands shorter and longer than prec, and beside a zero.  Both signs
+    of each operand; operands are finite, as every caller's are."""
     sa, sb = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     ea = data.draw(st.integers(-20_000, 20_000))
     abits = data.draw(st.integers(1, prec + 64))
@@ -627,19 +637,14 @@ def _difference_operands(case, prec, data):
         # beside a zero the other operand is rounded: one bit longer than
         # prec is the shortest that rounds
         long = from_man_exp((-1) ** sa * (_mantissa(data, prec + 1) | 1), ea)
-        a, b = data.draw(st.sampled_from([a, long])), fzero
-        if data.draw(st.booleans()):
-            a, b = b, a
-    else:
-        b = data.draw(st.sampled_from(_SPECIAL))
-        a = data.draw(st.sampled_from([a, *_SPECIAL]))
+        a, b = data.draw(st.sampled_from([a, long, fzero])), fzero
         if data.draw(st.booleans()):
             a, b = b, a
     return a, b
 
 
 _SUM_CASES = ["any", "offset", "far", "far tie", "cancel", "tie", "one",
-              "zero", "special"]
+              "zero"]
 
 
 @settings(max_examples=600, deadline=None)
@@ -662,12 +667,12 @@ def test_kernel_addition_is_mpf_add(case, prec, data):
 
 @settings(max_examples=600, deadline=None)
 @given(case=st.sampled_from(["any", "exact", "tie", "far", "one",
-                             "special"]),
+                             "zero"]),
        prec=st.integers(2, 10_000), data=st.data())
 def test_kernel_multiplication_is_mpf_mul(case, prec, data):
     # products shorter and longer than prec; odd mantissas whose product
     # has exactly prec + 1 bits, so that its last bit is a tie; exponents
-    # far apart; mantissa-1 operands; zero, inf and nan; every sign pair
+    # far apart; mantissa-1 operands; a zero beside either; every sign pair
     sa, sb = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
     ea, eb = (data.draw(st.integers(-20_000, 20_000)) for _ in range(2))
     aman = _mantissa(data, data.draw(st.integers(1, prec + 64)))
@@ -690,9 +695,8 @@ def test_kernel_multiplication_is_mpf_mul(case, prec, data):
         aman = 1
     a = from_man_exp((-1) ** sa * aman, ea)
     b = from_man_exp((-1) ** sb * bman, eb)
-    if case == "special":
-        b = data.draw(st.sampled_from(_SPECIAL))
-        a = data.draw(st.sampled_from([a, *_SPECIAL]))
+    if case == "zero":
+        a, b = data.draw(st.sampled_from([a, fzero])), fzero
     if data.draw(st.booleans()):
         a, b = b, a
     assert _mul(a, b, prec) == mpf_mul(a, b, prec, round_nearest)
@@ -1150,7 +1154,7 @@ def test_tables_stop_at_x_bit_for_bit(tree_ex1_512, monkeypatch, S):
     parts = []
     exponent = extension._RoundedSum.exponent
     monkeypatch.setattr(extension._RoundedSum, "exponent",
-                        lambda acc: parts.append(acc.parts) or exponent(acc))
+                        lambda acc: parts.append(acc.units) or exponent(acc))
     op, ref = (ExtensionOperator(tree, s_max=4) for _ in range(2))
     ends = sorted({z for iv in tree.levels[5] for z in (iv.left, iv.right)})
     stopped = 0
@@ -1193,9 +1197,8 @@ def test_f_past_x_is_never_called(tree_ex1_512, bad):
     # x, the left end of I_{2,2}, is the second node of I_{2,2}'s table and
     # the first of I_{3,3}'s and I_{5,4}'s.  An f that raises or has no
     # finite value only at nodes past x in them is never called there, and
-    # W is that of a good f.  Grown as the degrees ask, the tables took
-    # those values in: the call raised, gave nan or, with a bound, raised
-    # ParameterError
+    # W is that of a good f.  Grown as the degrees ask, the tables would
+    # have been handed those values, and the call would have raised
     tree = tree_ex1_512
     x = tree.interval(2, 2).left
     good_op, op = (ExtensionOperator(tree, s_max=4) for _ in range(2))
@@ -1529,6 +1532,21 @@ class TestPrecisionPerBound:
             assert 0 <= gap <= 2 ** -32
         assert sorted(op._per_f[_sin_2_64]) == [p, tree.bits]
 
+    def test_rounding_bound_of_a_large_f_stays_finite(self, tree_ex1):
+        # R counts units 2^-(p + 1074) exactly: for f = 2^990 (1 + x) its
+        # parts pass 2^1000 units, where a double overflowed and the call
+        # raised "no finite value" for a finite f.  Scaling f and its norm
+        # by 2^90 scales W by 2^90 exactly, and its bound by 2^90
+        op = ExtensionOperator(tree_ex1, s_max=3)
+        x = tree_ex1.levels[3][2].left
+        got = [op.evaluate(lambda z, e=e: mp.ldexp(1 + z, e), x,
+                           norm_q=2.0 ** e, q=2)
+               for e in (900, 990)]
+        sign, man, exp, bc = got[0].value._mpf_
+        assert got[1].value._mpf_ == (sign, man, exp + 90, bc)
+        assert float(got[1].certified_bound.ln - got[0].certified_bound.ln) \
+            == pytest.approx(90 * math.log(2), abs=1e-9)
+
 
 class TestWhitneyNorms:
     def test_constant_norm(self, tree_ex1):
@@ -1612,12 +1630,10 @@ class TestDNExperiment:
         assert block_inequality_fails(profile(model), eps, 0, 3, n) is fires
 
     def test_direct_sup_below_closed_form(self, tree_ex1):
-        m = tree_ex1.model
-        rep = dn_experiment(m, eps=0.25, m=0, r_list=[4], s_list=[1],
-                            tree=tree_ex1)
-        row = rep.rows[0]
-        assert row.ln_f0_direct is not None
-        assert row.ln_f0_direct <= row.ln_f0_upper
+        # the sup bound behind the rows of r = 4, s = 1, against the grid
+        direct, upper = direct_sup_check(tree_ex1, 1, 2)
+        assert math.isfinite(direct)
+        assert direct <= upper
 
     def test_parameter_guards(self):
         m = build_model(EXAMPLE1, k_max=20, B=1.0)
@@ -1779,6 +1795,35 @@ def test_forked_tables_are_the_serial_tables_bit_for_bit(forks, monkeypatch,
         assert forked == _serially(monkeypatch,
                                    lambda: _sweep(deep, xs, (3, 4, 5, 6)))
 
+
+@needs_fork
+def test_non_finite_f_raises_on_every_path(forks, monkeypatch, tree_jets):
+    # a Whitney jet is finite: an f that is nan at one node the call reads
+    # raises the same ParameterError unbounded, bounded and forked, where
+    # an unbounded call used to return nan
+    x = _inner(tree_jets)[37]
+    with mp.workprec(tree_jets.bits):
+        good = ExtensionOperator(tree_jets, s_max=4)
+        _serially(monkeypatch, lambda: good.evaluate(mp.sin, x))
+        read = sorted({z._mpf_ for t in good._per_f[mp.sin].values()
+                       for itp in t.interps.values() for z in itp.points})
+        bad = read[len(read) // 2]
+
+        def f(z):
+            return mp.nan if z._mpf_ == bad else mp.sin(z)
+
+        def raised(**bound):
+            op = ExtensionOperator(tree_jets, s_max=4)
+            with pytest.raises(ParameterError, match="no finite value") as exc:
+                op.evaluate(f, x, **bound)
+            return str(exc.value)
+
+        got = [_serially(monkeypatch, raised),
+               _serially(monkeypatch, lambda: raised(norm_q=2.0, q=5))]
+        n = len(forks)
+        got.append(raised())
+        assert len(forks) > n
+    assert got == [got[0]] * 3
 
 def test_plan_lists_the_tables_the_sum_reads(tree_jets):
     # the sum reads f's tables by key alone, so after each call they must

@@ -13,8 +13,8 @@ from cantorext import hausdorff
 from cantorext.cli import main
 from cantorext.dimension import EtaProfile, LogPower
 from cantorext.errors import DomainError, ParameterError
-from cantorext.gamma import (DELTA_FORM, EXAMPLE1, EXAMPLE2, POWER_LAW,
-                             build_model, profile)
+from cantorext.gamma import (DELTA_FORM, EXAMPLE1, EXAMPLE2, EXAMPLE3,
+                             POWER_LAW, build_model, profile)
 from cantorext.geometry import build_tree
 from cantorext.hausdorff import (
     FloatAtoms, IslandFamily, TreeAtoms, compare_dimension_functions,
@@ -525,6 +525,18 @@ class TestLevelSums:
             assert 1.0 < ls.value < ls.upper
             assert ls.value < prev
             prev = ls.value
+
+    def test_upper_holds_where_c0_delta_passes_one(self):
+        # example3's C0 = 1.47e7 exceeds 1/delta_k for k <= 4, where h at
+        # C0 delta_k > 1 raised (and `hausdorff --family example3` exited
+        # 2 at every k_max): the upper constant takes h at min(C0 delta_k,
+        # 1), 2^k there, and still bounds the sum at every level
+        model = build_model(EXAMPLE3, k_max=100)
+        tree = build_tree(model, depth=6, bits=256)
+        h = EtaProfile(model)
+        sums = [lambda_level_estimate(tree, h, k) for k in range(7)]
+        assert all(ls.value <= ls.upper for ls in sums)
+        assert [ls.upper for ls in sums[:5]] == [1.0, 2.0, 4.0, 8.0, 16.0]
 
     def test_level0_boundary(self, tree_ex1_d6):
         ls = lambda_level_estimate(tree_ex1_d6, EtaProfile(tree_ex1_d6.model), 0)

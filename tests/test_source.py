@@ -22,14 +22,17 @@ ROOT = SRC.parents[1]
 TESTS = ROOT / "tests"
 
 
-def test_every_public_definition_has_a_user():
-    """Each top-level public function or class of the package is named by the
-    package itself, the benchmark, a script, an acceptance criterion or the
-    README; a definition only unit tests call belongs in tests/oracles.py.
-    A re-export in the package's __init__.py is not a user."""
-    texts = {path: path.read_text() for pattern in
-             ("src/**/*.py", "perfbench/**/*.py", "scripts/*.py")
-             for path in ROOT.glob(pattern) if path != SRC / "__init__.py"}
+def test_every_definition_has_a_user():
+    """Each top-level function or class of the package is named outside its
+    own definition: a public one by the package itself, the benchmark, a
+    script, an acceptance criterion or the README, a private one by the
+    package, the benchmark or a script.  A definition only unit tests call
+    belongs in tests/oracles.py.  A re-export in the package's __init__.py
+    is not a user; dunders are exempt."""
+    program = {path: path.read_text() for pattern in
+               ("src/**/*.py", "perfbench/**/*.py", "scripts/*.py")
+               for path in ROOT.glob(pattern) if path != SRC / "__init__.py"}
+    texts = dict(program)
     for name in ("tests/test_acceptance.py", "README.md"):
         texts[ROOT / name] = (ROOT / name).read_text()
     unused = []
@@ -37,13 +40,14 @@ def test_every_public_definition_has_a_user():
         lines = texts[path].splitlines()
         for node in ast.parse(texts[path], str(path)).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+                    or node.name.startswith("__"):
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
             word = re.compile(rf"\b{node.name}\b")
+            users = program if node.name.startswith("_") else texts
             if not any(word.search(own if p == path else text)
-                       for p, text in texts.items()):
+                       for p, text in users.items()):
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
 
