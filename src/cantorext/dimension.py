@@ -70,11 +70,6 @@ class EtaProfile:
     def h_ln(self, lnt):
         return 2.0 ** (-self.eta_ln(lnt))
 
-    def h(self, t: float) -> float:
-        if not 0 < t <= 1:
-            raise DomainError("t must lie in (0, 1]")
-        return self.h_ln(-math.log(t))
-
     def inverse_ln(self, ln_inv_tau: float) -> float:
         """L = ln(1/h^{-1}(tau)) given ln(1/tau); exact piecewise formula."""
         eta = ln_inv_tau / LN2
@@ -183,11 +178,6 @@ class LogPower:
         out = self.alpha_ln(lnt_arr) * np.log(lnt_arr) / LN2
         return float(out) if np.isscalar(lnt) or lnt_arr.ndim == 0 else out
 
-    def h(self, t: float) -> float:
-        if not 0 < t < 1:
-            raise DomainError("t must lie in (0, 1)")
-        return self.h_ln(-math.log(t))
-
     # -- inversion ---------------------------------------------------------
 
     def inverse_lnln(self, ln_inv_tau: float) -> float:
@@ -230,13 +220,6 @@ class LogPower:
         """L = ln(1/h^{-1}(tau)); may overflow to inf for tiny tau."""
         w = self.inverse_lnln(ln_inv_tau)
         return math.exp(w) if w < 709.0 else math.inf
-
-    def inverse(self, tau: float) -> float:
-        """h^{-1}(tau) as a double; underflows to 0.0 below the float range."""
-        if not 0 < tau < 1:
-            raise DomainError("tau must lie in (0, 1)")
-        L = self.inverse_ln(-math.log(tau))
-        return math.exp(-L) if L < 745.0 else 0.0
 
     # -- classification ----------------------------------------------------
 

@@ -22,7 +22,6 @@ that drive the boundedness argument.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 import weakref
@@ -38,7 +37,7 @@ from . import forking
 from .bump import BumpSpec, bump_for_interval
 from .errors import (DepthError, HorizonError, InvariantError,
                      NodeCollisionError, ParameterError)
-from .gamma import (GammaModel, Profile, condition_diagnostics,
+from .gamma import (GammaModel, Profile, _float_or_inf, condition_diagnostics,
                     profile as make_profile)
 from .geometry import CantorTree, select_nodes
 from .kernel import _add, _mag, _mul, _sub
@@ -578,40 +577,22 @@ class _Tables:
     interps: dict = field(default_factory=dict)
 
 
-def _values_in_two(f: Callable, nodes: list) -> Optional[list]:
-    """f at the nodes: at every other one from the second in a forked child,
-    which sends the raw mpf back, and at the others here; None if either
-    side raised, the child left without a result or the fork was refused."""
-    try:
-        with forking.child(lambda: [f(z)._mpf_
-                                    for z in nodes[1::2]]) as result:
-            if result is None:
-                return None
-            values = nodes[:]
-            values[0::2] = [f(z) for z in nodes[0::2]]
-            values[1::2] = [mp.make_mpf(v) for v in result()]
-            return values
-    except Exception:
-        return None
-
-
 def _grown_in_two(f: Callable, tables: _Tables, grow: dict) -> bool:
     """Whether the tables ``grow`` names ((j, s) -> nodes) grew to their
     nodes in two processes.  f runs first at the last new node, the probe
     (the first is often an endpoint 0 or 1, where f can cost nothing), and
     its value is cached.  If f's CPU time there times the number of new
-    nodes reaches ``_FORK_MIN_F_S``, ``_values_in_two`` evaluates f at the
-    other new nodes, and the tables go, largest first, into two bins by new
-    entries (n^2 - held^2).  A forked child grows the bin without the
-    largest table and sends back each table's raw tail; this process grows
-    the other and takes the child's tails with its own node objects.  Each
-    side runs the serial arithmetic at the same precision, so every value
-    and table is the serial one, bit for bit.
+    nodes reaches ``_FORK_MIN_F_S``, ``forking.split`` evaluates f at the
+    rest in two halves, every other one from the first here and the others
+    in the child, then grows the tables, one job each weighed by its new
+    entries (n^2 - held^2).  Each job returns its table's raw tail, which
+    the table takes with this process's node objects.  Each side runs the
+    serial arithmetic at the same precision, so every value and table is
+    the serial one, bit for bit.
 
-    False leaves every table unchanged, below the threshold or if either
-    side raised, the child left without a result or the system refused the
-    fork.  Values other than the probe's are cached only once both halves
-    arrived.
+    False leaves every table unchanged, below the threshold or if a split
+    returned None.  Values other than the probe's are cached only once both
+    halves arrived.
     """
     interps, cache = tables.interps, tables.values
     new = list(dict.fromkeys(z for pts in grow.values() for z in pts
@@ -626,43 +607,34 @@ def _grown_in_two(f: Callable, tables: _Tables, grow: dict) -> bool:
         return False
     if (time.process_time() - t0) * len(new) < _FORK_MIN_F_S:
         return False
-    values = _values_in_two(f, rest)
+    halves = rest[0::2], rest[1::2]
+    values = forking.split([lambda h=h: [f(z)._mpf_ for z in h]
+                            for h in halves], [len(h) for h in halves])
     if values is None:
         return False
-    cache.update(zip(rest, values))
-
-    def held(key) -> int:
-        return len(interps[key].points) if key in interps else 0
+    for h, raw in zip(halves, values):
+        cache.update(zip(h, map(mp.make_mpf, raw)))
 
     def base(key) -> NewtonTable:
         itp = interps.get(key)
         return itp.copy() if itp else NewtonTable(tables.bits)
 
-    def grown(key) -> NewtonTable:
+    def tail(key, held: int) -> tuple:
         t = base(key)
         divided_differences(grow[key], [cache[z] for z in grow[key]], t)
-        return t
+        return t._tail(held)
 
-    entries = {key: len(pts) ** 2 - held(key) ** 2
-               for key, pts in grow.items()}
-    bins, loads = ([], []), [0, 0]
-    for key in sorted(entries, key=entries.get, reverse=True):
-        i = loads[1] < loads[0]
-        bins[i].append(key)
-        loads[i] += entries[key]
-    mine, theirs = bins
-    try:
-        with forking.child(lambda: [grown(key)._tail(held(key))
-                                    for key in theirs]) as result:
-            if result is None:
-                return False
-            out = {key: grown(key) for key in mine}
-            for key, tail in zip(theirs, result(), strict=True):
-                out[key] = base(key)
-                out[key]._append(grow[key], tail)
-    except Exception:
+    held = {key: len(interps[key].points) if key in interps else 0
+            for key in grow}
+    tails = forking.split([lambda key=key: tail(key, held[key])
+                           for key in grow],
+                          [len(pts) ** 2 - held[key] ** 2
+                           for key, pts in grow.items()])
+    if tails is None:
         return False
-    interps.update((key, out[key]) for key in grow)
+    for key, t in zip(grow, tails):
+        interps[key] = base(key)
+        interps[key]._append(grow[key], t)
     return True
 
 
@@ -899,10 +871,10 @@ class ExtensionOperator:
 
         A call big enough that the second CPU pays for two forks grows them
         in two processes (``_grown_in_two``): p is at least
-        ``_FORK_MIN_BITS``, ``forking.usable()`` holds and at least two
-        tables grow.  Otherwise, or if that step declines or fails, they
-        grow here, f called at the tables' precision on the exact nodes it
-        has not seen, which raises the serial error.
+        ``_FORK_MIN_BITS`` and at least two tables grow.  Otherwise, or if
+        that step declines or fails, they grow here, f called at the
+        tables' precision on the exact nodes it has not seen, which raises
+        the serial error.
         """
         cache, interps = tables.values, tables.interps
         grow = {}   # (j, s) -> the nodes its table grows to
@@ -912,7 +884,7 @@ class ExtensionOperator:
                 grow[(j, s)] = self._points(j, s, n)
         with mp.workprec(tables.bits):
             if (tables.bits >= _FORK_MIN_BITS and len(grow) >= 2
-                    and forking.usable() and _grown_in_two(f, tables, grow)):
+                    and _grown_in_two(f, tables, grow)):
                 return
             for key, points in grow.items():
                 values = []
@@ -999,15 +971,6 @@ class DNReport:
     diverges: bool   # scaled bounds strictly increase along the row order
 
 
-def _fsum_or_inf(weights) -> float:
-    """The sum of positive weights B_k, +inf past the doubles, as a B_k
-    past them is (printed as null)."""
-    try:
-        return math.fsum(weights)
-    except OverflowError:
-        return math.inf
-
-
 def dn_experiment(model: GammaModel, eps: float, m: int,
                   r_list: Sequence[int], s_list: Sequence[int]) -> DNReport:
     """Certified lower bounds of the dominating-norm ratio for the localized
@@ -1021,8 +984,7 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
     on exact Fractions.
     """
     prof = make_profile(model)
-    B = prof.B
-    c0 = model.c0
+    L, c0 = prof.ln_inv_deltas, model.c0
     if len(r_list) != len(s_list):
         raise ParameterError("paired experiment needs equal-length lists")
     if not (math.isfinite(eps) and eps > 0):
@@ -1030,8 +992,8 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
                              f"eps > 0, got {eps}")
     if m < 0:
         raise ParameterError(f"need q = 2^m with m >= 0, got m={m}")
-    q = 2 ** m
-    rows = []
+    q, e = 2 ** m, Fraction(eps)
+    rows, scaled = [], []
     for r, s in zip(r_list, s_list):
         if r < 2 or r & (r - 1):
             raise ParameterError(f"r={r} is not a power of two >= 2")
@@ -1042,24 +1004,23 @@ def dn_experiment(model: GammaModel, eps: float, m: int,
             raise ParameterError(f"need s >= 1, got s={s}")
         if s + n > model.k_max:
             raise HorizonError(f"(s={s}, n={n}) beyond horizon {model.k_max}")
-        window_hi = _fsum_or_inf(B[s + n - i] for i in range(1, m + 1))
-        window_lo = _fsum_or_inf(B[s + n - i] for i in range(m + 1, n + 1))
-        brace = 2.0 * B[s + n] + window_hi - eps * window_lo
-        ln_scaled = math.copysign(math.inf, brace)
-        if abs(brace) < 1e290:
-            with contextlib.suppress(OverflowError):
-                ln_scaled = math.ldexp(brace, s + n)
+        # B_{s}, ..., B_{s+n}, exact
+        Bx = [L[k] / 2 ** (k + 1) for k in range(s, s + n + 1)]
+        brace = 2 * Bx[n] + sum(Bx[n - m:n]) - e * sum(Bx[:n - m])
+        scaled.append(brace * 2 ** (s + n))
+        ln_scaled = _float_or_inf(scaled[-1])
         # constants: |f^(q)(0)| >= q! (7/8)^{r-q} Pi2;  |f|_0 <= C0^r Pi1;
         # ||f||_r <= 2 r!
         ln_const = (1 + eps) * (math.lgamma(q + 1) + (r - q) * math.log(7 / 8)) \
             - r * math.log(c0) - eps * (LN2 + math.lgamma(r + 1))
         fires = not condition_diagnostics(prof, [s], [n], eps,
                                           m).rows[0].block_holds
-        rows.append(DNRow(s=s, n=n, r=r, brace=brace, threshold=B[s + n],
+        rows.append(DNRow(s=s, n=n, r=r, brace=_float_or_inf(brace),
+                          threshold=prof.B[s + n],
                           fires=fires, ln_bound_scaled=ln_scaled,
                           ln_bound_full=ln_scaled + ln_const))
-    vals = [row.ln_bound_scaled for row in rows]
-    diverges = len(vals) >= 2 and all(a < b for a, b in zip(vals, vals[1:]))
+    diverges = len(scaled) >= 2 and all(a < b for a, b in zip(scaled,
+                                                                scaled[1:]))
     return DNReport(eps=eps, m=m, rows=rows, diverges=diverges)
 
 

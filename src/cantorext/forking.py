@@ -1,12 +1,13 @@
 """A second process for work that splits in two, bit for bit.
 
-Two places split a big job over the machine's CPUs: ``build_tree`` solves
-the tree's deepest level in a child, and ``ExtensionOperator`` evaluates f
-and grows Newton tables on half of a large call's new nodes and tables in
-one.  Each side runs the same arithmetic at the same precision, so the
-result is the serial one.  ``usable`` says whether a fork can pay at all;
-``child`` runs one job in a forked child while the caller does its own
-half.
+``split`` is the package's one fork.  ``build_tree`` gives it the tree's
+levels, and ``ExtensionOperator`` gives it f's values at two halves of a
+large call's new nodes, then the Newton tables that call grows.  Each side
+runs the same arithmetic at the same precision, so every result is the
+serial one.  Whatever goes wrong in a split (no usable second CPU, a
+refused fork, a job that raises on either side, a child that leaves
+without its whole result) returns None, and the caller does the work
+itself, serially, where the serial error is raised.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import gc
 import os
 import pickle
 import threading
-from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 
 def usable() -> bool:
@@ -38,57 +38,66 @@ def usable() -> bool:
     return cpus >= 2 and threading.active_count() == 1
 
 
-@contextmanager
-def child(work: Callable[[], object]):
-    """Run ``work()`` in a forked child while the with-body runs here.
+def split(jobs: Sequence[Callable[[], object]],
+          work: Sequence[float]) -> Optional[list]:
+    """Every job's result in job order, from two processes; None if
+    ``usable()`` is false, the system refuses the fork, a job raises on
+    either side, or the child leaves without writing its whole result (a
+    pickle cut short never loads).
 
-    Yields ``result``, which reads the pickled return value of ``work()``
-    from the child's pipe to its end; ChildProcessError if the child left
-    without writing all of it (it raised, or died: a pickle cut short never
-    loads).  Yields None if the system refuses the fork, and the caller
-    does the work itself.
-
-    The child imports nothing, touches no lock and runs no exit handler: it
-    runs ``work``, writes the pickle and leaves through ``os._exit``.  On
-    leaving the with-block the pipe is closed and the child reaped, killed
-    first (SIGKILL) unless its result was read to the end.
+    The jobs go into two bins by ``work``, heaviest first, each into the
+    bin with less work so far (Graham's longest-processing-time rule).
+    This process runs the bin that holds the heaviest job, and a forked
+    child runs the other and sends its results back pickled through a
+    pipe, so the fork and the pickle weigh on the lighter side.  The child
+    imports nothing, touches no lock and runs no exit handler: it runs its
+    jobs, writes the pickle and leaves through ``os._exit``.  It is reaped
+    on every path, killed first (SIGKILL) unless its result was read to the
+    end.
     """
+    if not usable():
+        return None
+    bins, loads = ([], []), [0, 0]
+    for i in sorted(range(len(jobs)), key=work.__getitem__, reverse=True):
+        b = loads[1] < loads[0]
+        bins[b].append(i)
+        loads[b] += work[i]
+    mine, theirs = bins
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(rfd)
         os.close(wfd)
-        yield None
-        return
+        return None
     if not pid:
         try:
             # no collection in the child: a finalizer of the parent's
             # garbage could flush a buffer the parent still owns
             gc.disable()
             os.close(rfd)
-            view = memoryview(pickle.dumps(work(), pickle.HIGHEST_PROTOCOL))
+            view = memoryview(pickle.dumps([jobs[i]() for i in theirs],
+                                           pickle.HIGHEST_PROTOCOL))
             while view:
                 view = view[os.write(wfd, view):]
         finally:
             os._exit(0)
     os.close(wfd)
     ended = False
-
-    def result():
-        nonlocal ended
+    try:
+        results = [None] * len(jobs)
+        for i in mine:
+            results[i] = jobs[i]()
         chunks = []
         while chunk := os.read(rfd, 1 << 20):
             chunks.append(chunk)
         ended = True
-        try:
-            return pickle.loads(b"".join(chunks))
-        except Exception as err:
-            raise ChildProcessError("the forked child exited without a "
-                                    "whole result") from err
-
-    try:
-        yield result
+        for i, result in zip(theirs, pickle.loads(b"".join(chunks)),
+                             strict=True):
+            results[i] = result
+        return results
+    except Exception:
+        return None
     finally:
         os.close(rfd)
         if not ended:

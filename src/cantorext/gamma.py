@@ -75,11 +75,6 @@ class GammaModel:
         self._check_k(k)
         return float(self.ln_inv_gamma[k - 1])
 
-    def gamma_float(self, k: int) -> float:
-        self._check_k(k)
-        v = self.ln_inv_gamma[k - 1]
-        return math.exp(-float(v)) if v < 700 else 0.0
-
     def _check_k(self, k: int):
         if not 1 <= k <= self.k_max:
             raise HorizonError(f"k={k} outside horizon 1..{self.k_max}")
@@ -141,10 +136,11 @@ def _exp_tail(exps, s: float = 0.0) -> float:
     return s
 
 
-def _float_or_inf(q: Fraction) -> float:
-    """q as a double, +-inf past the doubles (printed as null)."""
+def _float_or_inf(q: Fraction, shift: int = 0) -> float:
+    """q / 2^shift as a double, +-inf past the doubles (printed as null):
+    one correctly rounded division of q's own terms, no gcd taken."""
     try:
-        return float(q)
+        return q.numerator / (q.denominator << shift)
     except OverflowError:
         return math.inf if q > 0 else -math.inf
 
@@ -200,11 +196,12 @@ def _doubly_exp(k_max: int, a: float):
     """gamma_k = exp(-a^k), a > 1."""
     if a <= 1.0:
         raise ValidationError("doubly_exp needs a > 1")
-    ln_inv = []
+    # a whole a gives exact powers a^k, carried from one k to the next
+    whole, ln_inv, power = a == int(a), [], 1
     for k in range(1, k_max + 1):
         try:
-            ln_inv.append(Fraction(a) ** k if a == int(a)
-                          else Fraction(a ** k))
+            power = power * int(a) if whole else a ** k
+            ln_inv.append(Fraction(power))
         except OverflowError:
             raise HorizonError(f"doubly_exp: a^k has no double at k={k} for "
                                f"a={a}; --k-max must be below {k}") from None
@@ -385,8 +382,10 @@ def _delta_form(k_max: int, b: float):
         raise ValidationError("delta_form needs b > ln 4 so that gamma_1 < 1/4")
     bq = Fraction(b)
     # ln(1/delta_k) = b^k exactly: gamma_1 = e^-b, gamma_k = e^{-b^{k-1}(b-1)}
-    ln_inv = [bq if k == 1 else bq ** (k - 1) * (bq - 1)
-              for k in range(1, k_max + 1)]
+    ln_inv, power = [], 1     # power = b^(k - 1), carried
+    for k in range(1, k_max + 1):
+        ln_inv.append(bq if k == 1 else power * (bq - 1))
+        power *= bq
 
     def tail(p):
         return _exp_tail(takewhile(lambda e: e <= 700,
@@ -601,7 +600,7 @@ def profile(model: GammaModel) -> Profile:
     for k in range(1, model.k_max + 1):
         cum += model.ln_inv_gamma[k - 1]
         sums.append(cum)
-        b = _float_or_inf(cum / 2 ** (k + 1))
+        b = _float_or_inf(cum, k + 1)
         B.append(b)
         beta.append(math.log(b) / k if 0 < b < math.inf else math.nan)
         acc += b

@@ -20,7 +20,6 @@ and the central gap h_{j,s} > (1 - 4 gamma_{s+1}) l_{j,s} >= (7/8) l_{j,s}.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -255,10 +254,10 @@ def level_values(x: mp.mpf, r: Sequence, s: int) -> list:
     return out
 
 
-#: 2^depth * bits^2 from which build_tree solves the deepest level in a
-#: forked child while it solves the others.  Whole builds of EXAMPLE1 and
-#: delta-form trees on 2 CPUs (mpmath's pure-Python backend; best of 15, of
-#: 3 at 8192 bits), serial -> forked, by (depth, bits):
+#: 2^depth * bits^2 from which build_tree splits its levels over two
+#: processes.  Whole builds of EXAMPLE1 and delta-form trees on 2 CPUs
+#: (mpmath's pure-Python backend; best of 15, of 3 at 8192 bits), serial ->
+#: forked, by (depth, bits):
 #:   (6, 1280) 2^26.6: 3.0 -> 3.9 ms      (8, 2048) 2^30: 16.2 -> 11.9 ms
 #:   (7, 1024) 2^27:   5.5 -> 5.5 ms      (9, 2048) 2^31: 32 -> 21 ms
 #:   (8, 1024) 2^28:  10.9 -> 8.8 ms      (10, 8192) 2^36: 394 -> 213 ms
@@ -269,40 +268,27 @@ _FORK_MIN_WORK = 2 ** 30
 
 
 def _forks(depth: int, bits: int) -> bool:
-    """Whether build_tree solves the deepest level in a second process: the
+    """Whether build_tree splits its levels over two processes: the deepest
     level is big enough to pay for the fork, with a level above it to
-    overlap, and ``forking.usable`` holds."""
-    return (depth >= 2 and (2 ** depth) * bits * bits >= _FORK_MIN_WORK
-            and forking.usable())
+    overlap."""
+    return depth >= 2 and (2 ** depth) * bits * bits >= _FORK_MIN_WORK
 
 
-def _solve_level(s: int, r: list, half_r: list, quarter_r_sq: list) -> tuple:
-    """(points, error): the type-s points of the level-s intervals in index
-    order (the solver's addresses in lexicographic order), up to the first
-    one that raised, and that exception or None."""
-    point = _level_points(s, r, half_r, quarter_r_sq)
-    pts = []
-    try:
-        for addr in product((LEFT, RIGHT), repeat=s):
-            pts.append(point(addr))
-    except Exception as exc:
-        return pts, exc
-    return pts, None
+def _level(s: int, r: list, half_r: list, quarter_r_sq: list):
+    """The type-s points of the level-s intervals in index order (the
+    solver's addresses in lexicographic order), one at a time: the first
+    that fails raises where it is reached."""
+    return map(_level_points(s, r, half_r, quarter_r_sq),
+               product((LEFT, RIGHT), repeat=s))
 
 
-def _solve_raw(s: int, r: list, half_r: list, quarter_r_sq: list) -> tuple:
-    """``_solve_level``'s result with the points as raw _mpf_ tuples: what
-    the forked child sends back."""
-    pts, exc = _solve_level(s, r, half_r, quarter_r_sq)
-    return [p._mpf_ for p in pts], exc
-
-
-def _nest(parents: list, s: int, pts: list) -> list:
+def _nest(parents: list, s: int, points) -> list:
     """The level-s intervals from their parents and the type-s points, pairs
-    (c, d) in index order; PrecisionError unless l < c < d < r inside each
-    parent [l, r].  A trailing point without its pair is left out."""
+    (c, d) in index order, each pair checked as it arrives; PrecisionError
+    unless l < c < d < r inside each parent [l, r]."""
     cur = []
-    for iv, c, d in zip(parents, pts[0::2], pts[1::2]):
+    pts = iter(points)
+    for iv, c, d in zip(parents, pts, pts):
         if not (iv.left < c < d < iv.right):
             raise PrecisionError(
                 f"level-{s} points out of order inside I_{iv.index},{s - 1}; "
@@ -325,11 +311,12 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
     DepthError.
 
     The levels do not depend on each other's points.  When ``_forks`` holds,
-    a forked child solves the deepest level while this process solves the
-    others; the child runs the same arithmetic at the same precision, so the
-    tree is bit for bit the serial one, and it raises the same first error.
-    The child is reaped on every path, and killed first if this process
-    raises before its result is read.
+    ``forking.split`` solves them, weighed 2^s each: this process the
+    deepest level, a forked child the levels above it, the same arithmetic
+    at the same precision, so the tree is bit for bit the serial one.  If
+    the split returns None (it could not fork, a level raised, or the child
+    left without its result), the levels are solved here one at a time,
+    each checked as its points arrive, which raises the serial error.
     """
     if depth is None:
         depth = max_depth_for_bits(model, bits)
@@ -346,19 +333,16 @@ def build_tree(model: GammaModel, depth: Optional[int] = None,
         root = BasicInterval(level=0, index=1, left=mp.mpf(0), right=mp.mpf(1),
                              addr=(), left_type=0, right_type=0)
         levels = [[root]]
-        forked = (forking.child(lambda: _solve_raw(depth, r, half_r,
-                                                   quarter_r_sq))
-                  if _forks(depth, bits) else nullcontext())
-        with forked as result:
-            for s in range(1, depth + 1):
-                if s == depth and result is not None:
-                    raw, exc = result()
-                    pts = [mp.make_mpf(t) for t in raw]
-                else:
-                    pts, exc = _solve_level(s, r, half_r, quarter_r_sq)
-                levels.append(_nest(levels[s - 1], s, pts))
-                if exc is not None:
-                    raise exc
+        # each side returns raw _mpf_ tuples, which pickle and load about 8
+        # times faster than mpf (1024 points at 8192 bits: 1.9 ms, 16 ms)
+        solved = _forks(depth, bits) and forking.split(
+            [lambda s=s: [p._mpf_ for p in _level(s, r, half_r, quarter_r_sq)]
+             for s in range(1, depth + 1)],
+            [2 ** s for s in range(1, depth + 1)])
+        for s in range(1, depth + 1):
+            levels.append(_nest(levels[s - 1], s,
+                                map(mp.make_mpf, solved[s - 1]) if solved
+                                else _level(s, r, half_r, quarter_r_sq)))
         for lvl in levels:
             for iv in lvl:
                 iv.ln_length = ln_double(iv.right - iv.left)

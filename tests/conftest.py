@@ -27,8 +27,8 @@ def criterion(cid: str, budget: float = None, note: str = ""):
 @pytest.fixture(autouse=True)
 def no_child_left():
     """After every test, this process has no child left unreaped: the
-    package forks in ``build_tree`` and ``ExtensionOperator``, and must
-    reap every child on every path."""
+    package forks in ``forking.split``, for ``build_tree`` and
+    ``ExtensionOperator``, and must reap every child on every path."""
     yield
     if hasattr(os, "waitpid") and hasattr(os, "WNOHANG"):
         try:

@@ -2,9 +2,10 @@
 
 Each one re-derives a quantity the package computes, or checks an inequality
 the construction relies on, by a second route: sign bisection for the
-algebraic endpoint chain, a float Taylor series of the cutoff u beside the
-mpf ``BumpSpec.value`` the operator runs, an analytic h' for the
-log-power dimension functions, a level-polynomial lower bound for the
+algebraic endpoint chain, a model's gamma_k as a double, a float Taylor
+series of the cutoff u beside the mpf ``BumpSpec.value`` the operator
+runs, a log-power dimension function's h(t) from its log form and its
+analytic h', a level-polynomial lower bound for the
 Markov factor of a grid, the whole Newton table built order by order on
 mpmath's operations, which the grown tables and their integer kernel
 replaced, the grown table's loop with one kernel call per operation, which
@@ -32,11 +33,11 @@ from numpy.polynomial import chebyshev as C
 from cantorext import markov
 from cantorext.bump import BumpSpec, bump_for_interval
 from cantorext.dimension import LogPower
-from cantorext.errors import (HorizonError, NodeCollisionError,
+from cantorext.errors import (DomainError, HorizonError, NodeCollisionError,
                               ParameterError)
 from cantorext.extension import (_DD_FLOOR, _DD_GUARD, _DD_SLACK, NewtonTable,
                                   _raw)
-from cantorext.gamma import Profile
+from cantorext.gamma import GammaModel, Profile
 from cantorext.geometry import (LEFT, BasicInterval, CantorTree, level_values,
                                 select_nodes)
 from cantorext.kernel import _mag, _rounded, _sub
@@ -314,8 +315,18 @@ def direct_sup_check(tree: CantorTree, s: int, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# gamma: the block inequality on the exact logs
+# gamma: a model's gamma_k as a double, and the block inequality on the
+# exact logs
 # ---------------------------------------------------------------------------
+
+def gamma_float(model: GammaModel, k: int) -> float:
+    """gamma_k = exp(-ln(1/gamma_k)) as a double, 0.0 from e^-700 on;
+    HorizonError outside 1..k_max."""
+    if not 1 <= k <= model.k_max:
+        raise HorizonError(f"k={k} outside horizon 1..{model.k_max}")
+    v = model.ln_inv_gamma[k - 1]
+    return math.exp(-float(v)) if v < 700 else 0.0
+
 
 def block_inequality_fails(prof: Profile, eps: float, m: int, s: int,
                            n: int) -> bool:
@@ -480,8 +491,15 @@ def check_cutoff_product_bound(tree: CantorTree, interval: tuple, N: int,
 
 
 # ---------------------------------------------------------------------------
-# dimension functions: analytic h' of a log-power h
+# dimension functions: a log-power h and its analytic h'
 # ---------------------------------------------------------------------------
+
+def log_power_h(h: LogPower, t: float) -> float:
+    """h(t) for t in (0, 1), from the package's log form h_ln(ln 1/t)."""
+    if not 0 < t < 1:
+        raise DomainError("t must lie in (0, 1)")
+    return h.h_ln(-math.log(t))
+
 
 def h_prime(h: LogPower, t: float) -> float:
     """dh/dt, analytic (for the derivative-bound checks); t a double.

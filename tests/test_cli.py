@@ -127,29 +127,22 @@ FAMILY_EXTREMES = {
     "from_dimension_function": [[]],
 }
 SWEEP_K_MAX = (1, 50, 400, 3000)
-# sweep cases left out for their time, in seconds of one run on a 2-CPU
-# machine; each that ran to its end exited 0, 2 or 3, and those marked
-# "> 15" were stopped at 15 s.  The others take about 3 s together
+# sweep cases left out for their time, in seconds of one run in a fresh
+# process on a 2-CPU machine; each exited 0, 2 or 3
 SLOW_SWEEP_CASES = {
-    "gamma --family doubly_exp --k-max 400 --a " + _MAX: 0.53,
-    "dn --family doubly_exp --k-max 400 --a " + _MAX: 0.70,
-    "hausdorff --family doubly_exp --k-max 400 --a " + _MAX: 0.95,
-    "gamma --family doubly_exp --k-max 3000 --a " + _MAX: 63,
-    "dn --family doubly_exp --k-max 3000 --a " + _MAX: "> 15",
-    "hausdorff --family doubly_exp --k-max 3000 --a " + _MAX: "> 15",
-    "hausdorff --family example2 --k-max 50 --variant B": 1.48,
-    "hausdorff --family example2 --k-max 400 --variant B": 1.29,
-    "hausdorff --family example3 --k-max 50 --m 3": 1.25,
-    "gamma --family delta_form --k-max 3000 --b 1.3862943611198908": 2.54,
-    "dn --family delta_form --k-max 3000 --b 1.3862943611198908": 3.04,
+    "gamma --family doubly_exp --k-max 3000 --a " + _MAX: 8.4,
+    "dn --family doubly_exp --k-max 3000 --a " + _MAX: 7.3,
+    "hausdorff --family doubly_exp --k-max 3000 --a " + _MAX: 8.4,
+    "hausdorff --family example2 --k-max 50 --variant B": 1.36,
+    "hausdorff --family example2 --k-max 400 --variant B": 1.28,
+    "hausdorff --family example3 --k-max 50 --m 3": 1.29,
+    "gamma --family delta_form --k-max 3000 --b 1.3862943611198908": 0.67,
+    "dn --family delta_form --k-max 3000 --b 1.3862943611198908": 0.71,
     "hausdorff --family delta_form --k-max 3000 --b 1.3862943611198908":
-        2.73,
-    "gamma --family delta_form --k-max 400 --b " + _MAX: 0.64,
-    "dn --family delta_form --k-max 400 --b " + _MAX: 0.60,
-    "hausdorff --family delta_form --k-max 400 --b " + _MAX: 0.79,
-    "gamma --family delta_form --k-max 3000 --b " + _MAX: 78,
-    "dn --family delta_form --k-max 3000 --b " + _MAX: "> 15",
-    "hausdorff --family delta_form --k-max 3000 --b " + _MAX: "> 15",
+        0.77,
+    "gamma --family delta_form --k-max 3000 --b " + _MAX: 13.6,
+    "dn --family delta_form --k-max 3000 --b " + _MAX: 13.3,
+    "hausdorff --family delta_form --k-max 3000 --b " + _MAX: 16.2,
 }
 
 
@@ -488,6 +481,17 @@ class TestCLI:
         row, = json.loads(out)["data"]["rows"]
         assert (row["brace"], row["fires"]) == (0.75, False)
         assert row["ln_bound_scaled"] is None and row["ln_bound_full"] is None
+
+    def test_dn_brace_of_weights_at_the_largest_double(self, capsys):
+        # the brace 2B - 0.25 * 5B = 0.75B is a double though its window
+        # sums are not: it printed null, the doubles' inf - inf
+        code, out = run_cli(["dn", "--family", "example1", "--B", _MAX],
+                            capsys)
+        assert code == 0
+        row = json.loads(out)["data"]["rows"][0]
+        assert (row["n"], row["fires"]) == (5, False)
+        assert row["brace"] == 0.75 * sys.float_info.max
+        assert row["ln_bound_scaled"] is None
 
     @pytest.mark.parametrize("k_max", [1000, 2000])
     @pytest.mark.parametrize("variant", ["A", "B"])

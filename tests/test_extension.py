@@ -1878,11 +1878,12 @@ def _raising_at(z0, here: list):
 @needs_fork
 @pytest.mark.parametrize("side", ["child", "parent"])
 def test_an_f_error_is_the_serial_error(forks, monkeypatch, tree_jets, side):
-    # f runs at the last new node first; the child takes every other one
-    # of the rest from the second, this process the others from the first
+    # f runs at the last new node first, the probe, even where it cannot
+    # fork; then this process takes every other one of the rest from the
+    # first, the child the others from the second
     tree = tree_jets
     x = _inner(tree)[200]
-    z0 = _call_order(monkeypatch, tree, x)[1 if side == "child" else 2]
+    z0 = _call_order(monkeypatch, tree, x)[2 if side == "child" else 1]
     kills, here = [], []
     kill = os.kill
     monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import gamma_float
 
 from cantorext.dimension import LogPower
 from cantorext.errors import HorizonError, ParameterError, ValidationError
@@ -18,23 +19,23 @@ from cantorext.geometry import build_tree
 class TestBuild:
     def test_example1_gammas(self):
         m = build_model(EXAMPLE1, k_max=10, B=1.0)
-        assert math.isclose(m.gamma_float(1), math.exp(-4), rel_tol=1e-15)
-        assert math.isclose(m.gamma_float(2), math.exp(-4), rel_tol=1e-15)
-        assert math.isclose(m.gamma_float(3), math.exp(-8), rel_tol=1e-15)
+        assert math.isclose(gamma_float(m, 1), math.exp(-4), rel_tol=1e-15)
+        assert math.isclose(gamma_float(m, 2), math.exp(-4), rel_tol=1e-15)
+        assert math.isclose(gamma_float(m, 3), math.exp(-8), rel_tol=1e-15)
         # B >= ln(32)/4 means no clamping
         assert m.clamp_prefix == 0
 
     def test_example1_small_B_clamps(self):
         m = build_model(EXAMPLE1, k_max=10, B=0.5)
         assert m.clamp_prefix >= 1
-        assert m.gamma_float(1) == 1.0 / 32.0
+        assert gamma_float(m, 1) == 1.0 / 32.0
 
     def test_power_law_clamp(self):
         # k^-2 > 1/32 for k^2 < 32, i.e. k <= 5
         m = build_model(POWER_LAW, k_max=12, a=2.0)
         assert m.clamp_prefix == 5
-        assert m.gamma_float(5) == 1.0 / 32.0
-        assert math.isclose(m.gamma_float(6), 1.0 / 36.0, rel_tol=1e-15)
+        assert gamma_float(m, 5) == 1.0 / 32.0
+        assert math.isclose(gamma_float(m, 6), 1.0 / 36.0, rel_tol=1e-15)
 
     def test_power_law_gamma_sum(self):
         m = build_model(POWER_LAW, k_max=12, a=2.0)
@@ -66,7 +67,7 @@ class TestBuild:
     def test_custom_roundtrip(self):
         m = build_model(CUSTOM, gammas=[2.0 ** -6, 2.0 ** -7])
         assert m.k_max == 2
-        assert math.isclose(m.gamma_float(2), 2.0 ** -7, rel_tol=1e-15)
+        assert math.isclose(gamma_float(m, 2), 2.0 ** -7, rel_tol=1e-15)
 
     def test_nonsummable_family_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,7 +87,7 @@ class TestBuild:
             with pytest.raises(HorizonError):
                 m.ln_inv_gamma_float(k)
             with pytest.raises(HorizonError):
-                m.gamma_float(k)
+                gamma_float(m, k)
 
 
 class TestProfile:
@@ -124,6 +125,27 @@ class TestProfile:
         for n in range(1, 26):
             expect = float(p.ln_inv_delta(n) / 2 ** (n + 1))
             assert math.isclose(p.B[n], expect, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("family,power", [
+        (DOUBLY_EXP, lambda a, k: a ** k),
+        (DELTA_FORM, lambda b, k: b if k == 1 else b ** (k - 1) * (b - 1))])
+    @pytest.mark.parametrize("x", [2.5, 3.0, 1.7976931348623157e+308])
+    def test_carried_powers_are_the_powers(self, family, power, x):
+        # ln(1/gamma_k) carried from k - 1, and B_k rounded from the
+        # unreduced Fraction, against each power and quotient taken afresh
+        key = "a" if family == DOUBLY_EXP else "b"
+        m = build_model(family, k_max=60, **{key: x})
+        p = profile(m)
+        for k in range(m.clamp_prefix + 1, 61):
+            want = (Fraction(x ** k) if family == DOUBLY_EXP and x == 2.5
+                    else power(Fraction(x), k))
+            assert m.ln_inv_gamma[k - 1] == want
+        for k in range(1, 61):
+            try:
+                want = float(p.ln_inv_delta(k) / 2 ** (k + 1))
+            except OverflowError:
+                want = math.inf
+            assert p.B[k] == want
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_ln_inv_delta_is_the_exact_prefix_sum(self, family):
@@ -315,7 +337,7 @@ class TestExample3:
     def test_prefix_is_exactly_1_over_32(self):
         m = build_model(EXAMPLE3, k_max=40, m=3)
         for k in range(1, m.meta["k_start"]):
-            assert m.gamma_float(k) == 1.0 / 32.0
+            assert gamma_float(m, k) == 1.0 / 32.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -435,7 +435,7 @@ def test_atoms_outside_the_built_depth_raise():
             TreeAtoms(tree, level=level)
 
 
-# -- the deepest level in a forked child ------------------------------------
+# -- the levels over two processes ------------------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
@@ -515,49 +515,52 @@ def _planted(monkeypatch, depth, faults):
 
 
 @needs_fork
-@pytest.mark.parametrize("faults,error,match", [
-    ({(1,) * 9: "raise"}, BracketError, r"planted at \(1, 1, 1, 1, 1, 1, 1, 1, 1\)"),
+@pytest.mark.parametrize("level,faults,error,match", [
+    (9, {(1,) * 9: "raise"}, BracketError,
+     r"planted at \(1, 1, 1, 1, 1, 1, 1, 1, 1\)"),
     # the nesting of an earlier interval fails before the later point raises
-    ({(0,) * 8 + (1,): "swap", (1,) * 9: "raise"}, PrecisionError,
+    (9, {(0,) * 8 + (1,): "swap", (1,) * 9: "raise"}, PrecisionError,
      r"level-9 points out of order inside I_1,8"),
-], ids=["child-raises", "nesting-fails-first"])
-def test_a_deepest_level_error_is_the_serial_error(forks, monkeypatch, faults,
-                                                   error, match):
+    (3, {(0, 1, 1): "raise"}, BracketError, r"planted at \(0, 1, 1\)"),
+], ids=["deepest-raises", "nesting-fails-first", "child-raises"])
+def test_a_level_error_is_the_serial_error(forks, monkeypatch, level, faults,
+                                           error, match):
+    # this process solves the deepest level, the child the levels above it
+    kills = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig))
+                        or kill(pid, sig))
     model = build_model(EXAMPLE1, k_max=12, B=1.0)
-    _planted(monkeypatch, 9, faults)
+    _planted(monkeypatch, level, faults)
     with pytest.raises(error, match=match) as forked:
         build_tree(model, depth=9, bits=2048)
     assert len(forks) == 1
+    # a raise here kills the child before its result is read; a child that
+    # raised left by itself and is only reaped
+    assert kills == ([(forks[0], signal.SIGKILL)] if level == 9 else [])
     with pytest.raises(error) as serial:
         _serial_build(monkeypatch, model, 9, 2048)
     assert str(forked.value) == str(serial.value)
 
 
 @needs_fork
-def test_a_parent_level_error_kills_and_reaps_the_child(forks, monkeypatch):
-    kills = []
-    kill = os.kill
-    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig))
-                        or kill(pid, sig))
-    _planted(monkeypatch, 3, {(0, 1, 1): "raise"})
-    with pytest.raises(BracketError, match=r"planted at \(0, 1, 1\)"):
-        build_tree(build_model(EXAMPLE1, k_max=12, B=1.0), depth=9, bits=2048)
-    assert kills == [(forks[0], signal.SIGKILL)]
-
-
-@needs_fork
-def test_a_child_without_a_result_is_an_error(forks, monkeypatch):
+def test_a_child_without_a_result_leaves_the_serial_tree(forks, monkeypatch):
+    # the child dies before it writes; this process then solves every
+    # level itself
     parent = os.getpid()
-    solve = geometry._solve_level
+    solve = geometry._level_points
 
-    def solve_level(s, *args):
+    def level_points(s, *args):
         if os.getpid() != parent:
             os._exit(3)
         return solve(s, *args)
 
-    monkeypatch.setattr(geometry, "_solve_level", solve_level)
-    with pytest.raises(ChildProcessError, match="without a whole result"):
-        build_tree(build_model(EXAMPLE1, k_max=12, B=1.0), depth=9, bits=2048)
+    model = build_model(EXAMPLE1, k_max=12, B=1.0)
+    monkeypatch.setattr(geometry, "_level_points", level_points)
+    tree = build_tree(model, depth=9, bits=2048)
+    assert len(forks) == 1
+    assert _tree_bits(tree) == _tree_bits(
+        _serial_build(monkeypatch, model, 9, 2048))
 
 
 @needs_fork

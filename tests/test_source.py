@@ -22,13 +22,27 @@ ROOT = SRC.parents[1]
 TESTS = ROOT / "tests"
 
 
+def _definitions(module: ast.Module):
+    """(node, use) for the module's top-level functions and classes, and for
+    the public methods of its classes: ``use`` matches a use of the name,
+    for a method only as an attribute."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, rf"\b{node.name}\b"
+        if isinstance(node, ast.ClassDef):
+            yield from ((item, rf"\.{item.name}\b") for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
 def test_every_definition_has_a_user():
-    """Each top-level function or class of the package is named outside its
-    own definition: a public one by the package itself, the benchmark, a
-    script, an acceptance criterion or the README, a private one by the
-    package, the benchmark or a script.  A definition only unit tests call
-    belongs in tests/oracles.py.  A re-export in the package's __init__.py
-    is not a user; dunders are exempt."""
+    """Each top-level function or class of the package, and each public
+    method of its classes, is named outside its own definition: a public
+    one by the package itself, the benchmark, a script, an acceptance
+    criterion or the README, a private one by the package, the benchmark or
+    a script.  A definition only unit tests call belongs in
+    tests/oracles.py.  A re-export in the package's __init__.py is not a
+    user; dunders are exempt."""
     program = {path: path.read_text() for pattern in
                ("src/**/*.py", "perfbench/**/*.py", "scripts/*.py")
                for path in ROOT.glob(pattern) if path != SRC / "__init__.py"}
@@ -38,13 +52,12 @@ def test_every_definition_has_a_user():
     unused = []
     for path in sorted(p for p in SRC.rglob("*.py") if p in texts):
         lines = texts[path].splitlines()
-        for node in ast.parse(texts[path], str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("__"):
+        for node, use in _definitions(ast.parse(texts[path], str(path))):
+            if node.name.startswith("__"):
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
-            word = re.compile(rf"\b{node.name}\b")
+            word = re.compile(use)
             users = program if node.name.startswith("_") else texts
             if not any(word.search(own if p == path else text)
                        for p, text in users.items()):
