@@ -18,6 +18,8 @@ import copy
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -28,7 +30,7 @@ from .errors import DepthError, DomainError, ParameterError
 from .dimension import LogPower
 from .geometry import CantorTree
 from .kernel import _add, _sub
-from .logreal import ln_double, ln_double_fixed
+from .logreal import ln_double, ln_doubles_fixed
 
 LN2 = math.log(2.0)
 
@@ -112,6 +114,14 @@ def _scaled(v, scale: int) -> tuple:
 
 
 _NO_SPANS = np.empty(0)
+# entries per block: span logs per ``ln_doubles_fixed`` call of TreeAtoms
+# (whole rows, so up to twice this), and h values made Python floats at a
+# time in ``content_dp``.  Big enough to spread numpy's per-call cost over
+# the entries; small enough that a block's span ints and their integer
+# stages (some 400 bytes an entry, and up to a kilobyte more at 8192 bits)
+# add little to the peak memory: 4096 raised the density benchmark's peak
+# RSS by 2.2 MB, 1024 by about 1 MB.
+_BLOCK = 1024
 
 
 class _Atoms:
@@ -122,10 +132,11 @@ class _Atoms:
     shares: ``ids`` holds each atom's index in the root, and the memo holds
     for root atom j the span logs over a run of starts i <= j that ends at j.
     Every row asks for such a run, so a memo entry only grows at its front.
-    A provider supplies the column ``_column(starts, j)``, the span logs from
-    the atoms in ``starts`` (a range ending at or before j) to atom j.  An
-    entry that starts or ends on a clamped end depends on the window, so it
-    is computed by ``_clamped_column`` on every call and never stored.
+    ``_fill`` grows many rows at once: a provider supplies ``_columns(rows)``,
+    for each (starts, j) the span logs from the atoms in ``starts`` (a range
+    ending at or before j) to atom j.  An entry that starts or ends on a
+    clamped end depends on the window, so it is computed by
+    ``_clamped_column`` on every call and never stored.
 
     ``clip`` takes the root only (``clipped`` is False there), and
     ``clamped`` tells whether a view cut the left end of its first atom and
@@ -163,19 +174,39 @@ class _Atoms:
     def _clamped_column(self, starts, j: int) -> np.ndarray:
         return self._column(starts, j)
 
+    def _columns(self, rows):
+        return (self._column(starts, j) for starts, j in rows)
+
+    def _fill(self, firsts: dict) -> None:
+        """Memo the unclamped span logs of each row j from start
+        ``firsts[j]`` on (local indices), in one ``_columns`` call for all
+        that the memo lacks.  The columns arrive one by one, and each is
+        copied into the memo as it comes."""
+        rows, keys = [], []
+        for j, first in firsts.items():
+            key = int(self.ids[j])
+            stop = j + 1 - len(self._memo.get(key, _NO_SPANS))
+            if first < stop:
+                rows.append((range(first, stop), j))
+                keys.append(key)
+        for key, col in zip(keys, self._columns(rows)):
+            self._memo[key] = np.concatenate(
+                (col, self._memo.get(key, _NO_SPANS)))
+
     def ln_inv_span_starts(self, j: int) -> np.ndarray:
-        if j == self.count - 1 and self.clamped[1]:
+        head, tail = self.clamped
+        if tail and j == self.count - 1:
             return self._clamped_column(range(j + 1), j)
-        head = 1 if self.clamped[0] else 0
         need = j + 1 - head  # unclamped starts head..j, root ids[head]..ids[j]
         key = int(self.ids[j])
         memo = self._memo.get(key, _NO_SPANS)
         if len(memo) < need:
-            memo = np.concatenate(
-                (self._column(range(head, j + 1 - len(memo)), j), memo))
-            self._memo[key] = memo
-        lead = self._clamped_column(range(1), j) if head else _NO_SPANS
-        return np.concatenate((lead, memo[len(memo) - need:]))
+            self._fill({j: head})
+            memo = self._memo[key]
+        if head:
+            return np.concatenate((self._clamped_column(range(1), j),
+                                   memo[len(memo) - need:]))
+        return memo[len(memo) - need:].copy()
 
 
 class FloatAtoms(_Atoms):
@@ -209,13 +240,15 @@ class TreeAtoms(_Atoms):
     ``key`` turns a window end into its floor and ceiling at that scale.
     An unclamped span is the int difference D of two keys, and its log is
     ``ln_double_fixed(D, F)``: the double ``ln_double`` gives for right -
-    left, the mpf that D 2^-F rounds to.  A double-double log decides it
-    where its error bound (2^-69 + |E| 2^-82 for a span g 2^E, 2^-57 |ln|
-    within 2^-3 of 1) leaves the log that far from every midpoint between
-    two doubles; elsewhere the working-precision log does: 1 of the 12,459
-    spans of the density benchmark's tree operations, the span of exactly
-    1.  A clamped end is a window's value, off the scale: spans from or to
-    it are taken in mpf (``_clamped_column``).
+    left, the mpf that D 2^-F rounds to.  ``_columns`` takes these logs in
+    blocks (``ln_doubles_fixed``).  A double-double log decides each where
+    its error bound (2^-69 + |E| 2^-82 for a span g 2^E, 2^-57 |ln| within
+    2^-3 of 1) leaves the log that far from every midpoint between two
+    doubles; elsewhere the working-precision log does: 1 of the 12,459 logs
+    of the density benchmark's tree operations (12,448 spans in 13 blocks,
+    and 11 radii), the span of exactly 1.  A clamped end is a
+    window's value, off the scale: spans from or to it are taken in mpf
+    (``_clamped_column``).
     """
 
     def __init__(self, tree: CantorTree, level: Optional[int] = None):
@@ -238,14 +271,23 @@ class TreeAtoms(_Atoms):
         return (mp.make_mpf(_sub(a, b, self.bits)),
                 mp.make_mpf(_add(a, b, self.bits)))
 
-    def _column(self, starts, j: int) -> np.ndarray:
+    def _columns(self, rows):
+        """The rows' span logs from one ``ln_doubles_fixed`` call per block
+        of about ``_BLOCK`` entries, whole rows to a block, so that only one
+        block's span ints and logs are alive at a time."""
         lefts, rights = self.keys
         a = int(self.ids[0])
-        R, scale = rights[a + j], self.scale
-        with mp.workprec(self.bits):
-            # 0.0 - y rather than -y: a span of exactly 1 logs +0.0, not -0.0
-            return np.array([0.0 - ln_double_fixed(R - lefts[a + i], scale)
-                             for i in starts], dtype=float)
+        ds, cuts = [], []
+        for n, (starts, j) in enumerate(rows, 1):
+            R = rights[a + j]
+            ds += [R - L for L in lefts[a + starts.start:a + starts.stop]]
+            cuts.append(len(ds))
+            if len(ds) >= _BLOCK or n == len(rows):
+                with mp.workprec(self.bits):
+                    # 0.0 - y, not -y: a span of exactly 1 logs +0.0
+                    logs = 0.0 - ln_doubles_fixed(ds, self.scale)
+                yield from np.split(logs, cuts[:-1])
+                ds, cuts = [], []
 
     def _clamped_column(self, starts, j: int) -> np.ndarray:
         with mp.workprec(self.bits):
@@ -351,6 +393,13 @@ class IslandAtoms(_Atoms):
 # contents
 # ---------------------------------------------------------------------------
 
+def _floats(h_block) -> list:
+    block = h_block.tolist()
+    if math.isnan(sum(block)):  # h >= 0, so only a NaN makes the sum NaN
+        raise DomainError("h is NaN on a span")
+    return block
+
+
 @dataclass
 class ContentResult:
     value: float
@@ -362,29 +411,35 @@ def content_dp(atoms, h) -> ContentResult:
 
     cost(j) = min_{i <= j} cost(i-1) + h(right_j - left_i): any covering
     interval shrinks onto the hull of the atoms it covers (h nondecreasing),
-    so consecutive-run partitions exhaust the optima.
+    so consecutive-run partitions exhaust the optima.  The first minimum
+    wins a tie.  Raises DomainError where h gives NaN.
     """
     m = atoms.count
-    # h once over the triangle of span logs, row j at offset j(j+1)/2
+    if not atoms.clipped:  # a view's rows: filled by ``_scan``, or one by one
+        atoms._fill(dict.fromkeys(range(m), 0))
+    # h once over the triangle of span logs, row j at offset j(j+1)/2; the
+    # recurrence on Python floats, whose per-row cost is far below numpy's
+    # at the few atoms of a scan window
     hs = h.h_ln(np.concatenate([atoms.ln_inv_span_starts(j)
                                 for j in range(m)]))
-    cost = np.zeros(m + 1)
-    back = np.zeros(m, dtype=int)
-    start = 0
-    for j in range(m):
-        vals = cost[:j + 1] + hs[start:start + j + 1]
-        start += j + 1
-        i = int(np.argmin(vals))
-        cost[j + 1] = float(vals[i])
-        back[j] = i
+    # as Python floats a block at a time: a list of the whole triangle
+    # would take 32 bytes an entry
+    row = chain.from_iterable(_floats(hs[i:i + _BLOCK])
+                              for i in range(0, len(hs), _BLOCK))
+    cost, back = [0.0], []
+    for _ in range(m):
+        vals = list(map(add, cost, row))  # takes len(cost) entries of row
+        best = min(vals)
+        cost.append(best)
+        back.append(vals.index(best))
     runs = []
     j = m - 1
     while j >= 0:
-        i = int(back[j])
+        i = back[j]
         runs.append((i, j))
         j = i - 1
     runs.reverse()
-    return ContentResult(value=float(cost[m]), runs=runs)
+    return ContentResult(value=cost[m], runs=runs)
 
 
 def content_exhaustive(atoms, h) -> float:
@@ -476,15 +531,27 @@ class DensityTable:
 
 def _scan(atoms, h, r_items, x_items, analytic_limit, keep_rows) -> DensityTable:
     """Density table over the radii and centres.  Many windows repeat, so
-    phi is solved once per ``_run`` key, in a memo of this call (h fixed)."""
-    rows, per_r, solved = [], [], {}
+    phi is solved once per ``_run`` key, in a memo of this call (h fixed).
+    The span rows of every run are filled first, in one pass."""
+    windows, firsts = [], {}
     for ln_inv_r, r_native in r_items:
-        phis = []
+        found = []
         for label, x in x_items:
             lo, hi = atoms.window(x, r_native)
             key = _run(atoms, lo, hi)
-            if key is None:
-                continue
+            if key is not None:
+                found.append((label, lo, hi, key))
+        windows.append((ln_inv_r, found))
+    for i0, i1, lo_cut, hi_cut in {w[3] for _, found in windows
+                                   for w in found}:
+        first = i0 + (lo_cut is not None)
+        for j in range(first, i1 - (hi_cut is not None)):
+            firsts[j] = min(firsts.get(j, first), first)
+    atoms._fill(firsts)
+    rows, per_r, solved = [], [], {}
+    for ln_inv_r, found in windows:
+        phis = []
+        for label, lo, hi, key in found:
             phi = solved.get(key)
             if phi is None:
                 phi = solved[key] = content_dp(atoms.clip(lo, hi, key),

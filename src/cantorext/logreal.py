@@ -14,11 +14,11 @@ sum to where it is printed (``ln_mag``) or compared with an mpf (``to_mpf``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Optional, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (from_float, from_man_exp, from_rational, mpf_log,
@@ -44,34 +44,62 @@ _LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 # ln 2 as one rational, within 2^-86
 LN2_FRACTION = Fraction(_LN2_HI) + Fraction(_LN2_LO)
 _MASK53 = (1 << 53) - 1
-_TWO52 = float(1 << 52)
 
 
-@functools.cache
+# the table _ln_centres builds on the first short log, not at import; read
+# as a global, it costs the scalar log no call
+_CENTRES = ()
+
+
 def _ln_centres() -> tuple:
-    """ln c_i = hi + lo for c_i = 1 + (i + 1/2)/128, i < 128, within 2^-106.
+    """ln c_i = hi + lo for c_i = 1 + (i + 1/2)/128, i < 128, within 2^-106."""
+    global _CENTRES
+    if not _CENTRES:
+        rows = []
+        for i in range(128):
+            ln = mpf_log(from_float(1 + (i + 0.5) / 128), 160, round_nearest)
+            hi = to_float(ln, rnd=round_nearest)
+            rows.append((hi, to_float(mpf_sub(ln, from_float(hi), 160),
+                                      rnd=round_nearest)))
+        _CENTRES = tuple(rows)
+    return _CENTRES
 
-    Built on the first fast log, not at import."""
-    rows = []
-    for i in range(128):
-        ln = mpf_log(from_float(1 + (i + 0.5) / 128), 160, round_nearest)
-        hi = to_float(ln, rnd=round_nearest)
-        rows.append((hi, to_float(mpf_sub(ln, from_float(hi), 160),
-                                  rnd=round_nearest)))
-    return tuple(rows)
+
+# The short log runs in two stages.  The integer stage (``_ln_short``) works
+# on x's mantissa and ends in a few exact doubles; a float stage (``_tang``,
+# ``_atanh``) turns them into (hi, lo, bound), and ``_decided`` tests the
+# rounding.  The float stages and the test use only IEEE + - * / and abs
+# (and nextafter), so the same code runs on doubles or, entry by entry, on
+# float64 arrays (``ln_doubles_fixed``), with the same doubles out.
 
 
-def _rounded(hi: float, lo: float, bound: float) -> Optional[float]:
-    """The double nearest to y, given |y - (hi + lo)| <= bound and |hi| >=
-    |lo|; None unless y lies at least ``bound`` from every midpoint.
+def _tang(args):
+    """The float stage of ``_ln_short`` outside 2^-3 of 1: (hi, lo, bound)
+    from args = (E, uh, ul, c_hi, c_lo): u = uh 2^53 + ul and ln c_i = c_hi
+    + c_lo."""
+    E, uh, ul, c_hi, c_lo = args
+    u1 = uh * 2.0 ** -53
+    w = u1 * u1
+    u2 = u1 + u1
+    A = E * _LN2_HI
+    a = A + c_hi
+    b = a + u2
+    lo = ((c_hi - (a - A)) + (u2 - (b - a)) + (E * _LN2_LO + c_lo)
+          + (ul * 2.0 ** -105
+             + u2 * w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9))))))
+    return b, lo, 2.0 ** -69 + abs(E) * 2.0 ** -82
 
-    TwoSum: s + err = hi + lo exactly.  A power of two has the smaller
-    spacing below it, so it takes a quarter of its ulp on both sides."""
-    s = hi + lo
-    err = lo - (s - hi)
-    ulp = math.ulp(s)
-    half = ulp * (0.25 if abs(s) == ulp * _TWO52 else 0.5)
-    return s if abs(err) + 2 * bound < half else None
+
+def _atanh(args):
+    """The float stage of ``_ln_near_one``: (hi, lo, bound) from args =
+    (t1, t0), t = t1 + t0 signed as ln x."""
+    t1, t0 = args
+    w = t1 * t1
+    hi = t1 + t1
+    lo = t0 + hi * w * (
+        1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
+            1 / 13 + w * (1 / 15 + w * (1 / 17))))))))
+    return hi, lo, abs(hi) * (2.0 ** -100 + w * 2.0 ** -50)
 
 
 def _ln_near_one(man: int, exp: int, bc: int,
@@ -85,11 +113,13 @@ def _ln_near_one(man: int, exp: int, bc: int,
     + w^8/17), w = t1^2, with the polynomial in doubles from t1 alone.  The
     error is at most |2 t1| (2^-102.8 + 2^-50.4 w): 2^-50.9 w from leaving
     t0 out of the polynomial, 2^-52.4 w from its rounding, the series' tail
-    below 2^-66 w.  The bound given is |2 t1| (2^-100 + 2^-50 w).
+    below 2^-66 w.  The bound given is |2 t1| (2^-100 + 2^-50 w).  For x <
+    1, t1 and t0 are negated: the float stage is odd in them, as rounding to
+    nearest is.
     """
     d = (1 << bc) - man if below else man - (1 << (bc - 1))
     if not d:
-        return 0.0, 0.0, 0.0
+        return None
     bl = d.bit_length()
     if bl + exp < -900:  # |ln x| near the end of the double range
         return None
@@ -101,20 +131,15 @@ def _ln_near_one(man: int, exp: int, bc: int,
     k = 106 - bl - exp
     t = (d << k) // ((1 << (1 - exp)) + (-d if below else d))
     t1 = math.ldexp(float(t >> 53), 53 - k)
-    w = t1 * t1
-    hi = t1 + t1
-    lo = math.ldexp(float(t & _MASK53), 1 - k) + hi * w * (
-        1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
-            1 / 13 + w * (1 / 15 + w * (1 / 17))))))))
-    if below:
-        hi, lo = -hi, -lo
-    return hi, lo, abs(hi) * (2.0 ** -100 + w * 2.0 ** -50)
+    t0 = math.ldexp(float(t & _MASK53), 1 - k)
+    return _atanh, ((-t1, -t0) if below else (t1, t0))
 
 
 def _ln_short(man: int, exp: int, bc: int) -> Optional[tuple]:
-    """ln x = hi + lo within ``bound``, as (hi, lo, bound), for x = man 2^exp
-    > 0 (man of bc bits, not necessarily odd); None for |E| >= 2^20 or |ln
-    x| < 2^-900.
+    """The integer stage of ln x = hi + lo within ``bound``, for x = man
+    2^exp > 0 (man of bc bits, not necessarily odd): (stage, args), where
+    the float stage ``stage(args)`` gives (hi, lo, bound); None for x = 1,
+    |E| >= 2^20 or |ln x| < 2^-900.
 
     With x = g 2^E, 1 <= g < 2, and M the top 106 bits of g (M 2^-105 <=
     g < (M + 1) 2^-105): ln g = ln c_i + 2 atanh u, c_i = 1 + (i + 1/2)/128
@@ -128,29 +153,37 @@ def _ln_short(man: int, exp: int, bc: int) -> Optional[tuple]:
     0.12 > |2u|).  The error is at most 2^-69 + |E| 2^-82: 2^-70 from the
     tail in u1 alone, |E| 2^-82.2 from _LN2_LO and the low sums.  Within
     2^-3 of 1, where that is not small against ln x, see ``_ln_near_one``.
+    E, u >> 53 and u mod 2^53 are below 2^53, so each is a double exactly.
     """
     E = exp + bc - 1
-    if E == 0 and man - (1 << (bc - 1)) << 3 < 1 << (bc - 1):
-        return _ln_near_one(man, exp, bc, False)
-    if E == -1 and (1 << bc) - man << 3 < 1 << bc:
-        return _ln_near_one(man, exp, bc, True)
-    if not -(1 << 20) < E < 1 << 20:
+    if -1 <= E <= 0:
+        if E and (1 << bc) - man << 3 < 1 << bc:
+            return _ln_near_one(man, exp, bc, True)
+        if not E and man - (1 << (bc - 1)) << 3 < 1 << (bc - 1):
+            return _ln_near_one(man, exp, bc, False)
+    elif not -(1 << 20) < E < 1 << 20:
         return None
     M = man >> bc - 106 if bc >= 106 else man << 106 - bc
     i = (M >> 98) - 128
     C = (2 * i + 257) << 97                    # c_i 2^105
     u = ((M - C) << 106) // (M + C)
-    u1 = float(u >> 53) * 2.0 ** -53
-    w = u1 * u1
-    u2 = u1 + u1
-    c_hi, c_lo = _ln_centres()[i]
-    A = E * _LN2_HI
-    a = A + c_hi
-    b = a + u2
-    lo = ((c_hi - (a - A)) + (u2 - (b - a)) + (E * _LN2_LO + c_lo)
-          + (float(u & _MASK53) * 2.0 ** -105
-             + u2 * w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9))))))
-    return b, lo, 2.0 ** -69 + abs(E) * 2.0 ** -82
+    c_hi, c_lo = (_CENTRES or _ln_centres())[i]
+    return _tang, (float(E), float(u >> 53), float(u & _MASK53), c_hi, c_lo)
+
+
+def _decided(hi, lo, bound, xp):
+    """Whether hi + lo, rounded, is the double nearest to y, given |y - (hi
+    + lo)| <= bound and |hi| >= |lo|: whether y lies at least ``bound`` from
+    every midpoint.  xp is ``math`` for doubles, ``numpy`` for arrays.
+
+    TwoSum: s + err = hi + lo exactly.  The midpoints next to s lie half a
+    spacing away on each side, and the spacing below |s| is the smaller one
+    (half the one above at a power of two).
+    """
+    s = hi + lo
+    err = lo - (s - hi)
+    a = abs(s)
+    return abs(err) + 2 * bound < (a - xp.nextafter(a, 0.0)) * 0.5
 
 
 def ln_double(x) -> float:
@@ -179,16 +212,54 @@ def ln_double_fixed(d: int, scale: int) -> float:
     decides: it runs on d itself, and rounding to p bits moves the log by
     less than 2^(1-p), which is added to its bound.
     """
-    prec = mp.mp.prec
+    prec = mp.mp._prec  # mp.mp.prec, without the property's call
     if prec > _SHORT_LOG_MIN_PREC:
         short = _ln_short(d, -scale, d.bit_length())
         if short is not None:
-            hi, lo, bound = short
-            ln = _rounded(hi, lo, bound + math.ldexp(1.0, 1 - prec))
-            if ln is not None:
-                return ln
+            stage, args = short
+            hi, lo, bound = stage(args)
+            if _decided(hi, lo, bound + math.ldexp(1.0, 1 - prec), math):
+                return hi + lo
     return float(mp.log(mp.make_mpf(from_man_exp(d, -scale, prec,
                                                  round_nearest))))
+
+
+def ln_doubles_fixed(ds: Sequence[int], scale: int) -> "np.ndarray":
+    """``ln_double_fixed(d, scale)`` of each d in ``ds``, as one float64
+    array, bit for bit.
+
+    The integer stage runs per entry.  Each float stage and the rounding
+    test then run once, on float64 arrays of the entries that take it: the
+    same IEEE operations in the same order, so the same doubles, and no
+    libm call whose result could depend on the SIMD code numpy picks.  The
+    entries that test rejects, and those the short log does not take, run
+    ``ln_double_fixed`` itself.
+    """
+    # not at the top: every command imports this module, and numpy loads
+    # only with the commands that run it
+    import numpy as np
+
+    out = np.empty(len(ds))
+    prec, exp = mp.mp.prec, -scale
+    shorts = [_ln_short(d, exp, d.bit_length()) for d in ds] \
+        if prec > _SHORT_LOG_MIN_PREC else [None] * len(ds)
+    slow = [n for n, short in enumerate(shorts) if short is None]
+    extra = math.ldexp(1.0, 1 - prec)
+    for stage in (_tang, _atanh):
+        at = [n for n, short in enumerate(shorts)
+              if short and short[0] is stage]
+        if at:
+            args = [shorts[n][1] for n in at]
+            cols = np.fromiter(chain.from_iterable(args), float,
+                               len(at) * len(args[0]))
+            hi, lo, bound = stage(cols.reshape(len(at), -1).T)
+            ok = _decided(hi, lo, bound + extra, np)
+            at = np.array(at)
+            out[at[ok]] = (hi + lo)[ok]
+            slow += at[~ok].tolist()
+    for n in slow:
+        out[n] = ln_double_fixed(ds[n], scale)
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,9 +13,10 @@ the inlined loop replaced, with the division the loop writes out,
 finite-sample Whitney norms of the localized node polynomials, the direct
 grid maximum of a node polynomial beside its closed-form bound, the
 uniform-smallness block inequality on the profile's exact logs, the
-cutoff's components merged atom by atom, which the tree walk replaced, and
-the Markov estimator's Chebyshev-basis LPs on HiGHS, which the exchange
-replaced.  Tests import them by name
+cutoff's components merged atom by atom, which the tree walk replaced, the
+covering DP's recurrence on numpy arrays, which the one on Python floats
+replaced, and the Markov estimator's Chebyshev-basis LPs on HiGHS, which
+the exchange replaced.  Tests import them by name
 (``from oracles import series``), as they import ``criterion`` from
 conftest.
 """
@@ -493,6 +494,32 @@ def check_cutoff_product_bound(tree: CantorTree, interval: tuple, N: int,
 # ---------------------------------------------------------------------------
 # dimension functions: a log-power h and its analytic h'
 # ---------------------------------------------------------------------------
+
+def content_dp_numpy(atoms, h) -> tuple:
+    """(value, runs) of the covering DP, its recurrence on numpy arrays: a
+    row's costs are one array sum and ``np.argmin`` picks the first
+    minimum (or the first NaN)."""
+    m = atoms.count
+    hs = h.h_ln(np.concatenate([atoms.ln_inv_span_starts(j)
+                                for j in range(m)]))
+    cost = np.zeros(m + 1)
+    back = np.zeros(m, dtype=int)
+    start = 0
+    for j in range(m):
+        vals = cost[:j + 1] + hs[start:start + j + 1]
+        start += j + 1
+        i = int(np.argmin(vals))
+        cost[j + 1] = float(vals[i])
+        back[j] = i
+    runs = []
+    j = m - 1
+    while j >= 0:
+        i = int(back[j])
+        runs.append((i, j))
+        j = i - 1
+    runs.reverse()
+    return float(cost[m]), runs
+
 
 def log_power_h(h: LogPower, t: float) -> float:
     """h(t) for t in (0, 1), from the package's log form h_ln(ln 1/t)."""

@@ -133,9 +133,9 @@ SLOW_SWEEP_CASES = {
     "gamma --family doubly_exp --k-max 3000 --a " + _MAX: 8.4,
     "dn --family doubly_exp --k-max 3000 --a " + _MAX: 7.3,
     "hausdorff --family doubly_exp --k-max 3000 --a " + _MAX: 8.4,
-    "hausdorff --family example2 --k-max 50 --variant B": 1.36,
-    "hausdorff --family example2 --k-max 400 --variant B": 1.28,
-    "hausdorff --family example3 --k-max 50 --m 3": 1.29,
+    "hausdorff --family example2 --k-max 50 --variant B": 1.37,
+    "hausdorff --family example2 --k-max 400 --variant B": 1.38,
+    "hausdorff --family example3 --k-max 50 --m 3": 1.28,
     "gamma --family delta_form --k-max 3000 --b 1.3862943611198908": 0.67,
     "dn --family delta_form --k-max 3000 --b 1.3862943611198908": 0.71,
     "hausdorff --family delta_form --k-max 3000 --b 1.3862943611198908":

@@ -7,7 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import check_derivative_bound, h_prime, log_power_h
+from oracles import (check_derivative_bound, content_dp_numpy, h_prime,
+                     log_power_h)
 
 from cantorext import hausdorff
 from cantorext.cli import main
@@ -194,6 +195,56 @@ def test_one_pass_dp_matches_row_by_row(kind, h):
     value, runs = _row_by_row_dp(atoms, h)
     assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
     assert res.runs == runs
+
+
+class _CoarseH:
+    """h rounded to eighths of its log-power value: exact ties between
+    coverings are common, and the first minimum must win each."""
+
+    def h_ln(self, lnt):
+        return np.floor(8 * H_HALF.h_ln(lnt)) / 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-6, 0.02), st.floats(1e-6, 0.02)),
+                min_size=1, max_size=24),
+       st.sampled_from([H_HALF, H_LOG, _CoarseH()]))
+def test_float_dp_matches_numpy_recurrence(layout, h):
+    pos, ivs = 0.001, []
+    for length, gap in layout:
+        ivs.append((pos, pos + length))
+        pos += length + gap
+    atoms = FloatAtoms(ivs)
+    res = content_dp(atoms, h)
+    value, runs = content_dp_numpy(atoms, h)
+    assert res.value.hex() == value.hex()
+    assert res.runs == runs
+
+
+class _TableH:
+    """h given as its values over the DP's triangle of spans, row by row."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def h_ln(self, lnt):
+        return np.array(self.values, dtype=float)
+
+
+def test_dp_ties_take_the_first_minimum():
+    # rows [1], [2, 1], [3, 2, 1]: every candidate of rows 1 and 2 ties
+    atoms = FloatAtoms([(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
+    h = _TableH([1, 2, 1, 3, 2, 1])
+    res = content_dp(atoms, h)
+    assert (res.value, res.runs) == content_dp_numpy(atoms, h) == \
+        (3.0, [(0, 2)])
+
+
+def test_dp_raises_where_h_is_nan():
+    # a NaN that a row's minimum would pass over, not only one it would take
+    with pytest.raises(DomainError):
+        content_dp(FloatAtoms([(0.1, 0.2), (0.3, 0.4)]),
+                   _TableH([1, 2, math.nan]))
 
 
 def test_collapsed_clipped_island_span_raises():
@@ -490,13 +541,13 @@ class TestSpanRows:
         atoms = _memo_root(kind)
         rows = [atoms.ln_inv_span_starts(j) for j in range(atoms.count)]
         calls = []
-        column = type(atoms)._column
+        columns = type(atoms)._columns
 
-        def counted(self, starts, j):
-            calls.append((starts, j))
-            return column(self, starts, j)
+        def counted(self, rows):
+            calls.append(rows)
+            return columns(self, rows)
 
-        monkeypatch.setattr(type(atoms), "_column", counted)
+        monkeypatch.setattr(type(atoms), "_columns", counted)
         # both ends in gaps: atoms 2 .. count-3, neither end clamped
         L, R = atoms.lefts, atoms.rights
         lo, hi = _between(atoms, R[1], L[2], 0.5), \
@@ -668,6 +719,26 @@ def _delta_tree(b: float):
 
 class TestScanMemo:
     """``_scan`` solves the covering DP once per distinct window."""
+
+    @pytest.mark.parametrize("kind", ["islands", "tree"])
+    def test_a_scan_fills_its_rows_in_one_pass(self, kind, monkeypatch):
+        # every window's run is found first, and the union of their
+        # unclamped rows is computed at once: no row is filled later, one
+        # view at a time
+        cls = TreeAtoms if kind == "tree" else hausdorff.IslandAtoms
+        calls, columns = [], cls._columns
+
+        def counted(self, rows):
+            calls.append(len(rows))
+            return columns(self, rows)
+
+        monkeypatch.setattr(cls, "_columns", counted)
+        if kind == "tree":
+            density_scan_tree(_delta_tree(2.0), H_HALF, range(2, 7))
+        else:
+            density_scan_islands(IslandFamily(q_rule_constant(2.0),
+                                              k_max=12), H_HALF, [2, 5, 9])
+        assert len(calls) == 1 and calls[0] > 0
 
     @pytest.mark.parametrize("kind", ["islands", "tree"])
     def test_one_dp_per_distinct_window(self, kind, monkeypatch):

@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,7 +15,8 @@ from cantorext.dimension import EtaProfile, LogPower
 from cantorext.gamma import DELTA_FORM, EXAMPLE1, EXAMPLE2, build_model, profile
 from cantorext.geometry import build_tree
 from cantorext.hausdorff import TreeAtoms, content_dp, density_scan_tree
-from cantorext.logreal import LogReal, ln_double, ln_double_fixed
+from cantorext.logreal import (LogReal, ln_double, ln_double_fixed,
+                               ln_doubles_fixed)
 
 
 class TestLogMulPow:
@@ -118,19 +124,53 @@ def mpf_logs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("low", [0.75, -3.0, 5.5, 1e-3])
+# midpoints: the last two lie just below 1 and 2^-10, powers of two, where
+# the spacing below is half the one above
+_MIDPOINT_LOWS = [0.75, -3.0, 5.5, 1e-3, math.nextafter(1.0, 0.0),
+                  math.nextafter(2.0 ** -10, 0.0)]
+
+
+@pytest.mark.parametrize("low", _MIDPOINT_LOWS)
 @pytest.mark.parametrize("nudge", [0, 1, -1])
 def test_ln_double_falls_back_next_to_a_midpoint(low, nudge, full_logs,
                                                  mpf_logs):
     # ln x within 2^-1000 of the exact midpoint of two adjacent doubles: no
     # short log can tell which of them the full log rounds to, so each
-    # entry takes the working-precision log once, and nothing between
+    # entry, batched or not, takes the working-precision log once, and
+    # nothing between
     with mp.workprec(1024):
         mid = (mp.mpf(low) + mp.mpf(math.nextafter(low, math.inf))) / 2
         x = mp.exp(mid) * (1 + nudge * mp.mpf(2) ** -1000)
         _, man, exp, _ = x._mpf_
-        got = ln_double(x), ln_double_fixed(man, -exp)
-        assert len(full_logs) == 2 and mpf_logs == []
+        got = (ln_double(x), ln_double_fixed(man, -exp),
+               float(ln_doubles_fixed([man], -exp)[0]))
+        assert len(full_logs) == 3 and mpf_logs == []
+        assert got[0] == got[1] == got[2] == float(mp.log(x))
+
+
+@pytest.mark.parametrize("low", _MIDPOINT_LOWS)
+@pytest.mark.parametrize("times,decides", [(1.5, False), (3.0, True)])
+def test_short_log_decides_beyond_twice_its_bound(low, times, decides,
+                                                   full_logs, mpf_logs):
+    # ln x = a midpoint + times B, B the short log's bound for x: its hi + lo
+    # (here within B/4 of ln x) must lie 2B from the midpoint to decide, so
+    # that ln x lies B from it; a bound taken half or twice as large, or
+    # the spacing above a power of two for the one below, would flip the
+    # choice
+    with mp.workprec(1024):
+        mid = (mp.mpf(low) + mp.mpf(math.nextafter(low, math.inf))) / 2
+        _, man, exp, bc = mp.exp(mid)._mpf_
+        stage, args = logreal._ln_short(man, exp, bc)
+        bound = stage(args)[2]
+        x = mp.exp(mid + times * bound)
+        _, man, exp, bc = x._mpf_
+        stage, args = logreal._ln_short(man, exp, bc)
+        hi, lo, bound_x = stage(args)
+        assert bound_x == bound
+        assert abs(mp.log(x) - hi - lo) < bound / 4
+        del full_logs[:]
+        got = ln_double(x), float(ln_doubles_fixed([man], -exp)[0])
+        assert len(full_logs) == (0 if decides else 2) and mpf_logs == []
         assert got[0] == got[1] == float(mp.log(x))
 
 
@@ -222,7 +262,8 @@ def test_short_log_matches_full_log_within_its_bound(case):
     if short is None:  # |ln x| < 2^-900, next to the end of the double range
         assert abs(want) < 2.0 ** -899
         return
-    hi, lo, bound = short
+    stage, args = short
+    hi, lo, bound = stage(args)
     with mp.workprec(bits + 200):
         assert abs(mp.log(x) - hi - lo) <= bound
 
@@ -270,22 +311,120 @@ def test_short_log_decides_most_tree_spans(monkeypatch):
     logreal._ln_centres()  # its table is built with mpf_log, once
     logs, spans, slow = [], [], []
 
-    def counted(ln):
+    def counted(ln, entries):
         def call(*args):
             before = len(logs)
             out = ln(*args)
-            spans.append(args)
-            if len(logs) > before:
-                slow.append(args)
+            spans.append(entries(args))
+            slow.append(len(logs) - before)
             return out
         return call
 
-    for name in ("ln_double", "ln_double_fixed"):
-        monkeypatch.setattr(hausdorff, name, counted(getattr(hausdorff, name)))
+    monkeypatch.setattr(hausdorff, "ln_double",
+                        counted(hausdorff.ln_double, lambda args: 1))
+    monkeypatch.setattr(hausdorff, "ln_doubles_fixed",
+                        counted(hausdorff.ln_doubles_fixed,
+                                lambda args: len(args[0])))
     mpf_log, log = logreal.mpf_log, mp.log
     monkeypatch.setattr(logreal, "mpf_log",
                         lambda *a: logs.append(a) or mpf_log(*a))
     monkeypatch.setattr(mp, "log", lambda x: logs.append(x) or log(x))
     _density_tree_operations()
-    assert len(spans) > 12000
-    assert len(slow) <= 0.05 * len(spans)
+    assert sum(spans) > 12000
+    assert sum(slow) <= 0.05 * sum(spans)
+
+
+def _density_tree_spans():
+    """(bits, scale, ds) per tree of ``_density_tree_operations``: every
+    span of its atoms as the int difference D that ``TreeAtoms`` logs,
+    ln_double_fixed(D, scale)."""
+    for family, kw, k_max, depth, bits in (
+            (DELTA_FORM, {"b": 2.0}, 12, 7, 1024),
+            (DELTA_FORM, {"b": 3.0}, 12, 6, 1280),
+            (EXAMPLE1, {"B": 1.0}, 14, 7, 512)):
+        atoms = TreeAtoms(build_tree(build_model(family, k_max=k_max, **kw),
+                                     depth=depth, bits=bits))
+        lefts, rights = atoms.keys
+        yield bits, atoms.scale, [R - L for j, R in enumerate(rights)
+                                  for L in lefts[:j + 1]]
+
+
+def density_tree_logs(batched: bool) -> list:
+    """The hex of every density-tree span log, batched or entry by entry."""
+    out = []
+    for bits, scale, ds in _density_tree_spans():
+        with mp.workprec(bits):
+            logs = ln_doubles_fixed(ds, scale).tolist() if batched else \
+                [ln_double_fixed(d, scale) for d in ds]
+        out += [v.hex() for v in logs]
+    return out
+
+
+def test_batched_logs_are_the_scalar_logs_on_the_density_trees():
+    batched = density_tree_logs(True)
+    assert len(batched) == 8256 + 2080 + 8256
+    assert batched == density_tree_logs(False)
+
+
+_BASELINE_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def test_batched_logs_do_not_depend_on_simd_dispatch():
+    # numpy held to its baseline SIMD code in a child: the batched logs are
+    # still those of the scalar path, which runs no numpy at all
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:]\n"
+              "from numpy._core._multiarray_umath import __cpu_features__\n"
+              "from test_logreal import density_tree_logs\n"
+              "print(json.dumps([__cpu_features__['X86_V3'],"
+              " density_tree_logs(True)]))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_BASELINE_SIMD)
+    child = subprocess.run([sys.executable, "-c", script, src, tests],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    avx2_on, logs = json.loads(child.stdout)
+    assert not avx2_on
+    assert logs == density_tree_logs(False)
+
+
+@st.composite
+def _span_batches(draw):
+    """(prec, scale, ds): a working precision, 128 bits or less included;
+    a scale; and ints d > 0 of 1 to 8400 bits, with x = d 2^-scale any,
+    within 2^-3 of 1 on either side (E = 0 or -1), exactly 1, or with E
+    next to 2^20 (and every x with |E| >= 2^20 at the scales past 2^20)."""
+    prec = draw(st.integers(min_value=53, max_value=8400))
+    scale = draw(st.integers(0, 8400) | st.integers(2 ** 20, 2 ** 20 + 64))
+    rnd = draw(st.randoms(use_true_random=False))
+    kinds = ["any", "one", "E near 2^20"]
+    if 4 <= scale < 2 ** 20:
+        kinds += ["above 1", "below 1"]
+    ds = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=16)):
+        if kind == "any":
+            bits = draw(st.integers(1, 8400))
+            ds.append(rnd.getrandbits(bits) | 1 << (bits - 1))
+        elif kind == "one":
+            ds.append(1 << scale)
+        elif kind == "E near 2^20":
+            top = scale + 2 ** 20 + draw(st.integers(-1, 1))
+            ds.append(rnd.getrandbits(top) | 1 << top)
+        else:  # |x - 1| = 2^-shift (1 + random), under 2^-3
+            shift = draw(st.integers(3, scale - 1))
+            eps = rnd.getrandbits(scale - shift) | 1 << (scale - shift - 1)
+            ds.append((1 << scale) + (eps if kind == "above 1" else -eps))
+    return prec, scale, ds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_span_batches())
+def test_batched_logs_are_the_scalar_logs(case):
+    prec, scale, ds = case
+    with mp.workprec(prec):
+        got = ln_doubles_fixed(ds, scale)
+        assert got.dtype == np.float64 and len(got) == len(ds)
+        assert [v.hex() for v in got.tolist()] == \
+            [ln_double_fixed(d, scale).hex() for d in ds]
